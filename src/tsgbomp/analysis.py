@@ -21,8 +21,8 @@ from .signal_model import (
     EnumerationCapError,
     PibsParams,
     Support,
-    _allowed_pseudo_starts,
-    _cluster_arrangements,
+    cell_count,
+    count_bound_exponent,
     iter_cell,
 )
 
@@ -88,36 +88,6 @@ def _batched_opdev(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cell enumeration with caching
 
-def _count_pseudo_placements(allowed: np.ndarray, r: int, l: int) -> int:
-    """Number of ascending r-tuples of allowed starts with pairwise spacing >= l."""
-    if r == 0:
-        return 1
-    if allowed.size == 0 or l == 0:
-        return 0
-    nA = allowed.size
-    nxt = np.searchsorted(allowed, allowed + l)
-    ways = np.zeros((nA + 1, r + 1), dtype=object)
-    ways[:, 0] = 1
-    for t in range(1, r + 1):
-        for i in range(nA - 1, -1, -1):
-            ways[i, t] = ways[i + 1, t] + ways[nxt[i], t - 1]
-    return int(ways[0, r])
-
-
-def cell_count(params: PibsParams, k: int, r: int) -> int:
-    """Exact size of the (k, r) cell without materializing it."""
-    if r > 0 and params.l == 0:
-        return 0
-    total = 0
-    for clusters in _cluster_arrangements(params, k):
-        if r == 0:
-            total += 1
-        else:
-            allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
-            total += _count_pseudo_placements(allowed, r, params.l)
-    return total
-
-
 @lru_cache(maxsize=512)
 def _cell_data(params: PibsParams, k: int, r: int):
     """Materialized cell: (supports tuple, 0-based column index array or None)."""
@@ -153,6 +123,21 @@ def _opdev_chunk(args) -> tuple[float, int]:
     return float(devs[i]), i
 
 
+def _cell_max(G: np.ndarray, idx: np.ndarray, pool, jobs: int) -> tuple[float, int]:
+    """Largest deviation over the rows of idx and the first row attaining it.
+    With a pool, contiguous row slices go to the workers and the reduction
+    keeps row order, so the result is the serial one."""
+    if pool is None or idx.shape[0] < 4 * jobs:
+        return _opdev_chunk((G, idx))
+    bounds = np.linspace(0, idx.shape[0], jobs + 1, dtype=int)
+    parts = [(G, idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    best, arg = -1.0, 0
+    for (val, i), lo in zip(pool.map(_opdev_chunk, parts), bounds):
+        if val > best:
+            best, arg = val, int(lo) + i
+    return best, arg
+
+
 def pibric(
     Phi: SensingMatrix,
     params: PibsParams,
@@ -162,59 +147,20 @@ def pibric(
     jobs: int = 1,
 ) -> RicEstimate:
     """Exact max of operator_norm_dev over every support with at most K true
-    blocks and at most R pseudo blocks.
+    blocks and at most R pseudo blocks: the largest cell maximum of
+    `pibric_table`, after checking the total support count against `cap`.
 
-    With jobs > 1 the scan is partitioned across processes; the reduction
-    keeps enumeration order, so the result (including the argmax support,
-    first in lexicographic order on ties) never depends on jobs.
+    The result (including the argmax support, first in (k, r) cell order and
+    then in enumeration order on ties) never depends on jobs.
     """
-    if Phi.n != params.n:
-        raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
-    counts = {(k, r): cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1)}
-    total = sum(counts.values())
+    total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
-    G = Phi.gram
     best = 0.0
     best_support: Support | None = Support(clusters=(), pseudo=(), params=params)
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        for k in range(K + 1):
-            for r in range(R + 1):
-                if counts[(k, r)] == 0:
-                    continue
-                sups, idx = _cell_data(params, k, r)
-                if idx is None:
-                    continue
-                if pool is None or idx.shape[0] < 4 * jobs:
-                    devs = _batched_opdev(G, idx)
-                    i = int(np.argmax(devs))
-                    cell_best, cell_arg = float(devs[i]), i
-                else:
-                    bounds = np.linspace(0, idx.shape[0], jobs + 1, dtype=int)
-                    parts = [
-                        (G, idx[lo:hi])
-                        for lo, hi in zip(bounds, bounds[1:])
-                        if hi > lo
-                    ]
-                    cell_best = -1.0
-                    cell_arg = 0
-                    offset = 0
-                    for (val, i), (_, part) in zip(pool.map(_opdev_chunk, parts), parts):
-                        if val > cell_best:
-                            cell_best = val
-                            cell_arg = offset + i
-                        offset += part.shape[0]
-                if cell_best > best:
-                    best = cell_best
-                    best_support = sups[cell_arg]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for stat in pibric_table(Phi, params, K, R, cell_cap=cap, jobs=jobs).values():
+        if stat.delta > best:
+            best, best_support = stat.delta, stat.argmax
     return RicEstimate(delta=best, argmax_support=best_support, supports_scanned=total)
 
 
@@ -227,31 +173,44 @@ class _CellStat:
 
 
 def pibric_table(
-    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000
+    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000,
+    jobs: int = 1,
 ) -> dict[tuple[int, int], _CellStat]:
-    """Per-cell maxima of operator_norm_dev; cells larger than cell_cap are
-    marked skipped instead of computed. The order-(K', R') constant is the max
-    over all cells with k <= K', r <= R' when none of them is skipped."""
+    """Per-cell maxima of operator_norm_dev, keyed in (k, r) order; cells
+    larger than cell_cap are marked skipped instead of computed. The
+    order-(K', R') constant is the max over all cells with k <= K', r <= R'
+    when none of them is skipped. With jobs > 1 each large cell is split
+    across processes; the table never depends on jobs."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
     table: dict[tuple[int, int], _CellStat] = {}
-    for k in range(K + 1):
-        for r in range(R + 1):
-            count = cell_count(params, k, r)
-            if count == 0:
-                table[(k, r)] = _CellStat(delta=0.0, argmax=None, count=0)
-                continue
-            if count > cell_cap:
-                table[(k, r)] = _CellStat(delta=math.nan, argmax=None, count=count, skipped=True)
-                continue
-            sups, idx = _cell_data(params, k, r)
-            if idx is None:
-                table[(k, r)] = _CellStat(delta=0.0, argmax=sups[0], count=count)
-                continue
-            devs = _batched_opdev(G, idx)
-            i = int(np.argmax(devs))
-            table[(k, r)] = _CellStat(delta=float(devs[i]), argmax=sups[i], count=count)
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        for k in range(K + 1):
+            for r in range(R + 1):
+                count = cell_count(params, k, r)
+                if count == 0:
+                    table[(k, r)] = _CellStat(delta=0.0, argmax=None, count=0)
+                    continue
+                if count > cell_cap:
+                    table[(k, r)] = _CellStat(
+                        delta=math.nan, argmax=None, count=count, skipped=True
+                    )
+                    continue
+                sups, idx = _cell_data(params, k, r)
+                if idx is None:
+                    table[(k, r)] = _CellStat(delta=0.0, argmax=sups[0], count=count)
+                    continue
+                delta, i = _cell_max(G, idx, pool, jobs)
+                table[(k, r)] = _CellStat(delta=delta, argmax=sups[i], count=count)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return table
 
 
@@ -334,6 +293,21 @@ def _projector_complement(Phi: SensingMatrix, cols0: np.ndarray):
     return lambda v: v - Q @ (Q.conj().T @ v)
 
 
+def _table_supports(
+    table: dict[tuple[int, int], _CellStat], params: PibsParams, K: int, R: int
+) -> list[Support]:
+    """Supports covering at least one column from every computed cell of the
+    table with k <= K and r <= R, in cell order then enumeration order."""
+    pool: list[Support] = []
+    for k in range(K + 1):
+        for r in range(R + 1):
+            stat = table[(k, r)]
+            if stat.count and not stat.skipped:
+                sups, _ = _cell_data(params, k, r)
+                pool.extend(s for s in sups if s.columns)
+    return pool
+
+
 def _sample_supports(pool: list[Support], limit: int, rng: np.random.Generator) -> list[Support]:
     if len(pool) <= limit:
         return pool
@@ -402,13 +376,7 @@ def verify_lemmas(
     ok = True
     for Kp, Rp in orders:
         delta = d_A[(Kp, Rp)]
-        pool = []
-        for k in range(Kp + 1):
-            for r in range(Rp + 1):
-                stat = table_A[(k, r)]
-                if stat.count and not stat.skipped:
-                    sups, _ = _cell_data(fam_A, k, r)
-                    pool.extend(s for s in sups if s.columns)
+        pool = _table_supports(table_A, fam_A, Kp, Rp)
         for sup in _sample_supports(pool, support_samples, rng):
             cols = sup.column_array
             X = _random_coeffs(cols.size, draws_sandwich, rng, complex_case)
@@ -515,13 +483,7 @@ def verify_lemmas(
         order_samples: list[tuple[Support, float]] = []
         for order in frontier:
             delta = d_A[order]
-            pool = []
-            for k in range(order[0] + 1):
-                for r in range(order[1] + 1):
-                    stat = table_A[(k, r)]
-                    if stat.count and not stat.skipped:
-                        sups, _ = _cell_data(fam_A, k, r)
-                        pool.extend(s for s in sups if s.columns)
+            pool = _table_supports(table_A, fam_A, *order)
             order_samples.extend(
                 (s, delta) for s in _sample_supports(pool, per_order, rng)
             )
@@ -587,12 +549,7 @@ def verify_lemmas(
     else:
         delta_B = d_B[(K7, 1)]
         bound = math.sqrt(1.0 - delta_B**2)
-        pool = []
-        for k in range(K7 + 1):
-            stat = table_B[(k, 0)]
-            if stat.count and not stat.skipped:
-                sups, _ = _cell_data(fam_B, k, 0)
-                pool.extend(s for s in sups if s.clusters)
+        pool = _table_supports(table_B, fam_B, K7, 0)
         checks = 0
         worst = math.inf
         ok = True
@@ -840,12 +797,7 @@ def thm2_bound(
     nu = lam**2 + 2 * lam
     rho = f_K_inverse(1.0, K, b, p)
 
-    A = 3.0 * p * (K - 1) / (2.0 * (p + 1) ** 2) + R
-    C = math.log(p) + 21.0 / 8.0 - 1.0 / p
-    D = float(n - (K - 1) * b + Lp)
-    E = float(Lp - 1)
-    arg = p * D / K - E
-    h = A + K * C + K * math.log(arg) if arg > 0 else math.inf
+    A, C, D, E, h = count_bound_exponent(n, b, p, Lp, K, R, order=K - 1)
     try:
         c1 = 2.0 * math.exp(h)
     except OverflowError:
@@ -871,7 +823,7 @@ def thm2_bound(
         "nu-rho-order": nu < rho < 3.0,
         "eps0-window": nu + eps0 < thresh < rho,
         "eps-range": 0.0 <= eps <= max(rho - nu, 0.0),
-        "h-defined": arg > 0,
+        "h-defined": h < math.inf,
     }
     quantities = Thm2Params(
         lam=lam, nu=nu, rho=rho, c1=c1, c2=c2, h=h, A=A, C=C, D=D, E=E,

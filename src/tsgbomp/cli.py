@@ -16,15 +16,14 @@ import numpy as np
 
 from . import analysis, experiments, recovery, sensing, signal_model
 
-def _params_from_args(args, K: int, R: int) -> signal_model.PibsParams:
+def _params_from_args(args, n: int, K: int, R: int) -> signal_model.PibsParams:
+    """Geometry from --b/--p/--l and exactly one of --L or --lsep."""
     if args.L is not None:
         return signal_model.PibsParams.from_window(
-            n=args.n, b=args.b, p=args.p, l=args.l, L=args.L, K=K, R=R
+            n=n, b=args.b, p=args.p, l=args.l, L=args.L, K=K, R=R
         )
-    if args.lsep is None:
-        raise SystemExit("one of --L or --lsep is required")
     return signal_model.PibsParams(
-        n=args.n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=K, R=R
+        n=n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=K, R=R
     )
 
 
@@ -43,7 +42,7 @@ def _save_matrix(mat: sensing.SensingMatrix, path: str) -> None:
 
 
 def _cmd_gen_signal(args) -> int:
-    params = _params_from_args(args, args.K, 0)
+    params = _params_from_args(args, args.n, args.K, 0)
     rng = np.random.default_rng(args.seed)
     support = signal_model.sample_support(params, args.blocks, 0, rng)
     if args.scheme == "gaussian":
@@ -71,15 +70,10 @@ def _cmd_gen_matrix(args) -> int:
 def _cmd_recover(args) -> int:
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
-    meas = sensing.Measurement(y=y, noise_bound=args.noise_bound)
-    if args.alg == "tsgbomp":
-        result = recovery.tsgbomp(
-            Phi, meas, K=args.K, L=args.L, b=args.b, p=args.p, epsilon=args.eps
-        )
-    else:
-        result = recovery.bomp(
-            Phi, meas, K=args.K, block=args.b * args.p, epsilon=args.eps
-        )
+    result = experiments.solve(
+        args.alg, Phi, sensing.Measurement(y=y),
+        K=args.K, L=args.L, b=args.b, p=args.p, epsilon=args.eps,
+    )
     report = recovery.result_report(result)
     if args.out:
         Path(args.out).write_text(report, newline="\n")
@@ -92,11 +86,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_ric(args) -> int:
     Phi = _load_matrix(args.matrix)
-    params = signal_model.PibsParams(
-        n=Phi.n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=args.K, R=args.R
-    ) if args.L is None else signal_model.PibsParams.from_window(
-        n=Phi.n, b=args.b, p=args.p, l=args.l, L=args.L, K=args.K, R=args.R
-    )
+    params = _params_from_args(args, Phi.n, args.K, args.R)
     est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap, jobs=args.jobs)
     print(f"delta = {est.delta!r}")
     print(f"supports scanned = {est.supports_scanned}")
@@ -120,7 +110,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = _params_from_args(args, args.K, args.R)
+    params = _params_from_args(args, args.n, args.K, args.R)
     if args.method == "enumerate":
         value = sum(1 for _ in signal_model.iter_cell(params, args.K, args.R))
     else:
@@ -197,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--b", type=int, required=True)
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--l", type=int, default=0)
-        sp.add_argument("--L", type=int, default=None)
-        sp.add_argument("--lsep", type=int, default=None)
+        window = sp.add_mutually_exclusive_group(required=True)
+        window.add_argument("--L", type=int, default=None)
+        window.add_argument("--lsep", type=int, default=None)
 
     sp = sub.add_parser("gen-signal", help="sample a support and fill values")
     geometry(sp)
@@ -230,18 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--noise-bound", type=float, default=0.0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--trace-csv", default=None)
     sp.set_defaults(func=_cmd_recover)
 
     sp = sub.add_parser("ric", help="exact structured isometry constant")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--L", type=int, default=None)
-    sp.add_argument("--lsep", type=int, default=None)
+    geometry(sp, with_n=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cap", type=int, default=1_000_000)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import f_K, pibric, thm1_certificate
-from .recovery import bomp, relative_error, success_check, tsgbomp
-from .sensing import gaussian_matrix, identity_matrix, measure
+from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
+from .sensing import Measurement, SensingMatrix, gaussian_matrix, identity_matrix, measure
 from .signal_model import (
     GeometryError,
     PibsParams,
@@ -39,6 +39,7 @@ __all__ = [
     "feasible_K",
     "max_feasible_K",
     "trial_seed",
+    "solve",
     "run_trial",
     "run_curve",
     "check_curve",
@@ -132,37 +133,46 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Parse `key=value` lines; blank lines and `#` comments are skipped.
+        Unknown and repeated keys are errors, so a typo cannot fall back to
+        a default."""
         fields: dict[str, str] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in fields:
+                raise ValueError(f"config key {key!r} given twice")
+            fields[key] = value.strip()
         required = {"n", "m", "b", "p", "L", "K_grid", "master_seed"}
         missing = required - fields.keys()
         if missing:
             raise ValueError(f"config missing keys: {sorted(missing)}")
-        kwargs = dict(
-            n=int(fields["n"]),
-            m=int(fields["m"]),
-            b=int(fields["b"]),
-            p=int(fields["p"]),
-            L=int(fields["L"]),
-            K_grid=tuple(int(v) for v in fields["K_grid"].split(",") if v),
-            master_seed=int(fields["master_seed"]),
-        )
-        if "value_scheme" in fields:
-            kwargs["value_scheme"] = fields["value_scheme"]
-        if "trials" in fields:
-            kwargs["trials"] = int(fields["trials"])
-        if "epsilon" in fields:
-            kwargs["epsilon"] = float(fields["epsilon"])
-        if "algorithms" in fields:
-            kwargs["algorithms"] = tuple(v for v in fields["algorithms"].split(",") if v)
-        if "matrix_kind" in fields:
-            kwargs["matrix_kind"] = fields["matrix_kind"]
-        return cls(**kwargs)
+        return cls(**{key: _CONFIG_PARSERS[key](value) for key, value in fields.items()})
+
+
+def _csv_tuple(item):
+    return lambda value: tuple(item(v) for v in value.split(",") if v)
+
+
+_CONFIG_PARSERS = {
+    "n": int,
+    "m": int,
+    "b": int,
+    "p": int,
+    "L": int,
+    "K_grid": _csv_tuple(int),
+    "value_scheme": str,
+    "trials": int,
+    "epsilon": float,
+    "algorithms": _csv_tuple(str),
+    "master_seed": int,
+    "matrix_kind": str,
+}
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,25 @@ def _fill(support: Support, scheme: str, rng: np.random.Generator) -> SignalInst
     raise ValueError(f"unknown value scheme {scheme!r}")
 
 
+def solve(
+    algorithm: str,
+    Phi: SensingMatrix,
+    measurement: Measurement,
+    K: int,
+    L: int,
+    b: int,
+    p: int,
+    epsilon: float,
+) -> RecoveryResult:
+    """Run `algorithm` on one instance of the (b, p, L) geometry. The block
+    OMP baseline partitions into blocks of the cluster capacity p*b."""
+    if algorithm == "tsgbomp":
+        return tsgbomp(Phi, measurement, K=K, L=L, b=b, p=p, epsilon=epsilon)
+    if algorithm == "bomp":
+        return bomp(Phi, measurement, K=K, block=b * p, epsilon=epsilon)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> TrialRecord:
     """One seeded trial: fresh matrix and signal, noiseless measurement,
     solve, exact-recovery check."""
@@ -213,12 +242,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     eps = config.epsilon * float(np.linalg.norm(meas.y))
 
     t0 = time.perf_counter()
-    if algorithm == "tsgbomp":
-        result = tsgbomp(Phi, meas, K=K, L=config.L, b=config.b, p=config.p, epsilon=eps)
-    elif algorithm == "bomp":
-        result = bomp(Phi, meas, K=K, block=config.b * config.p, epsilon=eps)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    result = solve(algorithm, Phi, meas, K=K, L=config.L, b=config.b, p=config.p, epsilon=eps)
     runtime = time.perf_counter() - t0
 
     return TrialRecord(

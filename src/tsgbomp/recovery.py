@@ -1,18 +1,20 @@
 """Greedy block-sparse recovery: the two-stage window/cluster solver and the
-fixed-partition block OMP baseline, sharing least-squares machinery.
+fixed-partition block OMP baseline, two selection rules on one greedy loop.
 
-Both solvers iterate: correlate columns with the residual, pick a group of
-columns, refit by least squares on everything selected so far, and update the
-residual to the projection error. The two-stage solver first picks the window
-(a fixed length-L group of columns) whose correlation norm is largest, then
-scans every cluster of B = p*b consecutive columns overlapping that window
-and keeps the best one. Ties always break toward the smallest index, so runs
-are reproducible.
+The loop correlates columns with the residual, lets the selection rule pick
+a group of columns, refits by least squares on everything selected so far,
+and updates the residual to the projection error. The two-stage rule first
+picks the window (a fixed length-L group of columns) whose correlation norm
+is largest, then scans every cluster of B = p*b consecutive columns
+overlapping that window and keeps the best one; the block OMP rule picks the
+best block of a fixed partition. Ties always break toward the smallest
+index, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +85,67 @@ def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray):
     return u, r
 
 
+def _greedy(
+    Phi: SensingMatrix,
+    measurement: Measurement,
+    K: int,
+    epsilon: float,
+    block_length: int,
+    select: Callable[[np.ndarray], tuple[int, int, tuple[int, ...]]],
+) -> RecoveryResult:
+    """The shared correlate/select/refit loop with budget K.
+
+    `select` maps the correlation powers |Phi^H r|^2 to (window, cluster
+    start, block starts); the chosen starts join the running set, each
+    covering `block_length` columns, the coefficients are refit on all
+    covered columns, and the residual is the refit error. Stops when the
+    residual drops below epsilon or after K iterations.
+    """
+    y = measurement.y
+    m, n = Phi.m, Phi.n
+    if y.shape != (m,):
+        raise ValueError(f"measurement length {y.shape} does not match m={m}")
+    if K < 0:
+        raise ValueError("block budget K must be >= 0")
+
+    dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
+    r = y.astype(dtype)
+    block_starts: set[int] = set()
+    trace: list[IterationRecord] = []
+    u = None
+    cols0 = np.empty(0, dtype=np.intp)
+
+    k = 0
+    while np.linalg.norm(r) >= epsilon and k < K:
+        k += 1
+        c = Phi.entries.conj().T @ r
+        window, start, h_k = select(np.abs(c) ** 2)
+        block_starts.update(h_k)
+        cols0 = _block_columns(sorted(block_starts), block_length, n)
+        u, r = _refit(Phi, cols0, y)
+        trace.append(
+            IterationRecord(
+                k=k,
+                window=window,
+                cluster_start=start,
+                block_starts=h_k,
+                residual_norm=float(np.linalg.norm(r)),
+            )
+        )
+
+    stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
+    x_hat = np.zeros(n, dtype=dtype)
+    if u is not None:
+        x_hat[cols0] = u
+    return RecoveryResult(
+        estimated_columns=tuple(int(c) + 1 for c in cols0),
+        x_hat=x_hat,
+        trace=tuple(trace),
+        iterations=k,
+        stop_reason=stop,
+    )
+
+
 def tsgbomp(
     Phi: SensingMatrix,
     measurement: Measurement,
@@ -98,36 +161,18 @@ def tsgbomp(
     Stage 2 scans cluster starts i in {L*(w-1)+1-(B-1), ..., L*w}, clamped to
     [1, n-B+1] so every candidate cluster of B = p*b columns is fully in
     range, and selects the start whose B correlation entries have the largest
-    norm. The p block starts {i, i+b, ..., i+(p-1)b} join the running set,
-    the coefficients are refit on all covered columns, and the residual is
-    the refit error. Stops when the residual drops below epsilon or after K
-    iterations.
+    norm. The p block starts {i, i+b, ..., i+(p-1)b} are the iteration's
+    pick for the shared loop.
     """
-    y = measurement.y
-    m, n = Phi.m, Phi.n
-    if y.shape != (m,):
-        raise ValueError(f"measurement length {y.shape} does not match m={m}")
+    n = Phi.n
     if n % L != 0:
         raise ValueError(f"n={n} must be divisible by the window length L={L}")
     B = p * b
     if L < B:
         raise ValueError(f"window length L={L} must be at least B=p*b={B}")
-    if K < 0:
-        raise ValueError("block budget K must be >= 0")
-
     n_windows = n // L
-    r = y.astype(complex if Phi.is_complex or np.iscomplexobj(y) else float)
-    block_starts: set[int] = set()
-    trace: list[IterationRecord] = []
-    u = None
-    cols0 = np.empty(0, dtype=np.intp)
 
-    k = 0
-    while np.linalg.norm(r) >= epsilon and k < K:
-        k += 1
-        c = Phi.entries.conj().T @ r
-        power = np.abs(c) ** 2
-
+    def select(power: np.ndarray):
         win_norms = power.reshape(n_windows, L).sum(axis=1)
         w = int(np.argmax(win_norms)) + 1
 
@@ -138,32 +183,9 @@ def tsgbomp(
         starts = np.arange(lo, hi + 1)
         run_norms = csum[starts - 1 + B] - csum[starts - 1]
         i_k = int(starts[np.argmax(run_norms)])
-        h_k = tuple(i_k + j * b for j in range(p))
+        return w, i_k, tuple(i_k + j * b for j in range(p))
 
-        block_starts.update(h_k)
-        cols0 = _block_columns(sorted(block_starts), b, n)
-        u, r = _refit(Phi, cols0, y)
-        trace.append(
-            IterationRecord(
-                k=k,
-                window=w,
-                cluster_start=i_k,
-                block_starts=h_k,
-                residual_norm=float(np.linalg.norm(r)),
-            )
-        )
-
-    stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
-    x_hat = np.zeros(n, dtype=complex if Phi.is_complex or np.iscomplexobj(y) else float)
-    if u is not None:
-        x_hat[cols0] = u
-    return RecoveryResult(
-        estimated_columns=tuple(int(c) + 1 for c in cols0),
-        x_hat=x_hat,
-        trace=tuple(trace),
-        iterations=k,
-        stop_reason=stop,
-    )
+    return _greedy(Phi, measurement, K, epsilon, b, select)
 
 
 def bomp(
@@ -173,71 +195,27 @@ def bomp(
     block: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Block OMP over the fixed partition into n/block consecutive blocks."""
-    y = measurement.y
-    m, n = Phi.m, Phi.n
-    if y.shape != (m,):
-        raise ValueError(f"measurement length {y.shape} does not match m={m}")
+    """Block OMP over the fixed partition into n/block consecutive blocks:
+    each iteration picks the block with the largest correlation norm."""
+    n = Phi.n
     if n % block != 0:
         raise ValueError(f"n={n} must be divisible by the block length {block}")
-    if K < 0:
-        raise ValueError("iteration budget K must be >= 0")
-
     n_blocks = n // block
-    r = y.astype(complex if Phi.is_complex or np.iscomplexobj(y) else float)
-    chosen: set[int] = set()
-    trace: list[IterationRecord] = []
-    u = None
-    cols0 = np.empty(0, dtype=np.intp)
 
-    k = 0
-    while np.linalg.norm(r) >= epsilon and k < K:
-        k += 1
-        c = Phi.entries.conj().T @ r
-        power = np.abs(c) ** 2
-        norms = power.reshape(n_blocks, block).sum(axis=1)
-        j = int(np.argmax(norms))
-        chosen.add(j)
-        cols0 = np.asarray(
-            sorted(col for blk in chosen for col in range(blk * block, (blk + 1) * block)),
-            dtype=np.intp,
-        )
-        u, r = _refit(Phi, cols0, y)
+    def select(power: np.ndarray):
+        j = int(np.argmax(power.reshape(n_blocks, block).sum(axis=1)))
         start = j * block + 1
-        trace.append(
-            IterationRecord(
-                k=k,
-                window=j + 1,
-                cluster_start=start,
-                block_starts=(start,),
-                residual_norm=float(np.linalg.norm(r)),
-            )
-        )
+        return j + 1, start, (start,)
 
-    stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
-    x_hat = np.zeros(n, dtype=complex if Phi.is_complex or np.iscomplexobj(y) else float)
-    if u is not None:
-        x_hat[cols0] = u
-    return RecoveryResult(
-        estimated_columns=tuple(int(c) + 1 for c in cols0),
-        x_hat=x_hat,
-        trace=tuple(trace),
-        iterations=k,
-        stop_reason=stop,
-    )
+    return _greedy(Phi, measurement, K, epsilon, block, select)
 
 
 def success_check(result: RecoveryResult, truth: SignalInstance, rel_tol: float = 1e-6) -> bool:
     """Exact-recovery criterion: estimated columns cover the true support and
     the relative coefficient error is within rel_tol."""
-    true_cols = set(truth.support.columns)
-    if not true_cols.issubset(result.estimated_columns):
+    if not set(truth.support.columns).issubset(result.estimated_columns):
         return False
-    denom = np.linalg.norm(truth.x)
-    err = np.linalg.norm(result.x_hat - truth.x)
-    if denom == 0:
-        return err == 0
-    return bool(err / denom <= rel_tol)
+    return relative_error(result, truth) <= rel_tol
 
 
 def relative_error(result: RecoveryResult, truth: SignalInstance) -> float:

@@ -28,7 +28,9 @@ __all__ = [
     "sample_support",
     "enumerate_cell",
     "enumerate_supports",
+    "cell_count",
     "count_supports_formula",
+    "count_bound_exponent",
     "count_supports_bound",
     "formula_assumptions",
     "compare_counts",
@@ -444,15 +446,10 @@ def iter_cell(params: PibsParams, k: int, r: int) -> Iterator[Support]:
 
 def enumerate_cell(params: PibsParams, k: int, r: int, cap: int = 1_000_000) -> list[Support]:
     """Materialize one (k, r) cell, guarding against blow-up."""
-    out: list[Support] = []
-    count = 0
-    for s in iter_cell(params, k, r):
-        count += 1
-        if count <= cap:
-            out.append(s)
+    count = cell_count(params, k, r)
     if count > cap:
         raise EnumerationCapError(count, cap)
-    return out
+    return list(iter_cell(params, k, r))
 
 
 def enumerate_supports(
@@ -460,21 +457,48 @@ def enumerate_supports(
 ) -> list[Support]:
     """All supports with at most K_max true blocks and at most R_max pseudo
     blocks (the union of every (k, r) cell)."""
-    out: list[Support] = []
-    count = 0
-    for k in range(K_max + 1):
-        for r in range(R_max + 1):
-            for s in iter_cell(params, k, r):
-                count += 1
-                if count <= cap:
-                    out.append(s)
+    cells = [(k, r) for k in range(K_max + 1) for r in range(R_max + 1)]
+    count = sum(cell_count(params, k, r) for k, r in cells)
     if count > cap:
         raise EnumerationCapError(count, cap)
-    return out
+    return [s for k, r in cells for s in iter_cell(params, k, r)]
 
 
 # ---------------------------------------------------------------------------
 # counting
+
+def _count_pseudo_placements(allowed: np.ndarray, r: int, l: int) -> int:
+    """Number of ascending r-tuples of allowed starts with pairwise spacing >= l."""
+    if r == 0:
+        return 1
+    if allowed.size == 0 or l == 0:
+        return 0
+    nA = allowed.size
+    nxt = np.searchsorted(allowed, allowed + l)
+    ways = np.zeros((nA + 1, r + 1), dtype=object)
+    ways[:, 0] = 1
+    for t in range(1, r + 1):
+        for i in range(nA - 1, -1, -1):
+            ways[i, t] = ways[i + 1, t] + ways[nxt[i], t - 1]
+    return int(ways[0, r])
+
+
+@lru_cache(maxsize=4096)
+def cell_count(params: PibsParams, k: int, r: int) -> int:
+    """Exact size of the (k, r) cell without materializing it. Cached: a
+    capped scan counts every cell once to check its total and again per
+    cell."""
+    if r > 0 and params.l == 0:
+        return 0
+    total = 0
+    for clusters in _cluster_arrangements(params, k):
+        if r == 0:
+            total += 1
+        else:
+            allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
+            total += _count_pseudo_placements(allowed, r, params.l)
+    return total
+
 
 def count_supports_formula(params: PibsParams, K: int, R: int) -> int:
     """Closed-form count of the (K, R) cell via the composition/stars-and-bars
@@ -576,23 +600,37 @@ def compare_counts(params: PibsParams, K: int, R: int, cap: int = 1_000_000) -> 
     )
 
 
+def count_bound_exponent(
+    n: int, b: int, p: int, Lsep: int, K: int, R: int, order: int
+) -> tuple[float, float, float, float, float]:
+    """Terms (A, C, D, E, h) of the closed-form support-count bound exp(h);
+    h is inf when p*D/K - E <= 0. `order` is the true-block count in A and D:
+    K for the (K, R) cell itself (`count_supports_bound`), K - 1 for the
+    supports of the order-(K-1, R) constant that the recovery certificate
+    uses (`thm2_bound`). The other K terms are K in both, as the bound is
+    stated."""
+    A = 3.0 * p * order / (2.0 * (p + 1) ** 2) + R
+    C = math.log(p) + 21.0 / 8.0 - 1.0 / p
+    D = float(n - order * b + Lsep)
+    E = float(Lsep - 1)
+    arg = p * D / K - E
+    h = A + K * C + K * math.log(arg) if arg > 0 else math.inf
+    return A, C, D, E, h
+
+
 def count_supports_bound(params: PibsParams, K: int, R: int) -> float:
     """Closed-form upper bound exp(A + K*C + K*ln(p*D/K - E)) on the (K, R)
     count, valid when L >= p*b and (R+1)*p <= K. Evaluated in the log domain."""
-    b, p, Lsep, n = params.b, params.p, params.Lsep, params.n
+    b, p = params.b, params.p
     L = params.window_length
     if L < p * b:
         raise ValueError(f"bound requires L >= p*b ({L} < {p * b})")
     if (R + 1) * p > K:
         raise ValueError(f"bound requires (R+1)*p <= K ({(R + 1) * p} > {K})")
-    A = 3.0 * p * K / (2.0 * (p + 1) ** 2) + R
-    C = math.log(p) + 21.0 / 8.0 - 1.0 / p
-    D = n - K * b + Lsep
-    E = Lsep - 1
-    arg = p * D / K - E
-    if arg <= 0:
+    h = count_bound_exponent(params.n, b, p, params.Lsep, K, R, order=K)[-1]
+    if h == math.inf:
         raise ValueError("bound undefined: p*D/K - E <= 0")
-    return math.exp(A + K * C + K * math.log(arg))
+    return math.exp(h)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +729,8 @@ def signal_to_csv(x: np.ndarray) -> str:
 
 
 def signal_values_from_csv(text: str, n: int) -> np.ndarray:
+    """Dense length-n vector from `signal_to_csv` rows; a malformed row or
+    an index outside [1, n] is a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty signal file")
@@ -699,11 +739,17 @@ def signal_values_from_csv(text: str, n: int) -> np.ndarray:
     if not complex_form and header != "index,value":
         raise ValueError(f"unrecognized signal header: {lines[0]!r}")
     x = np.zeros(n, dtype=complex if complex_form else float)
+    width = 2 if complex_form else 1
     for ln in lines[1:]:
         parts = ln.split(",")
-        idx = int(parts[0]) - 1
-        if complex_form:
-            x[idx] = float(parts[1]) + 1j * float(parts[2])
-        else:
-            x[idx] = float(parts[1])
+        try:
+            idx = int(parts[0])
+            vals = [float(v) for v in parts[1:]]
+        except ValueError:
+            vals = []
+        if len(vals) != width:
+            raise ValueError(f"malformed signal row {ln!r} under header {lines[0]!r}")
+        if not 1 <= idx <= n:
+            raise ValueError(f"signal index {idx} outside [1, {n}]")
+        x[idx - 1] = vals[0] + 1j * vals[1] if complex_form else vals[0]
     return x

@@ -102,8 +102,29 @@ class TestRecover:
         listed = out.splitlines()[-1].split(":")[1].split()
         assert {"9", "10", "11", "12"}.issubset(set(listed))
 
+    @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc"])
+    def test_bad_measurement_row_exits_one(self, matrix_file, tmp_path, capsys, row):
+        _, mat_path = matrix_file
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(f"index,value\n{row}\n")
+        code = main(["recover", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--K", "2", "--L", "4", "--b", "2", "--p", "2", "--eps", "1e-8"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRic:
+    def test_window_length_matches_separation(self, matrix_file, capsys):
+        # L=4 with b=p=2 gives Lsep = L + 2pb - b = 10
+        _, path = matrix_file
+        outs = []
+        for window in (["--L", "4"], ["--lsep", "10"]):
+            code = main(["ric", "--matrix", str(path), "--b", "2", "--p", "2",
+                         "--l", "2", *window, "--K", "1", "--R", "1"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_ric_outputs_delta(self, matrix_file, capsys):
         _, path = matrix_file
         code = main(["ric", "--matrix", str(path), "--b", "2", "--p", "2",
@@ -160,6 +181,22 @@ class TestUsageErrors:
             main(["count", "--n", "5", "--b", "1", "--p", "1", "--lsep", "2",
                   "--K", "2", "--R", "0", "--bogus", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-signal", "--n", "16", "--K", "1", "--seed", "0", "--out", "x.csv"],
+            ["count", "--n", "16", "--K", "1", "--R", "0"],
+            ["ric", "--matrix", "phi.bin", "--K", "1", "--R", "0"],
+        ],
+        ids=["gen-signal", "count", "ric"],
+    )
+    def test_missing_window_geometry_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--b", "1", "--p", "1"])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "--L" in err_text and "--lsep" in err_text
 
     def test_geometry_error_reported(self, capsys):
         code = main(["gen-signal", "--n", "3", "--b", "2", "--p", "1", "--lsep", "2",

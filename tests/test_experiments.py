@@ -37,6 +37,16 @@ class TestConfig:
         assert cfg.K_grid == (1, 2)
         assert cfg.trials == 200  # default
 
+    def test_unknown_key_rejected(self):
+        text = small_config().to_text() + "trails=1000\n"
+        with pytest.raises(ValueError, match="unknown config key 'trails'"):
+            ExperimentConfig.from_text(text)
+
+    def test_repeated_key_rejected(self):
+        text = small_config().to_text() + "master_seed=8\n"
+        with pytest.raises(ValueError, match="'master_seed' given twice"):
+            ExperimentConfig.from_text(text)
+
     def test_infeasible_K_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_config(K_grid=(1, 50))

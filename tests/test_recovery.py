@@ -117,6 +117,23 @@ class TestTsgbomp:
         assert r1.trace == r2.trace
         assert np.array_equal(r1.x_hat, r2.x_hat)
 
+    def test_regression_trace_pinned(self):
+        rng = np.random.default_rng(2718)
+        Phi = gaussian_matrix(24, 48, "unit", True, rng)
+        params = PibsParams.from_window(n=48, b=2, p=2, l=4, L=4, K=4, R=0)
+        support = sample_support(params, 4, 0, rng)
+        signal = fill_values(support, "gaussian", rng=rng)
+        meas = measure(Phi, signal.x)
+        res = tsgbomp(Phi, meas, K=2, L=4, b=2, p=2, epsilon=0.0)
+        assert support.clusters == ((3, 1), (22, 2), (36, 1))
+        assert [r.window for r in res.trace] == [1, 9]
+        assert [r.cluster_start for r in res.trace] == [2, 34]
+        assert [r.block_starts for r in res.trace] == [(2, 4), (34, 36)]
+        assert res.estimated_columns == (2, 3, 4, 5, 34, 35, 36, 37)
+        assert [r.residual_norm for r in res.trace] == pytest.approx(
+            [2.720670877489354, 1.8336841800995194], rel=1e-12
+        )
+
     def test_dimension_and_divisibility_errors(self):
         Phi = identity_matrix(10)
         meas = measure(Phi, np.zeros(10))

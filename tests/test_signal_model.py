@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgbomp.analysis import thm2_bound
 from tsgbomp.signal_model import (
     CountComparison,
     EnumerationCapError,
@@ -14,6 +15,7 @@ from tsgbomp.signal_model import (
     PibsParams,
     Support,
     compare_counts,
+    count_bound_exponent,
     count_supports_bound,
     count_supports_formula,
     enumerate_cell,
@@ -272,6 +274,21 @@ class TestCounting:
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_bound_exponent_orders(self):
+        # count_supports_bound bounds the (K, R) cell itself, so A and D count
+        # K blocks. thm2_bound takes its union bound over the supports of the
+        # order-(K-1, R) constant that the recovery certificate checks, so A
+        # and D count K - 1 blocks. The other K terms are K in both.
+        params = PibsParams.from_window(n=200, b=4, p=2, l=0, L=8, K=4, R=1)
+        assert params.Lsep == 20
+        value = count_supports_bound(params, 4, 1)
+        assert value == 38484800488299.58
+        assert value == math.exp(count_bound_exponent(200, 4, 2, 20, 4, 1, order=4)[-1])
+        q = thm2_bound(4, 2, 8, 4, 1, 2000, 200, eps0=0.05, eps=0.05).quantities
+        terms = (2.0, 2.8181471805599454, 208.0, 19.0, 31.04319374820105)
+        assert (q.A, q.C, q.D, q.E, q.h) == terms
+        assert count_bound_exponent(200, 4, 2, 20, 4, 1, order=3) == terms
+
     def test_bound_precondition_errors(self):
         params = PibsParams(n=30, b=2, p=2, l=0, Lsep=10, K=3, R=1)
         with pytest.raises(ValueError):
@@ -323,6 +340,20 @@ class TestSerialization:
         x[7] = 3.25
         again = signal_values_from_csv(signal_to_csv(x), 9)
         assert np.array_equal(x, again)
+
+    @pytest.mark.parametrize("index", [0, -1, 10])
+    def test_signal_index_outside_range_rejected(self, index):
+        with pytest.raises(ValueError, match="outside"):
+            signal_values_from_csv(f"index,value\n{index},1.0\n", 9)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["index,value\n3\n", "index,value\n3,1.0,2.0\n", "index,value\nx,1.0\n",
+         "index,value\n3,y\n", "index,re,im\n3,1.0\n"],
+    )
+    def test_malformed_signal_row_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed"):
+            signal_values_from_csv(text, 9)
 
     def test_signal_round_trip_complex(self):
         x = np.zeros(6, dtype=complex)
