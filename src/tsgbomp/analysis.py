@@ -323,6 +323,39 @@ def _random_coeffs(size: int, draws: int, rng: np.random.Generator, complex_valu
     return X
 
 
+def _sandwich_margin(norms2: np.ndarray, delta: float) -> float:
+    """Worst slack of 1 - delta <= norms2 <= 1 + delta over all draws."""
+    return min(float((norms2 - (1.0 - delta)).min()), float(((1.0 + delta) - norms2).min()))
+
+
+class _Tally:
+    """One lemma family's verdict, and the only place a LemmaCheck is built.
+
+    It adds up the checks and keeps the worst margin; the family fails iff
+    some margin falls below -tol. A family that ran no check is reported as
+    skipped when it has a `skip` reason, and as a vacuous pass otherwise.
+    """
+
+    def __init__(self, name: str, tol: float, skip: str = ""):
+        self.name = name
+        self.tol = tol
+        self.skip = skip
+        self.checks = 0
+        self.worst = math.inf
+        self.passed = True
+
+    def add(self, margin: float, checks: int = 1) -> None:
+        self.checks += checks
+        self.worst = min(self.worst, margin)
+        if margin < -self.tol:
+            self.passed = False
+
+    def entry(self) -> LemmaCheck:
+        if self.skip and not self.checks:
+            return LemmaCheck(self.name, True, 0, math.inf, skipped=True, reason=self.skip)
+        return LemmaCheck(self.name, self.passed, self.checks, self.worst)
+
+
 def verify_lemmas(
     Phi: SensingMatrix,
     params: PibsParams,
@@ -338,21 +371,25 @@ def verify_lemmas(
 ) -> LemmaReport:
     """Check the isometry-constant inequalities on one matrix by brute force.
 
-    Cells of the support lattice larger than `cell_cap` are skipped (the
-    affected comparisons are reported as skipped, never silently passed).
+    Each lemma family reports its check count and worst margin (the slack of
+    its inequality); it fails iff some margin is below -tol. Cells of the
+    support lattice larger than `cell_cap` are skipped (the affected
+    comparisons are reported as skipped, never silently passed).
     Per-support instantiations sample `support_samples` supports when a cell
     family is larger than that.
     """
     if params.l != params.Lsep:
         raise ValueError("verify_lemmas expects params.l == params.Lsep for the main family")
-    entries: list[LemmaCheck] = []
-    fam_A = params
-    fam_B = replace(params, l=1) if params.Lsep >= 1 else None
-    fam_0 = replace(params, l=0)
+    families: list[_Tally] = []
 
-    table_A = pibric_table(Phi, fam_A, K, R, cell_cap=cell_cap)
+    def family(name: str, skip: str = "") -> _Tally:
+        families.append(_Tally(name, tol, skip))
+        return families[-1]
+
+    fam_B = replace(params, l=1)
+    table_A = pibric_table(Phi, params, K, R, cell_cap=cell_cap)
     table_B = pibric_table(Phi, fam_B, K, R, cell_cap=cell_cap)
-    table_0 = pibric_table(Phi, fam_0, K, R, cell_cap=cell_cap)
+    table_0 = pibric_table(Phi, replace(params, l=0), K, R, cell_cap=cell_cap)
 
     def deltas(table):
         out = {}
@@ -370,93 +407,37 @@ def verify_lemmas(
     complex_case = Phi.is_complex
 
     # norm sandwich on every support of the structured family
-    orders = [o for o in d_A if o[0] == K or o[1] == R]
-    checks = 0
-    worst = math.inf
-    ok = True
-    for Kp, Rp in orders:
-        delta = d_A[(Kp, Rp)]
-        pool = _table_supports(table_A, fam_A, Kp, Rp)
+    fam = family("norm-sandwich")
+    for order in [o for o in d_A if o[0] == K or o[1] == R]:
+        pool = _table_supports(table_A, params, *order)
         for sup in _sample_supports(pool, support_samples, rng):
             cols = sup.column_array
             X = _random_coeffs(cols.size, draws_sandwich, rng, complex_case)
             norms2 = np.linalg.norm(Phi.entries[:, cols] @ X, axis=0) ** 2
-            lo_m = float((norms2 - (1.0 - delta)).min())
-            hi_m = float(((1.0 + delta) - norms2).min())
-            worst = min(worst, lo_m, hi_m)
-            checks += draws_sandwich
-            if lo_m < -tol or hi_m < -tol:
-                ok = False
-    entries.append(LemmaCheck("norm-sandwich", ok, checks, worst))
+            fam.add(_sandwich_margin(norms2, d_A[order]), draws_sandwich)
 
     # constants grow with the block and pseudo budgets
-    checks = 0
-    worst = math.inf
-    ok = True
-    pairs = [
-        (o1, o2)
-        for o1 in d_A
-        for o2 in d_A
-        if o1 != o2 and o1[0] <= o2[0] and o1[1] <= o2[1]
-    ]
-    for o1, o2 in pairs:
-        margin = d_A[o2] - d_A[o1]
-        worst = min(worst, margin)
-        checks += 1
-        if margin < -tol:
-            ok = False
-    if checks:
-        entries.append(LemmaCheck("budget-monotonicity", ok, checks, worst))
-    else:
-        entries.append(
-            LemmaCheck("budget-monotonicity", True, 0, math.inf, skipped=True, reason="no cells")
-        )
+    fam = family("budget-monotonicity", skip="no cells")
+    for o1 in d_A:
+        for o2 in d_A:
+            if o1 != o2 and o1[0] <= o2[0] and o1[1] <= o2[1]:
+                fam.add(d_A[o2] - d_A[o1])
 
     # shorter pseudo blocks never increase the constant
-    checks = 0
-    worst = math.inf
-    ok = True
-    for label, d_l in (("l=0", d_0), ("l=1", d_B)):
+    fam = family("pseudo-length-monotonicity")
+    for d_l in (d_0, d_B):
         for order, val in d_l.items():
             if order in d_A:
-                margin = d_A[order] - val
-                worst = min(worst, margin)
-                checks += 1
-                if margin < -tol:
-                    ok = False
-    entries.append(LemmaCheck("pseudo-length-monotonicity", ok, checks, worst))
+                fam.add(d_A[order] - val)
 
     # one block is dominated by one more pseudo-block budget
-    if params.window_length >= params.B:
-        checks = 0
-        worst = math.inf
-        ok = True
-        for Kp in range(1, K + 1):
-            lhs = d_A.get((Kp, 1))
-            rhs = d_A.get((Kp - 1, 2))
-            if lhs is None or rhs is None:
-                continue
-            margin = rhs - lhs
-            worst = min(worst, margin)
-            checks += 1
-            if margin < -tol:
-                ok = False
-        if checks:
-            entries.append(LemmaCheck("block-for-pseudo-trade", ok, checks, worst))
-        else:
-            entries.append(
-                LemmaCheck(
-                    "block-for-pseudo-trade", True, 0, math.inf,
-                    skipped=True, reason="needed orders unavailable",
-                )
-            )
+    if params.window_length < params.B:
+        family("block-for-pseudo-trade", skip="window below cluster capacity")
     else:
-        entries.append(
-            LemmaCheck(
-                "block-for-pseudo-trade", True, 0, math.inf,
-                skipped=True, reason="window below cluster capacity",
-            )
-        )
+        fam = family("block-for-pseudo-trade", skip="needed orders unavailable")
+        for Kp in range(1, K + 1):
+            if (Kp, 1) in d_A and (Kp - 1, 2) in d_A:
+                fam.add(d_A[(Kp - 1, 2)] - d_A[(Kp, 1)])
 
     # the projected-matrix checks need an order with delta < 1; run every
     # maximal such order so multi-block splits are exercised when available
@@ -465,108 +446,72 @@ def verify_lemmas(
         o for o in usable
         if not any(q != o and q[0] >= o[0] and q[1] >= o[1] for q in usable)
     ]
-    if not frontier:
-        entries.append(
-            LemmaCheck("projected-sandwich", True, 0, math.inf, skipped=True, reason="delta >= 1")
-        )
-        entries.append(
-            LemmaCheck("projected-innerproduct", True, 0, math.inf, skipped=True, reason="delta >= 1")
-        )
-    else:
-        checks = 0
-        worst = math.inf
-        ok = True
-        c6_checks = 0
-        c6_worst = math.inf
-        c6_ok = True
+    reason = "" if frontier else "delta >= 1"
+    sandwich = family("projected-sandwich", skip=reason)
+    inner = family("projected-innerproduct", skip=reason)
+    order_samples: list[tuple[Support, float]] = []
+    for order in frontier:
+        pool = _table_supports(table_A, params, *order)
         per_order = max(1, support_samples // len(frontier))
-        order_samples: list[tuple[Support, float]] = []
-        for order in frontier:
-            delta = d_A[order]
-            pool = _table_supports(table_A, fam_A, *order)
-            order_samples.extend(
-                (s, delta) for s in _sample_supports(pool, per_order, rng)
+        order_samples.extend((s, d_A[order]) for s in _sample_supports(pool, per_order, rng))
+    for sup, delta in order_samples:
+        subsets = [()]
+        for t in sup.block_starts:
+            subsets += [s + (t,) for s in subsets]
+        if len(subsets) > 8:
+            keep = rng.choice(len(subsets), size=8, replace=False)
+            subsets = [subsets[i] for i in sorted(keep)]
+        for S1 in subsets:
+            covered = set()
+            for t in S1:
+                covered.update(range(t, t + params.b))
+            rest = np.asarray([c for c in sup.columns if c not in covered], dtype=np.intp)
+            if rest.size == 0:
+                continue
+            proj = _projector_complement(
+                Phi, np.asarray(sorted(covered), dtype=np.intp) - 1
             )
-        for sup, delta in order_samples:
-            starts = sup.block_starts
-            subsets = [()]
-            for t in starts:
-                subsets += [s + (t,) for s in subsets]
-            if len(subsets) > 8:
-                keep = rng.choice(len(subsets), size=8, replace=False)
-                subsets = [subsets[i] for i in sorted(keep)]
-            for S1 in subsets:
-                covered = set()
-                for t in S1:
-                    covered.update(range(t, t + params.b))
-                rest = np.asarray([c for c in sup.columns if c not in covered], dtype=np.intp)
-                if rest.size == 0:
-                    continue
-                proj = _projector_complement(
-                    Phi, np.asarray(sorted(covered), dtype=np.intp) - 1
-                )
-                X = _random_coeffs(rest.size, draws_projected, rng, complex_case)
-                Z = proj(Phi.entries[:, rest - 1] @ X)
-                norms2 = np.linalg.norm(Z, axis=0) ** 2
-                lo_m = float((norms2 - (1.0 - delta)).min())
-                hi_m = float(((1.0 + delta) - norms2).min())
-                worst = min(worst, lo_m, hi_m)
-                checks += draws_projected
-                if lo_m < -tol or hi_m < -tol:
-                    ok = False
+            X = _random_coeffs(rest.size, draws_projected, rng, complex_case)
+            Z = proj(Phi.entries[:, rest - 1] @ X)
+            norms2 = np.linalg.norm(Z, axis=0) ** 2
+            sandwich.add(_sandwich_margin(norms2, delta), draws_projected)
 
-                if rest.size >= 2:
-                    split = rng.integers(1, rest.size)
-                    perm = rng.permutation(rest.size)
-                    S2 = rest[perm[:split]]
-                    S3 = rest[perm[split:]]
-                    U = _random_coeffs(S2.size, draws_innerproduct, rng, complex_case)
-                    V = _random_coeffs(S3.size, draws_innerproduct, rng, complex_case)
-                    PU = proj(Phi.entries[:, S2 - 1] @ U)
-                    QV = Phi.entries[:, S3 - 1] @ V
-                    vals = np.abs(np.sum(PU.conj() * QV, axis=0))
-                    margin = float((delta - vals).min())
-                    c6_worst = min(c6_worst, margin)
-                    c6_checks += draws_innerproduct
-                    if margin < -tol:
-                        c6_ok = False
-        entries.append(LemmaCheck("projected-sandwich", ok, checks, worst))
-        entries.append(LemmaCheck("projected-innerproduct", c6_ok, c6_checks, c6_worst))
+            if rest.size >= 2:
+                split = rng.integers(1, rest.size)
+                perm = rng.permutation(rest.size)
+                S2 = rest[perm[:split]]
+                S3 = rest[perm[split:]]
+                U = _random_coeffs(S2.size, draws_innerproduct, rng, complex_case)
+                V = _random_coeffs(S3.size, draws_innerproduct, rng, complex_case)
+                PU = proj(Phi.entries[:, S2 - 1] @ U)
+                QV = Phi.entries[:, S3 - 1] @ V
+                vals = np.abs(np.sum(PU.conj() * QV, axis=0))
+                inner.add(float((delta - vals).min()), draws_innerproduct)
 
     # projected-column lower bound from the singleton-pseudo family,
     # checked at the largest block budget whose constant stays below 1
     K7 = None
     for Kp in range(K, 0, -1):
-        d = d_B.get((Kp, 1))
-        if d is not None and d < 1.0:
+        if d_B.get((Kp, 1), math.inf) < 1.0:
             K7 = Kp
             break
-    if K7 is None or not Phi.normalized:
-        reason = "columns not unit norm" if K7 is not None else "no order with delta < 1"
-        entries.append(
-            LemmaCheck("projected-column-bound", True, 0, math.inf, skipped=True, reason=reason)
-        )
+    if K7 is None:
+        family("projected-column-bound", skip="no order with delta < 1")
+    elif not Phi.normalized:
+        family("projected-column-bound", skip="columns not unit norm")
     else:
-        delta_B = d_B[(K7, 1)]
-        bound = math.sqrt(1.0 - delta_B**2)
+        fam = family("projected-column-bound")
+        bound = math.sqrt(1.0 - d_B[(K7, 1)] ** 2)
         pool = _table_supports(table_B, fam_B, K7, 0)
-        checks = 0
-        worst = math.inf
-        ok = True
         for sup in _sample_supports(pool, support_samples, rng):
             cols0 = sup.column_array
             proj = _projector_complement(Phi, cols0)
             others = np.setdiff1d(np.arange(Phi.n), cols0)
             W = proj(Phi.entries[:, others])
             norms = np.linalg.norm(W, axis=0)
-            margin = float((norms - bound).min())
-            worst = min(worst, margin)
-            checks += others.size
-            if margin < -tol:
-                ok = False
-        entries.append(LemmaCheck("projected-column-bound", ok, checks, worst))
+            fam.add(float((norms - bound).min()), others.size)
 
-    return LemmaReport(entries=tuple(entries), K=K, R=R)
+    return LemmaReport(entries=tuple(f.entry() for f in families), K=K, R=R)
 
 
 # ---------------------------------------------------------------------------

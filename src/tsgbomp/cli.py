@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--L", type=int, required=True)
+    sp.add_argument("--L", type=int, default=None, help="window length (tsgbomp only)")
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
@@ -310,6 +310,8 @@ def main(argv=None) -> int:
         args.blocks = args.K
     if args.command == "gbounds" and args.trials and args.seed is None:
         parser.error("--seed is required when --trials is set")
+    if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
+        parser.error("--L is required for --alg tsgbomp")
     try:
         return args.func(args)
     except (ValueError, signal_model.GeometryError, signal_model.EnumerationCapError) as exc:

@@ -214,13 +214,14 @@ def solve(
     Phi: SensingMatrix,
     measurement: Measurement,
     K: int,
-    L: int,
+    L: int | None,
     b: int,
     p: int,
     epsilon: float,
 ) -> RecoveryResult:
     """Run `algorithm` on one instance of the (b, p, L) geometry. The block
-    OMP baseline partitions into blocks of the cluster capacity p*b."""
+    OMP baseline partitions into blocks of the cluster capacity p*b and
+    never reads the window length L."""
     if algorithm == "tsgbomp":
         return tsgbomp(Phi, measurement, K=K, L=L, b=b, p=p, epsilon=epsilon)
     if algorithm == "bomp":
@@ -265,8 +266,9 @@ def run_curve(
     config: ExperimentConfig, jobs: int = 1, out_path: str | None = None
 ) -> list[CurvePoint]:
     """Aggregate success rates over the (K, algorithm) grid. Results are
-    independent of `jobs`; on a per-trial error the points finished so far
-    are flushed to `out_path` before the error propagates."""
+    independent of `jobs`; on any exception, a KeyboardInterrupt included,
+    the points finished so far are flushed to `out_path` before it
+    propagates."""
     tasks = [
         (config, K, alg, trial_seed(config.master_seed, K, alg, t))
         for K in config.K_grid
@@ -282,7 +284,7 @@ def run_curve(
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for rec in pool.map(_trial_task, tasks, chunksize=32):
                     records.append(rec)
-    except Exception:
+    except BaseException:
         if out_path is not None:
             partial = _aggregate(config, records, complete_only=True)
             _write(out_path, curve_to_csv(partial))

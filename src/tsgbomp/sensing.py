@@ -170,22 +170,28 @@ def matrix_to_csv(mat: SensingMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> SensingMatrix:
+    """Inverse of `matrix_to_csv`. Raises ValueError unless the body has
+    exactly m rows of n values (2n interleaved re,im values when complex)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("matrix CSV is empty")
     m, n, flags = (int(v) for v in lines[0].split(","))
     is_complex = bool(flags & _FLAG_COMPLEX)
+    if len(lines) - 1 != m:
+        raise ValueError(f"matrix CSV has {len(lines) - 1} rows but its header says m={m}")
+    width = 2 * n if is_complex else n
     rows = []
-    for ln in lines[1 : m + 1]:
+    for i, ln in enumerate(lines[1:], start=1):
         vals = [float(v) for v in ln.split(",")]
+        if len(vals) != width:
+            raise ValueError(f"matrix CSV row {i} has {len(vals)} fields, expected {width}")
         if is_complex:
             re = vals[0::2]
             im = vals[1::2]
             rows.append(np.asarray(re) + 1j * np.asarray(im))
         else:
             rows.append(np.asarray(vals))
-    entries = np.vstack(rows)
-    if entries.shape != (m, n):
-        raise ValueError(f"matrix body {entries.shape} does not match header ({m}, {n})")
-    return SensingMatrix(entries=entries, normalized=bool(flags & _FLAG_NORMALIZED))
+    return SensingMatrix(entries=np.vstack(rows), normalized=bool(flags & _FLAG_NORMALIZED))
 
 
 def matrix_to_binary(mat: SensingMatrix) -> bytes:
@@ -202,9 +208,18 @@ def matrix_to_binary(mat: SensingMatrix) -> bytes:
 
 
 def matrix_from_binary(blob: bytes) -> SensingMatrix:
+    """Inverse of `matrix_to_binary`. Raises ValueError when the payload size
+    does not match the header's m, n and complex flag."""
     newline = blob.index(b"\n")
     m, n, flags = (int(v) for v in blob[:newline].decode("ascii").split())
-    body = np.frombuffer(blob[newline + 1 :], dtype="<f8")
+    payload = blob[newline + 1 :]
+    expected = m * n * (16 if flags & _FLAG_COMPLEX else 8)
+    if len(payload) != expected:
+        raise ValueError(
+            f"matrix payload has {len(payload)} bytes, expected {expected} "
+            f"for m={m}, n={n}, flags={flags}"
+        )
+    body = np.frombuffer(payload, dtype="<f8")
     if flags & _FLAG_COMPLEX:
         body = body.reshape(m, n, 2)
         entries = body[..., 0] + 1j * body[..., 1]

@@ -26,7 +26,6 @@ __all__ = [
     "min_separation",
     "validate_support",
     "sample_support",
-    "enumerate_cell",
     "enumerate_supports",
     "cell_count",
     "count_supports_formula",
@@ -110,13 +109,6 @@ class PibsParams:
         if self.L is not None:
             return self.L
         return self.Lsep - 2 * self.p * self.b + self.b
-
-    @property
-    def analysis_grade(self) -> bool:
-        """Whether n hosts every admissible arrangement within budget:
-        n >= K*b + R*Lsep + (K+1)*(Lsep-1)."""
-        need = self.K * self.b + self.R * self.Lsep + (self.K + 1) * (self.Lsep - 1)
-        return self.n >= need
 
 
 @dataclass(frozen=True)
@@ -444,14 +436,6 @@ def iter_cell(params: PibsParams, k: int, r: int) -> Iterator[Support]:
             yield Support(clusters=clusters, pseudo=pseudo, params=params)
 
 
-def enumerate_cell(params: PibsParams, k: int, r: int, cap: int = 1_000_000) -> list[Support]:
-    """Materialize one (k, r) cell, guarding against blow-up."""
-    count = cell_count(params, k, r)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    return list(iter_cell(params, k, r))
-
-
 def enumerate_supports(
     params: PibsParams, K_max: int, R_max: int, cap: int = 1_000_000
 ) -> list[Support]:
@@ -588,11 +572,14 @@ class CountComparison:
 
 
 def compare_counts(params: PibsParams, K: int, R: int, cap: int = 1_000_000) -> CountComparison:
-    """Formula vs enumeration for one cell; mismatches are reported, never patched."""
+    """Formula vs enumeration for one cell; mismatches are reported, never
+    patched. The cell size is checked against `cap` with `cell_count` before
+    the enumeration walks the cell, which stays an independent count."""
+    count = cell_count(params, K, R)
+    if count > cap:
+        raise EnumerationCapError(count, cap)
     formula = count_supports_formula(params, K, R)
     enumerated = sum(1 for _ in iter_cell(params, K, R))
-    if enumerated > cap:
-        raise EnumerationCapError(enumerated, cap)
     ok, reasons = formula_assumptions(params, K, R)
     return CountComparison(
         params=params, K=K, R=R, formula=formula, enumerated=enumerated,

@@ -150,6 +150,45 @@ class TestVerifyLemmas:
         assert "lemma checks" in report.render()
         assert report.margins_csv().startswith("lemma,passed,skipped")
 
+    # complex 30x24 and unnormalized 6x24 matrices on one geometry; together
+    # they exercise the window, "delta >= 1" and "no order with delta < 1" skips
+    PINNED = {
+        "complex": [
+            ("norm-sandwich", True, False, "", 19100, 0.0006675492202530275),
+            ("budget-monotonicity", True, False, "", 12, 8.881784197001252e-16),
+            ("pseudo-length-monotonicity", True, False, "", 12, 0.0),
+            ("block-for-pseudo-trade", True, True, "window below cluster capacity", 0, math.inf),
+            ("projected-sandwich", True, False, "", 8700, 0.36863447264925264),
+            ("projected-innerproduct", True, False, "", 41500, 0.3998830207904649),
+            ("projected-column-bound", True, False, "", 2652, 0.08860462102139877),
+        ],
+        "unnormalized": [
+            ("norm-sandwich", True, False, "", 1100, 0.6573551355864531),
+            ("budget-monotonicity", True, False, "", 2, 7.499148560336124),
+            ("pseudo-length-monotonicity", True, False, "", 6, 0.0),
+            ("block-for-pseudo-trade", True, True, "window below cluster capacity", 0, math.inf),
+            ("projected-sandwich", True, True, "delta >= 1", 0, math.inf),
+            ("projected-innerproduct", True, True, "delta >= 1", 0, math.inf),
+            ("projected-column-bound", True, True, "no order with delta < 1", 0, math.inf),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", ["complex", "unnormalized"])
+    def test_pinned_report(self, case):
+        params = PibsParams(n=24, b=1, p=2, l=3, Lsep=3, K=2, R=1)
+        if case == "complex":
+            rng = np.random.default_rng(0)
+            Phi = gaussian_matrix(30, 24, "unit", True, rng, complex_entries=True)
+            report = verify_lemmas(Phi, params, 2, 1, rng)
+        else:
+            rng = np.random.default_rng(5)
+            Phi = gaussian_matrix(6, 24, "unit", False, rng)
+            report = verify_lemmas(Phi, params, 2, 1, rng, cell_cap=50)
+        got = [(e.name, e.passed, e.skipped, e.reason, e.checks) for e in report.entries]
+        assert got == [row[:5] for row in self.PINNED[case]]
+        for e, row in zip(report.entries, self.PINNED[case]):
+            assert e.worst_margin == pytest.approx(row[5], abs=1e-12), e.name
+
     def test_requires_matching_pseudo_length(self):
         params = PibsParams(n=24, b=1, p=1, l=1, Lsep=4, K=1, R=1)
         Phi = identity_matrix(24)
@@ -323,6 +362,11 @@ class TestThm2:
             assert f_K(t, K, b, p) > 1.0
             rep = thm2_bound(b, p, max(2, p * b), K, 2, 10_000, 500, eps0=0.01, eps=0.01)
             assert not rep.flags["eps0-window"]
+
+    def test_signal_length_flag(self):
+        # n >= K*b + R*Lsep + (K+1)*(Lsep-1) with Lsep = L + 2pb - b
+        assert thm2_bound(1, 1, 1, 2, 0, 1000, 30, eps0=0.05, eps=0.05).flags["signal-length"]
+        assert not thm2_bound(1, 1, 3, 2, 0, 1000, 10, eps0=0.05, eps=0.05).flags["signal-length"]
 
     def test_user_supplied_g(self):
         rep = thm2_bound(1, 1, 2, 4, 2, 60_000, 200, eps0=0.09, eps=0.09, g_value=1.0)

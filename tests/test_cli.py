@@ -3,7 +3,7 @@ import pytest
 
 from tsgbomp.cli import main
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
-from tsgbomp.signal_model import signal_values_from_csv
+from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
 
 
 @pytest.fixture
@@ -102,6 +102,27 @@ class TestRecover:
         listed = out.splitlines()[-1].split(":")[1].split()
         assert {"9", "10", "11", "12"}.issubset(set(listed))
 
+    def test_bomp_needs_no_window_length(self, matrix_file, tmp_path, capsys):
+        mat, mat_path = matrix_file
+        x = np.zeros(32)
+        x[8:12] = 5.0
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries @ x))
+        code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--K", "1", "--b", "2", "--p", "2", "--eps", "1e-8"])
+        assert code == 0
+        assert "estimated columns:" in capsys.readouterr().out
+
+    def test_tsgbomp_without_window_length_exits_two(self, matrix_file, tmp_path, capsys):
+        _, mat_path = matrix_file
+        y_path = tmp_path / "y.csv"
+        y_path.write_text("index,value\n1,1.0\n")
+        with pytest.raises(SystemExit) as err:
+            main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path), "--y", str(y_path),
+                  "--K", "1", "--b", "2", "--p", "2", "--eps", "1e-8"])
+        assert err.value.code == 2
+        assert "--L is required" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc"])
     def test_bad_measurement_row_exits_one(self, matrix_file, tmp_path, capsys, row):
         _, mat_path = matrix_file
@@ -124,6 +145,14 @@ class TestRic:
             assert code == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_malformed_matrix_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "phi.csv"
+        path.write_text("2,2,0\n1,0\n0,1\n1,1\n")
+        code = main(["ric", "--matrix", str(path), "--b", "1", "--p", "1",
+                     "--lsep", "2", "--K", "1", "--R", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_ric_outputs_delta(self, matrix_file, capsys):
         _, path = matrix_file

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsgbomp import experiments
 from tsgbomp.experiments import (
     ALGORITHMS,
     CurvePoint,
@@ -126,6 +127,26 @@ class TestCurves:
         run_curve(cfg, jobs=1, out_path=str(out1))
         run_curve(cfg, jobs=2, out_path=str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_interrupt_flushes_finished_points(self, tmp_path, monkeypatch):
+        cfg = small_config(trials=2, algorithms=("tsgbomp",))
+        real_task = experiments._trial_task
+        calls = []
+
+        def interrupted(task):
+            if len(calls) == cfg.trials:
+                raise KeyboardInterrupt
+            calls.append(task)
+            return real_task(task)
+
+        monkeypatch.setattr(experiments, "_trial_task", interrupted)
+        out = tmp_path / "curve.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run_curve(cfg, jobs=1, out_path=str(out))
+        lines = out.read_text().splitlines()
+        assert lines[0] == "K,algorithm,success_rate,trials"
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["1", "tsgbomp"]]
+        assert lines[1].endswith(",2")
 
     def test_csv_format(self):
         pts = [CurvePoint(K=1, algorithm="tsgbomp", success_rate=0.5, trials=2)]

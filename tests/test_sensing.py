@@ -119,6 +119,27 @@ class TestSerialization:
         assert np.array_equal(mat.entries, again.entries)
         assert again.is_complex
 
+    @pytest.mark.parametrize(
+        "text",
+        ["2,2,0\n1,2\n3,4\n5,6\n", "2,2,0\n1,2\n", "2,2,0\n1,2\n3\n",
+         "2,2,0\n1,2\n3,4,5\n", "1,2,2\n1,0,2\n", "\n"],
+        ids=["extra-row", "missing-row", "short-row", "long-row", "complex-odd-row", "empty"],
+    )
+    def test_csv_rejects_malformed_body(self, text):
+        with pytest.raises(ValueError, match="rows but its header|fields, expected|empty"):
+            matrix_from_csv(text)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("trim", [8, -8])
+    def test_binary_rejects_payload_size_mismatch(self, complex_entries, trim):
+        mat = gaussian_matrix(
+            3, 4, "unit", True, np.random.default_rng(1), complex_entries=complex_entries
+        )
+        blob = matrix_to_binary(mat)
+        blob = blob[:-trim] if trim > 0 else blob + bytes(-trim)
+        with pytest.raises(ValueError, match="matrix payload has .* bytes, expected"):
+            matrix_from_binary(blob)
+
     def test_orthonormal_matrix_gram_is_identity(self):
         mat = orthonormal_matrix(8, np.random.default_rng(0))
         assert np.allclose(mat.gram, np.eye(8), atol=1e-12)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgbomp import signal_model
 from tsgbomp.analysis import thm2_bound
 from tsgbomp.signal_model import (
     CountComparison,
@@ -18,7 +19,6 @@ from tsgbomp.signal_model import (
     count_bound_exponent,
     count_supports_bound,
     count_supports_formula,
-    enumerate_cell,
     enumerate_supports,
     fill_values,
     formula_assumptions,
@@ -63,10 +63,6 @@ class TestParams:
     def test_pseudo_length_bounded_by_separation(self):
         with pytest.raises(ValueError):
             make_params(l=3, Lsep=2)
-
-    def test_analysis_grade(self):
-        assert make_params(n=30, K=2, Lsep=2).analysis_grade
-        assert not make_params(n=10, K=2, Lsep=4, l=0).analysis_grade
 
 
 class TestValidateSupport:
@@ -229,6 +225,17 @@ class TestCounting:
         assert ok
         assert not cmp.match
         assert "MISMATCH" in cmp.describe()
+
+    def test_compare_counts_checks_cap_before_enumerating(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the cell was enumerated before the cap check")
+
+        monkeypatch.setattr(signal_model, "iter_cell", walk)
+        params = PibsParams(n=120, b=1, p=1, l=0, Lsep=2, K=3, R=0)
+        with pytest.raises(EnumerationCapError) as err:
+            compare_counts(params, 3, 0, cap=10)
+        assert err.value.count == 253_460
+        assert err.value.cap == 10
 
     def test_assumption_flags(self):
         params = PibsParams(n=30, b=2, p=2, l=4, Lsep=4, K=3, R=1)
