@@ -98,13 +98,9 @@ def _cell_data(params: PibsParams, k: int, r: int):
         sups.append(s)
     if not sups:
         return (), None
-    width = len(sups[0].columns)
-    if width == 0:
+    if not sups[0].columns:
         return tuple(sups), None
-    idx = np.empty((len(sups), width), dtype=np.intp)
-    for i, s in enumerate(sups):
-        idx[i] = s.column_array
-    return tuple(sups), idx
+    return tuple(sups), np.asarray([s.columns for s in sups], dtype=np.intp) - 1
 
 
 @dataclass(frozen=True)

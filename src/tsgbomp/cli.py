@@ -112,7 +112,7 @@ def _cmd_lemmas(args) -> int:
 def _cmd_count(args) -> int:
     params = _params_from_args(args, args.n, args.K, args.R)
     if args.method == "enumerate":
-        value = sum(1 for _ in signal_model.iter_cell(params, args.K, args.R))
+        value = signal_model.compare_counts(params, args.K, args.R).enumerated
     else:
         value = signal_model.count_supports_formula(params, args.K, args.R)
         ok, reasons = signal_model.formula_assumptions(params, args.K, args.R)

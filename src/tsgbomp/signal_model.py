@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
+from operator import getitem
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -234,15 +236,33 @@ def _unrank_composition(index: int, total: int, parts: int, p: int) -> tuple[int
     return tuple(out)
 
 
-def _arrangement_count(n: int, footprint: int, k: int, Lsep: int) -> int:
-    """Stars-and-bars count of ordered cluster placements with k clusters of
-    total footprint columns and interior gaps >= Lsep."""
-    if k == 0:
-        return 1
-    slack = n - footprint - (k - 1) * Lsep
-    if slack < 0:
-        return 0
-    return math.comb(slack + k, k)
+def _layout_table(params: PibsParams, total_blocks: int) -> tuple[tuple[int, int, int], ...]:
+    """(k, layouts, slack) for every cluster count k that fits the block
+    budget: slack is the free columns beyond the k - 1 minimum gaps, and
+    layouts = compositions * C(slack + k, k). Counting, sampling and
+    enumeration all read this table."""
+    n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
+    rows = []
+    for k in range(-(-total_blocks // p), total_blocks + 1):
+        slack = n - total_blocks * b - (k - 1) * Lsep
+        if slack >= 0:
+            rows.append((k, _composition_counts(total_blocks, k, p) * math.comb(slack + k, k), slack))
+    return tuple(rows)
+
+
+def _pseudo_table(allowed: np.ndarray, r: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Placement DP over ascending allowed starts: ways[i, t] counts the
+    ascending t-tuples of allowed[i:] spaced at least l apart, and nxt[i] is
+    the first index whose start clears a pseudo block at allowed[i]. The
+    corner ways[0, r] is the number of placements of r pseudo blocks."""
+    nA = allowed.size
+    nxt = np.searchsorted(allowed, allowed + l)
+    ways = np.zeros((nA + 1, r + 1), dtype=object)
+    ways[:, 0] = 1
+    for t in range(1, r + 1):
+        for i in range(nA - 1, -1, -1):
+            ways[i, t] = ways[i + 1, t] + ways[nxt[i], t - 1]
+    return ways, nxt
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +273,15 @@ def sample_support(
     total_blocks: int,
     pseudo_count: int,
     rng: np.random.Generator,
-    max_tries: int = 100_000,
 ) -> Support:
-    """Draw a uniformly distributed admissible support.
+    """Draw an admissible support with `total_blocks` true blocks and
+    `pseudo_count` pseudo blocks.
 
-    Cluster layout is sampled exactly uniformly over all admissible
-    arrangements (composition weighted by its placement count, then a
-    stars-and-bars unranking). Pseudo blocks are then placed by rejection,
-    capped at `max_tries` attempts.
+    The cluster layout is uniform over all admissible layouts, then the
+    pseudo blocks are uniform over the placements that fit beside it. Each
+    is one exact ticket unranked through the layout table or the placement
+    DP, so no geometry needs retries; GeometryError means there is no layout
+    or no room.
     """
     if total_blocks > params.K or pseudo_count > params.R:
         raise ValueError("requested counts exceed the parameter budget")
@@ -269,51 +290,46 @@ def sample_support(
     if pseudo_count > 0 and params.l == 0:
         raise GeometryError("pseudo blocks of length 0 cover nothing; use pseudo_count=0")
 
-    n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
-    footprint = total_blocks * b
+    n, b, Lsep = params.n, params.b, params.Lsep
+    table = _layout_table(params, total_blocks)
+    total = sum(count for _, count, _ in table)
+    if total == 0:
+        raise GeometryError(
+            f"no arrangement of {total_blocks} blocks (b={b}, Lsep={Lsep}) fits in n={n}"
+        )
+    # exact integer inversion keeps the law uniform even for huge counts
+    ticket = _ticket(rng, total)
+    for k, count, slack in table:
+        if ticket < count:
+            break
+        ticket -= count
+    comp_idx, arr_idx = divmod(ticket, math.comb(slack + k, k))
+    comp = _unrank_composition(comp_idx, total_blocks, k, params.p)
+    gaps = _unrank_weak_composition(arr_idx, slack, k + 1)
+    clusters = []
+    pos = 1 + gaps[0]
+    for j, extra in zip(comp, gaps[1:]):
+        clusters.append((pos, j))
+        pos += j * b + Lsep + extra
 
-    if total_blocks == 0:
-        clusters: tuple[tuple[int, int], ...] = ()
-    else:
-        k_lo = -(-total_blocks // p)
-        weights = []
-        for k in range(k_lo, total_blocks + 1):
-            weights.append(
-                _composition_counts(total_blocks, k, p)
-                * _arrangement_count(n, footprint, k, Lsep)
-            )
-        total_weight = sum(weights)
-        if total_weight == 0:
-            raise GeometryError(
-                f"no arrangement of {total_blocks} blocks (b={b}, Lsep={Lsep}) fits in n={n}"
-            )
-        # exact integer inversion keeps the law uniform even for huge counts
-        ticket = int(rng.integers(0, total_weight))
-        k = k_lo
-        for w in weights:
-            if ticket < w:
-                break
-            ticket -= w
-            k += 1
-        comp_count = _composition_counts(total_blocks, k, p)
-        arr_count = _arrangement_count(n, footprint, k, Lsep)
-        comp_idx, arr_idx = divmod(ticket, arr_count)
-        comp = _unrank_composition(comp_idx, total_blocks, k, p)
-        slack = n - footprint - (k - 1) * Lsep
-        gaps = _unrank_weak_composition(arr_idx, slack, k + 1)
-        clusters_list = []
-        pos = 1 + gaps[0]
-        for j, extra in zip(comp, gaps[1:]):
-            clusters_list.append((pos, j))
-            pos += j * b + Lsep + extra
-        clusters = tuple(clusters_list)
-
-    pseudo = _place_pseudo_random(params, clusters, pseudo_count, rng, max_tries)
-    support = Support(clusters=clusters, pseudo=pseudo, params=params)
+    pseudo = _sample_pseudo(params, clusters, pseudo_count, rng)
+    support = Support(clusters=tuple(clusters), pseudo=pseudo, params=params)
     ok, bad = validate_support(support)
     if not ok:  # pragma: no cover - guards the sampler itself
         raise AssertionError(f"sampler produced invalid support: {bad}")
     return support
+
+
+def _ticket(rng: np.random.Generator, total: int) -> int:
+    """Uniform integer in [0, total); beyond numpy's int64 range, random
+    bits with the values >= total rejected (each round succeeds w.p. > 1/2)."""
+    if total <= 2**63:
+        return int(rng.integers(0, total))
+    nbits = (total - 1).bit_length()
+    while True:
+        value = int.from_bytes(rng.bytes((nbits + 7) // 8), "little") >> (-nbits % 8)
+        if value < total:
+            return value
 
 
 def _unrank_weak_composition(index: int, total: int, parts: int) -> tuple[int, ...]:
@@ -334,26 +350,30 @@ def _unrank_weak_composition(index: int, total: int, parts: int) -> tuple[int, .
     return tuple(out)
 
 
-def _place_pseudo_random(
+def _sample_pseudo(
     params: PibsParams,
     clusters: Sequence[tuple[int, int]],
     pseudo_count: int,
     rng: np.random.Generator,
-    max_tries: int,
 ) -> tuple[int, ...]:
+    """Uniform placement of `pseudo_count` pseudo blocks beside `clusters`:
+    one ticket, unranked in lexicographic order through the placement DP."""
     if pseudo_count == 0:
         return ()
-    n, b, l = params.n, params.b, params.l
-    allowed = _allowed_pseudo_starts(n, b, l, clusters)
-    if allowed.size == 0:
-        raise GeometryError("no room for any pseudo block")
-    for _ in range(max_tries):
-        starts = sorted(int(allowed[i]) for i in rng.integers(0, allowed.size, size=pseudo_count))
-        if all(s2 - s1 >= l for s1, s2 in zip(starts, starts[1:])):
-            return tuple(starts)
-    raise GeometryError(
-        f"could not place {pseudo_count} pseudo blocks within {max_tries} tries"
-    )
+    allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
+    ways, nxt = _pseudo_table(allowed, pseudo_count, params.l)
+    if ways[0, pseudo_count] == 0:
+        raise GeometryError(f"no room for {pseudo_count} pseudo blocks beside the clusters")
+    ticket = _ticket(rng, ways[0, pseudo_count])
+    starts, i = [], 0
+    for t in range(pseudo_count, 0, -1):
+        # placements that take allowed[i] come first, then those that skip it
+        while ticket >= ways[nxt[i], t - 1]:
+            ticket -= ways[nxt[i], t - 1]
+            i += 1
+        starts.append(int(allowed[i]))
+        i = nxt[i]
+    return tuple(starts)
 
 
 def _allowed_pseudo_starts(
@@ -378,28 +398,19 @@ def _allowed_pseudo_starts(
 def _cluster_arrangements(
     params: PibsParams, total_blocks: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
-    if total_blocks == 0:
-        yield ()
-        return
-    k_lo = -(-total_blocks // p)
-    for k in range(k_lo, total_blocks + 1):
-        for comp in _compositions(total_blocks, k, p):
-            tail = [0] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                tail[i] = tail[i + 1] + comp[i] * b + (Lsep if i < k - 1 else 0)
-
-            def rec(i: int, pos: int, acc: list[tuple[int, int]]):
-                if i == k:
-                    yield tuple(acc)
-                    return
-                last = n - tail[i] + 1
-                for s in range(pos, last + 1):
-                    acc.append((s, comp[i]))
-                    yield from rec(i + 1, s + comp[i] * b + Lsep, acc)
-                    acc.pop()
-
-            yield from rec(0, 1, [])
+    """Every layout of the layout table, ordered by cluster count, block
+    counts, then starts: cluster i starts at its packed position plus a
+    non-decreasing extra offset. The (start, blocks) pairs are built once per
+    composition and shared by its layouts."""
+    b, Lsep = params.b, params.Lsep
+    for k, _, slack in _layout_table(params, total_blocks):
+        for comp in _compositions(total_blocks, k, params.p):
+            pairs, packed = [], 1
+            for j in comp:
+                pairs.append([(packed + e, j) for e in range(slack + 1)])
+                packed += j * b + Lsep
+            for offsets in combinations_with_replacement(range(slack + 1), k):
+                yield tuple(map(getitem, pairs, offsets))
 
 
 def _pseudo_arrangements(
@@ -451,37 +462,21 @@ def enumerate_supports(
 # ---------------------------------------------------------------------------
 # counting
 
-def _count_pseudo_placements(allowed: np.ndarray, r: int, l: int) -> int:
-    """Number of ascending r-tuples of allowed starts with pairwise spacing >= l."""
-    if r == 0:
-        return 1
-    if allowed.size == 0 or l == 0:
-        return 0
-    nA = allowed.size
-    nxt = np.searchsorted(allowed, allowed + l)
-    ways = np.zeros((nA + 1, r + 1), dtype=object)
-    ways[:, 0] = 1
-    for t in range(1, r + 1):
-        for i in range(nA - 1, -1, -1):
-            ways[i, t] = ways[i + 1, t] + ways[nxt[i], t - 1]
-    return int(ways[0, r])
-
-
 @lru_cache(maxsize=4096)
 def cell_count(params: PibsParams, k: int, r: int) -> int:
-    """Exact size of the (k, r) cell without materializing it. Cached: a
-    capped scan counts every cell once to check its total and again per
-    cell."""
-    if r > 0 and params.l == 0:
+    """Exact size of the (k, r) cell without materializing it: the layout
+    table's total when r = 0, else the placement DP's corner summed over the
+    cluster layouts. Cached: a capped scan counts every cell once to check
+    its total and again per cell."""
+    if r == 0:
+        return sum(count for _, count, _ in _layout_table(params, k))
+    if params.l == 0:
         return 0
-    total = 0
-    for clusters in _cluster_arrangements(params, k):
-        if r == 0:
-            total += 1
-        else:
-            allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
-            total += _count_pseudo_placements(allowed, r, params.l)
-    return total
+    n, b, l = params.n, params.b, params.l
+    return sum(
+        _pseudo_table(_allowed_pseudo_starts(n, b, l, clusters), r, l)[0][0, r]
+        for clusters in _cluster_arrangements(params, k)
+    )
 
 
 def count_supports_formula(params: PibsParams, K: int, R: int) -> int:

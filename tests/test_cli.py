@@ -26,6 +26,14 @@ class TestCount:
               "--K", "2", "--R", "0", "--method", "enumerate"])
         assert capsys.readouterr().out.strip() == "3"
 
+    def test_enumerate_method_checks_cap(self, capsys):
+        # C(114, 4) = 6,672,876 supports, over the 1e6 enumeration cap
+        code = main(["count", "--n", "120", "--b", "1", "--p", "1", "--lsep", "2",
+                     "--K", "4", "--R", "0", "--method", "enumerate"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: enumeration size 6672876 exceeds cap 1000000" in err
+
     def test_assumption_warning_on_stderr(self, capsys):
         code = main(["count", "--n", "30", "--b", "2", "--p", "2", "--lsep", "4",
                      "--l", "4", "--K", "3", "--R", "1"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -145,6 +146,43 @@ class TestSampling:
         ok, bad = validate_support(sup)
         assert ok, bad
 
+    def test_dense_pseudo_geometry(self):
+        # 25 pseudo blocks of length 2 in 60 columns: 183,579,396 placements,
+        # too dense for independent draws to land spaced apart
+        params = PibsParams(n=60, b=1, p=1, l=2, Lsep=2, K=0, R=25)
+        sup = sample_support(params, 0, 25, np.random.default_rng(0))
+        ok, bad = validate_support(sup)
+        assert ok, bad
+        assert sup.pseudo_count == 25
+
+    @pytest.mark.parametrize("K,R", [(30, 0), (1, 10)])
+    def test_counts_beyond_int64(self, K, R):
+        params = PibsParams(n=1000, b=1, p=1, l=2, Lsep=2, K=K, R=R)
+        sup = sample_support(params, K, R, np.random.default_rng(0))
+        ok, bad = validate_support(sup)
+        assert ok, bad
+        assert (sup.total_blocks, sup.pseudo_count) == (K, R)
+
+    def test_pseudo_uniform_within_each_layout(self):
+        # the cluster layout is uniform, then the placement is uniform given
+        # the layout: 7 layouts with 3 to 6 placements each
+        params = PibsParams(n=7, b=1, p=1, l=2, Lsep=2, K=1, R=2)
+        placements = {}
+        for sup in iter_cell(params, 1, 2):
+            placements.setdefault(sup.clusters, []).append(sup.pseudo)
+        rng = np.random.default_rng(0)
+        draws = 21_000
+        counts = Counter(
+            (s.clusters, s.pseudo) for s in (sample_support(params, 1, 2, rng) for _ in range(draws))
+        )
+        assert len(placements) == 7
+        assert len(counts) == sum(len(ps) for ps in placements.values())
+        for clusters, pseudos in placements.items():
+            freq = sum(counts[clusters, ps] for ps in pseudos)
+            assert abs(freq / draws - 1 / 7) < 0.01
+            for ps in pseudos:
+                assert abs(counts[clusters, ps] / freq - 1 / len(pseudos)) < 0.03
+
     def test_zero_length_pseudo_rejected(self):
         params = make_params(l=0, R=1)
         with pytest.raises(GeometryError):
@@ -162,6 +200,36 @@ class TestEnumeration:
         params = make_params(n=5, K=2)
         two = [s.columns for s in iter_cell(params, 2, 0)]
         assert two == [(1, 4), (1, 5), (2, 5)]
+
+    @pytest.mark.parametrize(
+        "n,b,p,l,Lsep",
+        [(9, 1, 2, 2, 2), (9, 2, 1, 1, 2), (8, 1, 3, 0, 1), (10, 1, 2, 3, 3), (11, 2, 2, 2, 3)],
+    )
+    def test_matches_brute_force_oracle(self, n, b, p, l, Lsep):
+        # every valid (clusters, pseudo) pair over all starts and block counts,
+        # in (cluster count, block counts, starts, pseudo) order
+        params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=3, R=2)
+        pairs = [(s, j) for s in range(1, n + 1) for j in range(1, p + 1)]
+        for k in range(4):
+            layouts = [
+                Support(clusters=chosen, pseudo=(), params=params)
+                for c in range(k + 1)
+                for chosen in itertools.combinations(pairs, c)
+                if sum(j for _, j in chosen) == k
+            ]
+            layouts = [sup.clusters for sup in layouts if validate_support(sup)[0]]
+            for r in range(3):
+                candidates = [
+                    Support(clusters=clusters, pseudo=pseudo, params=params)
+                    for clusters in layouts
+                    for pseudo in itertools.combinations(range(1, n + 1), r)
+                ]
+                valid = [sup for sup in candidates if validate_support(sup)[0]]
+                valid.sort(key=lambda s: (
+                    len(s.clusters), [j for _, j in s.clusters], [start for start, _ in s.clusters], s.pseudo,
+                ))
+                assert list(iter_cell(params, k, r)) == valid
+                assert signal_model.cell_count(params, k, r) == len(valid)
 
     def test_budget_zero_is_only_empty(self):
         params = make_params(n=12, K=0)
