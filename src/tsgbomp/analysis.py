@@ -385,7 +385,6 @@ def verify_lemmas(
     fam_B = replace(params, l=1)
     table_A = pibric_table(Phi, params, K, R, cell_cap=cell_cap)
     table_B = pibric_table(Phi, fam_B, K, R, cell_cap=cell_cap)
-    table_0 = pibric_table(Phi, replace(params, l=0), K, R, cell_cap=cell_cap)
 
     def deltas(table):
         out = {}
@@ -398,7 +397,6 @@ def verify_lemmas(
 
     d_A = deltas(table_A)
     d_B = deltas(table_B)
-    d_0 = deltas(table_0)
 
     complex_case = Phi.is_complex
 
@@ -419,12 +417,13 @@ def verify_lemmas(
             if o1 != o2 and o1[0] <= o2[0] and o1[1] <= o2[1]:
                 fam.add(d_A[o2] - d_A[o1])
 
-    # shorter pseudo blocks never increase the constant
+    # shorter pseudo blocks never increase the constant; at length 0 they
+    # cover nothing, so the order-(K', R') constant is the order-(K', 0) one
     fam = family("pseudo-length-monotonicity")
-    for d_l in (d_0, d_B):
-        for order, val in d_l.items():
-            if order in d_A:
-                fam.add(d_A[order] - val)
+    for order, val in d_A.items():
+        fam.add(val - d_A[(order[0], 0)])
+        if order in d_B:
+            fam.add(val - d_B[order])
 
     # one block is dominated by one more pseudo-block budget
     if params.window_length < params.B:

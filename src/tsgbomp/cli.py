@@ -16,14 +16,14 @@ import numpy as np
 
 from . import analysis, experiments, recovery, sensing, signal_model
 
-def _params_from_args(args, n: int, K: int, R: int) -> signal_model.PibsParams:
-    """Geometry from --b/--p/--l and exactly one of --L or --lsep."""
+def _params_from_args(args, n: int, K: int, R: int, l: int = 0) -> signal_model.PibsParams:
+    """Geometry from --b/--p, exactly one of --L or --lsep, and pseudo length l."""
     if args.L is not None:
         return signal_model.PibsParams.from_window(
-            n=n, b=args.b, p=args.p, l=args.l, L=args.L, K=K, R=R
+            n=n, b=args.b, p=args.p, l=l, L=args.L, K=K, R=R
         )
     return signal_model.PibsParams(
-        n=n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=K, R=R
+        n=n, b=args.b, p=args.p, l=l, Lsep=args.lsep, K=K, R=R
     )
 
 
@@ -44,7 +44,7 @@ def _save_matrix(mat: sensing.SensingMatrix, path: str) -> None:
 def _cmd_gen_signal(args) -> int:
     params = _params_from_args(args, args.n, args.K, 0)
     rng = np.random.default_rng(args.seed)
-    support = signal_model.sample_support(params, args.blocks, 0, rng)
+    support = signal_model.sample_support(params, args.blocks, rng)
     if args.scheme == "gaussian":
         sig = signal_model.fill_values(support, "gaussian", rng=rng)
     else:
@@ -86,7 +86,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_ric(args) -> int:
     Phi = _load_matrix(args.matrix)
-    params = _params_from_args(args, Phi.n, args.K, args.R)
+    params = _params_from_args(args, Phi.n, args.K, args.R, args.l)
     est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap, jobs=args.jobs)
     print(f"delta = {est.delta!r}")
     print(f"supports scanned = {est.supports_scanned}")
@@ -110,7 +110,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = _params_from_args(args, args.n, args.K, args.R)
+    params = _params_from_args(args, args.n, args.K, args.R, args.l)
     if args.method == "enumerate":
         value = signal_model.compare_counts(params, args.K, args.R).enumerated
     else:
@@ -181,18 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsgbomp")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def geometry(sp, with_n=True):
+    def geometry(sp, with_n=True, with_l=True):
         if with_n:
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--b", type=int, required=True)
         sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--l", type=int, default=0)
+        if with_l:
+            sp.add_argument("--l", type=int, default=0)
         window = sp.add_mutually_exclusive_group(required=True)
         window.add_argument("--L", type=int, default=None)
         window.add_argument("--lsep", type=int, default=None)
 
-    sp = sub.add_parser("gen-signal", help="sample a support and fill values")
-    geometry(sp)
+    # no abbreviations, so a stray --l cannot pass for --lsep
+    sp = sub.add_parser("gen-signal", help="sample a support and fill values", allow_abbrev=False)
+    geometry(sp, with_l=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--blocks", type=int, default=None)
     sp.add_argument("--scheme", choices=["const", "gaussian"], default="const")

@@ -237,7 +237,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
         Phi = identity_matrix(config.n)
     else:
         Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
-    support = sample_support(config.params_for(K), K, 0, rng)
+    support = sample_support(config.params_for(K), K, rng)
     signal = _fill(support, config.value_scheme, rng)
     meas = measure(Phi, signal.x)
     eps = config.epsilon * float(np.linalg.norm(meas.y))
@@ -445,7 +445,7 @@ def theorem_regime_suite(
         sig_params = PibsParams.from_window(
             n=cfg.n, b=cfg.b, p=cfg.p, l=cfg.L, L=cfg.L, K=cfg.K, R=0
         )
-        support = sample_support(sig_params, cfg.K, 0, rng)
+        support = sample_support(sig_params, cfg.K, rng)
         cols = support.column_array
         lo = float(floor) * 1.02
         mags = rng.uniform(lo, 1.0, size=cols.size)

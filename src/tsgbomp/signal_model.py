@@ -4,7 +4,10 @@ enumeration, exact counting, and value filling.
 A support consists of "true clusters" (runs of 1..p adjacent blocks of b
 indices each) separated by at least ``Lsep`` indices free of clusters, plus
 optional fixed-length "pseudo blocks" that may sit anywhere in the gaps as
-long as they overlap nothing. All user-facing indices are 1-based.
+long as they overlap nothing. Pseudo blocks belong to the analysis only:
+they are enumerated and counted for the structured isometry constant, while
+sampled and filled signals are pseudo-free. All user-facing indices are
+1-based.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
-from operator import getitem
+from itertools import combinations, combinations_with_replacement
+from operator import getitem, sub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -250,45 +253,17 @@ def _layout_table(params: PibsParams, total_blocks: int) -> tuple[tuple[int, int
     return tuple(rows)
 
 
-def _pseudo_table(allowed: np.ndarray, r: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Placement DP over ascending allowed starts: ways[i, t] counts the
-    ascending t-tuples of allowed[i:] spaced at least l apart, and nxt[i] is
-    the first index whose start clears a pseudo block at allowed[i]. The
-    corner ways[0, r] is the number of placements of r pseudo blocks."""
-    nA = allowed.size
-    nxt = np.searchsorted(allowed, allowed + l)
-    ways = np.zeros((nA + 1, r + 1), dtype=object)
-    ways[:, 0] = 1
-    for t in range(1, r + 1):
-        for i in range(nA - 1, -1, -1):
-            ways[i, t] = ways[i + 1, t] + ways[nxt[i], t - 1]
-    return ways, nxt
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_support(
-    params: PibsParams,
-    total_blocks: int,
-    pseudo_count: int,
-    rng: np.random.Generator,
-) -> Support:
-    """Draw an admissible support with `total_blocks` true blocks and
-    `pseudo_count` pseudo blocks.
-
-    The cluster layout is uniform over all admissible layouts, then the
-    pseudo blocks are uniform over the placements that fit beside it. Each
-    is one exact ticket unranked through the layout table or the placement
-    DP, so no geometry needs retries; GeometryError means there is no layout
-    or no room.
-    """
-    if total_blocks > params.K or pseudo_count > params.R:
-        raise ValueError("requested counts exceed the parameter budget")
-    if total_blocks < 0 or pseudo_count < 0:
-        raise ValueError("counts must be nonnegative")
-    if pseudo_count > 0 and params.l == 0:
-        raise GeometryError("pseudo blocks of length 0 cover nothing; use pseudo_count=0")
+def sample_support(params: PibsParams, total_blocks: int, rng: np.random.Generator) -> Support:
+    """Draw a pseudo-free support with `total_blocks` true blocks, uniform
+    over all admissible cluster layouts: one exact ticket unranked through
+    the layout table, so no geometry needs retries; GeometryError means
+    there is no layout. Pseudo blocks only enter the isometry constant,
+    never a signal."""
+    if not 0 <= total_blocks <= params.K:
+        raise ValueError(f"block count {total_blocks} outside [0, K={params.K}]")
 
     n, b, Lsep = params.n, params.b, params.Lsep
     table = _layout_table(params, total_blocks)
@@ -312,8 +287,7 @@ def sample_support(
         clusters.append((pos, j))
         pos += j * b + Lsep + extra
 
-    pseudo = _sample_pseudo(params, clusters, pseudo_count, rng)
-    support = Support(clusters=tuple(clusters), pseudo=pseudo, params=params)
+    support = Support(clusters=tuple(clusters), pseudo=(), params=params)
     ok, bad = validate_support(support)
     if not ok:  # pragma: no cover - guards the sampler itself
         raise AssertionError(f"sampler produced invalid support: {bad}")
@@ -348,32 +322,6 @@ def _unrank_weak_composition(index: int, total: int, parts: int) -> tuple[int, .
             raise IndexError("composition index out of range")
     out.append(total)
     return tuple(out)
-
-
-def _sample_pseudo(
-    params: PibsParams,
-    clusters: Sequence[tuple[int, int]],
-    pseudo_count: int,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Uniform placement of `pseudo_count` pseudo blocks beside `clusters`:
-    one ticket, unranked in lexicographic order through the placement DP."""
-    if pseudo_count == 0:
-        return ()
-    allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
-    ways, nxt = _pseudo_table(allowed, pseudo_count, params.l)
-    if ways[0, pseudo_count] == 0:
-        raise GeometryError(f"no room for {pseudo_count} pseudo blocks beside the clusters")
-    ticket = _ticket(rng, ways[0, pseudo_count])
-    starts, i = [], 0
-    for t in range(pseudo_count, 0, -1):
-        # placements that take allowed[i] come first, then those that skip it
-        while ticket >= ways[nxt[i], t - 1]:
-            ticket -= ways[nxt[i], t - 1]
-            i += 1
-        starts.append(int(allowed[i]))
-        i = nxt[i]
-    return tuple(starts)
 
 
 def _allowed_pseudo_starts(
@@ -416,27 +364,16 @@ def _cluster_arrangements(
 def _pseudo_arrangements(
     params: PibsParams, clusters: tuple[tuple[int, int], ...], r: int
 ) -> Iterator[tuple[int, ...]]:
+    """Ascending r-tuples of allowed pseudo starts spaced at least l apart,
+    in lexicographic order."""
     if r == 0:
         yield ()
         return
-    if params.l == 0:
-        return
-    allowed = _allowed_pseudo_starts(params.n, params.b, params.l, clusters)
     l = params.l
-
-    def rec(start_idx: int, left: int, acc: list[int]):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for i in range(start_idx, allowed.size):
-            s = int(allowed[i])
-            if acc and s - acc[-1] < l:
-                continue
-            acc.append(s)
-            yield from rec(i + 1, left - 1, acc)
-            acc.pop()
-
-    yield from rec(0, r, [])
+    allowed = _allowed_pseudo_starts(params.n, params.b, l, clusters).tolist()
+    for starts in combinations(allowed, r):
+        if min(map(sub, starts[1:], starts), default=l) >= l:
+            yield starts
 
 
 def iter_cell(params: PibsParams, k: int, r: int) -> Iterator[Support]:
@@ -462,21 +399,56 @@ def enumerate_supports(
 # ---------------------------------------------------------------------------
 # counting
 
+def _run_table(base: int, slack: int, r: int, l: int) -> np.ndarray:
+    """Pseudo placements in one free run of base + e columns, e <= slack, as
+    a polynomial table: entry [t, e] = C(g - t(l - 1), t), the ways t <= r
+    pseudo blocks of length l fit in g = base + e columns."""
+    table = np.zeros((r + 1, slack + 1), dtype=object)
+    for t in range(r + 1):
+        for e in range(slack + 1):
+            g = base + e - t * (l - 1)
+            table[t, e] = math.comb(g, t) if g >= t else 0
+    return table
+
+
+def _run_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two run tables as polynomials in (pseudo count, extra
+    columns), truncated to their shape; exact Python integers."""
+    out = np.zeros_like(a)
+    for t in range(a.shape[0]):
+        for u in range(t + 1):
+            out[t] += np.convolve(a[u], b[t - u])[: a.shape[1]]
+    return out
+
+
 @lru_cache(maxsize=4096)
 def cell_count(params: PibsParams, k: int, r: int) -> int:
-    """Exact size of the (k, r) cell without materializing it: the layout
-    table's total when r = 0, else the placement DP's corner summed over the
-    cluster layouts. Cached: a capped scan counts every cell once to check
-    its total and again per cell."""
+    """Exact size of the (k, r) cell without materializing it. r = 0: the
+    layout table's total. r >= 1: per row of the layout table, the
+    compositions times the (r, slack) coefficient of the product of its free
+    runs' tables (a leading and a trailing run of e extra columns, k - 1
+    interior runs of Lsep + e); no clusters leave one run of n columns.
+    Cached: a capped scan counts every cell once to check its total and
+    again per cell."""
     if r == 0:
         return sum(count for _, count, _ in _layout_table(params, k))
-    if params.l == 0:
+    n, l = params.n, params.l
+    if l == 0:
         return 0
-    n, b, l = params.n, params.b, params.l
-    return sum(
-        _pseudo_table(_allowed_pseudo_starts(n, b, l, clusters), r, l)[0][0, r]
-        for clusters in _cluster_arrangements(params, k)
-    )
+    total = 0
+    for clusters, _, slack in _layout_table(params, k):
+        if clusters == 0:
+            total += _run_table(n, 0, r, l)[r, 0]
+            continue
+        end = _run_table(0, slack, r, l)
+        product = end
+        interior = _run_table(params.Lsep, slack, r, l)
+        for _ in range(clusters - 1):
+            product = _run_product(product, interior)
+        # the trailing run: only the (r, slack) coefficient is needed
+        corner = sum(np.dot(product[t], end[r - t, ::-1]) for t in range(r + 1))
+        total += _composition_counts(k, clusters, params.p) * corner
+    return total
 
 
 def count_supports_formula(params: PibsParams, K: int, R: int) -> int:

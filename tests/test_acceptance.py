@@ -1,9 +1,10 @@
 """Acceptance suite: every headline requirement at its stated tolerance.
 
-Each criterion prints one pass/fail line (visible under `pytest -s`) and
-appends it to acceptance_report.txt next to this file's repository root, so
-the verdicts survive output capture. Wall times are printed but kept out of
-the report file, so a rerun rewrites it with the same lines. The Monte Carlo
+Each criterion prints one pass/fail line (visible under `pytest -s`). Once
+all nine have run, the lines are written to acceptance_report.txt at the
+repository root, so the verdicts survive output capture; a partial run
+(`-k`) leaves the file alone. Wall times are printed but kept out of the
+report file, so a rerun rewrites it with the same lines. The Monte Carlo
 criteria use a fixed master seed: reruns are byte-identical and parallelism
 never changes results.
 """
@@ -44,16 +45,21 @@ MASTER_SEED = 20260808
 TRIALS = 200
 
 
+_REPORT_LINES: list[str] = []
+
+
 @pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
-    REPORT_PATH.unlink(missing_ok=True)
+def _write_report():
+    _REPORT_LINES.clear()
     yield
+    criteria = {line.split()[0] for line in _REPORT_LINES}
+    if criteria == {f"criterion-{i}" for i in range(1, 10)}:
+        REPORT_PATH.write_text("".join(line + "\n" for line in _REPORT_LINES))
 
 
 def emit(line: str, seconds: float | None = None) -> None:
     print(f"\n{line}" + ("" if seconds is None else f" [{seconds:.0f}s]"))
-    with REPORT_PATH.open("a") as fh:
-        fh.write(line + "\n")
+    _REPORT_LINES.append(line)
 
 
 def rates(points, algorithm):
@@ -329,7 +335,7 @@ class TestCriterion9SolverInvariants:
             if not feasible_K(n, b, p, params.Lsep, K):
                 continue
             Phi = gaussian_matrix(m, n, "unit", True, rng)
-            support = sample_support(params, K, 0, rng)
+            support = sample_support(params, K, rng)
             signal = fill_values(support, "gaussian", rng=rng)
             noise = None
             if trial % 3 == 0:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tsgbomp
 from tsgbomp.cli import main
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
 from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
@@ -240,3 +246,30 @@ class TestUsageErrors:
                      "--K", "2", "--seed", "0", "--out", "/tmp/never.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_gen_signal_takes_no_pseudo_length(self, capsys):
+        # signals are pseudo-free; --l must not pass as an abbreviation of --lsep
+        with pytest.raises(SystemExit) as err:
+            main(["gen-signal", "--n", "16", "--b", "2", "--p", "2", "--lsep", "4",
+                  "--K", "2", "--seed", "0", "--out", "x.csv", "--l", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --l 2" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def threads_after_import(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(Path(tsgbomp.__file__).parents[1])
+        env.update(preset)
+        code = f"import os, tsgbomp; print(*(os.environ[v] for v in {self.VARS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        return out.stdout.split()
+
+    def test_import_pins_one_thread(self):
+        assert self.threads_after_import() == ["1", "1", "1"]
+
+    def test_user_setting_is_kept(self):
+        assert self.threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]

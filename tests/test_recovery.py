@@ -17,7 +17,7 @@ from tsgbomp.signal_model import PibsParams, Support, fill_values, sample_suppor
 def make_instance(n=200, m=160, b=4, p=2, L=8, K=4, seed=1, amplitude=10.0):
     rng = np.random.default_rng(seed)
     params = PibsParams.from_window(n=n, b=b, p=p, l=L, L=L, K=K, R=0)
-    support = sample_support(params, K, 0, rng)
+    support = sample_support(params, K, rng)
     signal = fill_values(support, "const", amplitude, rng)
     Phi = gaussian_matrix(m, n, "unit", True, rng)
     meas = measure(Phi, signal.x)
@@ -57,7 +57,7 @@ class TestTsgbomp:
         n = 24
         params = PibsParams.from_window(n=n, b=2, p=2, l=4, L=4, K=2, R=0)
         rng = np.random.default_rng(3)
-        support = sample_support(params, 2, 0, rng)
+        support = sample_support(params, 2, rng)
         signal = fill_values(support, "gaussian", rng=rng)
         Phi = identity_matrix(n)
         meas = measure(Phi, signal.x)
@@ -121,7 +121,7 @@ class TestTsgbomp:
         rng = np.random.default_rng(2718)
         Phi = gaussian_matrix(24, 48, "unit", True, rng)
         params = PibsParams.from_window(n=48, b=2, p=2, l=4, L=4, K=4, R=0)
-        support = sample_support(params, 4, 0, rng)
+        support = sample_support(params, 4, rng)
         signal = fill_values(support, "gaussian", rng=rng)
         meas = measure(Phi, signal.x)
         res = tsgbomp(Phi, meas, K=2, L=4, b=2, p=2, epsilon=0.0)
@@ -147,7 +147,7 @@ class TestTsgbomp:
         n, m = 32, 24
         Phi = gaussian_matrix(m, n, "unit", True, rng, complex_entries=True)
         params = PibsParams.from_window(n=n, b=2, p=2, l=4, L=4, K=2, R=0)
-        support = sample_support(params, 2, 0, rng)
+        support = sample_support(params, 2, rng)
         x = np.zeros(n, dtype=complex)
         cols = support.column_array
         x[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
@@ -182,7 +182,7 @@ class TestBomp:
         rng = np.random.default_rng(314)
         Phi = gaussian_matrix(24, 32, "unit", True, rng)
         params = PibsParams.from_window(n=32, b=2, p=2, l=4, L=4, K=2, R=0)
-        support = sample_support(params, 2, 0, rng)
+        support = sample_support(params, 2, rng)
         signal = fill_values(support, "const", 10.0, rng)
         meas = measure(Phi, signal.x)
         res = bomp(Phi, meas, K=2, block=4, epsilon=1e-6 * np.linalg.norm(meas.y))
