@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""Run the four phase-transition curves (m in {120, 160}, p in {1, 2}) and
-write one CSV per configuration.
+"""Run the four phase-transition curves of scripts/configs/*.cfg (m in
+{120, 160}, p in {1, 2}) and write one CSV per configuration, named
+curve_n{n}_m{m}_b{b}_p{p}_L{L}.csv.
 
 Usage:
     python scripts/run_phase_transition.py [--trials 1000] [--jobs 2] [--out-dir results]
 
-At trials=1000 this reproduces the scale of the published curves; trials=200
-matches the reduced-scale acceptance run.
+--trials and --seed replace the configs' own values (1000 trials, master
+seed 20260808). At trials=1000 this reproduces the scale of the published
+curves; trials=200 matches the reduced-scale acceptance run.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from tsgbomp.experiments import ExperimentConfig, max_feasible_K, run_curve
+from tsgbomp.experiments import ExperimentConfig, run_curve
 
 
 def main() -> int:
@@ -32,20 +36,17 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    n, b, L = 200, 4, 8
-    for m in (120, 160):
-        for p in (1, 2):
-            K_hi = min(16, max_feasible_K(n, b, p, L))
-            config = ExperimentConfig(
-                n=n, m=m, b=b, p=p, L=L,
-                K_grid=tuple(range(1, K_hi + 1)),
-                trials=args.trials,
-                master_seed=args.seed,
-            )
-            out = out_dir / f"curve_n{n}_m{m}_b{b}_p{p}_L{L}.csv"
-            t0 = time.time()
-            run_curve(config, jobs=args.jobs, out_path=str(out))
-            print(f"{out} done in {time.time() - t0:.0f}s (K grid tops out at {K_hi})")
+    for path in sorted((ROOT / "scripts" / "configs").glob("*.cfg")):
+        config = dataclasses.replace(
+            ExperimentConfig.from_text(path.read_text()),
+            trials=args.trials, master_seed=args.seed,
+        )
+        out = out_dir / (
+            f"curve_n{config.n}_m{config.m}_b{config.b}_p{config.p}_L{config.L}.csv"
+        )
+        t0 = time.time()
+        run_curve(config, jobs=args.jobs, out_path=str(out))
+        print(f"{out} done in {time.time() - t0:.0f}s (K grid tops out at {config.K_grid[-1]})")
     return 0
 
 

@@ -31,7 +31,7 @@ from .experiments import (
     run_trial,
     theorem_regime_suite,
 )
-from .recovery import RecoveryResult, bomp, least_squares_on, success_check, tsgbomp
+from .recovery import RecoveryResult, bomp, success_check, tsgbomp
 from .sensing import Measurement, SensingMatrix, gaussian_matrix, measure
 from .signal_model import (
     PibsParams,

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 _EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s doubles per eig batch
-_HARD_CELL_CAP = 2_000_000
+_CLASSICAL_CAP = 500_000  # column subsets classical_ric may scan
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +90,12 @@ def _batched_opdev(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _cell_data(params: PibsParams, k: int, r: int):
-    """Materialized cell: (supports tuple, 0-based column index array or None)."""
-    sups: list[Support] = []
-    for i, s in enumerate(iter_cell(params, k, r)):
-        if i >= _HARD_CELL_CAP:
-            raise EnumerationCapError(cell_count(params, k, r), _HARD_CELL_CAP)
-        sups.append(s)
-    if not sups:
-        return (), None
-    if not sups[0].columns:
-        return tuple(sups), None
-    return tuple(sups), np.asarray([s.columns for s in sups], dtype=np.intp) - 1
+    """Materialized cell: (supports tuple, 0-based column index array or
+    None). Callers check the cell's `cell_count` against their cap first."""
+    sups = tuple(iter_cell(params, k, r))
+    if not sups or not sups[0].columns:
+        return sups, None
+    return sups, np.asarray([s.columns for s in sups], dtype=np.intp) - 1
 
 
 @dataclass(frozen=True)
@@ -224,14 +219,14 @@ def _order_delta(table: dict[tuple[int, int], _CellStat], K: int, R: int) -> flo
     return best
 
 
-def classical_ric(Phi: SensingMatrix, size: int, cap: int = 500_000) -> float:
+def classical_ric(Phi: SensingMatrix, size: int) -> float:
     """Unstructured isometry constant: max deviation over all column subsets
     of the given size. Brute force, small instances only."""
     from itertools import combinations
 
     total = math.comb(Phi.n, size)
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    if total > _CLASSICAL_CAP:
+        raise EnumerationCapError(total, _CLASSICAL_CAP)
     idx = np.asarray(list(combinations(range(Phi.n), size)), dtype=np.intp)
     devs = _batched_opdev(Phi.gram, idx)
     return float(devs.max())

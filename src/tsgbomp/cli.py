@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,15 +112,12 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_count(args) -> int:
     params = _params_from_args(args, args.n, args.K, args.R, args.l)
-    if args.method == "enumerate":
-        value = signal_model.compare_counts(params, args.K, args.R).enumerated
-    else:
-        value = signal_model.count_supports_formula(params, args.K, args.R)
-        ok, reasons = signal_model.formula_assumptions(params, args.K, args.R)
-        if not ok:
-            for reason in reasons:
-                print(f"warning: {reason}", file=sys.stderr)
-    print(value)
+    cmp = signal_model.compare_counts(params, args.K, args.R)
+    if not cmp.match:
+        print(f"warning: the closed form gives {cmp.formula}", file=sys.stderr)
+    for reason in cmp.notes:
+        print(f"warning: {reason}", file=sys.stderr)
+    print(cmp.exact)
     return 0
 
 
@@ -178,8 +176,12 @@ def _cmd_theorem_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tsgbomp")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations anywhere, so a stray --l cannot pass for --lsep
+    parser = argparse.ArgumentParser(prog="tsgbomp", allow_abbrev=False)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     def geometry(sp, with_n=True, with_l=True):
         if with_n:
@@ -192,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         window.add_argument("--L", type=int, default=None)
         window.add_argument("--lsep", type=int, default=None)
 
-    # no abbreviations, so a stray --l cannot pass for --lsep
-    sp = sub.add_parser("gen-signal", help="sample a support and fill values", allow_abbrev=False)
+    sp = sub.add_parser("gen-signal", help="sample a support and fill values")
     geometry(sp, with_l=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--blocks", type=int, default=None)
@@ -252,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     geometry(sp)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
-    sp.add_argument("--method", choices=["formula", "enumerate"], default="formula")
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("thm1", help="evaluate the recovery certificate")

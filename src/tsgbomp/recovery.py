@@ -24,7 +24,6 @@ from .signal_model import SignalInstance
 __all__ = [
     "IterationRecord",
     "RecoveryResult",
-    "least_squares_on",
     "tsgbomp",
     "bomp",
     "success_check",
@@ -52,19 +51,6 @@ class RecoveryResult:
     trace: tuple[IterationRecord, ...]
     iterations: int
     stop_reason: str  # "budget" | "residual-threshold"
-
-
-def least_squares_on(Phi: SensingMatrix, columns, y: np.ndarray) -> np.ndarray:
-    """Minimize ||y - Phi_cols u|| over u; minimum-norm solution on rank
-    deficiency. `columns` is a 1-based sequence, duplicates allowed."""
-    cols = np.asarray(list(columns), dtype=np.intp)
-    if cols.size == 0:
-        raise ValueError("least squares needs at least one column")
-    if cols.min() < 1 or cols.max() > Phi.n:
-        raise ValueError("column index out of range")
-    A = Phi.entries[:, cols - 1]
-    u, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return u
 
 
 def _block_columns(block_starts, b: int, n: int) -> np.ndarray:
@@ -210,12 +196,12 @@ def bomp(
     return _greedy(Phi, measurement, K, epsilon, block, select)
 
 
-def success_check(result: RecoveryResult, truth: SignalInstance, rel_tol: float = 1e-6) -> bool:
+def success_check(result: RecoveryResult, truth: SignalInstance) -> bool:
     """Exact-recovery criterion: estimated columns cover the true support and
-    the relative coefficient error is within rel_tol."""
+    the relative coefficient error is at most 1e-6."""
     if not set(truth.support.columns).issubset(result.estimated_columns):
         return False
-    return relative_error(result, truth) <= rel_tol
+    return relative_error(result, truth) <= 1e-6
 
 
 def relative_error(result: RecoveryResult, truth: SignalInstance) -> float:

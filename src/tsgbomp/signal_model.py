@@ -165,9 +165,9 @@ class Support:
         return not self.clusters and not self.pseudo
 
 
-def validate_support(support: Support, params: PibsParams | None = None) -> tuple[bool, list[str]]:
+def validate_support(support: Support) -> tuple[bool, list[str]]:
     """Check every support invariant; return (ok, list of violations)."""
-    p = params if params is not None else support.params
+    p = support.params
     bad: list[str] = []
     n, b, l = p.n, p.b, p.l
 
@@ -458,8 +458,8 @@ def count_supports_formula(params: PibsParams, K: int, R: int) -> int:
     The R = 0 branch is exact. For R >= 1 the inner sum runs over interior
     gaps holding at least one pseudo block (q >= 1) and counts per-gap
     occupancy patterns rather than individual placements, so it can disagree
-    with the enumeration oracle; compare_counts() reports such gaps instead
-    of papering over them.
+    with `cell_count`; compare_counts() reports such gaps instead of
+    papering over them.
     """
     if K < 0 or R < 0:
         raise ValueError("K and R must be nonnegative")
@@ -520,13 +520,13 @@ class CountComparison:
     K: int
     R: int
     formula: int
-    enumerated: int
+    exact: int
     assumptions_ok: bool
     notes: tuple[str, ...]
 
     @property
     def match(self) -> bool:
-        return self.formula == self.enumerated
+        return self.formula == self.exact
 
     def describe(self) -> str:
         status = "match" if self.match else "MISMATCH"
@@ -534,22 +534,18 @@ class CountComparison:
         return (
             f"(n={self.params.n}, b={self.params.b}, p={self.params.p}, "
             f"l={self.params.l}, Lsep={self.params.Lsep}, K={self.K}, R={self.R}): "
-            f"formula={self.formula} enumerated={self.enumerated} {status}{extra}"
+            f"formula={self.formula} exact={self.exact} {status}{extra}"
         )
 
 
-def compare_counts(params: PibsParams, K: int, R: int, cap: int = 1_000_000) -> CountComparison:
-    """Formula vs enumeration for one cell; mismatches are reported, never
-    patched. The cell size is checked against `cap` with `cell_count` before
-    the enumeration walks the cell, which stays an independent count."""
-    count = cell_count(params, K, R)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
+def compare_counts(params: PibsParams, K: int, R: int) -> CountComparison:
+    """Closed form vs the exact `cell_count` for one cell; mismatches are
+    reported, never patched."""
     formula = count_supports_formula(params, K, R)
-    enumerated = sum(1 for _ in iter_cell(params, K, R))
+    exact = cell_count(params, K, R)
     ok, reasons = formula_assumptions(params, K, R)
     return CountComparison(
-        params=params, K=K, R=R, formula=formula, enumerated=enumerated,
+        params=params, K=K, R=R, formula=formula, exact=exact,
         assumptions_ok=ok, notes=tuple(reasons),
     )
 

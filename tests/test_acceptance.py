@@ -37,6 +37,7 @@ from tsgbomp.signal_model import (
     PibsParams,
     compare_counts,
     fill_values,
+    iter_cell,
     min_separation,
     sample_support,
 )
@@ -246,6 +247,10 @@ class TestCriterion6RealPartBound:
 
 class TestCriterion7Counting:
     def test_formula_vs_enumeration_grid(self):
+        # the enumeration is the independent oracle for the exact count
+        def walk(params, k, r):
+            return sum(1 for _ in iter_cell(params, k, r))
+
         matches = 0
         mismatches = []
         # pseudo-free grid: closed form must agree exactly
@@ -257,6 +262,7 @@ class TestCriterion7Counting:
                             params = PibsParams(n=n, b=b, p=p, l=0, Lsep=Lsep, K=K, R=0)
                             cmp = compare_counts(params, K, 0)
                             assert cmp.match, cmp.describe()
+                            assert cmp.exact == walk(params, K, 0)
                             matches += 1
         # single-pseudo grid: the per-gap occupancy formula undercounts; the
         # comparison must detect and report it, never patch it
@@ -267,15 +273,16 @@ class TestCriterion7Counting:
                 Lsep = 2 * b
                 params = PibsParams(n=n, b=b, p=1, l=Lsep, Lsep=Lsep, K=K, R=1)
                 cmp = compare_counts(params, K, 1)
+                assert cmp.exact == walk(params, K, 1)
                 if not cmp.match:
                     assert "MISMATCH" in cmp.describe()
                     reported.append(cmp.describe())
                 else:
                     matches += 1
         # the documented edge case from the parameter sheet
-        edge = compare_counts(
-            PibsParams(n=30, b=2, p=2, l=4, Lsep=4, K=3, R=1), 3, 1
-        )
+        edge_params = PibsParams(n=30, b=2, p=2, l=4, Lsep=4, K=3, R=1)
+        edge = compare_counts(edge_params, 3, 1)
+        assert edge.exact == walk(edge_params, 3, 1)
         if not edge.match:
             assert not edge.assumptions_ok  # flags explain the gap
             reported.append(edge.describe())

@@ -27,18 +27,23 @@ class TestCount:
         assert code == 0
         assert capsys.readouterr().out.strip() == "3"
 
-    def test_enumerate_method_matches(self, capsys):
-        main(["count", "--n", "5", "--b", "1", "--p", "1", "--lsep", "2",
-              "--K", "2", "--R", "0", "--method", "enumerate"])
-        assert capsys.readouterr().out.strip() == "3"
+    def test_pseudo_cell_prints_exact_size(self, capsys):
+        # every stated assumption holds, yet the closed form undercounts
+        code = main(["count", "--n", "12", "--b", "1", "--p", "1", "--l", "2",
+                     "--lsep", "2", "--K", "3", "--R", "1"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "322\n"
+        assert err == "warning: the closed form gives 112\n"
 
-    def test_enumerate_method_checks_cap(self, capsys):
-        # C(114, 4) = 6,672,876 supports, over the 1e6 enumeration cap
+    def test_large_cell_prints_its_size(self, capsys):
+        # C(114, 4) supports: counted, never walked
         code = main(["count", "--n", "120", "--b", "1", "--p", "1", "--lsep", "2",
-                     "--K", "4", "--R", "0", "--method", "enumerate"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error: enumeration size 6672876 exceeds cap 1000000" in err
+                     "--K", "4", "--R", "0"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "6672876\n"
+        assert err == ""
 
     def test_assumption_warning_on_stderr(self, capsys):
         code = main(["count", "--n", "30", "--b", "2", "--p", "2", "--lsep", "4",
@@ -254,6 +259,23 @@ class TestUsageErrors:
                   "--K", "2", "--seed", "0", "--out", "x.csv", "--l", "2"])
         assert err.value.code == 2
         assert "unrecognized arguments: --l 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,typo",
+        [
+            (["lemmas", "--matrix", "phi.bin", "--b", "2", "--p", "2", "--lsep", "10",
+              "--K", "2", "--R", "2", "--seed", "0"], "--l"),
+            (["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
+              "--K", "1", "--R", "0"], "--ca"),
+        ],
+        ids=["lemmas-l", "ric-ca"],
+    )
+    def test_abbreviated_option_exits_two(self, argv, typo, capsys):
+        # a prefix must not stand in for a full option (--l for --lsep)
+        with pytest.raises(SystemExit) as err:
+            main([*argv, typo, "4"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {typo} 4" in capsys.readouterr().err
 
 
 class TestBlasThreads:

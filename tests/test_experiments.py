@@ -9,7 +9,6 @@ from tsgbomp.experiments import (
     check_curve,
     curve_to_csv,
     feasible_K,
-    max_feasible_K,
     run_curve,
     run_trial,
     theorem_regime_suite,
@@ -65,11 +64,12 @@ class TestConfig:
 
 class TestFeasibility:
     def test_published_grid_limits(self):
-        assert max_feasible_K(200, 4, 2, 8) == 15
-        assert max_feasible_K(200, 4, 1, 8) == 13
         Lsep = min_separation(4, 2, 8)
         assert not feasible_K(200, 4, 2, Lsep, 16)
         assert feasible_K(200, 4, 2, Lsep, 15)
+        Lsep = min_separation(4, 1, 8)
+        assert not feasible_K(200, 4, 1, Lsep, 14)
+        assert feasible_K(200, 4, 1, Lsep, 13)
 
     def test_zero_blocks_always_fit(self):
         assert feasible_K(1, 4, 2, 20, 0)

@@ -3,7 +3,6 @@ import pytest
 
 from tsgbomp.recovery import (
     bomp,
-    least_squares_on,
     relative_error,
     result_report,
     success_check,
@@ -22,34 +21,6 @@ def make_instance(n=200, m=160, b=4, p=2, L=8, K=4, seed=1, amplitude=10.0):
     Phi = gaussian_matrix(m, n, "unit", True, rng)
     meas = measure(Phi, signal.x)
     return Phi, meas, signal
-
-
-class TestLeastSquares:
-    def test_identity_selects_entries(self):
-        Phi = identity_matrix(6)
-        y = np.arange(1.0, 7.0)
-        assert np.allclose(least_squares_on(Phi, [2, 5], y), [2.0, 5.0])
-
-    def test_duplicate_column_minimum_norm(self):
-        Phi = identity_matrix(6)
-        y = np.zeros(6)
-        y[3] = 1.0
-        u = least_squares_on(Phi, [4, 4], y)
-        assert np.allclose(u, [0.5, 0.5])
-
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(0)
-        Phi = gaussian_matrix(40, 25, "unit", True, rng)
-        y = rng.standard_normal(40)
-        cols = [3, 7, 11, 20]
-        u = least_squares_on(Phi, cols, y)
-        A = Phi.entries[:, np.asarray(cols) - 1]
-        r = y - A @ u
-        assert np.linalg.norm(A.T @ r) <= 1e-8 * np.linalg.norm(y)
-
-    def test_empty_columns_error(self):
-        with pytest.raises(ValueError):
-            least_squares_on(identity_matrix(4), [], np.zeros(4))
 
 
 class TestTsgbomp:
@@ -220,7 +191,7 @@ class TestSuccessCheck:
         Phi, meas, signal = make_instance(K=2, seed=8)
         extra = [c for c in range(1, 201) if c not in signal.support.columns][:4]
         cols = sorted(set(signal.support.columns) | set(extra))
-        u = least_squares_on(Phi, cols, meas.y)
+        u, *_ = np.linalg.lstsq(Phi.entries[:, np.asarray(cols) - 1], meas.y, rcond=None)
         x_hat = np.zeros(200)
         x_hat[np.asarray(cols) - 1] = u
         from tsgbomp.recovery import RecoveryResult

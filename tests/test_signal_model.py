@@ -279,16 +279,15 @@ class TestCounting:
         assert not cmp.match
         assert "MISMATCH" in cmp.describe()
 
-    def test_compare_counts_checks_cap_before_enumerating(self, monkeypatch):
+    def test_compare_counts_never_enumerates(self, monkeypatch):
         def walk(*args):
-            raise AssertionError("the cell was enumerated before the cap check")
+            raise AssertionError("compare_counts walked the cell")
 
         monkeypatch.setattr(signal_model, "iter_cell", walk)
         params = PibsParams(n=120, b=1, p=1, l=0, Lsep=2, K=3, R=0)
-        with pytest.raises(EnumerationCapError) as err:
-            compare_counts(params, 3, 0, cap=10)
-        assert err.value.count == 253_460
-        assert err.value.cap == 10
+        cmp = compare_counts(params, 3, 0)
+        assert cmp.exact == 253_460
+        assert cmp.match
 
     def test_assumption_flags(self):
         params = PibsParams(n=30, b=2, p=2, l=4, Lsep=4, K=3, R=1)
