@@ -53,17 +53,6 @@ class RecoveryResult:
     stop_reason: str  # "budget" | "residual-threshold"
 
 
-def _block_columns(block_starts, b: int, n: int) -> np.ndarray:
-    """Deduplicated, sorted 0-based columns covered by length-b blocks."""
-    cols = set()
-    for t in block_starts:
-        cols.update(range(t - 1, t - 1 + b))
-    arr = np.asarray(sorted(cols), dtype=np.intp)
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError("block extends outside the signal range")
-    return arr
-
-
 def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray):
     A = Phi.entries[:, cols0]
     u, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -82,9 +71,9 @@ def _greedy(
     """The shared correlate/select/refit loop with budget K.
 
     `select` maps the correlation powers |Phi^H r|^2 to (window, cluster
-    start, block starts); the chosen starts join the running set, each
-    covering `block_length` columns, the coefficients are refit on all
-    covered columns, and the residual is the refit error. Stops when the
+    start, block starts); each chosen start marks `block_length` columns
+    covered, the coefficients are refit on all covered columns in index
+    order, and the residual is the refit error. Stops when the
     residual drops below epsilon or after K iterations.
     """
     y = measurement.y
@@ -96,7 +85,7 @@ def _greedy(
 
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
-    block_starts: set[int] = set()
+    covered = np.zeros(n, dtype=bool)
     trace: list[IterationRecord] = []
     u = None
     cols0 = np.empty(0, dtype=np.intp)
@@ -106,8 +95,9 @@ def _greedy(
         k += 1
         c = Phi.entries.conj().T @ r
         window, start, h_k = select(np.abs(c) ** 2)
-        block_starts.update(h_k)
-        cols0 = _block_columns(sorted(block_starts), block_length, n)
+        for t in h_k:
+            covered[t - 1 : t - 1 + block_length] = True
+        cols0 = np.flatnonzero(covered)
         u, r = _refit(Phi, cols0, y)
         trace.append(
             IterationRecord(

@@ -156,6 +156,18 @@ def _flags(mat: SensingMatrix) -> int:
     return flags
 
 
+def _parse_header(header: str, sep: str | None) -> tuple[int, int, int]:
+    """(m, n, flags) of a matrix header; ValueError naming the header unless
+    it holds exactly three integers with m, n >= 1 and known flag bits."""
+    try:
+        m, n, flags = (int(v) for v in header.split(sep))
+    except ValueError:
+        raise ValueError(f"matrix header {header!r} is not three integers m, n, flags") from None
+    if m < 1 or n < 1 or not 0 <= flags <= _FLAG_NORMALIZED | _FLAG_COMPLEX:
+        raise ValueError(f"matrix header {header!r} needs m, n >= 1 and flags in 0..3")
+    return m, n, flags
+
+
 def matrix_to_csv(mat: SensingMatrix) -> str:
     """Row-major CSV; first line holds `m,n,flags`. Complex entries expand to
     interleaved re,im columns."""
@@ -170,12 +182,13 @@ def matrix_to_csv(mat: SensingMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> SensingMatrix:
-    """Inverse of `matrix_to_csv`. Raises ValueError unless the body has
-    exactly m rows of n values (2n interleaved re,im values when complex)."""
+    """Inverse of `matrix_to_csv`. Raises ValueError unless the header is
+    valid and the body has exactly m rows of n values (2n interleaved re,im
+    values when complex)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("matrix CSV is empty")
-    m, n, flags = (int(v) for v in lines[0].split(","))
+        raise ValueError("matrix CSV is empty: no header line")
+    m, n, flags = _parse_header(lines[0], ",")
     is_complex = bool(flags & _FLAG_COMPLEX)
     if len(lines) - 1 != m:
         raise ValueError(f"matrix CSV has {len(lines) - 1} rows but its header says m={m}")
@@ -208,10 +221,13 @@ def matrix_to_binary(mat: SensingMatrix) -> bytes:
 
 
 def matrix_from_binary(blob: bytes) -> SensingMatrix:
-    """Inverse of `matrix_to_binary`. Raises ValueError when the payload size
-    does not match the header's m, n and complex flag."""
-    newline = blob.index(b"\n")
-    m, n, flags = (int(v) for v in blob[:newline].decode("ascii").split())
+    """Inverse of `matrix_to_binary`. Raises ValueError when the header is
+    missing or invalid, or the payload size does not match its m, n and
+    complex flag."""
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise ValueError("matrix binary has no header line: no newline found")
+    m, n, flags = _parse_header(blob[:newline].decode("ascii", "replace"), None)
     payload = blob[newline + 1 :]
     expected = m * n * (16 if flags & _FLAG_COMPLEX else 8)
     if len(payload) != expected:

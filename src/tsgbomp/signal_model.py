@@ -13,6 +13,7 @@ sampled and filled signals are pseudo-free. All user-facing indices are
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -204,12 +205,15 @@ def validate_support(support: Support) -> tuple[bool, list[str]]:
 
 @lru_cache(maxsize=None)
 def _composition_counts(total: int, parts: int, p: int) -> int:
-    """Number of compositions of `total` into exactly `parts` parts in [1, p]."""
+    """Number of compositions of `total` into exactly `parts` parts in [1, p],
+    by inclusion-exclusion over the i parts forced above p."""
     if parts == 0:
         return 1 if total == 0 else 0
-    if total < parts or total > parts * p:
-        return 0
-    return sum(_composition_counts(total - j, parts - 1, p) for j in range(1, p + 1))
+    return sum(
+        (-1) ** i * math.comb(parts, i) * math.comb(total - i * p - 1, parts - 1)
+        for i in range(parts + 1)
+        if total - i * p >= parts
+    )
 
 
 def _compositions(total: int, parts: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -242,8 +246,8 @@ def _unrank_composition(index: int, total: int, parts: int, p: int) -> tuple[int
 def _layout_table(params: PibsParams, total_blocks: int) -> tuple[tuple[int, int, int], ...]:
     """(k, layouts, slack) for every cluster count k that fits the block
     budget: slack is the free columns beyond the k - 1 minimum gaps, and
-    layouts = compositions * C(slack + k, k). Counting, sampling and
-    enumeration all read this table."""
+    layouts = compositions * C(slack + k, k). Sampling, enumeration and
+    the pseudo-free count (r = 0) read this table."""
     n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
     rows = []
     for k in range(-(-total_blocks // p), total_blocks + 1):
@@ -399,56 +403,44 @@ def enumerate_supports(
 # ---------------------------------------------------------------------------
 # counting
 
-def _run_table(base: int, slack: int, r: int, l: int) -> np.ndarray:
-    """Pseudo placements in one free run of base + e columns, e <= slack, as
-    a polynomial table: entry [t, e] = C(g - t(l - 1), t), the ways t <= r
-    pseudo blocks of length l fit in g = base + e columns."""
-    table = np.zeros((r + 1, slack + 1), dtype=object)
-    for t in range(r + 1):
-        for e in range(slack + 1):
-            g = base + e - t * (l - 1)
-            table[t, e] = math.comb(g, t) if g >= t else 0
-    return table
-
-
-def _run_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two run tables as polynomials in (pseudo count, extra
-    columns), truncated to their shape; exact Python integers."""
-    out = np.zeros_like(a)
-    for t in range(a.shape[0]):
-        for u in range(t + 1):
-            out[t] += np.convolve(a[u], b[t - u])[: a.shape[1]]
+def _advance(layer: np.ndarray, columns: int) -> np.ndarray:
+    """Shift the last axis (columns since the last cluster) by `columns`,
+    piling everything at or past Lsep into the last entry."""
+    out = np.zeros_like(layer)
+    stop = layer.shape[-1] - columns
+    out[..., columns:] = layer[..., :stop]
+    out[..., -1] += layer[..., stop:].sum(axis=-1)
     return out
 
 
 @lru_cache(maxsize=4096)
 def cell_count(params: PibsParams, k: int, r: int) -> int:
     """Exact size of the (k, r) cell without materializing it. r = 0: the
-    layout table's total. r >= 1: per row of the layout table, the
-    compositions times the (r, slack) coefficient of the product of its free
-    runs' tables (a leading and a trailing run of e extra columns, k - 1
-    interior runs of Lsep + e); no clusters leave one run of n columns.
-    Cached: a capped scan counts every cell once to check its total and
-    again per cell."""
+    layout table's total. r >= 1: one pass over the n columns that reads a
+    support as a word of free columns, pseudo blocks (l columns) and
+    clusters (j*b columns, 1 <= j <= p) entered only after at least Lsep
+    columns free of clusters. The layer for a length holds the word counts
+    indexed [blocks, pseudo blocks, columns since the last cluster capped at
+    Lsep]; only the last max(l, p*b) layers are kept, and object entries
+    keep the counts exact. Cached: a capped scan counts every cell once to
+    check its total and again per cell."""
     if r == 0:
         return sum(count for _, count, _ in _layout_table(params, k))
-    n, l = params.n, params.l
-    if l == 0:
-        return 0
-    total = 0
-    for clusters, _, slack in _layout_table(params, k):
-        if clusters == 0:
-            total += _run_table(n, 0, r, l)[r, 0]
-            continue
-        end = _run_table(0, slack, r, l)
-        product = end
-        interior = _run_table(params.Lsep, slack, r, l)
-        for _ in range(clusters - 1):
-            product = _run_product(product, interior)
-        # the trailing run: only the (r, slack) coefficient is needed
-        corner = sum(np.dot(product[t], end[r - t, ::-1]) for t in range(r + 1))
-        total += _composition_counts(k, clusters, params.p) * corner
-    return total
+    l, b, Lsep = params.l, params.b, params.Lsep
+    zero = np.zeros((k + 1, r + 1, Lsep + 1), dtype=object)
+    first = zero.copy()
+    first[0, 0, Lsep] = 1  # the leading run is unconstrained
+    # layers[i] counts the words i + 1 columns shorter than the next layer
+    window = max(l, params.B)
+    layers = deque([first] + [zero] * (window - 1), maxlen=window)
+    for _ in range(params.n):
+        layer = _advance(layers[0], 1)
+        if l:
+            layer[:, 1:] += _advance(layers[l - 1][:, :-1], l)
+        for j in range(1, min(params.p, k) + 1):
+            layer[j:, :, 0] += layers[j * b - 1][:-j, :, Lsep]
+        layers.appendleft(layer)
+    return int(layers[0][k, r].sum())
 
 
 def count_supports_formula(params: PibsParams, K: int, R: int) -> int:

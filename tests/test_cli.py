@@ -45,6 +45,13 @@ class TestCount:
         assert out == "6672876\n"
         assert err == ""
 
+    def test_many_clusters_count_without_recursion(self, capsys):
+        # 400 single-block clusters in 800 columns: 401 layouts
+        code = main(["count", "--n", "800", "--b", "1", "--p", "1", "--lsep", "1",
+                     "--K", "400", "--R", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == "401\n"
+
     def test_assumption_warning_on_stderr(self, capsys):
         code = main(["count", "--n", "30", "--b", "2", "--p", "2", "--lsep", "4",
                      "--l", "4", "--K", "3", "--R", "1"])

@@ -140,6 +140,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="matrix payload has .* bytes, expected"):
             matrix_from_binary(blob)
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            (None, "no header line"),
+            ("2 2", "not three integers"),
+            ("2 2 4", "flags in 0..3"),
+            ("2 2 8", "flags in 0..3"),
+            ("0 3 0", "m, n >= 1"),
+            ("-1 -2 0", "m, n >= 1"),
+        ],
+        ids=["no-header-line", "two-fields", "flag-4", "flag-8", "zero-rows", "negative"],
+    )
+    def test_rejects_malformed_header(self, fmt, header, match):
+        # no body: the header is checked before it, so "0 3 0" cannot load
+        # as an empty matrix
+        with pytest.raises(ValueError, match=match):
+            if fmt == "csv":
+                matrix_from_csv("" if header is None else header.replace(" ", ",") + "\n")
+            else:
+                matrix_from_binary(b"2 2 0" if header is None else header.encode() + b"\n")
+
     def test_orthonormal_matrix_gram_is_identity(self):
         mat = orthonormal_matrix(8, np.random.default_rng(0))
         assert np.allclose(mat.gram, np.eye(8), atol=1e-12)

@@ -251,8 +251,13 @@ class TestCounting:
              1_304_331_495_427_066_553_460),
             # 25 pseudo blocks of length 2 in one free run of 60 columns: C(35, 25)
             (PibsParams(n=60, b=1, p=1, l=2, Lsep=2, K=0, R=25), 0, 25, 183_579_396),
+            # long signal: the count is linear in n
+            (PibsParams(n=2000, b=1, p=1, l=2, Lsep=2, K=8, R=3), 8, 3,
+             7_656_627_898_141_506_258_386_332_089_708),
+            # 400 single-block clusters in 800 columns: compositions of depth 400
+            (PibsParams(n=800, b=1, p=1, l=0, Lsep=1, K=400, R=0), 400, 0, 401),
         ],
-        ids=["ric-K2", "ric-K3", "beyond-int64", "no-clusters"],
+        ids=["ric-K2", "ric-K3", "beyond-int64", "no-clusters", "long-signal", "deep-compositions"],
     )
     def test_pinned_pseudo_counts(self, params, k, r, expected):
         signal_model.cell_count.cache_clear()
@@ -262,7 +267,7 @@ class TestCounting:
 
     @pytest.mark.parametrize("n,b,p,Lsep", [(9, 1, 1, 2), (12, 1, 2, 3), (14, 2, 2, 2), (11, 1, 3, 4)])
     def test_count_matches_enumeration(self, n, b, p, Lsep):
-        for l in sorted({1, 2, Lsep}):
+        for l in sorted({0, 1, 2, Lsep}):
             params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=3, R=3)
             for k in range(4):
                 for r in range(4):
