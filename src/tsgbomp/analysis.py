@@ -24,6 +24,7 @@ from .signal_model import (
     cell_count,
     count_bound_exponent,
     iter_cell,
+    min_separation,
 )
 
 __all__ = [
@@ -514,12 +515,13 @@ def real_part_lower_bound_check(z: complex, w: complex) -> tuple[float, float, b
     w = complex(w)
     if z == 0:
         raise ValueError("z must be nonzero")
+    # compare magnitudes, not |w/z|: the quotient overflows for tiny z
+    if abs(w) >= abs(z):
+        raise ValueError(f"|w| = {abs(w)} must be below |z| = {abs(z)}")
     v = w / z
-    if abs(v) >= 1:
-        raise ValueError(f"|w/z| = {abs(v)} must be < 1")
     s = (z + w) / abs(z + w)
     lhs = (s * z.conjugate()).real
-    rhs = abs(z) * math.sqrt(1.0 - abs(v) ** 2)
+    rhs = abs(z) * math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
     ok = lhs >= rhs - 1e-12
     if v.imag == 0:
         ok = ok and abs(lhs - abs(z)) <= 1e-12
@@ -722,7 +724,7 @@ def thm2_bound(
     never raised. Unless `g_value` is supplied, the magnitude-ratio tail g is
     replaced by its conservative closed-form lower bound Kb*w(a)^(Kb-1).
     """
-    Lp = L + 2 * p * b - b
+    Lp = min_separation(b, p, L)
     if lambda_variant == "separation":
         lam = math.sqrt(((K - 1) * b + 2 * Lp) / m)
     elif lambda_variant == "window":

@@ -86,13 +86,10 @@ class ExperimentConfig:
             raise ValueError("identity matrices need m == n")
         if self.n % self.L != 0:
             raise ValueError("n must be divisible by L")
-        Lsep = min_separation(self.b, self.p, self.L)
         for K in self.K_grid:
-            if not feasible_K(self.n, self.b, self.p, Lsep, K):
-                raise ValueError(
-                    f"K={K} infeasible: needs {K * self.b + (-(-K // self.p) - 1) * Lsep} "
-                    f"indices but n={self.n}"
-                )
+            if not feasible_K(self.n, self.b, self.p, self.Lsep, K):
+                need = K * self.b + (-(-K // self.p) - 1) * self.Lsep
+                raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")
 
     @property
     def Lsep(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,8 +184,8 @@ def matrix_to_csv(mat: SensingMatrix) -> str:
 
 def matrix_from_csv(text: str) -> SensingMatrix:
     """Inverse of `matrix_to_csv`. Raises ValueError unless the header is
-    valid and the body has exactly m rows of n values (2n interleaved re,im
-    values when complex)."""
+    valid and the body has exactly m rows of n finite values (2n interleaved
+    re,im values when complex)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("matrix CSV is empty: no header line")
@@ -198,6 +199,8 @@ def matrix_from_csv(text: str) -> SensingMatrix:
         vals = [float(v) for v in ln.split(",")]
         if len(vals) != width:
             raise ValueError(f"matrix CSV row {i} has {len(vals)} fields, expected {width}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"matrix CSV row {i} holds a non-finite value (nan or inf)")
         if is_complex:
             re = vals[0::2]
             im = vals[1::2]
@@ -222,8 +225,8 @@ def matrix_to_binary(mat: SensingMatrix) -> bytes:
 
 def matrix_from_binary(blob: bytes) -> SensingMatrix:
     """Inverse of `matrix_to_binary`. Raises ValueError when the header is
-    missing or invalid, or the payload size does not match its m, n and
-    complex flag."""
+    missing or invalid, the payload size does not match its m, n and
+    complex flag, or a value is nan or inf."""
     newline = blob.find(b"\n")
     if newline < 0:
         raise ValueError("matrix binary has no header line: no newline found")
@@ -236,6 +239,8 @@ def matrix_from_binary(blob: bytes) -> SensingMatrix:
             f"for m={m}, n={n}, flags={flags}"
         )
     body = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(body).all():
+        raise ValueError("matrix payload holds a non-finite value (nan or inf)")
     if flags & _FLAG_COMPLEX:
         body = body.reshape(m, n, 2)
         entries = body[..., 0] + 1j * body[..., 1]

@@ -217,14 +217,9 @@ def _composition_counts(total: int, parts: int, p: int) -> int:
 
 
 def _compositions(total: int, parts: int, p: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for j in range(1, p + 1):
-        if parts - 1 <= total - j <= (parts - 1) * p:
-            for rest in _compositions(total - j, parts - 1, p):
-                yield (j,) + rest
+    """Lexicographic order, the sampler's unranking order, with no recursion."""
+    for index in range(_composition_counts(total, parts, p)):
+        yield _unrank_composition(index, total, parts, p)
 
 
 def _unrank_composition(index: int, total: int, parts: int, p: int) -> tuple[int, ...]:
@@ -247,7 +242,7 @@ def _layout_table(params: PibsParams, total_blocks: int) -> tuple[tuple[int, int
     """(k, layouts, slack) for every cluster count k that fits the block
     budget: slack is the free columns beyond the k - 1 minimum gaps, and
     layouts = compositions * C(slack + k, k). Sampling, enumeration and
-    the pseudo-free count (r = 0) read this table."""
+    the closed form (R = 0) read this table; `cell_count` does not."""
     n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
     rows = []
     for k in range(-(-total_blocks // p), total_blocks + 1):
@@ -413,21 +408,18 @@ def _advance(layer: np.ndarray, columns: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4096)
-def cell_count(params: PibsParams, k: int, r: int) -> int:
-    """Exact size of the (k, r) cell without materializing it. r = 0: the
-    layout table's total. r >= 1: one pass over the n columns that reads a
-    support as a word of free columns, pseudo blocks (l columns) and
-    clusters (j*b columns, 1 <= j <= p) entered only after at least Lsep
-    columns free of clusters. The layer for a length holds the word counts
-    indexed [blocks, pseudo blocks, columns since the last cluster capped at
-    Lsep]; only the last max(l, p*b) layers are kept, and object entries
-    keep the counts exact. Cached: a capped scan counts every cell once to
-    check its total and again per cell."""
-    if r == 0:
-        return sum(count for _, count, _ in _layout_table(params, k))
-    l, b, Lsep = params.l, params.b, params.Lsep
-    zero = np.zeros((k + 1, r + 1, Lsep + 1), dtype=object)
+@lru_cache
+def _cell_lattice(params: PibsParams) -> tuple[tuple[int, ...], ...]:
+    """Exact size of every cell within the budgets, entry [k][r] for
+    k <= K and r <= R, without materializing one: a single pass over the n
+    columns that reads a support as a word of free columns, pseudo blocks
+    (l columns) and clusters (j*b columns, 1 <= j <= p) entered only after
+    at least Lsep columns free of clusters. The layer for a length holds the
+    word counts indexed [blocks, pseudo blocks, columns since the last
+    cluster capped at Lsep]; only the last max(l, p*b) layers are kept, and
+    object entries keep the counts exact."""
+    K, R, l, b, Lsep = params.K, params.R, params.l, params.b, params.Lsep
+    zero = np.zeros((K + 1, R + 1, Lsep + 1), dtype=object)
     first = zero.copy()
     first[0, 0, Lsep] = 1  # the leading run is unconstrained
     # layers[i] counts the words i + 1 columns shorter than the next layer
@@ -437,47 +429,44 @@ def cell_count(params: PibsParams, k: int, r: int) -> int:
         layer = _advance(layers[0], 1)
         if l:
             layer[:, 1:] += _advance(layers[l - 1][:, :-1], l)
-        for j in range(1, min(params.p, k) + 1):
+        for j in range(1, min(params.p, K) + 1):
             layer[j:, :, 0] += layers[j * b - 1][:-j, :, Lsep]
         layers.appendleft(layer)
-    return int(layers[0][k, r].sum())
+    return tuple(tuple(map(int, row)) for row in layers[0].sum(axis=-1))
+
+
+def cell_count(params: PibsParams, k: int, r: int) -> int:
+    """Exact size of the (k, r) cell, read from the geometry's one counting
+    pass; a cell outside the budgets [0, K] x [0, R] is a ValueError."""
+    if not (0 <= k <= params.K and 0 <= r <= params.R):
+        raise ValueError(f"cell ({k}, {r}) outside [0, K={params.K}] x [0, R={params.R}]")
+    return _cell_lattice(params)[k][r]
 
 
 def count_supports_formula(params: PibsParams, K: int, R: int) -> int:
     """Closed-form count of the (K, R) cell via the composition/stars-and-bars
     expression; exact integers throughout.
 
-    The R = 0 branch is exact. For R >= 1 the inner sum runs over interior
-    gaps holding at least one pseudo block (q >= 1) and counts per-gap
-    occupancy patterns rather than individual placements, so it can disagree
-    with `cell_count`; compare_counts() reports such gaps instead of
-    papering over them.
+    R = 0 is the layout table's total, the paper's sum over k of
+    compositions * C(k + P - Lsep(k - 1), k) with P = n - Kb; it is exact.
+    For R >= 1 the inner sum runs over interior gaps holding at least one
+    pseudo block (q >= 1) and counts per-gap occupancy patterns rather than
+    individual placements, so it can disagree with `cell_count`;
+    compare_counts() reports such gaps instead of papering over them.
     """
     if K < 0 or R < 0:
         raise ValueError("K and R must be nonnegative")
-    n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
+    if R == 0:
+        return sum(count for _, count, _ in _layout_table(params, K))
     if K == 0:
-        if R == 0:
-            return 1
         return 0  # the q-sum needs an interior gap, so no clusters means no terms
 
-    total = 0
-    k_lo = -(-K // p)
-    if R == 0:
-        P = n - K * b
-        for k in range(k_lo, K + 1):
-            comp = _composition_counts(K, k, p)
-            if comp == 0:
-                continue
-            top = k + P - Lsep * (k - 1)
-            if top >= k:
-                total += comp * math.comb(top, k)
-        return total
-
+    n, b, p, Lsep = params.n, params.b, params.p, params.Lsep
     P = n - K * b - Lsep * R
     if P < 0:
         return 0
-    for k in range(k_lo, K + 1):
+    total = 0
+    for k in range(-(-K // p), K + 1):
         comp = _composition_counts(K, k, p)
         if comp == 0:
             continue
@@ -671,8 +660,8 @@ def signal_to_csv(x: np.ndarray) -> str:
 
 
 def signal_values_from_csv(text: str, n: int) -> np.ndarray:
-    """Dense length-n vector from `signal_to_csv` rows; a malformed row or
-    an index outside [1, n] is a ValueError."""
+    """Dense length-n vector from `signal_to_csv` rows; a malformed row, a
+    nan or inf value, or an index outside [1, n] is a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty signal file")
@@ -691,6 +680,8 @@ def signal_values_from_csv(text: str, n: int) -> np.ndarray:
             vals = []
         if len(vals) != width:
             raise ValueError(f"malformed signal row {ln!r} under header {lines[0]!r}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"signal row {ln!r} holds a non-finite value (nan or inf)")
         if not 1 <= idx <= n:
             raise ValueError(f"signal index {idx} outside [1, {n}]")
         x[idx - 1] = vals[0] + 1j * vals[1] if complex_form else vals[0]

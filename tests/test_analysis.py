@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgbomp import signal_model
 from tsgbomp.analysis import (
     cell_count,
     classical_ric,
@@ -77,6 +79,17 @@ class TestPibric:
         Phi = identity_matrix(60)
         with pytest.raises(EnumerationCapError):
             pibric(Phi, params, 4, 0, cap=100)
+
+    def test_cap_check_counts_every_cell_in_one_pass(self):
+        # 65 cells, all read from one counting pass of the geometry
+        params = PibsParams(n=1000, b=4, p=3, l=50, Lsep=100, K=12, R=4)
+        Phi = identity_matrix(1000)
+        signal_model._cell_lattice.cache_clear()
+        t0 = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as err:
+            pibric(Phi, params, 12, 4)
+        assert time.perf_counter() - t0 < 1.0
+        assert err.value.count == 667_939_705_693_488_502_226_193_470
 
     def test_cell_count_matches_enumeration(self):
         params = PibsParams(n=30, b=2, p=2, l=4, Lsep=6, K=2, R=2)
@@ -222,7 +235,7 @@ class TestRealPartBound:
     def test_random_property(self, zr, zi, wr, wi):
         z = complex(zr, zi)
         w = complex(wr, wi)
-        if z == 0 or abs(w / z) >= 1:
+        if z == 0 or abs(w) >= abs(z):
             return
         _, _, ok = real_part_lower_bound_check(z, w)
         assert ok

@@ -81,6 +81,14 @@ class TestThm1:
         assert "FAIL(19)" in capsys.readouterr().out
 
 
+class TestThm2:
+    def test_window_length_zero_exits_one(self, capsys):
+        code = main(["thm2", "--b", "1", "--p", "1", "--L", "0", "--K", "4",
+                     "--m", "40", "--n", "100", "--eps0", "0.1", "--eps", "0.1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
+
+
 class TestGenerators:
     def test_gen_matrix_and_signal_round_trip(self, tmp_path):
         mat_path = tmp_path / "phi.csv"
@@ -149,7 +157,7 @@ class TestRecover:
         assert err.value.code == 2
         assert "--L is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc"])
+    @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc", "3,nan"])
     def test_bad_measurement_row_exits_one(self, matrix_file, tmp_path, capsys, row):
         _, mat_path = matrix_file
         y_path = tmp_path / "y.csv"
@@ -175,6 +183,15 @@ class TestRic:
     def test_malformed_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "phi.csv"
         path.write_text("2,2,0\n1,0\n0,1\n1,1\n")
+        code = main(["ric", "--matrix", str(path), "--b", "1", "--p", "1",
+                     "--lsep", "2", "--K", "1", "--R", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_matrix_exits_one(self, tmp_path, capsys):
+        # a nan row would win the argmax and report delta = 0.0
+        path = tmp_path / "phi.csv"
+        path.write_text("2,2,0\n1,nan\n0,1\n")
         code = main(["ric", "--matrix", str(path), "--b", "1", "--p", "1",
                      "--lsep", "2", "--K", "1", "--R", "0"])
         assert code == 1

@@ -162,6 +162,19 @@ class TestSerialization:
             else:
                 matrix_from_binary(b"2 2 0" if header is None else header.encode() + b"\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entry(self, fmt, value):
+        entries = gaussian_matrix(3, 4, "unit", False, np.random.default_rng(3)).entries
+        entries[2, 1] = value
+        mat = SensingMatrix(entries=entries)
+        if fmt == "csv":
+            with pytest.raises(ValueError, match="row 3 holds a non-finite value"):
+                matrix_from_csv(matrix_to_csv(mat))
+        else:
+            with pytest.raises(ValueError, match="non-finite value"):
+                matrix_from_binary(matrix_to_binary(mat))
+
     def test_orthonormal_matrix_gram_is_identity(self):
         mat = orthonormal_matrix(8, np.random.default_rng(0))
         assert np.allclose(mat.gram, np.eye(8), atol=1e-12)

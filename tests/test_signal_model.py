@@ -189,6 +189,12 @@ class TestEnumeration:
                 assert list(iter_cell(params, k, r)) == valid
                 assert signal_model.cell_count(params, k, r) == len(valid)
 
+    def test_thousand_clusters_enumerate_without_recursion(self):
+        # 1000 single-block clusters one column apart fill 1999 columns
+        params = PibsParams(n=1999, b=1, p=1, l=0, Lsep=1, K=1000, R=0)
+        (sup,) = iter_cell(params, 1000, 0)
+        assert sup.columns == tuple(range(1, 2000, 2))
+
     def test_budget_zero_is_only_empty(self):
         params = make_params(n=12, K=0)
         sups = enumerate_supports(params, 0, 0)
@@ -260,10 +266,16 @@ class TestCounting:
         ids=["ric-K2", "ric-K3", "beyond-int64", "no-clusters", "long-signal", "deep-compositions"],
     )
     def test_pinned_pseudo_counts(self, params, k, r, expected):
-        signal_model.cell_count.cache_clear()
+        signal_model._cell_lattice.cache_clear()
         t0 = time.perf_counter()
         assert signal_model.cell_count(params, k, r) == expected
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("k,r", [(3, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_cell_outside_budgets_rejected(self, k, r):
+        params = PibsParams(n=20, b=1, p=1, l=1, Lsep=2, K=2, R=1)
+        with pytest.raises(ValueError, match=r"outside \[0, K=2\] x \[0, R=1\]"):
+            signal_model.cell_count(params, k, r)
 
     @pytest.mark.parametrize("n,b,p,Lsep", [(9, 1, 1, 2), (12, 1, 2, 3), (14, 2, 2, 2), (11, 1, 3, 4)])
     def test_count_matches_enumeration(self, n, b, p, Lsep):
@@ -417,6 +429,16 @@ class TestSerialization:
     )
     def test_malformed_signal_row_rejected(self, text):
         with pytest.raises(ValueError, match="malformed"):
+            signal_values_from_csv(text, 9)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["index,value\n3,nan\n", "index,value\n3,inf\n", "index,value\n3,-inf\n",
+         "index,re,im\n3,1.0,nan\n"],
+        ids=["nan", "inf", "-inf", "complex-nan"],
+    )
+    def test_non_finite_signal_value_rejected(self, text):
+        with pytest.raises(ValueError, match="signal row '3,.*' holds a non-finite value"):
             signal_values_from_csv(text, 9)
 
     def test_signal_round_trip_complex(self):
