@@ -71,19 +71,25 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
-def _batched_opdev(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """max-|eigenvalue| of G[S,S] - I for every row S of idx, chunked."""
-    N, s = idx.shape
-    out = np.empty(N)
+def _opdev(args) -> np.ndarray:
+    """max-|eigenvalue| of G[S,S] - I for every row S of one chunk; the
+    gathered block lives only for this call."""
+    G, idx = args
+    sub = G[idx[:, :, None], idx[:, None, :]]
+    diag = np.arange(idx.shape[1])
+    sub[:, diag, diag] -= 1.0
+    ev = np.linalg.eigvalsh(sub)
+    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+
+
+def _batched_opdev(G: np.ndarray, idx: np.ndarray, pool=None) -> np.ndarray:
+    """max-|eigenvalue| of G[S,S] - I for every row S of idx, in row order.
+    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS gathered entries; with a
+    pool the chunks are spread over its workers, with the same result."""
+    s = idx.shape[1]
     chunk = max(1, _EIG_CHUNK_ELEMENTS // max(1, s * s))
-    diag = np.arange(s)
-    for lo in range(0, N, chunk):
-        part = idx[lo : lo + chunk]
-        sub = G[part[:, :, None], part[:, None, :]]
-        sub[:, diag, diag] -= 1.0
-        ev = np.linalg.eigvalsh(sub)
-        out[lo : lo + part.shape[0]] = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
-    return out
+    parts = [(G, idx[lo : lo + chunk]) for lo in range(0, idx.shape[0], chunk)]
+    return np.concatenate(list((map if pool is None else pool.map)(_opdev, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,28 +114,6 @@ class RicEstimate:
     supports_scanned: int
 
 
-def _opdev_chunk(args) -> tuple[float, int]:
-    G, idx = args
-    devs = _batched_opdev(G, idx)
-    i = int(np.argmax(devs))
-    return float(devs[i]), i
-
-
-def _cell_max(G: np.ndarray, idx: np.ndarray, pool, jobs: int) -> tuple[float, int]:
-    """Largest deviation over the rows of idx and the first row attaining it.
-    With a pool, contiguous row slices go to the workers and the reduction
-    keeps row order, so the result is the serial one."""
-    if pool is None or idx.shape[0] < 4 * jobs:
-        return _opdev_chunk((G, idx))
-    bounds = np.linspace(0, idx.shape[0], jobs + 1, dtype=int)
-    parts = [(G, idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    best, arg = -1.0, 0
-    for (val, i), lo in zip(pool.map(_opdev_chunk, parts), bounds):
-        if val > best:
-            best, arg = val, int(lo) + i
-    return best, arg
-
-
 def pibric(
     Phi: SensingMatrix,
     params: PibsParams,
@@ -148,12 +132,9 @@ def pibric(
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
-    best = 0.0
-    best_support: Support | None = Support(clusters=(), pseudo=(), params=params)
-    for stat in pibric_table(Phi, params, K, R, cell_cap=cap, jobs=jobs).values():
-        if stat.delta > best:
-            best, best_support = stat.delta, stat.argmax
-    return RicEstimate(delta=best, argmax_support=best_support, supports_scanned=total)
+    table = pibric_table(Phi, params, K, R, cell_cap=cap, jobs=jobs)
+    best = max(table.values(), key=lambda stat: stat.delta)
+    return RicEstimate(delta=best.delta, argmax_support=best.argmax, supports_scanned=total)
 
 
 @dataclass(frozen=True)
@@ -168,11 +149,11 @@ def pibric_table(
     Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000,
     jobs: int = 1,
 ) -> dict[tuple[int, int], _CellStat]:
-    """Per-cell maxima of operator_norm_dev, keyed in (k, r) order; cells
-    larger than cell_cap are marked skipped instead of computed. The
-    order-(K', R') constant is the max over all cells with k <= K', r <= R'
-    when none of them is skipped. With jobs > 1 each large cell is split
-    across processes; the table never depends on jobs."""
+    """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
+    the first support attaining it; cells larger than cell_cap are marked
+    skipped instead of computed, and `_order_deltas` reads the order
+    constants off the table. With jobs > 1 one pool of worker processes
+    runs every cell's eigensolve chunks; the table never depends on jobs."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
@@ -198,26 +179,25 @@ def pibric_table(
                 if idx is None:
                     table[(k, r)] = _CellStat(delta=0.0, argmax=sups[0], count=count)
                     continue
-                delta, i = _cell_max(G, idx, pool, jobs)
-                table[(k, r)] = _CellStat(delta=delta, argmax=sups[i], count=count)
+                devs = _batched_opdev(G, idx, pool)
+                i = int(np.argmax(devs))
+                table[(k, r)] = _CellStat(delta=float(devs[i]), argmax=sups[i], count=count)
     finally:
         if pool is not None:
             pool.shutdown()
     return table
 
 
-def _order_delta(table: dict[tuple[int, int], _CellStat], K: int, R: int) -> float | None:
-    """Constant of order (K, R) from a cell table, or None when a needed cell
-    was skipped."""
-    best = 0.0
-    for k in range(K + 1):
-        for r in range(R + 1):
-            stat = table.get((k, r))
-            if stat is None or stat.skipped:
-                return None
-            if stat.count:
-                best = max(best, stat.delta)
-    return best
+def _order_deltas(table: dict[tuple[int, int], _CellStat]) -> dict[tuple[int, int], float]:
+    """Constant of every order (K', R') whose cells k <= K', r <= R' were all
+    computed, in the table's (k, r) order: the max of cell (K', R') and of
+    the orders (K'-1, R') and (K', R'-1)."""
+    deltas: dict[tuple[int, int], float] = {}
+    for (k, r), stat in table.items():
+        below = [o for o in ((k - 1, r), (k, r - 1)) if min(o) >= 0]
+        if not stat.skipped and all(o in deltas for o in below):
+            deltas[(k, r)] = max([stat.delta] + [deltas[o] for o in below])
+    return deltas
 
 
 def classical_ric(Phi: SensingMatrix, size: int) -> float:
@@ -381,18 +361,8 @@ def verify_lemmas(
     fam_B = replace(params, l=1)
     table_A = pibric_table(Phi, params, K, R, cell_cap=cell_cap)
     table_B = pibric_table(Phi, fam_B, K, R, cell_cap=cell_cap)
-
-    def deltas(table):
-        out = {}
-        for Kp in range(K + 1):
-            for Rp in range(R + 1):
-                d = _order_delta(table, Kp, Rp)
-                if d is not None:
-                    out[(Kp, Rp)] = d
-        return out
-
-    d_A = deltas(table_A)
-    d_B = deltas(table_B)
+    d_A = _order_deltas(table_A)
+    d_B = _order_deltas(table_B)
 
     complex_case = Phi.is_complex
 

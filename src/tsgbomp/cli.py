@@ -45,7 +45,7 @@ def _save_matrix(mat: sensing.SensingMatrix, path: str) -> None:
 def _cmd_gen_signal(args) -> int:
     params = _params_from_args(args, args.n, args.K, 0)
     rng = np.random.default_rng(args.seed)
-    support = signal_model.sample_support(params, args.blocks, rng)
+    support = signal_model.sample_support(params, args.K, rng)
     if args.scheme == "gaussian":
         sig = signal_model.fill_values(support, "gaussian", rng=rng)
     else:
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-signal", help="sample a support and fill values")
     geometry(sp, with_l=False)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--blocks", type=int, default=None)
     sp.add_argument("--scheme", choices=["const", "gaussian"], default="const")
     sp.add_argument("--amplitude", type=float, default=10.0)
     sp.add_argument("--seed", type=int, required=True)
@@ -308,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen-signal" and args.blocks is None:
-        args.blocks = args.K
     if args.command == "gbounds" and args.trials and args.seed is None:
         parser.error("--seed is required when --trials is set")
     if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
         parser.error("--L is required for --alg tsgbomp")
     try:
         return args.func(args)
-    except (ValueError, signal_model.GeometryError, signal_model.EnumerationCapError) as exc:
+    except (ValueError, signal_model.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

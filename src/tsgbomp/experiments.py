@@ -84,11 +84,12 @@ class ExperimentConfig:
             raise ValueError("matrix_kind must be 'gaussian' or 'identity'")
         if self.matrix_kind == "identity" and self.m != self.n:
             raise ValueError("identity matrices need m == n")
+        Lsep = self.Lsep  # raises unless b, p and L are all >= 1
         if self.n % self.L != 0:
             raise ValueError("n must be divisible by L")
         for K in self.K_grid:
-            if not feasible_K(self.n, self.b, self.p, self.Lsep, K):
-                need = K * self.b + (-(-K // self.p) - 1) * self.Lsep
+            if not feasible_K(self.n, self.b, self.p, Lsep, K):
+                need = K * self.b + (-(-K // self.p) - 1) * Lsep
                 raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")
 
     @property

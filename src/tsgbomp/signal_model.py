@@ -661,7 +661,8 @@ def signal_to_csv(x: np.ndarray) -> str:
 
 def signal_values_from_csv(text: str, n: int) -> np.ndarray:
     """Dense length-n vector from `signal_to_csv` rows; a malformed row, a
-    nan or inf value, or an index outside [1, n] is a ValueError."""
+    nan or inf value, an index outside [1, n] or a repeated index is a
+    ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty signal file")
@@ -671,6 +672,7 @@ def signal_values_from_csv(text: str, n: int) -> np.ndarray:
         raise ValueError(f"unrecognized signal header: {lines[0]!r}")
     x = np.zeros(n, dtype=complex if complex_form else float)
     width = 2 if complex_form else 1
+    seen: set[int] = set()
     for ln in lines[1:]:
         parts = ln.split(",")
         try:
@@ -684,5 +686,8 @@ def signal_values_from_csv(text: str, n: int) -> np.ndarray:
             raise ValueError(f"signal row {ln!r} holds a non-finite value (nan or inf)")
         if not 1 <= idx <= n:
             raise ValueError(f"signal index {idx} outside [1, {n}]")
+        if idx in seen:
+            raise ValueError(f"signal index {idx} appears twice")
+        seen.add(idx)
         x[idx - 1] = vals[0] + 1j * vals[1] if complex_form else vals[0]
     return x

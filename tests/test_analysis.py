@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgbomp import signal_model
+from tsgbomp import analysis, signal_model
 from tsgbomp.analysis import (
+    _order_deltas,
     cell_count,
     classical_ric,
     f_K,
@@ -116,6 +117,51 @@ class TestPibric:
         assert serial.delta == parallel.delta
         assert serial.argmax_support == parallel.argmax_support
         assert serial.supports_scanned == parallel.supports_scanned
+
+    def test_table_cells_and_order_constants(self, monkeypatch):
+        # cell (2, 2) is empty and cell (1, 1) holds 20 supports, over the cap
+        params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
+        Phi = gaussian_matrix(5, 7, "unit", True, np.random.default_rng(11))
+        table = pibric_table(Phi, params, 2, 2, cell_cap=15)
+        cells = [(k, r) for k in range(3) for r in range(3)]
+        assert list(table) == cells
+        assert table[(2, 2)].count == 0
+        assert table[(2, 2)].delta == 0.0 and table[(2, 2)].argmax is None
+        assert table[(1, 1)].skipped and math.isnan(table[(1, 1)].delta)
+        for cell, stat in table.items():
+            if not stat.count or stat.skipped:
+                continue
+            sups = list(iter_cell(params, *cell))
+            assert stat.count == len(sups) and stat.argmax in sups
+            if not stat.argmax.columns:
+                assert stat.delta == 0.0
+                continue
+            devs = [operator_norm_dev(Phi, s.columns) for s in sups]
+            assert stat.delta == pytest.approx(max(devs), abs=1e-12)
+            assert operator_norm_dev(Phi, stat.argmax.columns) == pytest.approx(stat.delta, abs=1e-12)
+
+        # an order is known iff none of its cells was skipped
+        deltas = _order_deltas(table)
+        assert list(deltas) == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
+        for (K, R), d in deltas.items():
+            assert d == max(table[(k, r)].delta for k in range(K + 1) for r in range(R + 1))
+
+        full = pibric_table(Phi, params, 2, 2, cell_cap=100)
+        est = pibric(Phi, params, 2, 2)
+        top = max(s.delta for s in full.values())
+        first = next(s for s in full.values() if s.delta == top)
+        assert est.delta == first.delta and est.argmax_support == first.argmax
+        assert est.supports_scanned == sum(s.count for s in full.values())
+
+        # one gathered row per chunk: the pool sees many chunks per cell
+        monkeypatch.setattr(analysis, "_EIG_CHUNK_ELEMENTS", 1)
+        assert pibric_table(Phi, params, 2, 2, cell_cap=15, jobs=1) == table
+        assert pibric_table(Phi, params, 2, 2, cell_cap=15, jobs=2) == table
+
+    def test_identity_matrix_returns_empty_support(self):
+        params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
+        est = pibric(identity_matrix(7), params, 2, 2)
+        assert est.delta == 0.0 and est.argmax_support.is_empty()
 
     def test_complex_matrix_pairwise_reduction(self):
         rng = np.random.default_rng(9)

@@ -82,11 +82,53 @@ class TestThm1:
 
 
 class TestThm2:
+    README = ["thm2", "--b", "1", "--p", "1", "--L", "2", "--K", "4", "--m", "2000",
+              "--n", "200", "--eps0", "0.05", "--eps", "0.05"]
+
+    def test_readme_example_reports_flags_and_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "thm2.csv"
+        code = main([*self.README, "--csv", str(csv_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        flags = [ln for ln in out.splitlines() if ln.startswith("flag ")]
+        assert len(flags) == 7
+        assert "flag eps0-window: VIOLATED" in flags
+        rows = csv_path.read_text().splitlines()
+        assert len(rows) == 23 and rows[0] == "quantity,value"
+        names = [row.split(",")[0] for row in rows[1:]]
+        assert names[:15] == ["lambda", "nu", "rho", "A", "C", "D", "E", "h", "c1", "c2",
+                              "eps0", "eps", "g", "bound", "bound_derivation"]
+        assert names[15:] == ["flag_" + ln[len("flag "):].split(":")[0] for ln in flags]
+        assert "flag_eps0-window,0" in rows
+        values = dict(row.split(",") for row in rows[1:])
+        assert f"lambda = {values['lambda']} (separation)\n" in out
+        assert f"h  = {values['h']}\n" in out
+        assert f"bound            = {values['bound']}\n" in out
+
     def test_window_length_zero_exits_one(self, capsys):
         code = main(["thm2", "--b", "1", "--p", "1", "--L", "0", "--K", "4",
                      "--m", "40", "--n", "100", "--eps0", "0.1", "--eps", "0.1"])
         assert code == 1
         assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
+
+
+class TestGbounds:
+    ARGS = ["gbounds", "--a", "0.5", "--K", "4", "--b", "1"]
+    BOUNDS = "lower = 0.0343762320194731\nupper = 0.8193310587965339\n"
+
+    def test_closed_form_bounds(self, capsys):
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == self.BOUNDS
+
+    def test_seeded_empirical_tail(self, capsys):
+        assert main([*self.ARGS, "--trials", "1000", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == self.BOUNDS + "empirical = 0.056\n"
+
+    def test_trials_without_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*self.ARGS, "--trials", "1000"])
+        assert err.value.code == 2
+        assert "--seed is required when --trials is set" in capsys.readouterr().err
 
 
 class TestGenerators:
@@ -157,7 +199,7 @@ class TestRecover:
         assert err.value.code == 2
         assert "--L is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc", "3,nan"])
+    @pytest.mark.parametrize("row", ["0,1.0", "25,1.0", "3,abc", "3,nan", "3,1.0\n3,2.0"])
     def test_bad_measurement_row_exits_one(self, matrix_file, tmp_path, capsys, row):
         _, mat_path = matrix_file
         y_path = tmp_path / "y.csv"
@@ -232,6 +274,14 @@ class TestCurveCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "K,algorithm,success_rate,trials"
         assert len(lines) == 3
+
+
+    def test_window_length_zero_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=48\nm=48\nb=2\np=2\nL=0\nK_grid=1\nmaster_seed=5\n")
+        code = main(["curve", "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
 
 
 class TestTheoremSuiteCommand:

@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="infeasible"):
             small_config(K_grid=(1, 50))
 
+    def test_window_length_zero_rejected(self):
+        with pytest.raises(ValueError, match="b, p, L must all be >= 1"):
+            small_config(L=0)
+
     def test_identity_kind_needs_square(self):
         with pytest.raises(ValueError):
             small_config(matrix_kind="identity")

@@ -441,6 +441,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="signal row '3,.*' holds a non-finite value"):
             signal_values_from_csv(text, 9)
 
+    @pytest.mark.parametrize("text", ["index,value\n1,3\n1,4\n", "index,re,im\n1,3,0\n1,4,0\n"])
+    def test_repeated_signal_index_rejected(self, text):
+        with pytest.raises(ValueError, match="signal index 1 appears twice"):
+            signal_values_from_csv(text, 3)
+
     def test_signal_round_trip_complex(self):
         x = np.zeros(6, dtype=complex)
         x[1] = 1 - 2j
