@@ -12,16 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
 from .sensing import SensingMatrix
 from .signal_model import (
+    CellRows,
     EnumerationCapError,
     PibsParams,
     Support,
     cell_count,
+    cell_rows,
     count_bound_exponent,
     iter_cell,
     min_separation,
@@ -96,13 +99,17 @@ def _batched_opdev(G: np.ndarray, idx: np.ndarray, pool=None) -> np.ndarray:
 # cell enumeration with caching
 
 @lru_cache(maxsize=512)
-def _cell_data(params: PibsParams, k: int, r: int):
-    """Materialized cell: (supports tuple, 0-based column index array or
-    None). Callers check the cell's `cell_count` against their cap first."""
-    sups = tuple(iter_cell(params, k, r))
-    if not sups or not sups[0].columns:
-        return sups, None
-    return sups, np.asarray([s.columns for s in sups], dtype=np.intp) - 1
+def _cell_data(params: PibsParams, k: int, r: int) -> CellRows:
+    """The (k, r) cell as index arrays (`cell_rows`), rows in `iter_cell`
+    order; only arrays are cached, and a Support is built only for a row
+    that is reported or sampled. Row 0 is checked against the first support
+    `iter_cell` yields. Callers check the cell's `cell_count` against their
+    cap first."""
+    cell = cell_rows(params, k, r)
+    first = next(iter_cell(params, k, r), None)
+    if (cell.support(0) if len(cell) else None) != first:
+        raise AssertionError(f"cell ({k}, {r}) row 0 differs from iter_cell's first support")
+    return cell
 
 
 @dataclass(frozen=True)
@@ -150,10 +157,12 @@ def pibric_table(
     jobs: int = 1,
 ) -> dict[tuple[int, int], _CellStat]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
-    the first support attaining it; cells larger than cell_cap are marked
-    skipped instead of computed, and `_order_deltas` reads the order
-    constants off the table. With jobs > 1 one pool of worker processes
-    runs every cell's eigensolve chunks; the table never depends on jobs."""
+    the first support attaining it: the deviations are computed on the rows
+    of the cell's column array (`_cell_data`), and only the first maximal
+    row becomes a Support. Cells larger than cell_cap are marked skipped
+    instead of computed, and `_order_deltas` reads the order constants off
+    the table. With jobs > 1 one pool of worker processes runs every cell's
+    eigensolve chunks; the table never depends on jobs."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
@@ -175,13 +184,13 @@ def pibric_table(
                         delta=math.nan, argmax=None, count=count, skipped=True
                     )
                     continue
-                sups, idx = _cell_data(params, k, r)
-                if idx is None:
-                    table[(k, r)] = _CellStat(delta=0.0, argmax=sups[0], count=count)
+                cell = _cell_data(params, k, r)
+                if not cell.columns.shape[1]:
+                    table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
                     continue
-                devs = _batched_opdev(G, idx, pool)
+                devs = _batched_opdev(G, cell.columns, pool)
                 i = int(np.argmax(devs))
-                table[(k, r)] = _CellStat(delta=float(devs[i]), argmax=sups[i], count=count)
+                table[(k, r)] = _CellStat(delta=float(devs[i]), argmax=cell.support(i), count=count)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -202,13 +211,14 @@ def _order_deltas(table: dict[tuple[int, int], _CellStat]) -> dict[tuple[int, in
 
 def classical_ric(Phi: SensingMatrix, size: int) -> float:
     """Unstructured isometry constant: max deviation over all column subsets
-    of the given size. Brute force, small instances only."""
-    from itertools import combinations
-
+    of the given size, 1 <= size <= n. Brute force, small instances only."""
+    if not 1 <= size <= Phi.n:
+        raise ValueError(f"subset size {size} outside [1, n={Phi.n}]")
     total = math.comb(Phi.n, size)
     if total > _CLASSICAL_CAP:
         raise EnumerationCapError(total, _CLASSICAL_CAP)
-    idx = np.asarray(list(combinations(range(Phi.n), size)), dtype=np.intp)
+    subsets = chain.from_iterable(combinations(range(Phi.n), size))
+    idx = np.fromiter(subsets, np.intp, total * size).reshape(total, size)
     devs = _batched_opdev(Phi.gram, idx)
     return float(devs.max())
 
@@ -267,24 +277,35 @@ def _projector_complement(Phi: SensingMatrix, cols0: np.ndarray):
 
 def _table_supports(
     table: dict[tuple[int, int], _CellStat], params: PibsParams, K: int, R: int
-) -> list[Support]:
-    """Supports covering at least one column from every computed cell of the
-    table with k <= K and r <= R, in cell order then enumeration order."""
-    pool: list[Support] = []
+) -> list[CellRows]:
+    """The computed cells of the table with k <= K and r <= R whose supports
+    cover at least one column, in cell order: the pool `_sample_supports`
+    draws from, as arrays, with no Support built."""
+    cells = []
     for k in range(K + 1):
         for r in range(R + 1):
             stat = table[(k, r)]
             if stat.count and not stat.skipped:
-                sups, _ = _cell_data(params, k, r)
-                pool.extend(s for s in sups if s.columns)
-    return pool
+                cell = _cell_data(params, k, r)
+                if cell.columns.shape[1]:
+                    cells.append(cell)
+    return cells
 
 
-def _sample_supports(pool: list[Support], limit: int, rng: np.random.Generator) -> list[Support]:
-    if len(pool) <= limit:
-        return pool
-    picks = rng.choice(len(pool), size=limit, replace=False)
-    return [pool[i] for i in sorted(picks)]
+def _sample_supports(
+    cells: list[CellRows], limit: int, rng: np.random.Generator
+) -> list[Support]:
+    """Every row of the cells, in order, as Supports when they number at most
+    `limit`; otherwise `limit` rows drawn without replacement, in order."""
+    sizes = [len(cell) for cell in cells]
+    total = sum(sizes)
+    picks = range(total) if total <= limit else sorted(rng.choice(total, size=limit, replace=False))
+    ends = np.cumsum(sizes)
+    out = []
+    for i in picks:
+        c = int(np.searchsorted(ends, i, side="right"))
+        out.append(cells[c].support(int(i - ends[c] + sizes[c])))
+    return out
 
 
 def _random_coeffs(size: int, draws: int, rng: np.random.Generator, complex_values: bool):

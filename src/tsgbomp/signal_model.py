@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, islice
 from operator import getitem, sub
 from typing import Iterator, Sequence
 
@@ -27,11 +27,13 @@ __all__ = [
     "EnumerationCapError",
     "PibsParams",
     "Support",
+    "CellRows",
     "SignalInstance",
     "CountComparison",
     "min_separation",
     "validate_support",
     "sample_support",
+    "cell_rows",
     "enumerate_supports",
     "cell_count",
     "count_supports_formula",
@@ -381,6 +383,125 @@ def iter_cell(params: PibsParams, k: int, r: int) -> Iterator[Support]:
     for clusters in _cluster_arrangements(params, k):
         for pseudo in _pseudo_arrangements(params, clusters, r):
             yield Support(clusters=clusters, pseudo=pseudo, params=params)
+
+
+_ROW_CHUNK_ELEMENTS = 1 << 21  # bound on rows * n entries of one enumeration step
+
+
+@dataclass(frozen=True, eq=False)
+class CellRows:
+    """Every support of one (k, r) cell as index arrays, row i being the
+    i-th support `iter_cell` yields: `columns` (N, k*b + r*l) holds each
+    support's sorted columns, `blocks` (N, k) its block starts and `pseudo`
+    (N, r) its pseudo-block starts, all 0-based."""
+
+    params: PibsParams
+    columns: np.ndarray
+    blocks: np.ndarray
+    pseudo: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def support(self, i: int) -> Support:
+        """Row i as a Support. Adjacent blocks belong to one cluster, since
+        clusters are at least Lsep >= 1 columns apart."""
+        b = self.params.b
+        clusters: list[list[int]] = []
+        for start in (self.blocks[i] + 1).tolist():
+            if clusters and clusters[-1][0] + clusters[-1][1] * b == start:
+                clusters[-1][1] += 1
+            else:
+                clusters.append([start, 1])
+        return Support(
+            clusters=tuple(map(tuple, clusters)),
+            pseudo=tuple((self.pseudo[i] + 1).tolist()),
+            params=self.params,
+        )
+
+
+def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
+    """Every support with exactly k true blocks and r pseudo blocks as index
+    arrays, in `iter_cell` order, with no Support built.
+
+    Each composition's layouts are its packed block starts plus the
+    non-decreasing offsets `combinations(range(slack + kc), kc) - arange(kc)`,
+    read in chunks; pseudo blocks are added one ascending start at a time
+    (`_place_pseudo`). Layouts and partial rows go in chunks whose
+    (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS entries, so apart from
+    the rows it returns, memory does not grow with the cell."""
+    n, b, l = params.n, params.b, params.l
+    chunk = max(1, _ROW_CHUNK_ELEMENTS // n)
+    columns, blocks, pseudo = [], [], []
+    for kc, _, slack in _layout_table(params, k):
+        layouts = math.comb(slack + kc, kc)
+        for comp in _compositions(k, kc, params.p):
+            base, owner, packed = [], [], 0
+            for i, j in enumerate(comp):
+                base += [packed + w * b for w in range(j)]
+                owner += [i] * j
+                packed += j * b + params.Lsep
+            combos = combinations(range(slack + kc), kc)
+            for lo in range(0, layouts, chunk):
+                m = min(chunk, layouts - lo)
+                offsets = np.fromiter(
+                    chain.from_iterable(islice(combos, m)), np.intp, m * kc
+                ).reshape(m, kc) - np.arange(kc)
+                starts = offsets[:, owner] + np.asarray(base, dtype=np.intp)
+                cluster_cols = (starts[:, :, None] + np.arange(b)).reshape(m, k * b)
+                for rows, placed in _place_pseudo(cluster_cols, n, l, r, chunk):
+                    cols = (placed[:, :, None] + np.arange(l)).reshape(len(rows), r * l)
+                    cols = np.concatenate((cluster_cols[rows], cols), axis=1)
+                    cols.sort(axis=1)
+                    columns.append(cols)
+                    blocks.append(starts[rows])
+                    pseudo.append(placed)
+
+    def stack(parts: list[np.ndarray], width: int) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.empty((0, width), dtype=np.intp)
+
+    return CellRows(
+        params=params,
+        columns=stack(columns, k * b + r * l),
+        blocks=stack(blocks, k),
+        pseudo=stack(pseudo, r),
+    )
+
+
+def _place_pseudo(
+    cluster_cols: np.ndarray, n: int, l: int, r: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(layout row, pseudo starts) array pairs for every placement of r
+    pseudo blocks beside the 0-based cluster columns of each layout row, in
+    lexicographic order. A start is allowed when its l columns stay in range
+    and miss every cluster; each step extends a row by every allowed start at
+    or past the previous start + l, and `np.nonzero` of that (rows, starts)
+    mask is row-major, so the order stays lexicographic."""
+    m = len(cluster_cols)
+    if r == 0:
+        yield np.arange(m), np.empty((m, 0), dtype=np.intp)
+        return
+    if not 0 < l <= n:
+        return
+    covered = np.zeros((m, n + 1), dtype=np.int32)  # [:, j]: cluster columns below j
+    covered[np.arange(m)[:, None], cluster_cols + 1] = 1
+    covered.cumsum(axis=1, out=covered)
+    free = covered[:, l:] == covered[:, :-l]
+    yield from _extend_pseudo(free, l, r, np.arange(m), np.empty((m, 0), dtype=np.intp), chunk)
+
+
+def _extend_pseudo(
+    free: np.ndarray, l: int, r: int, rows: np.ndarray, placed: np.ndarray, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    if placed.shape[1] == r:
+        yield rows, placed
+        return
+    at = np.arange(free.shape[1])
+    for lo in range(0, len(rows), chunk):
+        part_rows, part = rows[lo : lo + chunk], placed[lo : lo + chunk]
+        low = part[:, -1:] + l if part.shape[1] else 0
+        i, s = np.nonzero(free[part_rows] & (at >= low))
+        yield from _extend_pseudo(free, l, r, part_rows[i], np.column_stack((part[i], s)), chunk)
 
 
 def enumerate_supports(

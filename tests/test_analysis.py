@@ -24,7 +24,7 @@ from tsgbomp.analysis import (
     thm2_bound,
     verify_lemmas,
 )
-from tsgbomp.sensing import gaussian_matrix, identity_matrix, orthonormal_matrix
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix, orthonormal_matrix
 from tsgbomp.signal_model import EnumerationCapError, PibsParams, iter_cell
 
 
@@ -107,6 +107,27 @@ class TestPibric:
         structured = pibric(Phi, params, 2, 1).delta
         unstructured = classical_ric(Phi, 3)
         assert structured <= unstructured + 1e-12
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_classical_size_outside_range_rejected(self, size):
+        with pytest.raises(ValueError, match=rf"subset size {size} outside \[1, n=4\]"):
+            classical_ric(identity_matrix(4), size)
+
+    def test_ties_go_to_the_first_support(self, monkeypatch):
+        # every column is the same unit vector, so each support's Gram matrix
+        # is all ones and every support of a width ties
+        Phi = SensingMatrix(np.full((4, 9), 0.5), normalized=True)
+        monkeypatch.setattr(analysis, "_EIG_CHUNK_ELEMENTS", 1)  # one row per chunk
+        params = PibsParams(n=9, b=1, p=2, l=2, Lsep=2, K=2, R=1)
+        # n = 2 leaves cell (2, 1) empty, so the cells (1, 1) and (2, 0) tie
+        tiny = PibsParams(n=2, b=1, p=2, l=1, Lsep=1, K=2, R=1)
+        for jobs in (1, 2):
+            est = pibric(Phi, params, 2, 1, jobs=jobs)
+            assert est.delta == pytest.approx(3.0)
+            assert est.argmax_support == next(iter_cell(params, 2, 1))
+            est = pibric(SensingMatrix(Phi.entries[:, :2], normalized=True), tiny, 2, 1, jobs=jobs)
+            assert est.delta == pytest.approx(1.0)
+            assert est.argmax_support == next(iter_cell(tiny, 1, 1))
 
     def test_jobs_do_not_change_result(self):
         rng = np.random.default_rng(6)
@@ -247,6 +268,22 @@ class TestVerifyLemmas:
         assert got == [row[:5] for row in self.PINNED[case]]
         for e, row in zip(report.entries, self.PINNED[case]):
             assert e.worst_margin == pytest.approx(row[5], abs=1e-12), e.name
+
+    def test_cold_and_warm_cell_cache_give_the_same_report(self):
+        params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
+        samples = dict(support_samples=60, draws_sandwich=25, draws_projected=10,
+                       draws_innerproduct=40)
+
+        def report():
+            rng = np.random.default_rng(1000)
+            Phi = gaussian_matrix(40, 60, "unit", True, rng)
+            rep = verify_lemmas(Phi, params, 2, 2, rng, **samples)
+            return rep.render() + rep.margins_csv()
+
+        analysis._cell_data.cache_clear()
+        cold = report()
+        assert analysis._cell_data.cache_info().currsize > 0
+        assert report() == cold
 
     def test_requires_matching_pseudo_length(self):
         params = PibsParams(n=24, b=1, p=1, l=1, Lsep=4, K=1, R=1)

@@ -21,6 +21,7 @@ from tsgbomp.signal_model import (
     count_bound_exponent,
     count_supports_bound,
     count_supports_formula,
+    cell_rows,
     enumerate_supports,
     fill_values,
     formula_assumptions,
@@ -147,6 +148,24 @@ class TestSampling:
         assert (sup.total_blocks, sup.pseudo_count) == (K, R)
 
 
+def assert_rows_match_iter_cell(params, k, r):
+    """`cell_rows` holds iter_cell's supports in iter_cell's order: the
+    columns, block starts and pseudo starts of each row, and the Support it
+    rebuilds. Returns the cell's size."""
+    cell = cell_rows(params, k, r)
+    sups = list(iter_cell(params, k, r))
+    assert len(cell) == len(sups)
+    width = k * params.b + r * params.l
+    assert cell.columns.shape == (len(sups), width)
+    assert cell.blocks.shape == (len(sups), k) and cell.pseudo.shape == (len(sups), r)
+    for i, sup in enumerate(sups):
+        assert tuple(cell.columns[i] + 1) == sup.columns
+        assert tuple(cell.blocks[i] + 1) == sup.block_starts
+        assert tuple(cell.pseudo[i] + 1) == sup.pseudo
+        assert cell.support(i) == sup
+    return len(sups)
+
+
 class TestEnumeration:
     def test_singletons_plus_empty(self):
         params = make_params(n=4, K=1)
@@ -194,6 +213,22 @@ class TestEnumeration:
         params = PibsParams(n=1999, b=1, p=1, l=0, Lsep=1, K=1000, R=0)
         (sup,) = iter_cell(params, 1000, 0)
         assert sup.columns == tuple(range(1, 2000, 2))
+        assert_rows_match_iter_cell(params, 1000, 0)
+
+    @pytest.mark.parametrize("n,b,p,Lsep", [(9, 1, 1, 2), (12, 1, 2, 3), (14, 2, 2, 2), (11, 1, 3, 4)])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_cell_rows_match_iter_cell(self, n, b, p, Lsep, chunked, monkeypatch):
+        # every cell with k <= 3 and r <= 2, the empty ones included; chunked
+        # enumeration steps take two rows at a time
+        if chunked:
+            monkeypatch.setattr(signal_model, "_ROW_CHUNK_ELEMENTS", 2 * n)
+        empty = 0
+        for l in sorted({0, 1, 2, Lsep}):
+            params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=3, R=2)
+            for k in range(4):
+                for r in range(3):
+                    empty += assert_rows_match_iter_cell(params, k, r) == 0
+        assert empty > 0
 
     def test_budget_zero_is_only_empty(self):
         params = make_params(n=12, K=0)
