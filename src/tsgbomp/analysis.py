@@ -655,10 +655,6 @@ class Thm2Report:
     bound_derivation: float
     flags: dict[str, bool]
 
-    @property
-    def valid(self) -> bool:
-        return all(self.flags.values())
-
     def render(self) -> str:
         q = self.quantities
         lines = [

@@ -2,8 +2,10 @@
 fixed-partition block OMP baseline, two selection rules on one greedy loop.
 
 The loop correlates columns with the residual, lets the selection rule pick
-a group of columns, refits by least squares on everything selected so far,
-and updates the residual to the projection error. The two-stage rule first
+a group of columns, and projects y off everything selected so far through
+an orthonormal basis that grows by each pick's new columns; one
+least-squares refit after the loop gives the coefficients (see `_greedy`
+for the fallback to a refit on every iteration). The two-stage rule first
 picks the window (a fixed length-L group of columns) whose correlation norm
 is largest, then scans every cluster of B = p*b consecutive columns
 overlapping that window and keeps the best one; the block OMP rule picks the
@@ -53,11 +55,35 @@ class RecoveryResult:
     stop_reason: str  # "budget" | "residual-threshold"
 
 
+# A new column whose component outside the basis is at most this share of its
+# norm counts as dependent on the columns before it, and the loop falls back
+# to least squares.
+_DEPENDENT = np.sqrt(np.finfo(float).eps)
+
+
 def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray):
     A = Phi.entries[:, cols0]
     u, *_ = np.linalg.lstsq(A, y, rcond=None)
     r = y - A @ u
     return u, r
+
+
+def _extend_basis(Q: np.ndarray, ncov: int, A: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns spanning A's component outside Q[:, :ncov],
+    written into Q[:, ncov:ncov + s]; None if A does not fit or a column of
+    A is dependent on Q and the columns of A before it."""
+    s = A.shape[1]
+    if ncov + s > Q.shape[1]:
+        return None
+    norms = np.linalg.norm(A, axis=0)
+    Qk = Q[:, :ncov]
+    for _ in range(2):
+        A -= Qk @ (Qk.conj().T @ A)
+    Q2, R2 = np.linalg.qr(A)
+    if np.any(np.abs(np.diagonal(R2)) <= _DEPENDENT * norms):
+        return None
+    Q[:, ncov : ncov + s] = Q2
+    return Q[:, ncov : ncov + s]
 
 
 def _greedy(
@@ -66,15 +92,25 @@ def _greedy(
     K: int,
     epsilon: float,
     block_length: int,
+    width: int,
     select: Callable[[np.ndarray], tuple[int, int, tuple[int, ...]]],
 ) -> RecoveryResult:
-    """The shared correlate/select/refit loop with budget K.
+    """The shared correlate/select/project loop with budget K.
 
     `select` maps the correlation powers |Phi^H r|^2 to (window, cluster
     start, block starts); each chosen start marks `block_length` columns
-    covered, the coefficients are refit on all covered columns in index
-    order, and the residual is the refit error. Stops when the
-    residual drops below epsilon or after K iterations.
+    covered, at most `width` per iteration. The columns an iteration newly
+    covers extend the orthonormal basis Q of the covered columns, and the
+    residual loses its component along them: r -= Q2 (Q2^H r). A pick that
+    covers nothing new leaves r as it is. Stops when the residual drops
+    below epsilon or after K iterations. The coefficients are then refit
+    once by least squares on all covered columns in index order.
+
+    Q is one preallocated (m, min(m, K*width)) buffer. When the covered
+    columns would outnumber m, or a new column's component outside the
+    basis is at most `_DEPENDENT` of its norm, Q is dropped and this and
+    every later iteration refit by least squares, whose minimum-norm
+    solution and residual then stand.
     """
     y = measurement.y
     m, n = Phi.m, Phi.n
@@ -87,30 +123,45 @@ def _greedy(
     r = y.astype(dtype)
     covered = np.zeros(n, dtype=bool)
     trace: list[IterationRecord] = []
+    Q = np.empty((m, min(m, K * width)), dtype=dtype, order="F")
     u = None
     cols0 = np.empty(0, dtype=np.intp)
 
     k = 0
-    while np.linalg.norm(r) >= epsilon and k < K:
+    rnorm = np.linalg.norm(r)
+    while rnorm >= epsilon and k < K:
         k += 1
         c = Phi.entries.conj().T @ r
         window, start, h_k = select(np.abs(c) ** 2)
+        before = covered.copy()
         for t in h_k:
             covered[t - 1 : t - 1 + block_length] = True
+        new = np.flatnonzero(covered & ~before)
         cols0 = np.flatnonzero(covered)
-        u, r = _refit(Phi, cols0, y)
+        if Q is not None and new.size:
+            A = Phi.entries[:, new].astype(dtype, copy=False)
+            Q2 = _extend_basis(Q, cols0.size - new.size, A)
+            if Q2 is None:
+                Q = None
+            else:
+                r -= Q2 @ (Q2.conj().T @ r)
+        if Q is None:
+            u, r = _refit(Phi, cols0, y)
+        rnorm = np.linalg.norm(r)
         trace.append(
             IterationRecord(
                 k=k,
                 window=window,
                 cluster_start=start,
                 block_starts=h_k,
-                residual_norm=float(np.linalg.norm(r)),
+                residual_norm=float(rnorm),
             )
         )
 
-    stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
+    stop = "residual-threshold" if rnorm < epsilon else "budget"
     x_hat = np.zeros(n, dtype=dtype)
+    if k and Q is not None:
+        u, _ = _refit(Phi, cols0, y)
     if u is not None:
         x_hat[cols0] = u
     return RecoveryResult(
@@ -161,7 +212,7 @@ def tsgbomp(
         i_k = int(starts[np.argmax(run_norms)])
         return w, i_k, tuple(i_k + j * b for j in range(p))
 
-    return _greedy(Phi, measurement, K, epsilon, b, select)
+    return _greedy(Phi, measurement, K, epsilon, b, B, select)
 
 
 def bomp(
@@ -183,7 +234,7 @@ def bomp(
         start = j * block + 1
         return j + 1, start, (start,)
 
-    return _greedy(Phi, measurement, K, epsilon, block, select)
+    return _greedy(Phi, measurement, K, epsilon, block, block, select)
 
 
 def success_check(result: RecoveryResult, truth: SignalInstance) -> bool:

@@ -1,7 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsgbomp import recovery
+from tsgbomp.experiments import solve
 from tsgbomp.recovery import (
+    IterationRecord,
+    RecoveryResult,
     bomp,
     relative_error,
     result_report,
@@ -9,7 +17,7 @@ from tsgbomp.recovery import (
     trace_to_csv,
     tsgbomp,
 )
-from tsgbomp.sensing import gaussian_matrix, identity_matrix, measure
+from tsgbomp.sensing import Measurement, SensingMatrix, gaussian_matrix, identity_matrix, measure
 from tsgbomp.signal_model import PibsParams, Support, fill_values, sample_support
 
 
@@ -212,3 +220,186 @@ class TestReports:
         csv = trace_to_csv(res)
         assert csv.splitlines()[0] == "k,window,cluster_start,block_starts,residual_norm"
         assert len(csv.splitlines()) == res.iterations + 1
+
+
+def _reference_greedy(Phi, measurement, K, epsilon, block_length, width, select):
+    """The greedy loop with a full least-squares refit on every iteration."""
+    y = measurement.y
+    dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
+    r = y.astype(dtype)
+    covered = np.zeros(Phi.n, dtype=bool)
+    trace = []
+    u = None
+    cols0 = np.empty(0, dtype=np.intp)
+    k = 0
+    while np.linalg.norm(r) >= epsilon and k < K:
+        k += 1
+        window, start, h_k = select(np.abs(Phi.entries.conj().T @ r) ** 2)
+        for t in h_k:
+            covered[t - 1 : t - 1 + block_length] = True
+        cols0 = np.flatnonzero(covered)
+        A = Phi.entries[:, cols0]
+        u, *_ = np.linalg.lstsq(A, y, rcond=None)
+        r = y - A @ u
+        trace.append(IterationRecord(k, window, start, h_k, float(np.linalg.norm(r))))
+    stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
+    x_hat = np.zeros(Phi.n, dtype=dtype)
+    if u is not None:
+        x_hat[cols0] = u
+    return RecoveryResult(tuple(int(c) + 1 for c in cols0), x_hat, tuple(trace), k, stop)
+
+
+def _check_against_reference(algorithm, Phi, meas, K, b, p, L, epsilon):
+    """Solve once as shipped and once with the reference loop; the picks,
+    stop and x_hat bytes must agree and the residual norms to rel=1e-9 (to
+    1e-12 of |y| when at rounding level). Returns the result and the number
+    of np.linalg.lstsq calls it made."""
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        got = solve(algorithm, Phi, meas, K, L, b, p, epsilon)
+    with mock.patch.object(recovery, "_greedy", _reference_greedy):
+        want = solve(algorithm, Phi, meas, K, L, b, p, epsilon)
+
+    def picks(res):
+        return [(t.k, t.window, t.cluster_start, t.block_starts) for t in res.trace]
+
+    assert picks(got) == picks(want)
+    assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+    assert [t.residual_norm for t in got.trace] == pytest.approx(
+        [t.residual_norm for t in want.trace],
+        rel=1e-9, abs=1e-12 * np.linalg.norm(meas.y),
+    )
+    assert got.estimated_columns == want.estimated_columns
+    assert got.x_hat.dtype == want.x_hat.dtype
+    assert got.x_hat.tobytes() == want.x_hat.tobytes()
+    return got, lstsq.call_count
+
+
+def _random_instance(kind, seed, m, n, complex_entries, noise):
+    """A Gaussian m x n matrix and a measurement of a random sparse signal.
+    kind "duplicate" copies column 0 into column 1 and puts signal on both;
+    kind "orthogonal" zeroes the last row of Phi and measures only e_m, so
+    every correlation is exactly zero and every pick after the first
+    repeats it."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_entries else z
+
+    entries = draw(m, n)
+    x = np.zeros(n, dtype=entries.dtype)
+    x[rng.choice(n, size=max(1, m // 3), replace=False)] = draw(max(1, m // 3))
+    if kind == "duplicate":
+        entries[:, 1] = entries[:, 0]
+        x[:2] = 10 * draw(2)
+    y = entries @ x + noise * draw(m)
+    if kind == "orthogonal":
+        entries[-1] = 0
+        y = np.zeros(m, dtype=entries.dtype)
+        y[-1] = 1.0
+    return SensingMatrix(entries), Measurement(y)
+
+
+class TestIncrementalResidual:
+    """The QR-updated residual and the single final refit against a loop
+    that refits by least squares on every iteration."""
+
+    @given(
+        algorithm=st.sampled_from(["tsgbomp", "bomp"]),
+        kind=st.sampled_from(["gaussian", "duplicate", "orthogonal"]),
+        complex_entries=st.booleans(),
+        noise=st.sampled_from([0.0, 0.05]),
+        b=st.integers(1, 3),
+        p=st.integers(1, 2),
+        windows=st.integers(3, 6),
+        K=st.integers(1, 6),
+        m_share=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lstsq_every_iteration(
+        self, algorithm, kind, complex_entries, noise, b, p, windows, K, m_share, seed
+    ):
+        B = b * p
+        L = 2 * B
+        n = L * windows
+        m = max(2, int(m_share * n))
+        Phi, meas = _random_instance(kind, seed, m, n, complex_entries, noise)
+        epsilon = 1e-6 * np.linalg.norm(meas.y)
+        _check_against_reference(algorithm, Phi, meas, K, b, p, L, epsilon)
+
+    def test_one_lstsq_per_solve_without_fallback(self):
+        Phi, meas, signal = make_instance(K=6, seed=9)
+        epsilon = 1e-6 * np.linalg.norm(meas.y)
+        res, calls = _check_against_reference("tsgbomp", Phi, meas, 6, 4, 2, 8, epsilon)
+        assert success_check(res, signal)
+        assert calls == 1
+
+    def test_overlapping_picks(self):
+        # a run of six true columns: the first pick takes the strong four
+        # (columns 3-6), the second the weak two and two covered ones
+        rng = np.random.default_rng(5)
+        Phi = gaussian_matrix(60, 96, "unit", True, rng)
+        x = np.zeros(96)
+        x[2:6] = 10.0
+        x[0:2] = 3.0
+        meas = measure(Phi, x)
+        res, calls = _check_against_reference(
+            "tsgbomp", Phi, meas, 3, 2, 2, 8, 1e-6 * np.linalg.norm(meas.y)
+        )
+        assert [t.cluster_start for t in res.trace] == [3, 1]
+        assert res.estimated_columns == (1, 2, 3, 4, 5, 6)
+        assert calls == 1
+
+    @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
+    def test_repeated_picks_add_no_columns(self, algorithm):
+        Phi, meas = _random_instance("orthogonal", 3, 12, 24, True, 0.0)
+        res, calls = _check_against_reference(algorithm, Phi, meas, 3, 2, 2, 4, 0.0)
+        assert res.iterations == 3
+        assert len({t.block_starts for t in res.trace}) == 1
+        assert res.estimated_columns == (1, 2, 3, 4)
+        assert calls == 1
+
+    @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
+    def test_fallback_on_duplicated_column(self, algorithm):
+        Phi, meas = _random_instance("duplicate", 11, 20, 40, False, 0.0)
+        res, calls = _check_against_reference(algorithm, Phi, meas, 4, 2, 2, 4, 0.0)
+        assert res.trace[0].block_starts[0] == 1
+        # the first pick covers both copies: every iteration refits, and
+        # no second refit follows the loop
+        assert calls == res.iterations == 4
+
+    @pytest.mark.parametrize("m, fitted", [(10, 2), (3, 0)])
+    def test_fallback_when_columns_outnumber_rows(self, m, fitted):
+        # picks of 4 columns: at m=10 the third pick would make 12 > 10, at
+        # m=3 the first already does
+        Phi, meas = _random_instance("gaussian", 2, m, 40, False, 0.05)
+        res, calls = _check_against_reference("bomp", Phi, meas, 4, 2, 2, 4, 1e-9)
+        assert len(res.estimated_columns) > m
+        assert calls == res.iterations - fitted
+
+    @staticmethod
+    def _monomials(n):
+        # columns t^j on [0, 1]: nearly parallel, but independent
+        t = np.linspace(0.0, 1.0, 40)
+        entries = t[:, None] ** np.arange(n)
+        return entries / np.linalg.norm(entries, axis=0)
+
+    def test_ill_conditioned_columns(self):
+        entries = self._monomials(12)  # condition number about 8e7
+        meas = Measurement(np.random.default_rng(0).standard_normal(40))
+        res, calls = _check_against_reference(
+            "bomp", SensingMatrix(entries), meas, 6, 1, 2, 2, 0.0
+        )
+        assert res.estimated_columns == tuple(range(1, 13))
+        assert calls == 1
+
+    def test_basis_stays_orthonormal(self):
+        # one Gram-Schmidt pass leaves |Q^T Q - I| at about 2e-2 here
+        entries = self._monomials(12)
+        Q = np.empty((40, 12), order="F")
+        for j in range(0, 12, 2):
+            Q2 = recovery._extend_basis(Q, j, entries[:, j : j + 2].copy())
+            assert Q2 is not None
+        assert np.abs(Q.T @ Q - np.eye(12)).max() < 1e-13
+        assert np.allclose(Q @ (Q.T @ entries), entries, rtol=0, atol=1e-12)
