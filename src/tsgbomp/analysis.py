@@ -52,7 +52,11 @@ __all__ = [
     "g_empirical",
 ]
 
-_EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s doubles per eig batch
+_EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s: the rows one call screens and solves
+_BOUND_BLOCK_ELEMENTS = 1 << 16  # entries of M per bound block: M, M @ M and their indices stay in cache
+_BOUND_MARGIN = 1e-9  # relative slack on the pruning bound, far above its rounding
+_BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the bound's 4th powers underflow
+_FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
 _CLASSICAL_CAP = 500_000  # column subsets classical_ric may scan
 
 
@@ -74,25 +78,98 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
-def _opdev(args) -> np.ndarray:
-    """max-|eigenvalue| of G[S,S] - I for every row S of one chunk; the
-    gathered block lives only for this call."""
+def _gather(G: np.ndarray, idx: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M = G[S,S] - I for every row S of idx, by one flat take into the
+    leading rows of `out`, with `flat` for the flat indices; the result is
+    a view of `out`. The take clips, so the caller checks idx's range."""
+    c, s = idx.shape
+    f, M = flat[:c], out[:c]
+    np.multiply(idx[:, :, None], G.shape[0], out=f)
+    f += idx[:, None, :]
+    G.ravel().take(f, out=M, mode="clip")
+    M.reshape(c, s * s)[:, :: s + 1] -= 1.0
+    return M
+
+
+def _eig_bound(M: np.ndarray, squarings: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """For a stack of Hermitian matrices, ||M^q||_F^(1/q) per matrix with
+    q = 2^squarings: that is (sum of lambda^(2q))^(1/(2q)), so at least
+    max |lambda|, and closer to it the larger q is. M @ M goes to `out`
+    if one is given."""
+    P = M
+    for _ in range(squarings):
+        P = np.matmul(P, P, out=out if P is M else None)
+    return np.einsum("ijk,ijk->i", P, P.conj()).real ** (0.5 ** (squarings + 1))
+
+
+def _max_opdev(args) -> tuple[float, int]:
+    """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
+    over the rows S of one chunk, bit-identical to np.argmax over a full
+    batched eigvalsh.
+
+    Every row first gets the coarse bound `_eig_bound(M)`, computed block by
+    block, _BOUND_BLOCK_ELEMENTS entries of M at a time, in three buffers
+    that the whole chunk reuses; only the bounds are kept. Rows are then
+    gathered again in descending coarse-bound order (stable sort), in
+    batches of 1, 2, 4, ... rows, at most one block each. A row is
+    eigensolved only if its fine bound `_eig_bound(M, 2)` can still reach
+    the best value so far, and the scan stops at the first row whose coarse
+    bound cannot. A bound can reach a value if the bound times
+    1 + _BOUND_MARGIN, plus its floor, is at least that value, whatever the
+    rounding or underflow of either computation. Ties go to the lowest
+    row."""
     G, idx = args
-    sub = G[idx[:, :, None], idx[:, None, :]]
-    diag = np.arange(idx.shape[1])
-    sub[:, diag, diag] -= 1.0
-    ev = np.linalg.eigvalsh(sub)
-    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    n, s = G.shape[0], idx.shape[1]
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError(f"column index out of range for {n} columns")
+    block = min(len(idx), max(1, _BOUND_BLOCK_ELEMENTS // s**2))
+    flat = np.empty((block, s, s), np.intp)
+    M, MM = np.empty((2, block, s, s), G.dtype)
+    beta = np.empty(len(idx))
+    for lo in range(0, len(idx), block):
+        m = _gather(G, idx[lo : lo + block], flat, M)
+        beta[lo : lo + len(m)] = _eig_bound(m, out=MM[: len(m)])
+    order = np.argsort(-beta, kind="stable")
+    # minus each row's reach, ascending: the rows that can still reach a
+    # value are a prefix, whose end one binary search finds
+    fall = -(beta[order] * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR)
+    best, arg = 0.0, len(idx)  # a deviation of 0 still claims the argmax
+    lo, size, stop = 0, 1, len(order)
+    while lo < stop:
+        rows = order[lo : min(lo + size, stop)]
+        m = _gather(G, idx[rows], flat, M)
+        near = _eig_bound(m, 2) * (1.0 + _BOUND_MARGIN) + _FINE_BOUND_FLOOR >= best
+        lo += len(rows)
+        size = min(2 * size, block)
+        if not near.any():
+            continue
+        rows = rows[near]
+        ev = np.linalg.eigvalsh(m[near])
+        dev = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+        top = dev.max()
+        if top >= best:
+            first = int(rows[dev == top].min())
+            arg = first if top > best else min(arg, first)
+            best = top
+        stop = int(np.searchsorted(fall, -best, side="right"))
+    return float(best), arg
 
 
-def _batched_opdev(G: np.ndarray, idx: np.ndarray, pool=None) -> np.ndarray:
-    """max-|eigenvalue| of G[S,S] - I for every row S of idx, in row order.
-    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS gathered entries; with a
-    pool the chunks are spread over its workers, with the same result."""
+def _batched_max_opdev(G: np.ndarray, idx: np.ndarray, pool=None) -> tuple[float, int]:
+    """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
+    the rows S of idx. Rows go in chunks of at most _EIG_CHUNK_ELEMENTS //
+    s^2; with a pool the chunks are spread over its workers. Chunk results
+    merge in row order and the first chunk wins ties, so the result never
+    depends on the pool."""
     s = idx.shape[1]
-    chunk = max(1, _EIG_CHUNK_ELEMENTS // max(1, s * s))
-    parts = [(G, idx[lo : lo + chunk]) for lo in range(0, idx.shape[0], chunk)]
-    return np.concatenate(list((map if pool is None else pool.map)(_opdev, parts)))
+    chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
+    starts = range(0, idx.shape[0], chunk)
+    parts = [(G, idx[lo : lo + chunk]) for lo in starts]
+    best, arg = -1.0, -1
+    for lo, (top, i) in zip(starts, (map if pool is None else pool.map)(_max_opdev, parts)):
+        if top > best:
+            best, arg = top, lo + i
+    return best, arg
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +234,14 @@ def pibric_table(
     jobs: int = 1,
 ) -> dict[tuple[int, int], _CellStat]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
-    the first support attaining it: the deviations are computed on the rows
-    of the cell's column array (`_cell_data`), and only the first maximal
-    row becomes a Support. Cells larger than cell_cap are marked skipped
-    instead of computed, and `_order_deltas` reads the order constants off
-    the table. With jobs > 1 one pool of worker processes runs every cell's
-    eigensolve chunks; the table never depends on jobs."""
+    the first support attaining it. `_batched_max_opdev` reduces the rows of
+    the cell's column array (`_cell_data`) to the exact (max, first argmax
+    row), eigensolving only the rows whose certified bound can still reach
+    the maximum, and only that row becomes a Support. Cells larger than
+    cell_cap are marked skipped instead of computed, and `_order_deltas`
+    reads the order constants off the table. With jobs > 1 one pool of
+    worker processes runs every cell's chunks; the table never depends on
+    jobs."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
@@ -188,9 +267,8 @@ def pibric_table(
                 if not cell.columns.shape[1]:
                     table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
                     continue
-                devs = _batched_opdev(G, cell.columns, pool)
-                i = int(np.argmax(devs))
-                table[(k, r)] = _CellStat(delta=float(devs[i]), argmax=cell.support(i), count=count)
+                delta, i = _batched_max_opdev(G, cell.columns, pool)
+                table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -219,8 +297,7 @@ def classical_ric(Phi: SensingMatrix, size: int) -> float:
         raise EnumerationCapError(total, _CLASSICAL_CAP)
     subsets = chain.from_iterable(combinations(range(Phi.n), size))
     idx = np.fromiter(subsets, np.intp, total * size).reshape(total, size)
-    devs = _batched_opdev(Phi.gram, idx)
-    return float(devs.max())
+    return _batched_max_opdev(Phi.gram, idx)[0]
 
 
 # ---------------------------------------------------------------------------

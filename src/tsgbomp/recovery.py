@@ -60,6 +60,10 @@ class RecoveryResult:
 # to least squares.
 _DEPENDENT = np.sqrt(np.finfo(float).eps)
 
+# The loop also stops once the residual is below this share of |y|, whatever
+# epsilon is: past that point the picks would follow rounding noise.
+_RESIDUAL_FLOOR = 1e-12
+
 
 def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray):
     A = Phi.entries[:, cols0]
@@ -103,8 +107,9 @@ def _greedy(
     covers extend the orthonormal basis Q of the covered columns, and the
     residual loses its component along them: r -= Q2 (Q2^H r). A pick that
     covers nothing new leaves r as it is. Stops when the residual drops
-    below epsilon or after K iterations. The coefficients are then refit
-    once by least squares on all covered columns in index order.
+    below max(epsilon, _RESIDUAL_FLOOR * |y|) or after K iterations. The
+    coefficients are then refit once by least squares on all covered
+    columns in index order.
 
     Q is one preallocated (m, min(m, K*width)) buffer. When the covered
     columns would outnumber m, or a new column's component outside the
@@ -129,7 +134,8 @@ def _greedy(
 
     k = 0
     rnorm = np.linalg.norm(r)
-    while rnorm >= epsilon and k < K:
+    tol = max(epsilon, _RESIDUAL_FLOOR * rnorm)
+    while rnorm >= tol and k < K:
         k += 1
         c = Phi.entries.conj().T @ r
         window, start, h_k = select(np.abs(c) ** 2)
@@ -158,7 +164,7 @@ def _greedy(
             )
         )
 
-    stop = "residual-threshold" if rnorm < epsilon else "budget"
+    stop = "residual-threshold" if rnorm < tol else "budget"
     x_hat = np.zeros(n, dtype=dtype)
     if k and Q is not None:
         u, _ = _refit(Phi, cols0, y)

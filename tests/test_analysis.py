@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +196,150 @@ class TestPibric:
             abs(G[i, j]) for i in range(14) for j in range(i + 3, 14)
         )
         assert est.delta == pytest.approx(pairwise, abs=1e-10)
+
+
+def _full_scan_max(G, idx):
+    """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
+    the rows S of idx, from one eigvalsh of every row."""
+    sub = G[idx[:, :, None], idx[:, None, :]]
+    diag = np.arange(idx.shape[1])
+    sub[:, diag, diag] -= 1.0
+    ev = np.linalg.eigvalsh(sub)
+    devs = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    i = int(np.argmax(devs))
+    return float(devs[i]), i
+
+
+def _kernel_case(kind, complex_entries, s, rows, seed):
+    """A Hermitian matrix G on 8 columns and index rows of width s into it.
+
+    gaussian: the Gram matrix of unit Gaussian columns, random rows (which
+    may repeat a column); duplicated: the same, with every other column a
+    copy of column 0; equal: every column the same unit vector, so every
+    row of a width ties; identity: G = I, so every deviation is 0;
+    permuted: G = I + w w^H and every ordering of one column set, so the
+    rows tie in exact arithmetic and differ only by rounding; tiny: the
+    Gaussian case with off-diagonal entries scaled to about 1e-100 and rows
+    of distinct columns, so the bound's fourth powers underflow."""
+    rng = np.random.default_rng(seed)
+    n = 8
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_entries else z
+
+    if kind == "identity":
+        G = np.eye(n)
+    elif kind == "permuted":
+        w = draw(n)
+        G = np.eye(n) + np.outer(w, w.conj())
+        perms = list(itertools.permutations(rng.choice(n, size=s, replace=False)))
+        return G, np.asarray(perms)[rng.permutation(len(perms))]
+    else:
+        A = draw(6, n)
+        if kind == "duplicated":
+            A[:, 2::2] = A[:, :1]
+        elif kind == "equal":
+            A[:] = A[:, :1]
+        A /= np.linalg.norm(A, axis=0)
+        G = A.conj().T @ A
+        if kind == "tiny":
+            G = np.eye(n) + 1e-100 * (G - np.diag(np.diag(G)))
+            return G, np.argsort(rng.random((rows, n)), axis=1)[:, :s]
+    return G, rng.integers(0, n, size=(rows, s))
+
+
+@pytest.fixture(scope="module")
+def worker_pool():
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+class TestScanKernel:
+    """The bound-screened scan kernel against a full eigvalsh of every row."""
+
+    @given(
+        kind=st.sampled_from(["gaussian", "duplicated", "equal", "identity", "permuted", "tiny"]),
+        complex_entries=st.booleans(),
+        s=st.integers(1, 4),
+        rows=st.integers(1, 300),
+        chunk_elements=st.sampled_from([1, 50, 4_000_000]),
+        block_elements=st.sampled_from([1, 20, 1 << 16]),
+        jobs=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_eigvalsh(
+        self, worker_pool, kind, complex_entries, s, rows, chunk_elements, block_elements, jobs,
+        seed,
+    ):
+        G, idx = _kernel_case(kind, complex_entries, s, rows, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
+            mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+            got = analysis._batched_max_opdev(G, idx, worker_pool if jobs > 1 else None)
+        assert got == _full_scan_max(G, idx)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_rounding_ties_match_full_eigvalsh(self, complex_entries):
+        # permuted rows tie in exact arithmetic, so rounding decides both the
+        # order of their bounds and which of them eigvalsh puts on top
+        for seed in range(20):
+            for s in (3, 4):
+                G, idx = _kernel_case("permuted", complex_entries, s, 0, seed)
+                assert analysis._batched_max_opdev(G, idx) == _full_scan_max(G, idx)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_underflowing_bounds_match_full_eigvalsh(self, complex_entries):
+        # deviations near 1e-100: every bound underflows to 0
+        for seed in range(10):
+            G, idx = _kernel_case("tiny", complex_entries, 3, 50, seed)
+            assert analysis._batched_max_opdev(G, idx) == _full_scan_max(G, idx)
+
+    def test_tie_inside_a_later_batch_goes_to_the_lower_row(self):
+        # row 0 has the largest bound (eigenvalues +-0.9, twice each) but not
+        # the largest deviation; rows 1 and 2 are the same support, with one
+        # eigenvalue 1, and are eigensolved together in the second batch
+        G = np.eye(8)
+        G[:4, :4] += 0.9 * np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+        G[4:, 4:] += 0.25
+        idx = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [4, 5, 6, 7]])
+        got = analysis._batched_max_opdev(G, idx)
+        assert got == _full_scan_max(G, idx)
+        assert got[1] == 1
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "equal", "permuted", "tiny"])
+    def test_bound_covers_every_deviation(self, kind, complex_entries):
+        for s in range(1, 5):
+            G, idx = _kernel_case(kind, complex_entries, s, 500, seed=s)
+            M = G[idx[:, :, None], idx[:, None, :]]
+            M[:, range(s), range(s)] -= 1.0
+            ev = np.linalg.eigvalsh(M)
+            devs = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+            for squarings, floor in ((1, analysis._BOUND_FLOOR), (2, analysis._FINE_BOUND_FLOOR)):
+                reach = analysis._eig_bound(M, squarings) * (1.0 + analysis._BOUND_MARGIN) + floor
+                assert np.all(reach >= devs)
+
+    def test_out_of_range_column_raises(self):
+        # the gather's flat take clips, so the range is checked first
+        for idx in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(IndexError):
+                analysis._batched_max_opdev(np.eye(3), np.array(idx))
+
+    def test_screen_skips_eigensolves(self):
+        params = PibsParams(n=50, b=1, p=1, l=0, Lsep=1, K=3, R=0)
+        Phi = gaussian_matrix(30, 50, "unit", True, np.random.default_rng(12))
+        cell = analysis._cell_data(params, 3, 0)
+        assert len(cell) >= 10_000
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            table = pibric_table(Phi, params, 3, 0)
+        solved = sum(call.args[0].shape[0] for call in eig.call_args_list)
+        assert solved < len(cell)
+        delta, i = _full_scan_max(Phi.gram, cell.columns)
+        assert (table[(3, 0)].delta, table[(3, 0)].argmax) == (delta, cell.support(i))
 
 
 class TestVerifyLemmas:

@@ -70,6 +70,18 @@ class TestTsgbomp:
         r = meas.y - Phi.entries @ res.x_hat
         assert np.linalg.norm(Phi.entries[:, cols].T @ r) <= 1e-8 * np.linalg.norm(meas.y)
 
+    def test_zero_epsilon_stops_at_rounding_level(self):
+        # the fifth pick recovers the signal exactly; a sixth would be
+        # chosen from a residual of rounding noise
+        Phi, meas, signal = make_instance(K=6, seed=9)
+        res = tsgbomp(Phi, meas, K=6, L=8, b=4, p=2, epsilon=0.0)
+        floor = 1e-12 * np.linalg.norm(meas.y)
+        assert res.stop_reason == "residual-threshold"
+        assert res.iterations == 5
+        assert res.trace[-1].residual_norm < floor
+        assert all(t.residual_norm >= floor for t in res.trace[:-1])
+        assert success_check(res, signal)
+
     def test_stage2_start_in_clamped_window_range(self):
         Phi, meas, _ = make_instance(K=5, seed=21)
         res = tsgbomp(Phi, meas, K=5, L=8, b=4, p=2, epsilon=0.0)
