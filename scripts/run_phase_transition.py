@@ -4,11 +4,12 @@
 curve_n{n}_m{m}_b{b}_p{p}_L{L}.csv.
 
 Usage:
-    python scripts/run_phase_transition.py [--trials 1000] [--jobs 2] [--out-dir results]
+    python scripts/run_phase_transition.py [--trials N] [--jobs 2] [--out-dir results]
 
---trials and --seed replace the configs' own values (1000 trials, master
-seed 20260808). At trials=1000 this reproduces the scale of the published
-curves; trials=200 matches the reduced-scale acceptance run.
+Each curve runs at its config's master seed 20260808. --trials replaces the
+configs' own 1000 trials, the scale of the published curves; --trials 200
+gives exactly the curves of acceptance criteria 1-3, which run the
+fig_m160_p2, fig_m160_p1 and fig_m120_p2 configs at that scale.
 """
 
 from __future__ import annotations
@@ -26,21 +27,19 @@ from tsgbomp.experiments import ExperimentConfig, run_curve
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=1000)
+    ap = argparse.ArgumentParser(allow_abbrev=False)
+    ap.add_argument("--trials", type=int)
     ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--seed", type=int, default=20260808)
     args = ap.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for path in sorted((ROOT / "scripts" / "configs").glob("*.cfg")):
-        config = dataclasses.replace(
-            ExperimentConfig.from_text(path.read_text()),
-            trials=args.trials, master_seed=args.seed,
-        )
+        config = ExperimentConfig.from_text(path.read_text())
+        if args.trials is not None:
+            config = dataclasses.replace(config, trials=args.trials)
         out = out_dir / (
             f"curve_n{config.n}_m{config.m}_b{config.b}_p{config.p}_L{config.L}.csv"
         )

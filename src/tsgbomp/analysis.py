@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "cell_count",
     "pibric",
     "pibric_table",
-    "classical_ric",
     "verify_lemmas",
     "real_part_lower_bound_check",
     "f_K",
@@ -57,7 +55,6 @@ _BOUND_BLOCK_ELEMENTS = 1 << 16  # entries of M per bound block: M, M @ M and th
 _BOUND_MARGIN = 1e-9  # relative slack on the pruning bound, far above its rounding
 _BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the bound's 4th powers underflow
 _FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
-_CLASSICAL_CAP = 500_000  # column subsets classical_ric may scan
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +282,6 @@ def _order_deltas(table: dict[tuple[int, int], _CellStat]) -> dict[tuple[int, in
         if not stat.skipped and all(o in deltas for o in below):
             deltas[(k, r)] = max([stat.delta] + [deltas[o] for o in below])
     return deltas
-
-
-def classical_ric(Phi: SensingMatrix, size: int) -> float:
-    """Unstructured isometry constant: max deviation over all column subsets
-    of the given size, 1 <= size <= n. Brute force, small instances only."""
-    if not 1 <= size <= Phi.n:
-        raise ValueError(f"subset size {size} outside [1, n={Phi.n}]")
-    total = math.comb(Phi.n, size)
-    if total > _CLASSICAL_CAP:
-        raise EnumerationCapError(total, _CLASSICAL_CAP)
-    subsets = chain.from_iterable(combinations(range(Phi.n), size))
-    idx = np.fromiter(subsets, np.intp, total * size).reshape(total, size)
-    return _batched_max_opdev(Phi.gram, idx)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monte Carlo recovery experiments: phase-transition curves over block
-sparsity and the certified-instance validation suite.
+sparsity, the certified-instance validation suite, and the brute-force lemma
+audit over seeded Gaussian matrices.
 
 Every trial is reproducible from (config, trial seed) alone: the trial seed
 is a stable SHA-256 hash of (master seed, K, algorithm, trial index), and one
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import f_K, pibric, thm1_certificate
+from .analysis import LemmaReport, f_K, pibric, thm1_certificate, verify_lemmas
 from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
 from .sensing import Measurement, SensingMatrix, gaussian_matrix, identity_matrix, measure
 from .signal_model import (
@@ -42,6 +43,7 @@ __all__ = [
     "check_curve",
     "curve_to_csv",
     "theorem_regime_suite",
+    "lemma_audit",
 ]
 
 ALGORITHMS = ("tsgbomp", "bomp")
@@ -340,10 +342,6 @@ class RegimeConfig:
     L: int
     K: int
 
-    @property
-    def Lsep(self) -> int:
-        return min_separation(self.b, self.p, self.L)
-
 
 REGIME_CONFIGS = (
     RegimeConfig(n=32, m=320, b=1, p=1, L=2, K=1),
@@ -406,8 +404,9 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
     for i in range(count):
         cfg = REGIME_CONFIGS[i % len(REGIME_CONFIGS)]
         Phi = gaussian_matrix(cfg.m, cfg.n, "one_over_m", True, rng)
+        Lsep = min_separation(cfg.b, cfg.p, cfg.L)
         params = PibsParams(
-            n=cfg.n, b=cfg.b, p=cfg.p, l=cfg.Lsep, Lsep=cfg.Lsep,
+            n=cfg.n, b=cfg.b, p=cfg.p, l=Lsep, Lsep=Lsep,
             K=max(cfg.K - 1, 0), R=2,
         )
         est = pibric(Phi, params, max(cfg.K - 1, 0), 2)
@@ -452,3 +451,26 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
             )
         )
     return RegimeReport(instances=tuple(instances))
+
+
+# ---------------------------------------------------------------------------
+# lemma audit
+
+def lemma_audit(matrices: int) -> list[LemmaReport]:
+    """The brute-force lemma checks on `matrices` seeded Gaussian matrices,
+    one report each, in matrix order. Matrix i is a unit-column 40x60 draw
+    seeded with 1000 + i, audited at K = R = 2 on the b=2, p=2, L=4 window
+    geometry with pseudo length 10, from 60 support samples and 25/10/40
+    sandwich, projected and inner-product draws. At 100 matrices this is
+    acceptance criterion 5."""
+    params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
+    reports = []
+    for i in range(matrices):
+        rng = np.random.default_rng(1000 + i)
+        Phi = gaussian_matrix(40, 60, "unit", True, rng)
+        reports.append(verify_lemmas(
+            Phi, params, 2, 2, rng,
+            support_samples=60, draws_sandwich=25,
+            draws_projected=10, draws_innerproduct=40,
+        ))
+    return reports

@@ -13,7 +13,6 @@ __all__ = [
     "Measurement",
     "gaussian_matrix",
     "identity_matrix",
-    "orthonormal_matrix",
     "measure",
     "matrix_to_csv",
     "matrix_from_csv",
@@ -104,13 +103,6 @@ def gaussian_matrix(
 
 def identity_matrix(n: int) -> SensingMatrix:
     return SensingMatrix(entries=np.eye(n), normalized=True)
-
-
-def orthonormal_matrix(n: int, rng: np.random.Generator) -> SensingMatrix:
-    """Haar-ish orthonormal n x n matrix via QR of a square Gaussian draw."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    return SensingMatrix(entries=q, normalized=True)
 
 
 def measure(

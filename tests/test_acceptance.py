@@ -11,25 +11,26 @@ never changes results.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-REPORT_PATH = Path(__file__).resolve().parents[1] / "acceptance_report.txt"
+ROOT = Path(__file__).resolve().parents[1]
+REPORT_PATH = ROOT / "acceptance_report.txt"
 
 from tsgbomp.analysis import (
     g_bounds,
     g_empirical,
     real_part_lower_bound_check,
-    verify_lemmas,
 )
 from tsgbomp.experiments import (
     ExperimentConfig,
     feasible_K,
+    lemma_audit,
     run_curve,
     theorem_regime_suite,
-    trial_seed,
 )
 from tsgbomp.recovery import bomp, tsgbomp
 from tsgbomp.sensing import gaussian_matrix, measure
@@ -38,7 +39,6 @@ from tsgbomp.signal_model import (
     compare_counts,
     fill_values,
     iter_cell,
-    min_separation,
     sample_support,
 )
 
@@ -67,50 +67,34 @@ def rates(points, algorithm):
     return {p.K: p.success_rate for p in points if p.algorithm == algorithm}
 
 
+def replica_config(name: str) -> ExperimentConfig:
+    """A committed curve config of scripts/run_phase_transition.py, run at
+    the suite's reduced scale."""
+    text = (ROOT / "scripts" / "configs" / f"fig_{name}.cfg").read_text()
+    return replace(ExperimentConfig.from_text(text), trials=TRIALS)
+
+
 @pytest.fixture(scope="module")
 def replica_curves():
     """The three reduced-scale replica curves shared by criteria 1-3."""
     curves = {}
-    grid_p2 = tuple(
-        K for K in range(1, 17)
-        if feasible_K(200, 4, 2, min_separation(4, 2, 8), K)
-    )
-    grid_p1 = tuple(
-        K for K in range(1, 17)
-        if feasible_K(200, 4, 1, min_separation(4, 1, 8), K)
-    )
-    t0 = time.time()
-    curves["m160_p2"] = run_curve(
-        ExperimentConfig(n=200, m=160, b=4, p=2, L=8, K_grid=grid_p2,
-                         trials=TRIALS, master_seed=MASTER_SEED),
-        jobs=2,
-    )
-    curves["m160_p2_seconds"] = time.time() - t0
-    curves["m160_p1"] = run_curve(
-        ExperimentConfig(n=200, m=160, b=4, p=1, L=8, K_grid=grid_p1,
-                         trials=TRIALS, master_seed=MASTER_SEED),
-        jobs=2,
-    )
-    curves["m120_p2"] = run_curve(
-        ExperimentConfig(n=200, m=120, b=4, p=2, L=8, K_grid=grid_p2,
-                         trials=TRIALS, master_seed=MASTER_SEED),
-        jobs=2,
-    )
-    curves["grid_p2"] = grid_p2
-    curves["grid_p1"] = grid_p1
+    for name in ("m160_p2", "m160_p1", "m120_p2"):
+        t0 = time.time()
+        curves[name] = run_curve(replica_config(name), jobs=2)
+        curves[f"{name}_seconds"] = time.time() - t0
     return curves
 
 
 class TestCriterion1Replica:
     def test_reduced_scale_dominance(self, replica_curves):
-        grid = replica_curves["grid_p2"]
+        config = replica_config("m160_p2")
+        grid = config.K_grid
         # the requested grid tops out at 16, but 16 cannot host 8 separated
         # clusters in 200 indices; the harness must detect that
         assert grid == tuple(range(1, 16))
-        assert not feasible_K(200, 4, 2, min_separation(4, 2, 8), 16)
+        assert not feasible_K(config.n, config.b, config.p, config.Lsep, 16)
         with pytest.raises(ValueError, match="infeasible"):
-            ExperimentConfig(n=200, m=160, b=4, p=2, L=8, K_grid=(16,),
-                             trials=1, master_seed=0)
+            replace(config, K_grid=(16,))
 
         ts = rates(replica_curves["m160_p2"], "tsgbomp")
         bo = rates(replica_curves["m160_p2"], "bomp")
@@ -146,7 +130,7 @@ class TestCriterion2PImprovement:
 
 class TestCriterion3MImprovement:
     def test_pointwise_measurement_gain(self, replica_curves):
-        grid = replica_curves["grid_p2"]
+        grid = replica_config("m160_p2").K_grid
         ts160 = rates(replica_curves["m160_p2"], "tsgbomp")
         ts120 = rates(replica_curves["m120_p2"], "tsgbomp")
         bad = [(K, ts160[K], ts120[K]) for K in grid if ts160[K] < ts120[K] - 0.05]
@@ -188,18 +172,10 @@ class TestCriterion4TheoremRegime:
 
 class TestCriterion5LemmaSuite:
     def test_hundred_matrices_zero_violations(self):
-        params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
         failures = []
         skipped_names = set()
         t0 = time.time()
-        for i in range(100):
-            rng = np.random.default_rng(1000 + i)
-            Phi = gaussian_matrix(40, 60, "unit", True, rng)
-            report = verify_lemmas(
-                Phi, params, 2, 2, rng,
-                support_samples=60, draws_sandwich=25,
-                draws_projected=10, draws_innerproduct=40,
-            )
+        for i, report in enumerate(lemma_audit(100)):
             skipped_names.update(e.name for e in report.entries if e.skipped)
             if not report.all_passed:
                 failures.append((i, report.render()))

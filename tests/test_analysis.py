@@ -13,7 +13,6 @@ from tsgbomp import analysis, signal_model
 from tsgbomp.analysis import (
     _order_deltas,
     cell_count,
-    classical_ric,
     f_K,
     f_K_inverse,
     g_bounds,
@@ -26,8 +25,16 @@ from tsgbomp.analysis import (
     thm2_bound,
     verify_lemmas,
 )
-from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix, orthonormal_matrix
+from tsgbomp.experiments import lemma_audit
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix
 from tsgbomp.signal_model import EnumerationCapError, PibsParams, iter_cell
+
+
+def orthonormal_matrix(n, rng):
+    """Orthonormal n x n matrix from the QR of a square Gaussian draw, with
+    the signs fixed so that R has a positive diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return SensingMatrix(entries=q * np.sign(np.diag(r)), normalized=True)
 
 
 class TestOperatorNormDev:
@@ -48,6 +55,10 @@ class TestOperatorNormDev:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             operator_norm_dev(identity_matrix(4), [])
+
+    def test_orthonormal_matrix_gram_is_identity(self):
+        mat = orthonormal_matrix(8, np.random.default_rng(0))
+        assert np.allclose(mat.gram, np.eye(8), atol=1e-12)
 
 
 class TestPibric:
@@ -107,13 +118,10 @@ class TestPibric:
         Phi = gaussian_matrix(10, 12, "unit", True, rng)
         params = PibsParams(n=12, b=1, p=1, l=1, Lsep=2, K=2, R=1)
         structured = pibric(Phi, params, 2, 1).delta
-        unstructured = classical_ric(Phi, 3)
+        # the unstructured constant: every 3-column subset, 220 rows
+        subsets = np.array(list(itertools.combinations(range(12), 3)))
+        unstructured = _full_scan_max(Phi.gram, subsets)[0]
         assert structured <= unstructured + 1e-12
-
-    @pytest.mark.parametrize("size", [0, 5])
-    def test_classical_size_outside_range_rejected(self, size):
-        with pytest.raises(ValueError, match=rf"subset size {size} outside \[1, n=4\]"):
-            classical_ric(identity_matrix(4), size)
 
     def test_ties_go_to_the_first_support(self, monkeypatch):
         # every column is the same unit vector, so each support's Gram matrix
@@ -416,14 +424,8 @@ class TestVerifyLemmas:
             assert e.worst_margin == pytest.approx(row[5], abs=1e-12), e.name
 
     def test_cold_and_warm_cell_cache_give_the_same_report(self):
-        params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
-        samples = dict(support_samples=60, draws_sandwich=25, draws_projected=10,
-                       draws_innerproduct=40)
-
         def report():
-            rng = np.random.default_rng(1000)
-            Phi = gaussian_matrix(40, 60, "unit", True, rng)
-            rep = verify_lemmas(Phi, params, 2, 2, rng, **samples)
+            [rep] = lemma_audit(1)
             return rep.render() + rep.margins_csv()
 
         analysis._cell_data.cache_clear()

@@ -1,0 +1,42 @@
+"""The experiment scripts, run as a user runs them."""
+
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from tsgbomp.experiments import ExperimentConfig, curve_to_csv, run_curve
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestRunLemmaAudit:
+    def test_ten_matrices_give_the_documented_hash(self):
+        proc = run_script("run_lemma_audit.py", "--matrices", "10")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "report sha256 0e7776fe1d186c04"
+
+
+class TestRunPhaseTransition:
+    def test_writes_every_config_curve(self, tmp_path):
+        proc = run_script(
+            "run_phase_transition.py", "--trials", "2", "--jobs", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "curve_n200_m120_b4_p1_L8.csv",
+            "curve_n200_m120_b4_p2_L8.csv",
+            "curve_n200_m160_b4_p1_L8.csv",
+            "curve_n200_m160_b4_p2_L8.csv",
+        ]
+        config = ExperimentConfig.from_text((SCRIPTS / "configs" / "fig_m160_p2.cfg").read_text())
+        expected = curve_to_csv(run_curve(replace(config, trials=2)))
+        assert (tmp_path / "curve_n200_m160_b4_p2_L8.csv").read_text() == expected

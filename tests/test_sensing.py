@@ -13,7 +13,6 @@ from tsgbomp.sensing import (
     matrix_to_binary,
     matrix_to_csv,
     measure,
-    orthonormal_matrix,
 )
 
 
@@ -174,7 +173,3 @@ class TestSerialization:
         else:
             with pytest.raises(ValueError, match="non-finite value"):
                 matrix_from_binary(matrix_to_binary(mat))
-
-    def test_orthonormal_matrix_gram_is_identity(self):
-        mat = orthonormal_matrix(8, np.random.default_rng(0))
-        assert np.allclose(mat.gram, np.eye(8), atol=1e-12)
