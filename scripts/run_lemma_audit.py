@@ -2,14 +2,15 @@
 """Brute-force lemma audit over a batch of seeded Gaussian matrices.
 
 Usage:
-    python scripts/run_lemma_audit.py [--matrices 100]
+    python scripts/run_lemma_audit.py [--matrices 100] [--jobs 1]
 
 Runs `experiments.lemma_audit` on the first `--matrices` matrices (matrix i
-is a unit-column 40x60 Gaussian draw seeded with 1000 + i); with no flags it
-is acceptance criterion 5. Prints one line per matrix, a tally, and a final
-line `report sha256 <16 hex>`: the SHA-256 of every matrix's `render()` and
-`margins_csv()`, in matrix order. Exits nonzero on any violated inequality
-(skipped cells are listed, never counted as passes).
+is a unit-column 40x60 Gaussian draw seeded with 1000 + i) over `--jobs`
+processes; with no flags it is acceptance criterion 5. Prints one line per
+matrix, a tally, and a final line `report sha256 <16 hex>`: the SHA-256 of
+every matrix's `render()` and `margins_csv()`, in matrix order, the same
+at any `--jobs`. Exits nonzero on any violated inequality (skipped cells
+are listed, never counted as passes).
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from tsgbomp.experiments import lemma_audit
 def main() -> int:
     ap = argparse.ArgumentParser(allow_abbrev=False)
     ap.add_argument("--matrices", type=int, default=100)
+    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     digest = hashlib.sha256()
     failures = 0
     t0 = time.time()
-    for i, report in enumerate(lemma_audit(args.matrices)):
+    for i, report in enumerate(lemma_audit(args.matrices, args.jobs)):
         digest.update((report.render() + report.margins_csv()).encode())
         status = "pass" if report.all_passed else "FAIL"
         if not report.all_passed:

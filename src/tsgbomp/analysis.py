@@ -78,11 +78,12 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
 def _gather(G: np.ndarray, idx: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """M = G[S,S] - I for every row S of idx, by one flat take into the
     leading rows of `out`, with `flat` for the flat indices; the result is
-    a view of `out`. The take clips, so the caller checks idx's range."""
+    a view of `out`. The flat indices are formed in intp, since int32 rows
+    times n overflow int32 once n > 46,340. The take clips, so the caller
+    checks idx's range."""
     c, s = idx.shape
     f, M = flat[:c], out[:c]
-    np.multiply(idx[:, :, None], G.shape[0], out=f)
-    f += idx[:, None, :]
+    np.add(idx[:, :, None] * np.intp(G.shape[0]), idx[:, None, :], out=f)
     G.ravel().take(f, out=M, mode="clip")
     M.reshape(c, s * s)[:, :: s + 1] -= 1.0
     return M
@@ -99,6 +100,12 @@ def _eig_bound(M: np.ndarray, squarings: int = 1, out: np.ndarray | None = None)
     return np.einsum("ijk,ijk->i", P, P.conj()).real ** (0.5 ** (squarings + 1))
 
 
+def _deviations(M: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each matrix of a Hermitian stack."""
+    ev = np.linalg.eigvalsh(M)
+    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+
+
 def _max_opdev(args) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
     over the rows S of one chunk, bit-identical to np.argmax over a full
@@ -106,15 +113,18 @@ def _max_opdev(args) -> tuple[float, int]:
 
     Every row first gets the coarse bound `_eig_bound(M)`, computed block by
     block, _BOUND_BLOCK_ELEMENTS entries of M at a time, in three buffers
-    that the whole chunk reuses; only the bounds are kept. Rows are then
-    gathered again in descending coarse-bound order (stable sort), in
-    batches of 1, 2, 4, ... rows, at most one block each. A row is
-    eigensolved only if its fine bound `_eig_bound(M, 2)` can still reach
-    the best value so far, and the scan stops at the first row whose coarse
-    bound cannot. A bound can reach a value if the bound times
-    1 + _BOUND_MARGIN, plus its floor, is at least that value, whatever the
-    rounding or underflow of either computation. Ties go to the lowest
-    row."""
+    that the whole chunk reuses; only the bounds are kept. The row with the
+    largest coarse bound (the first, on ties) is eigensolved first, and
+    only the rows whose coarse bound can reach its deviation stay
+    candidates; they are the rows the scan can visit, a prefix of the
+    descending coarse-bound order. The candidates alone are sorted (stable)
+    and gathered again in that order, in batches of 2, 4, 8, ... rows, at
+    most one block each. A row is eigensolved only if its fine bound
+    `_eig_bound(M, 2)` can still reach the best value so far, and the scan
+    stops at the first row whose coarse bound cannot. A bound can reach a
+    value if the bound times 1 + _BOUND_MARGIN, plus its floor, is at least
+    that value, whatever the rounding or underflow of either computation.
+    Ties go to the lowest row."""
     G, idx = args
     n, s = G.shape[0], idx.shape[1]
     if idx.min() < 0 or idx.max() >= n:
@@ -126,12 +136,15 @@ def _max_opdev(args) -> tuple[float, int]:
     for lo in range(0, len(idx), block):
         m = _gather(G, idx[lo : lo + block], flat, M)
         beta[lo : lo + len(m)] = _eig_bound(m, out=MM[: len(m)])
-    order = np.argsort(-beta, kind="stable")
-    # minus each row's reach, ascending: the rows that can still reach a
-    # value are a prefix, whose end one binary search finds
-    fall = -(beta[order] * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR)
-    best, arg = 0.0, len(idx)  # a deviation of 0 still claims the argmax
-    lo, size, stop = 0, 1, len(order)
+    arg = int(np.argmax(beta))
+    best = _deviations(_gather(G, idx[arg : arg + 1], flat, M))[0]
+    reach = beta * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR
+    candidates = np.flatnonzero(reach >= best)
+    order = candidates[np.argsort(-beta[candidates], kind="stable")]
+    # minus each candidate's reach, ascending: the rows that can still
+    # reach a value are a prefix, whose end one binary search finds
+    fall = -reach[order]
+    lo, size, stop = 1, min(2, block), len(order)  # order[0] is the row solved above
     while lo < stop:
         rows = order[lo : min(lo + size, stop)]
         m = _gather(G, idx[rows], flat, M)
@@ -141,8 +154,7 @@ def _max_opdev(args) -> tuple[float, int]:
         if not near.any():
             continue
         rows = rows[near]
-        ev = np.linalg.eigvalsh(m[near])
-        dev = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+        dev = _deviations(m[near])
         top = dev.max()
         if top >= best:
             first = int(rows[dev == top].min())

@@ -11,7 +11,6 @@ order. Parallel execution over trials therefore cannot change any result.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +263,8 @@ def run_curve(
             for task in tasks:
                 records.append(_trial_task(task))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for rec in pool.map(_trial_task, tasks, chunksize=32):
                     records.append(rec)
@@ -456,21 +457,37 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
 # ---------------------------------------------------------------------------
 # lemma audit
 
-def lemma_audit(matrices: int) -> list[LemmaReport]:
+_AUDIT_PARAMS = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
+
+
+def _audit_matrix(i: int) -> LemmaReport:
+    rng = np.random.default_rng(1000 + i)
+    Phi = gaussian_matrix(40, 60, "unit", True, rng)
+    return verify_lemmas(
+        Phi, _AUDIT_PARAMS, 2, 2, rng,
+        support_samples=60, draws_sandwich=25,
+        draws_projected=10, draws_innerproduct=40,
+    )
+
+
+def lemma_audit(matrices: int, jobs: int = 1) -> list[LemmaReport]:
     """The brute-force lemma checks on `matrices` seeded Gaussian matrices,
     one report each, in matrix order. Matrix i is a unit-column 40x60 draw
     seeded with 1000 + i, audited at K = R = 2 on the b=2, p=2, L=4 window
     geometry with pseudo length 10, from 60 support samples and 25/10/40
     sandwich, projected and inner-product draws. At 100 matrices this is
-    acceptance criterion 5."""
-    params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
-    reports = []
-    for i in range(matrices):
-        rng = np.random.default_rng(1000 + i)
-        Phi = gaussian_matrix(40, 60, "unit", True, rng)
-        reports.append(verify_lemmas(
-            Phi, params, 2, 2, rng,
-            support_samples=60, draws_sandwich=25,
-            draws_projected=10, draws_innerproduct=40,
-        ))
+    acceptance criterion 5.
+
+    Each matrix seeds its own generator, so the reports never depend on
+    jobs. With jobs > 1, matrix 0 runs in this process and fills the cell
+    cache, and the other matrices are mapped in order over a pool of
+    forked workers, which inherit the warm cache."""
+    if jobs <= 1 or matrices <= 1:
+        return [_audit_matrix(i) for i in range(matrices)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    reports = [_audit_matrix(0)]
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+        reports += pool.map(_audit_matrix, range(1, matrices))
     return reports

@@ -96,7 +96,9 @@ def gaussian_matrix(
         scale = np.sqrt(sigma2 / 2.0)
         entries = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     else:
-        entries = np.sqrt(sigma2) * rng.standard_normal((m, n))
+        entries = rng.standard_normal((m, n))
+        if variance_mode == "one_over_m":
+            entries *= np.sqrt(sigma2)
     mat = SensingMatrix(entries=entries, normalized=False)
     return mat.normalize() if normalize else mat
 

@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement
 from operator import getitem, sub
 from typing import Iterator, Sequence
 
@@ -393,7 +393,7 @@ class CellRows:
     """Every support of one (k, r) cell as index arrays, row i being the
     i-th support `iter_cell` yields: `columns` (N, k*b + r*l) holds each
     support's sorted columns, `blocks` (N, k) its block starts and `pseudo`
-    (N, r) its pseudo-block starts, all 0-based."""
+    (N, r) its pseudo-block starts, all 0-based and int32."""
 
     params: PibsParams
     columns: np.ndarray
@@ -421,51 +421,73 @@ class CellRows:
 
 
 def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
-    """Every support with exactly k true blocks and r pseudo blocks as index
-    arrays, in `iter_cell` order, with no Support built.
+    """Every support with exactly k true blocks and r pseudo blocks as int32
+    index arrays, in `iter_cell` order, with no Support built.
 
-    Each composition's layouts are its packed block starts plus the
-    non-decreasing offsets `combinations(range(slack + kc), kc) - arange(kc)`,
-    read in chunks; pseudo blocks are added one ascending start at a time
-    (`_place_pseudo`). Layouts and partial rows go in chunks whose
-    (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS entries, so apart from
-    the rows it returns, memory does not grow with the cell."""
+    The three arrays are allocated once, with `cell_count` rows, and each
+    chunk of rows is written into them in place. Each composition's layouts
+    are its packed block starts plus the non-decreasing offsets
+    `_combinations(slack + kc, kc) - arange(kc)`, held whole for one
+    cluster count kc and taken in chunks; pseudo blocks are added one
+    ascending start at a time (`_place_pseudo`). Layouts and partial rows
+    go in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
+    entries, so apart from the rows it returns and one cluster count's
+    offsets, memory does not grow with the cell. Cluster columns ascend by
+    construction, so only rows with pseudo blocks are sorted. A row count
+    other than `cell_count` raises AssertionError."""
     n, b, l = params.n, params.b, params.l
     chunk = max(1, _ROW_CHUNK_ELEMENTS // n)
-    columns, blocks, pseudo = [], [], []
+    total = cell_count(params, k, r)
+    columns = np.empty((total, k * b + r * l), np.int32)
+    blocks = np.empty((total, k), np.int32)
+    pseudo = np.empty((total, r), np.int32)
+    at = 0
     for kc, _, slack in _layout_table(params, k):
-        layouts = math.comb(slack + kc, kc)
+        offsets = _combinations(slack + kc, kc) - np.arange(kc, dtype=np.int32)
         for comp in _compositions(k, kc, params.p):
             base, owner, packed = [], [], 0
             for i, j in enumerate(comp):
                 base += [packed + w * b for w in range(j)]
                 owner += [i] * j
                 packed += j * b + params.Lsep
-            combos = combinations(range(slack + kc), kc)
-            for lo in range(0, layouts, chunk):
-                m = min(chunk, layouts - lo)
-                offsets = np.fromiter(
-                    chain.from_iterable(islice(combos, m)), np.intp, m * kc
-                ).reshape(m, kc) - np.arange(kc)
-                starts = offsets[:, owner] + np.asarray(base, dtype=np.intp)
-                cluster_cols = (starts[:, :, None] + np.arange(b)).reshape(m, k * b)
+            base = np.asarray(base, dtype=np.int32)
+            for lo in range(0, len(offsets), chunk):
+                starts = offsets[lo : lo + chunk, owner] + base
+                m = len(starts)
+                cluster_cols = (starts[:, :, None] + np.arange(b, dtype=np.int32)).reshape(m, k * b)
                 for rows, placed in _place_pseudo(cluster_cols, n, l, r, chunk):
-                    cols = (placed[:, :, None] + np.arange(l)).reshape(len(rows), r * l)
-                    cols = np.concatenate((cluster_cols[rows], cols), axis=1)
-                    cols.sort(axis=1)
-                    columns.append(cols)
-                    blocks.append(starts[rows])
-                    pseudo.append(placed)
+                    end = at + len(rows)
+                    if end > total:
+                        raise AssertionError(f"cell ({k}, {r}) holds more than {total} rows")
+                    out = columns[at:end]
+                    out[:, : k * b] = cluster_cols[rows]
+                    if r:
+                        pseudo_cols = placed[:, :, None] + np.arange(l)
+                        out[:, k * b :] = pseudo_cols.reshape(len(rows), r * l)
+                        out.sort(axis=1)
+                    blocks[at:end] = starts[rows]
+                    pseudo[at:end] = placed
+                    at = end
+    if at != total:
+        raise AssertionError(f"cell ({k}, {r}) holds {at} rows, cell_count gives {total}")
+    return CellRows(params=params, columns=columns, blocks=blocks, pseudo=pseudo)
 
-    def stack(parts: list[np.ndarray], width: int) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.empty((0, width), dtype=np.intp)
 
-    return CellRows(
-        params=params,
-        columns=stack(columns, k * b + r * l),
-        blocks=stack(blocks, k),
-        pseudo=stack(pseudo, r),
-    )
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) as the rows of a (C(m, k), k) int32 array,
+    ascending, in the lexicographic order of `itertools.combinations`
+    (Knuth, TAOCP Vol. 4A, 7.2.1.3). Column t is built from the first t:
+    each row is repeated once per value from its last entry + 1 to
+    m - k + t, and those values are appended in ascending order."""
+    rows = np.zeros((1, 0), dtype=np.int32)
+    last = np.full(1, -1, dtype=np.int32)
+    for t in range(k):
+        counts = np.maximum(m - k + t - last, 0)
+        parent = np.repeat(np.arange(len(rows)), counts)
+        group_start = np.cumsum(counts) - counts
+        last = (np.arange(len(parent)) - group_start[parent] + last[parent] + 1).astype(np.int32)
+        rows = np.column_stack((rows[parent], last))
+    return rows
 
 
 def _place_pseudo(

@@ -175,7 +175,7 @@ class TestCriterion5LemmaSuite:
         failures = []
         skipped_names = set()
         t0 = time.time()
-        for i, report in enumerate(lemma_audit(100)):
+        for i, report in enumerate(lemma_audit(100, jobs=2)):
             skipped_names.update(e.name for e in report.entries if e.skipped)
             if not report.all_passed:
                 failures.append((i, report.render()))

@@ -276,14 +276,16 @@ class TestScanKernel:
         chunk_elements=st.sampled_from([1, 50, 4_000_000]),
         block_elements=st.sampled_from([1, 20, 1 << 16]),
         jobs=st.sampled_from([1, 2]),
+        dtype=st.sampled_from([np.intp, np.int32]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_full_eigvalsh(
         self, worker_pool, kind, complex_entries, s, rows, chunk_elements, block_elements, jobs,
-        seed,
+        dtype, seed,
     ):
         G, idx = _kernel_case(kind, complex_entries, s, rows, seed)
+        idx = idx.astype(dtype)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
@@ -317,6 +319,28 @@ class TestScanKernel:
         got = analysis._batched_max_opdev(G, idx)
         assert got == _full_scan_max(G, idx)
         assert got[1] == 1
+
+    def test_largest_bound_row_need_not_win(self):
+        # the row with the largest coarse bound is eigensolved first, and in
+        # some of these cells a later candidate beats it
+        beaten = 0
+        for seed in range(20):
+            G, idx = _kernel_case("gaussian", False, 3, 200, seed)
+            M = G[idx[:, :, None], idx[:, None, :]] - np.eye(3)
+            got = analysis._batched_max_opdev(G, idx.astype(np.int32))
+            assert got == _full_scan_max(G, idx)
+            beaten += got[1] != np.argmax(analysis._eig_bound(M))
+        assert beaten > 0
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_int32_and_intp_rows_gather_the_same(self, complex_entries):
+        G, idx = _kernel_case("gaussian", complex_entries, 4, 50, seed=3)
+        flat = np.empty((50, 4, 4), np.intp)
+        out = np.empty((50, 4, 4), G.dtype)
+        wide = analysis._gather(G, idx.astype(np.intp), flat, out).copy()
+        narrow = analysis._gather(G, idx.astype(np.int32), flat, out)
+        assert np.array_equal(wide, narrow)
+        assert np.array_equal(wide, G[idx[:, :, None], idx[:, None, :]] - np.eye(4))
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "equal", "permuted", "tiny"])

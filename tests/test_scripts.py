@@ -23,6 +23,14 @@ class TestRunLemmaAudit:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "report sha256 0e7776fe1d186c04"
 
+    def test_two_jobs_print_what_one_job_prints(self):
+        serial = run_script("run_lemma_audit.py", "--matrices", "6")
+        pooled = run_script("run_lemma_audit.py", "--matrices", "6", "--jobs", "2")
+        assert serial.returncode == pooled.returncode == 0, pooled.stderr
+        one, two = serial.stdout.splitlines(), pooled.stdout.splitlines()
+        # every line but the tally before the hash, which carries the time
+        assert one[:-2] + one[-1:] == two[:-2] + two[-1:]
+
 
 class TestRunPhaseTransition:
     def test_writes_every_config_curve(self, tmp_path):

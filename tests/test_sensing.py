@@ -47,6 +47,19 @@ class TestGaussianMatrix:
         norms = np.linalg.norm(mat.entries, axis=0)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
+    @pytest.mark.parametrize("mode", ["unit", "one_over_m"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bytes_match_scaled_draw(self, mode, normalize):
+        # the entries are sqrt(sigma^2) times one standard-normal draw, bit
+        # for bit, with sigma^2 = 1 or 1/m
+        m, n = 17, 9
+        sigma2 = 1.0 if mode == "unit" else 1.0 / m
+        expected = SensingMatrix(np.sqrt(sigma2) * np.random.default_rng(5).standard_normal((m, n)))
+        if normalize:
+            expected = expected.normalize()
+        got = gaussian_matrix(m, n, mode, normalize, np.random.default_rng(5))
+        assert got.entries.tobytes() == expected.entries.tobytes()
+
     def test_normalize_idempotent_bitwise(self):
         raw = gaussian_matrix(12, 8, "unit", False, np.random.default_rng(3))
         once = raw.normalize()

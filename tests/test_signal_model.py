@@ -154,7 +154,8 @@ def assert_rows_match_iter_cell(params, k, r):
     rebuilds. Returns the cell's size."""
     cell = cell_rows(params, k, r)
     sups = list(iter_cell(params, k, r))
-    assert len(cell) == len(sups)
+    assert len(cell) == len(sups) == signal_model.cell_count(params, k, r)
+    assert cell.columns.dtype == cell.blocks.dtype == cell.pseudo.dtype == np.int32
     width = k * params.b + r * params.l
     assert cell.columns.shape == (len(sups), width)
     assert cell.blocks.shape == (len(sups), k) and cell.pseudo.shape == (len(sups), r)
@@ -229,6 +230,22 @@ class TestEnumeration:
                 for r in range(3):
                     empty += assert_rows_match_iter_cell(params, k, r) == 0
         assert empty > 0
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_combinations_match_itertools(self, m):
+        for k in range(m + 1):
+            got = signal_model._combinations(m, k)
+            assert got.dtype == np.int32 and got.shape == (math.comb(m, k), k)
+            assert list(map(tuple, got.tolist())) == list(itertools.combinations(range(m), k))
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_cell_rows_miscount_raises(self, r, error, monkeypatch):
+        params = PibsParams(n=12, b=1, p=2, l=2, Lsep=3, K=2, R=1)
+        count = signal_model.cell_count(params, 2, r)
+        monkeypatch.setattr(signal_model, "cell_count", lambda *args: count + error)
+        with pytest.raises(AssertionError):
+            cell_rows(params, 2, r)
 
     def test_budget_zero_is_only_empty(self):
         params = make_params(n=12, K=0)
