@@ -7,10 +7,10 @@ Usage:
 Runs `experiments.lemma_audit` on the first `--matrices` matrices (matrix i
 is a unit-column 40x60 Gaussian draw seeded with 1000 + i) over `--jobs`
 processes; with no flags it is acceptance criterion 5. Prints one line per
-matrix, a tally, and a final line `report sha256 <16 hex>`: the SHA-256 of
-every matrix's `render()` and `margins_csv()`, in matrix order, the same
-at any `--jobs`. Exits nonzero on any violated inequality (skipped cells
-are listed, never counted as passes).
+matrix as it finishes, a tally, and a final line `report sha256 <16 hex>`:
+the SHA-256 of every matrix's `render()` and `margins_csv()`, in matrix
+order, the same at any `--jobs`. Exits nonzero on any violated inequality
+(skipped cells are listed, never counted as passes).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def main() -> int:
         if not report.all_passed:
             failures += 1
             sys.stdout.write(report.render())
-        print(f"matrix {i}: {status}")
+        print(f"matrix {i}: {status}", flush=True)
     print(f"{args.matrices} matrices in {time.time() - t0:.0f}s, {failures} failures")
     print(f"report sha256 {digest.hexdigest()[:16]}")
     return 1 if failures else 0

@@ -45,7 +45,10 @@ def main() -> int:
         )
         t0 = time.time()
         run_curve(config, jobs=args.jobs, out_path=str(out))
-        print(f"{out} done in {time.time() - t0:.0f}s (K grid tops out at {config.K_grid[-1]})")
+        print(
+            f"{out} done in {time.time() - t0:.0f}s (K grid tops out at {config.K_grid[-1]})",
+            flush=True,
+        )
     return 0
 
 

@@ -4,7 +4,7 @@ diagnostics over structured supports, and Monte Carlo experiments."""
 import os
 
 # One BLAS thread per process unless the caller chose a count (effective
-# only before numpy loads): `curve --jobs N` forks N workers, and a thread
+# only before numpy loads): every `--jobs N` forks N workers, and a thread
 # per core in each oversubscribes the cores, for identical results.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

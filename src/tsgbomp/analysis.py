@@ -28,6 +28,7 @@ from .signal_model import (
     iter_cell,
     min_separation,
 )
+from .workers import worker_map
 
 __all__ = [
     "RicEstimate",
@@ -164,18 +165,18 @@ def _max_opdev(args) -> tuple[float, int]:
     return float(best), arg
 
 
-def _batched_max_opdev(G: np.ndarray, idx: np.ndarray, pool=None) -> tuple[float, int]:
+def _batched_max_opdev(G: np.ndarray, idx: np.ndarray, mapper=map) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
     the rows S of idx. Rows go in chunks of at most _EIG_CHUNK_ELEMENTS //
-    s^2; with a pool the chunks are spread over its workers. Chunk results
-    merge in row order and the first chunk wins ties, so the result never
-    depends on the pool."""
+    s^2, mapped over `mapper` (a `worker_map`). Chunk results merge in row
+    order and the first chunk wins ties, so the result never depends on the
+    mapper."""
     s = idx.shape[1]
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
     starts = range(0, idx.shape[0], chunk)
     parts = [(G, idx[lo : lo + chunk]) for lo in starts]
     best, arg = -1.0, -1
-    for lo, (top, i) in zip(starts, (map if pool is None else pool.map)(_max_opdev, parts)):
+    for lo, (top, i) in zip(starts, mapper(_max_opdev, parts)):
         if top > best:
             best, arg = top, lo + i
     return best, arg
@@ -249,18 +250,13 @@ def pibric_table(
     the maximum, and only that row becomes a Support. Cells larger than
     cell_cap are marked skipped instead of computed, and `_order_deltas`
     reads the order constants off the table. With jobs > 1 one pool of
-    worker processes runs every cell's chunks; the table never depends on
-    jobs."""
+    forked workers (`worker_map`) runs every cell's chunks; the table never
+    depends on jobs."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
     table: dict[tuple[int, int], _CellStat] = {}
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
+    with worker_map(jobs) as mapper:
         for k in range(K + 1):
             for r in range(R + 1):
                 count = cell_count(params, k, r)
@@ -276,11 +272,8 @@ def pibric_table(
                 if not cell.columns.shape[1]:
                     table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
                     continue
-                delta, i = _batched_max_opdev(G, cell.columns, pool)
+                delta, i = _batched_max_opdev(G, cell.columns, mapper)
                 table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return table
 
 

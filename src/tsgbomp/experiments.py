@@ -11,6 +11,7 @@ order. Parallel execution over trials therefore cannot change any result.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .signal_model import (
     min_separation,
     sample_support,
 )
+from .workers import worker_map
 
 __all__ = [
     "ALGORITHMS",
@@ -48,13 +50,15 @@ __all__ = [
 ALGORITHMS = ("tsgbomp", "bomp")
 
 
+def _min_indices(b: int, p: int, Lsep: int, K: int) -> int:
+    """Indices the tightest packing of K blocks spans: ceil(K/p) clusters,
+    K*b + (ceil(K/p) - 1)*Lsep (-Lsep at K = 0)."""
+    return K * b + (-(-K // p) - 1) * Lsep
+
+
 def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
-    """Whether K blocks can be arranged: the tightest packing uses ceil(K/p)
-    clusters, so K*b + (ceil(K/p) - 1)*Lsep must fit in n."""
-    if K == 0:
-        return True
-    k_min = -(-K // p)
-    return K * b + (k_min - 1) * Lsep <= n
+    """Whether K blocks can be arranged in n indices."""
+    return _min_indices(b, p, Lsep, K) <= n
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ class ExperimentConfig:
         if self.n % self.L != 0:
             raise ValueError("n must be divisible by L")
         for K in self.K_grid:
-            if not feasible_K(self.n, self.b, self.p, Lsep, K):
-                need = K * self.b + (-(-K // self.p) - 1) * Lsep
+            need = _min_indices(self.b, self.p, Lsep, K)
+            if need > self.n:
                 raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")
 
     @property
@@ -101,23 +105,6 @@ class ExperimentConfig:
         return PibsParams.from_window(
             n=self.n, b=self.b, p=self.p, l=self.L, L=self.L, K=K, R=0
         )
-
-    def to_text(self) -> str:
-        lines = [
-            f"n={self.n}",
-            f"m={self.m}",
-            f"b={self.b}",
-            f"p={self.p}",
-            f"L={self.L}",
-            "K_grid=" + ",".join(str(k) for k in self.K_grid),
-            f"value_scheme={self.value_scheme}",
-            f"trials={self.trials}",
-            f"epsilon={self.epsilon!r}",
-            "algorithms=" + ",".join(self.algorithms),
-            f"master_seed={self.master_seed}",
-            f"matrix_kind={self.matrix_kind}",
-        ]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -259,15 +246,9 @@ def run_curve(
     ]
     records: list[TrialRecord] = []
     try:
-        if jobs <= 1:
-            for task in tasks:
-                records.append(_trial_task(task))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rec in pool.map(_trial_task, tasks, chunksize=32):
-                    records.append(rec)
+        with worker_map(jobs, chunksize=32) as mapper:
+            for rec in mapper(_trial_task, tasks):
+                records.append(rec)
     except BaseException:
         if out_path is not None:
             partial = _aggregate(config, records, complete_only=True)
@@ -470,24 +451,19 @@ def _audit_matrix(i: int) -> LemmaReport:
     )
 
 
-def lemma_audit(matrices: int, jobs: int = 1) -> list[LemmaReport]:
+def lemma_audit(matrices: int, jobs: int = 1) -> Iterator[LemmaReport]:
     """The brute-force lemma checks on `matrices` seeded Gaussian matrices,
-    one report each, in matrix order. Matrix i is a unit-column 40x60 draw
-    seeded with 1000 + i, audited at K = R = 2 on the b=2, p=2, L=4 window
-    geometry with pseudo length 10, from 60 support samples and 25/10/40
-    sandwich, projected and inner-product draws. At 100 matrices this is
-    acceptance criterion 5.
+    one report each, yielded in matrix order as each finishes. Matrix i is
+    a unit-column 40x60 draw seeded with 1000 + i, audited at K = R = 2 on
+    the b=2, p=2, L=4 window geometry with pseudo length 10, from 60 support
+    samples and 25/10/40 sandwich, projected and inner-product draws. At 100
+    matrices this is acceptance criterion 5.
 
     Each matrix seeds its own generator, so the reports never depend on
-    jobs. With jobs > 1, matrix 0 runs in this process and fills the cell
-    cache, and the other matrices are mapped in order over a pool of
-    forked workers, which inherit the warm cache."""
-    if jobs <= 1 or matrices <= 1:
-        return [_audit_matrix(i) for i in range(matrices)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    reports = [_audit_matrix(0)]
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
-        reports += pool.map(_audit_matrix, range(1, matrices))
-    return reports
+    jobs. Matrix 0 runs in this process and fills the cell cache, which the
+    workers that map the other matrices inherit."""
+    if matrices < 1:
+        return
+    yield _audit_matrix(0)
+    with worker_map(jobs) as mapper:
+        yield from mapper(_audit_matrix, range(1, matrices))

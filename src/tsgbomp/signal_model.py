@@ -132,14 +132,6 @@ class Support:
         object.__setattr__(self, "clusters", tuple(sorted(tuple(c) for c in self.clusters)))
         object.__setattr__(self, "pseudo", tuple(sorted(self.pseudo)))
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(j for _, j in self.clusters)
-
-    @property
-    def pseudo_count(self) -> int:
-        return len(self.pseudo)
-
     @cached_property
     def block_starts(self) -> tuple[int, ...]:
         b = self.params.b
@@ -720,10 +712,6 @@ class SignalInstance:
     params: PibsParams
     x_min: float | None
     x_max: float | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.x_min is None
 
 
 def fill_values(

@@ -1,0 +1,19 @@
+"""The one process pool behind every `jobs` argument."""
+
+from contextlib import contextmanager
+from functools import partial
+
+
+@contextmanager
+def worker_map(jobs: int, chunksize: int = 1):
+    """Yield an ordered `map(fn, items)`: the builtin one when jobs <= 1,
+    else that of `jobs` forked workers, which inherit this process's caches
+    (the cell cache among them) instead of rebuilding them."""
+    if jobs <= 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield partial(pool.map, chunksize=chunksize)

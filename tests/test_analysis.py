@@ -28,6 +28,7 @@ from tsgbomp.analysis import (
 from tsgbomp.experiments import lemma_audit
 from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix
 from tsgbomp.signal_model import EnumerationCapError, PibsParams, iter_cell
+from tsgbomp.workers import worker_map
 
 
 def orthonormal_matrix(n, rng):
@@ -258,11 +259,9 @@ def _kernel_case(kind, complex_entries, s, rows, seed):
 
 
 @pytest.fixture(scope="module")
-def worker_pool():
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        yield pool
+def forked_map():
+    with worker_map(2) as mapper:
+        yield mapper
 
 
 class TestScanKernel:
@@ -281,7 +280,7 @@ class TestScanKernel:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_full_eigvalsh(
-        self, worker_pool, kind, complex_entries, s, rows, chunk_elements, block_elements, jobs,
+        self, forked_map, kind, complex_entries, s, rows, chunk_elements, block_elements, jobs,
         dtype, seed,
     ):
         G, idx = _kernel_case(kind, complex_entries, s, rows, seed)
@@ -289,7 +288,7 @@ class TestScanKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
-            got = analysis._batched_max_opdev(G, idx, worker_pool if jobs > 1 else None)
+            got = analysis._batched_max_opdev(G, idx, forked_map if jobs > 1 else map)
         assert got == _full_scan_max(G, idx)
 
     @pytest.mark.parametrize("complex_entries", [False, True])

@@ -9,12 +9,30 @@ from tsgbomp.experiments import (
     check_curve,
     curve_to_csv,
     feasible_K,
+    lemma_audit,
     run_curve,
     run_trial,
     theorem_regime_suite,
     trial_seed,
 )
 from tsgbomp.signal_model import min_separation
+
+
+# every key set, none to its default
+CONFIG_TEXT = """\
+n=48
+m=48
+b=2
+p=2
+L=4
+K_grid=1,2
+value_scheme=gaussian
+trials=5
+epsilon=1e-09
+algorithms=bomp
+master_seed=7
+matrix_kind=identity
+"""
 
 
 def small_config(**kw):
@@ -27,9 +45,11 @@ def small_config(**kw):
 
 class TestConfig:
     def test_round_trip_through_text(self):
-        cfg = small_config()
-        again = ExperimentConfig.from_text(cfg.to_text())
-        assert again == cfg
+        cfg = small_config(
+            m=48, value_scheme="gaussian", epsilon=1e-9, algorithms=("bomp",),
+            matrix_kind="identity",
+        )
+        assert ExperimentConfig.from_text(CONFIG_TEXT) == cfg
 
     def test_from_text_with_comments(self):
         text = "# comment\nn=48\nm=32\nb=2\np=2\nL=4\nK_grid=1,2\nmaster_seed=3\n"
@@ -38,12 +58,12 @@ class TestConfig:
         assert cfg.trials == 200  # default
 
     def test_unknown_key_rejected(self):
-        text = small_config().to_text() + "trails=1000\n"
+        text = CONFIG_TEXT + "trails=1000\n"
         with pytest.raises(ValueError, match="unknown config key 'trails'"):
             ExperimentConfig.from_text(text)
 
     def test_repeated_key_rejected(self):
-        text = small_config().to_text() + "master_seed=8\n"
+        text = CONFIG_TEXT + "master_seed=8\n"
         with pytest.raises(ValueError, match="'master_seed' given twice"):
             ExperimentConfig.from_text(text)
 
@@ -169,6 +189,14 @@ class TestCurves:
         assert not check_curve(
             [CurvePoint(1, "tsgbomp", 0.9, 10), CurvePoint(2, "tsgbomp", 0.88, 10)]
         )
+
+
+class TestLemmaAudit:
+    def test_first_report_audits_one_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_audit_matrix", calls.append)
+        next(lemma_audit(5))
+        assert calls == [0]
 
 
 class TestTheoremRegime:

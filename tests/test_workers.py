@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tsgbomp
+from tsgbomp.workers import worker_map
+
+
+def _pid_of(i):
+    return i, os.getpid()
+
+
+class TestWorkerMap:
+    def test_one_job_is_the_builtin_map(self):
+        with worker_map(1) as mapper:
+            assert mapper is map
+
+    def test_workers_return_results_in_input_order(self):
+        with worker_map(2) as mapper:
+            got = list(mapper(_pid_of, range(40)))
+        assert [i for i, _ in got] == list(range(40))
+        assert os.getpid() not in {pid for _, pid in got}
+
+    def test_cli_import_loads_no_pool_modules(self):
+        # the pool modules load only when a command asks for workers
+        code = (
+            "import sys, tsgbomp.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tsgbomp.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
