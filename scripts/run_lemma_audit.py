@@ -23,13 +23,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tsgbomp.cli import add_jobs_option
 from tsgbomp.experiments import lemma_audit
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(allow_abbrev=False)
     ap.add_argument("--matrices", type=int, default=100)
-    ap.add_argument("--jobs", type=int, default=1)
+    add_jobs_option(ap)
     args = ap.parse_args()
 
     digest = hashlib.sha256()

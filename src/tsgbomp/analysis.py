@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sensing import SensingMatrix
 from .signal_model import (
@@ -76,16 +77,28 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
-def _gather(G: np.ndarray, idx: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """M = G[S,S] - I for every row S of idx, by one flat take into the
-    leading rows of `out`, with `flat` for the flat indices; the result is
-    a view of `out`. The flat indices are formed in intp, since int32 rows
-    times n overflow int32 once n > 46,340. The take clips, so the caller
-    checks idx's range."""
-    c, s = idx.shape
+def _windows(G: np.ndarray, g: int) -> np.ndarray:
+    """W, G's length-g row windows as one contiguous (n, n - g + 1, g)
+    array: W[i, j] = G[i, j : j + g]. At g = 1 it is a view of G."""
+    return np.ascontiguousarray(sliding_window_view(G, g, axis=1))
+
+
+def _gather(W: np.ndarray, runs: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M = G[S,S] - I for every row of runs, S being the columns of its
+    runs of g = W.shape[2] consecutive columns, into the leading rows of
+    `out`; the result is a view of `out`. Row t of run j and run j' are
+    the window W[runs[j] + t, runs[j']], so one take of whole windows,
+    with `flat` (rows, w, g, w) for their flat indices, writes M in place:
+    s^2 / g indices per row of s = w*g columns. The flat indices are formed
+    in intp, since int32 run starts times n overflow int32 once
+    n > 46,340. The take clips, so the caller checks the runs' range."""
+    n, v, g = W.shape
+    c, w = runs.shape
+    s = w * g
     f, M = flat[:c], out[:c]
-    np.add(idx[:, :, None] * np.intp(G.shape[0]), idx[:, None, :], out=f)
-    G.ravel().take(f, out=M, mode="clip")
+    window_rows = runs[:, :, None] * np.intp(v) + np.arange(0, g * v, v)
+    np.add(window_rows[:, :, :, None], runs[:, None, None, :], out=f)
+    W.reshape(n * v, g).take(f, axis=0, out=M.reshape(c, w, g, w, g), mode="clip")
     M.reshape(c, s * s)[:, :: s + 1] -= 1.0
     return M
 
@@ -109,8 +122,8 @@ def _deviations(M: np.ndarray) -> np.ndarray:
 
 def _max_opdev(args) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
-    over the rows S of one chunk, bit-identical to np.argmax over a full
-    batched eigvalsh.
+    over the rows of one chunk of runs into the windows W (`_gather`),
+    bit-identical to np.argmax over a full batched eigvalsh.
 
     Every row first gets the coarse bound `_eig_bound(M)`, computed block by
     block, _BOUND_BLOCK_ELEMENTS entries of M at a time, in three buffers
@@ -126,19 +139,21 @@ def _max_opdev(args) -> tuple[float, int]:
     value if the bound times 1 + _BOUND_MARGIN, plus its floor, is at least
     that value, whatever the rounding or underflow of either computation.
     Ties go to the lowest row."""
-    G, idx = args
-    n, s = G.shape[0], idx.shape[1]
-    if idx.min() < 0 or idx.max() >= n:
+    W, runs = args
+    n, _, g = W.shape
+    w = runs.shape[1]
+    s = w * g
+    if runs.min() < 0 or runs.max() + g > n:
         raise IndexError(f"column index out of range for {n} columns")
-    block = min(len(idx), max(1, _BOUND_BLOCK_ELEMENTS // s**2))
-    flat = np.empty((block, s, s), np.intp)
-    M, MM = np.empty((2, block, s, s), G.dtype)
-    beta = np.empty(len(idx))
-    for lo in range(0, len(idx), block):
-        m = _gather(G, idx[lo : lo + block], flat, M)
+    block = min(len(runs), max(1, _BOUND_BLOCK_ELEMENTS // s**2))
+    flat = np.empty((block, w, g, w), np.intp)
+    M, MM = np.empty((2, block, s, s), W.dtype)
+    beta = np.empty(len(runs))
+    for lo in range(0, len(runs), block):
+        m = _gather(W, runs[lo : lo + block], flat, M)
         beta[lo : lo + len(m)] = _eig_bound(m, out=MM[: len(m)])
     arg = int(np.argmax(beta))
-    best = _deviations(_gather(G, idx[arg : arg + 1], flat, M))[0]
+    best = _deviations(_gather(W, runs[arg : arg + 1], flat, M))[0]
     reach = beta * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR
     candidates = np.flatnonzero(reach >= best)
     order = candidates[np.argsort(-beta[candidates], kind="stable")]
@@ -148,7 +163,7 @@ def _max_opdev(args) -> tuple[float, int]:
     lo, size, stop = 1, min(2, block), len(order)  # order[0] is the row solved above
     while lo < stop:
         rows = order[lo : min(lo + size, stop)]
-        m = _gather(G, idx[rows], flat, M)
+        m = _gather(W, runs[rows], flat, M)
         near = _eig_bound(m, 2) * (1.0 + _BOUND_MARGIN) + _FINE_BOUND_FLOOR >= best
         lo += len(rows)
         size = min(2 * size, block)
@@ -165,16 +180,21 @@ def _max_opdev(args) -> tuple[float, int]:
     return float(best), arg
 
 
-def _batched_max_opdev(G: np.ndarray, idx: np.ndarray, mapper=map) -> tuple[float, int]:
+def _batched_max_opdev(
+    G: np.ndarray, runs: np.ndarray, mapper=map, width: int = 1
+) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
-    the rows S of idx. Rows go in chunks of at most _EIG_CHUNK_ELEMENTS //
-    s^2, mapped over `mapper` (a `worker_map`). Chunk results merge in row
-    order and the first chunk wins ties, so the result never depends on the
-    mapper."""
-    s = idx.shape[1]
+    the rows of runs, S being the columns runs[j] + t, 0 <= t < width, of
+    its runs in order; at width 1 the rows are column indices, in any order
+    and with repeats. The windows W (`_windows`) are built once per call.
+    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2, mapped over
+    `mapper` (a `worker_map`). Chunk results merge in row order and the
+    first chunk wins ties, so the result never depends on the mapper."""
+    s = runs.shape[1] * width
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
-    starts = range(0, idx.shape[0], chunk)
-    parts = [(G, idx[lo : lo + chunk]) for lo in starts]
+    starts = range(0, runs.shape[0], chunk)
+    W = _windows(G, width)
+    parts = [(W, runs[lo : lo + chunk]) for lo in starts]
     best, arg = -1.0, -1
     for lo, (top, i) in zip(starts, mapper(_max_opdev, parts)):
         if top > best:
@@ -245,7 +265,7 @@ def pibric_table(
 ) -> dict[tuple[int, int], _CellStat]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
-    the cell's column array (`_cell_data`) to the exact (max, first argmax
+    the cell's run array (`_cell_data`) to the exact (max, first argmax
     row), eigensolving only the rows whose certified bound can still reach
     the maximum, and only that row becomes a Support. Cells larger than
     cell_cap are marked skipped instead of computed, and `_order_deltas`
@@ -269,10 +289,10 @@ def pibric_table(
                     )
                     continue
                 cell = _cell_data(params, k, r)
-                if not cell.columns.shape[1]:
+                if not cell.runs.shape[1]:
                     table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
                     continue
-                delta, i = _batched_max_opdev(G, cell.columns, mapper)
+                delta, i = _batched_max_opdev(G, cell.runs, mapper, cell.width)
                 table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
     return table
 
@@ -353,7 +373,7 @@ def _table_supports(
             stat = table[(k, r)]
             if stat.count and not stat.skipped:
                 cell = _cell_data(params, k, r)
-                if cell.columns.shape[1]:
+                if cell.runs.shape[1]:
                     cells.append(cell)
     return cells
 

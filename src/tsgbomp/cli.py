@@ -175,6 +175,22 @@ def _cmd_theorem_suite(args) -> int:
     return 0 if report.all_recovered else 1
 
 
+def _worker_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return jobs
+
+
+def add_jobs_option(parser: argparse.ArgumentParser, default: int = 1) -> None:
+    """The --jobs option of every command and script that forks workers: a
+    worker count of at least 1, anything less being a usage error."""
+    parser.add_argument("--jobs", type=_worker_count, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no abbreviations anywhere, so a stray --l cannot pass for --lsep
     parser = argparse.ArgumentParser(prog="tsgbomp", allow_abbrev=False)
@@ -233,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cap", type=int, default=1_000_000)
-    sp.add_argument("--jobs", type=int, default=1)
+    add_jobs_option(sp)
     sp.set_defaults(func=_cmd_ric)
 
     sp = sub.add_parser("lemmas", help="brute-force lemma checks on a matrix")
@@ -292,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curve", help="Monte Carlo phase-transition curve")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    add_jobs_option(sp)
     sp.add_argument("--check", action="store_true")
     sp.set_defaults(func=_cmd_curve)
 

@@ -10,7 +10,6 @@ order. Parallel execution over trials therefore cannot change any result.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -171,6 +170,8 @@ class CurvePoint:
 def trial_seed(master_seed: int, K: int, algorithm: str, index: int) -> int:
     """Stable 64-bit per-trial seed: first 8 little-endian bytes of
     SHA-256 over 'master|K|algorithm|index'."""
+    import hashlib  # loads OpenSSL's libcrypto, which only trial-drawing commands need
+
     digest = hashlib.sha256(f"{master_seed}|{K}|{algorithm}|{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

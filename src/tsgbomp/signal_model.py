@@ -383,17 +383,30 @@ _ROW_CHUNK_ELEMENTS = 1 << 21  # bound on rows * n entries of one enumeration st
 @dataclass(frozen=True, eq=False)
 class CellRows:
     """Every support of one (k, r) cell as index arrays, row i being the
-    i-th support `iter_cell` yields: `columns` (N, k*b + r*l) holds each
-    support's sorted columns, `blocks` (N, k) its block starts and `pseudo`
-    (N, r) its pseudo-block starts, all 0-based and int32."""
+    i-th support `iter_cell` yields, all 0-based and int32: `blocks` (N, k)
+    holds each support's block starts and `pseudo` (N, r) its pseudo-block
+    starts. Every support is a union of blocks of b columns and pseudo
+    blocks of l, so its sorted columns are runs of `width` consecutive
+    columns, width = b when r = 0 and gcd(b, l) otherwise; `runs`
+    (N, (k*b + r*l) // width) holds the ascending run starts. At r = 0 the
+    runs are the blocks, and `runs` is `blocks`."""
 
     params: PibsParams
-    columns: np.ndarray
+    runs: np.ndarray
+    width: int
     blocks: np.ndarray
     pseudo: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.runs)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(N, k*b + r*l) int32: each support's sorted columns, expanded
+        from the runs on every call."""
+        rows, w = self.runs.shape
+        steps = np.arange(self.width, dtype=np.int32)
+        return (self.runs[:, :, None] + steps).reshape(rows, w * self.width)
 
     def support(self, i: int) -> Support:
         """Row i as a Support. Adjacent blocks belong to one cluster, since
@@ -416,23 +429,28 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     """Every support with exactly k true blocks and r pseudo blocks as int32
     index arrays, in `iter_cell` order, with no Support built.
 
-    The three arrays are allocated once, with `cell_count` rows, and each
-    chunk of rows is written into them in place. Each composition's layouts
-    are its packed block starts plus the non-decreasing offsets
+    The arrays are allocated once, with `cell_count` rows, and each chunk
+    of rows is written into them in place. Each composition's layouts are
+    its packed block starts plus the non-decreasing offsets
     `_combinations(slack + kc, kc) - arange(kc)`, held whole for one
     cluster count kc and taken in chunks; pseudo blocks are added one
     ascending start at a time (`_place_pseudo`). Layouts and partial rows
     go in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
     entries, so apart from the rows it returns and one cluster count's
-    offsets, memory does not grow with the cell. Cluster columns ascend by
-    construction, so only rows with pseudo blocks are sorted. A row count
+    offsets, memory does not grow with the cell. At r = 0 the runs are the
+    block starts, which ascend by construction; at r >= 1 each chunk's runs
+    are written into their rows of `runs` and sorted there. A row count
     other than `cell_count` raises AssertionError."""
     n, b, l = params.n, params.b, params.l
+    width = math.gcd(b, l) if r else b
     chunk = max(1, _ROW_CHUNK_ELEMENTS // n)
     total = cell_count(params, k, r)
-    columns = np.empty((total, k * b + r * l), np.int32)
     blocks = np.empty((total, k), np.int32)
     pseudo = np.empty((total, r), np.int32)
+    runs = np.empty((total, (k * b + r * l) // width), np.int32) if r else blocks
+    block_runs, pseudo_runs = k * b // width, r * l // width
+    block_steps = np.arange(0, b, width, dtype=np.int32)
+    pseudo_steps = np.arange(0, l, width, dtype=np.int32)
     at = 0
     for kc, _, slack in _layout_table(params, k):
         offsets = _combinations(slack + kc, kc) - np.arange(kc, dtype=np.int32)
@@ -445,24 +463,25 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
             base = np.asarray(base, dtype=np.int32)
             for lo in range(0, len(offsets), chunk):
                 starts = offsets[lo : lo + chunk, owner] + base
-                m = len(starts)
-                cluster_cols = (starts[:, :, None] + np.arange(b, dtype=np.int32)).reshape(m, k * b)
-                for rows, placed in _place_pseudo(cluster_cols, n, l, r, chunk):
+                for rows, placed in _place_pseudo(starts, n, b, l, r, chunk):
                     end = at + len(rows)
                     if end > total:
                         raise AssertionError(f"cell ({k}, {r}) holds more than {total} rows")
-                    out = columns[at:end]
-                    out[:, : k * b] = cluster_cols[rows]
-                    if r:
-                        pseudo_cols = placed[:, :, None] + np.arange(l)
-                        out[:, k * b :] = pseudo_cols.reshape(len(rows), r * l)
-                        out.sort(axis=1)
                     blocks[at:end] = starts[rows]
-                    pseudo[at:end] = placed
+                    if r:
+                        pseudo[at:end] = placed
+                        out = runs[at:end]
+                        out[:, :block_runs] = (
+                            blocks[at:end, :, None] + block_steps
+                        ).reshape(end - at, block_runs)
+                        out[:, block_runs:] = (
+                            placed[:, :, None] + pseudo_steps
+                        ).reshape(end - at, pseudo_runs)
+                        out.sort(axis=1)
                     at = end
     if at != total:
         raise AssertionError(f"cell ({k}, {r}) holds {at} rows, cell_count gives {total}")
-    return CellRows(params=params, columns=columns, blocks=blocks, pseudo=pseudo)
+    return CellRows(params=params, runs=runs, width=width, blocks=blocks, pseudo=pseudo)
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
@@ -483,22 +502,23 @@ def _combinations(m: int, k: int) -> np.ndarray:
 
 
 def _place_pseudo(
-    cluster_cols: np.ndarray, n: int, l: int, r: int, chunk: int
+    starts: np.ndarray, n: int, b: int, l: int, r: int, chunk: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(layout row, pseudo starts) array pairs for every placement of r
-    pseudo blocks beside the 0-based cluster columns of each layout row, in
-    lexicographic order. A start is allowed when its l columns stay in range
-    and miss every cluster; each step extends a row by every allowed start at
-    or past the previous start + l, and `np.nonzero` of that (rows, starts)
-    mask is row-major, so the order stays lexicographic."""
-    m = len(cluster_cols)
+    pseudo blocks beside the 0-based blocks of b columns starting at each
+    layout row of `starts`, in lexicographic order. A start is allowed when
+    its l columns stay in range and miss every cluster; each step extends a
+    row by every allowed start at or past the previous start + l, and
+    `np.nonzero` of that (rows, starts) mask is row-major, so the order
+    stays lexicographic."""
+    m = len(starts)
     if r == 0:
         yield np.arange(m), np.empty((m, 0), dtype=np.intp)
         return
     if not 0 < l <= n:
         return
     covered = np.zeros((m, n + 1), dtype=np.int32)  # [:, j]: cluster columns below j
-    covered[np.arange(m)[:, None], cluster_cols + 1] = 1
+    covered[np.arange(m)[:, None, None], starts[:, :, None] + np.arange(1, b + 1)] = 1
     covered.cumsum(axis=1, out=covered)
     free = covered[:, l:] == covered[:, :-l]
     yield from _extend_pseudo(free, l, r, np.arange(m), np.empty((m, 0), dtype=np.intp), chunk)

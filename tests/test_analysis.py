@@ -232,30 +232,52 @@ def _kernel_case(kind, complex_entries, s, rows, seed):
     of distinct columns, so the bound's fourth powers underflow."""
     rng = np.random.default_rng(seed)
     n = 8
-
-    def draw(*shape):
-        z = rng.standard_normal(shape)
-        return z + 1j * rng.standard_normal(shape) if complex_entries else z
-
-    if kind == "identity":
-        G = np.eye(n)
-    elif kind == "permuted":
-        w = draw(n)
+    if kind == "permuted":
+        w = _draw(rng, complex_entries, n)
         G = np.eye(n) + np.outer(w, w.conj())
         perms = list(itertools.permutations(rng.choice(n, size=s, replace=False)))
         return G, np.asarray(perms)[rng.permutation(len(perms))]
-    else:
-        A = draw(6, n)
-        if kind == "duplicated":
-            A[:, 2::2] = A[:, :1]
-        elif kind == "equal":
-            A[:] = A[:, :1]
-        A /= np.linalg.norm(A, axis=0)
-        G = A.conj().T @ A
-        if kind == "tiny":
-            G = np.eye(n) + 1e-100 * (G - np.diag(np.diag(G)))
-            return G, np.argsort(rng.random((rows, n)), axis=1)[:, :s]
+    G = _gram(kind, complex_entries, n, rng)
+    if kind == "tiny":
+        return G, np.argsort(rng.random((rows, n)), axis=1)[:, :s]
     return G, rng.integers(0, n, size=(rows, s))
+
+
+def _draw(rng, complex_entries, *shape):
+    z = rng.standard_normal(shape)
+    return z + 1j * rng.standard_normal(shape) if complex_entries else z
+
+
+def _gram(kind, complex_entries, n, rng):
+    """G on n columns for the identity, gaussian, duplicated, equal and tiny
+    kinds of `_kernel_case`."""
+    if kind == "identity":
+        return np.eye(n)
+    A = _draw(rng, complex_entries, 6, n)
+    if kind == "duplicated":
+        A[:, 2::2] = A[:, :1]
+    elif kind == "equal":
+        A[:] = A[:, :1]
+    A /= np.linalg.norm(A, axis=0)
+    G = A.conj().T @ A
+    if kind == "tiny":
+        G = np.eye(n) + 1e-100 * (G - np.diag(np.diag(G)))
+    return G
+
+
+def _run_case(kind, complex_entries, g, w, rows, ordered, seed):
+    """A Hermitian matrix G on 12 columns and rows of w disjoint runs of g
+    consecutive columns into it, ascending (as a cell holds them) or in
+    random order, and the rows' columns run by run."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    G = _gram(kind, complex_entries, n, rng)
+    picks = np.argsort(rng.random((rows, n - w * (g - 1))), axis=1)[:, :w]
+    runs = np.sort(picks, axis=1) + np.arange(w) * (g - 1)
+    if not ordered:
+        runs = np.take_along_axis(runs, np.argsort(rng.random(runs.shape), axis=1), axis=1)
+    columns = (runs[:, :, None] + np.arange(g)).reshape(rows, w * g)
+    return G, runs.astype(np.int32), columns
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +312,30 @@ class TestScanKernel:
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             got = analysis._batched_max_opdev(G, idx, forked_map if jobs > 1 else map)
         assert got == _full_scan_max(G, idx)
+
+    @given(
+        kind=st.sampled_from(["gaussian", "duplicated", "equal", "identity", "tiny"]),
+        complex_entries=st.booleans(),
+        g=st.sampled_from([2, 3, 4]),
+        w=st.integers(1, 3),
+        rows=st.integers(1, 300),
+        ordered=st.booleans(),
+        chunk_elements=st.sampled_from([1, 50, 4_000_000]),
+        block_elements=st.sampled_from([1, 20, 1 << 16]),
+        jobs=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_runs_match_full_eigvalsh_of_their_columns(
+        self, forked_map, kind, complex_entries, g, w, rows, ordered, chunk_elements,
+        block_elements, jobs, seed,
+    ):
+        G, runs, columns = _run_case(kind, complex_entries, g, w, rows, ordered, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
+            mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+            got = analysis._batched_max_opdev(G, runs, forked_map if jobs > 1 else map, g)
+        assert got == _full_scan_max(G, columns)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_rounding_ties_match_full_eigvalsh(self, complex_entries):
@@ -333,13 +379,21 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_int32_and_intp_rows_gather_the_same(self, complex_entries):
-        G, idx = _kernel_case("gaussian", complex_entries, 4, 50, seed=3)
-        flat = np.empty((50, 4, 4), np.intp)
-        out = np.empty((50, 4, 4), G.dtype)
-        wide = analysis._gather(G, idx.astype(np.intp), flat, out).copy()
-        narrow = analysis._gather(G, idx.astype(np.int32), flat, out)
-        assert np.array_equal(wide, narrow)
-        assert np.array_equal(wide, G[idx[:, :, None], idx[:, None, :]] - np.eye(4))
+        # at g = 1 the rows are random columns, repeats included
+        for g in (1, 2, 3):
+            if g == 1:
+                G, runs = _kernel_case("gaussian", complex_entries, 4, 50, seed=3)
+                columns = runs
+            else:
+                G, runs, columns = _run_case("gaussian", complex_entries, g, 3, 50, False, seed=3)
+            w, s = runs.shape[1], columns.shape[1]
+            W = analysis._windows(G, g)
+            flat = np.empty((50, w, g, w), np.intp)
+            out = np.empty((50, s, s), G.dtype)
+            wide = analysis._gather(W, runs.astype(np.intp), flat, out).copy()
+            narrow = analysis._gather(W, runs.astype(np.int32), flat, out)
+            assert np.array_equal(wide, narrow)
+            assert np.array_equal(wide, G[columns[:, :, None], columns[:, None, :]] - np.eye(s))
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "equal", "permuted", "tiny"])
@@ -355,10 +409,13 @@ class TestScanKernel:
                 assert np.all(reach >= devs)
 
     def test_out_of_range_column_raises(self):
-        # the gather's flat take clips, so the range is checked first
-        for idx in ([[0, 3]], [[-1, 0]]):
+        # the gather's flat take clips, so the range is checked first; a run
+        # of 2 columns from start 1 ends at column 2 of 3, one from start 2
+        # past it
+        assert analysis._batched_max_opdev(np.eye(3), np.array([[1]]), map, 2) == (0.0, 0)
+        for idx, width in (([[0, 3]], 1), ([[-1, 0]], 1), ([[2]], 2), ([[0, 2]], 2), ([[-1]], 2)):
             with pytest.raises(IndexError):
-                analysis._batched_max_opdev(np.eye(3), np.array(idx))
+                analysis._batched_max_opdev(np.eye(3), np.array(idx), map, width)
 
     def test_screen_skips_eigensolves(self):
         params = PibsParams(n=50, b=1, p=1, l=0, Lsep=1, K=3, R=0)

@@ -320,6 +320,23 @@ class TestUsageErrors:
         err_text = capsys.readouterr().err
         assert "--L" in err_text and "--lsep" in err_text
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
+             "--K", "1", "--R", "0"],
+            ["curve", "--config", "exp.cfg"],
+        ],
+        ids=["ric", "curve"],
+    )
+    def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
+        # a worker count below 1 used to run serially without a word
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--jobs", jobs])
+        assert err.value.code == 2
+        assert f"--jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
+
     def test_geometry_error_reported(self, capsys):
         code = main(["gen-signal", "--n", "3", "--b", "2", "--p", "1", "--lsep", "2",
                      "--K", "2", "--seed", "0", "--out", "/tmp/never.csv"])

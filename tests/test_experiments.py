@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +109,14 @@ class TestTrials:
         assert trial_seed(7, 3, "tsgbomp", 11) == 13825836463410059764
         assert trial_seed(7, 3, "tsgbomp", 11) == trial_seed(7, 3, "tsgbomp", 11)
         assert trial_seed(7, 3, "tsgbomp", 11) != trial_seed(7, 3, "bomp", 11)
+
+    def test_cli_import_loads_no_hashlib(self):
+        # hashlib loads OpenSSL's libcrypto, which only a trial seed needs
+        code = "import sys, tsgbomp.cli; print('_hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_trial_reproducible(self):
         cfg = small_config()

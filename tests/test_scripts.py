@@ -31,6 +31,11 @@ class TestRunLemmaAudit:
         # every line but the tally before the hash, which carries the time
         assert one[:-2] + one[-1:] == two[:-2] + two[-1:]
 
+    def test_jobs_below_one_exits_two(self):
+        proc = run_script("run_lemma_audit.py", "--matrices", "1", "--jobs", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--jobs: must be an integer of at least 1, got '0'" in proc.stderr
+
 
 class TestRunPhaseTransition:
     def test_writes_every_config_curve(self, tmp_path):
@@ -48,3 +53,11 @@ class TestRunPhaseTransition:
         config = ExperimentConfig.from_text((SCRIPTS / "configs" / "fig_m160_p2.cfg").read_text())
         expected = curve_to_csv(run_curve(replace(config, trials=2)))
         assert (tmp_path / "curve_n200_m160_b4_p2_L8.csv").read_text() == expected
+
+    def test_jobs_below_one_exits_two(self, tmp_path):
+        proc = run_script(
+            "run_phase_transition.py", "--trials", "2", "--jobs", "-3",
+            "--out-dir", str(tmp_path),
+        )
+        assert proc.returncode == 2 and list(tmp_path.iterdir()) == []
+        assert "--jobs: must be an integer of at least 1, got '-3'" in proc.stderr

@@ -231,6 +231,18 @@ class TestEnumeration:
                     empty += assert_rows_match_iter_cell(params, k, r) == 0
         assert empty > 0
 
+    @pytest.mark.parametrize("b,l", [(2, 10), (2, 3), (3, 6), (4, 2)])
+    def test_cells_hold_runs_not_columns(self, b, l):
+        # a cell without pseudo blocks stores its block starts once; one with
+        # pseudo blocks stores a start per gcd(b, l) columns
+        params = PibsParams(n=40, b=b, p=2, l=l, Lsep=l, K=2, R=2)
+        plain = cell_rows(params, 2, 0)
+        assert plain.runs is plain.blocks and plain.width == b
+        for r in (1, 2):
+            cell = cell_rows(params, 2, r)
+            assert len(cell) > 0 and cell.width == math.gcd(b, l)
+            assert cell.runs.shape[1] == (2 * b + r * l) // math.gcd(b, l)
+
     @pytest.mark.parametrize("m", range(13))
     def test_combinations_match_itertools(self, m):
         for k in range(m + 1):
