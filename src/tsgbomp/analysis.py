@@ -86,10 +86,10 @@ def _windows(G: np.ndarray, g: int) -> np.ndarray:
 def _gather(W: np.ndarray, runs: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """M = G[S,S] - I for every row of runs, S being the columns of its
     runs of g = W.shape[2] consecutive columns, into the leading rows of
-    `out`; the result is a view of `out`. Row t of run j and run j' are
-    the window W[runs[j] + t, runs[j']], so one take of whole windows,
-    with `flat` (rows, w, g, w) for their flat indices, writes M in place:
-    s^2 / g indices per row of s = w*g columns. The flat indices are formed
+    `out`; the result is a view of `out`. Row t of the block of M that
+    runs j and j' span is the window W[runs[j] + t, runs[j']], so one take
+    of whole windows, with `flat` (rows, w, g, w) for their flat indices,
+    writes M in place: s^2 / g indices per row of s = w*g columns. The flat indices are formed
     in intp, since int32 run starts times n overflow int32 once
     n > 46,340. The take clips, so the caller checks the runs' range."""
     n, v, g = W.shape
