@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 _EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s: the rows one call screens and solves
-_BOUND_BLOCK_ELEMENTS = 1 << 16  # entries of M per bound block: M, M @ M and their indices stay in cache
-_BOUND_MARGIN = 1e-9  # relative slack on the pruning bound, far above its rounding
-_BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the bound's 4th powers underflow
+_BOUND_BLOCK_ELEMENTS = 1 << 16  # scalars per block: a block's N or M entries stay in cache
+_TABLE_STRIP_ELEMENTS = 1 << 13  # entries per table strip: a temporary holds 64 KB (128 KB complex)
+_BOUND_MARGIN = 1e-9  # relative slack on the pruning bounds, far above their rounding
+_BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the pair bound's 4th powers underflow
 _FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
 
 
@@ -120,53 +121,164 @@ def _deviations(M: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
 
 
+def _diag_table(G: np.ndarray, h: int) -> np.ndarray:
+    """D[a] = max |eigenvalue| of G[a:a+h, a:a+h] - I for every a, from
+    batched eigvalsh calls of at most _TABLE_STRIP_ELEMENTS entries each."""
+    v = G.shape[0] - h + 1
+    windows = sliding_window_view(G, (h, h))
+    D = np.empty(v)
+    strip = max(1, _TABLE_STRIP_ELEMENTS // (h * h))
+    for a in range(0, v, strip):
+        diagonal = np.arange(a, min(a + strip, v))
+        blocks = windows[diagonal, diagonal]
+        blocks.reshape(len(diagonal), h * h)[:, :: h + 1] -= 1.0
+        D[diagonal] = _deviations(blocks)
+    return D
+
+
+def _pair_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
+    """T[a, c] = ||B B^H||_F^(1/2) = (sum sigma^4)^(1/4) >= ||B||_2 for
+    every h x w block B = G[a:a+h, c:c+w], read off the smaller Gram side.
+    With h <= w, entry (i, i+d) of B B^H is Q_d[a+i, c], where Q_d[p, c]
+    sums G[p, c+t] conj(G[p+d, c+t]) over t < w: w shifted adds of one
+    product of rows of G per offset d, and h - d more for the squares that
+    ||B B^H||_F^2 takes over i. Rows a go in strips of about
+    _TABLE_STRIP_ELEMENTS entries of G, so every temporary is a strip."""
+    if h > w:
+        return np.ascontiguousarray(_pair_table(np.ascontiguousarray(G.conj().T), w, h).T)
+    n = G.shape[0]
+    va, vc = n - h + 1, n - w + 1
+    T = np.empty((va, vc))
+    strip = max(1, _TABLE_STRIP_ELEMENTS // n)
+    for a in range(0, va, strip):
+        rows = G[a : min(a + strip, va) + h - 1]
+        na = len(rows) - h + 1
+        sq = np.zeros((na, vc))
+        for d in range(h):
+            prod = rows[: len(rows) - d] * rows[d:].conj()
+            Q = prod[:, :vc].copy()
+            for t in range(1, w):
+                Q += prod[:, t : t + vc]
+            Q2 = (Q * Q.conj()).real
+            if d:
+                Q2 *= 2.0
+            for i in range(h - d):
+                sq += Q2[i : i + na]
+        T[a : a + na] = np.sqrt(np.sqrt(sq))
+    return T
+
+
+class _PairTables:
+    """The tables of the pair bound for one Gram matrix G, each built on
+    first use and then kept: D_h (`_diag_table`) for each segment width h
+    and T_hw (`_pair_table`) for each ordered pair of widths that rows
+    read, so a `pibric_table` call builds each once."""
+
+    def __init__(self, G: np.ndarray):
+        self.G = G
+        self.diag: dict[int, np.ndarray] = {}
+        self.pair: dict[tuple[int, int], np.ndarray] = {}
+
+    def read(self, widths: list[int]) -> tuple[dict, dict]:
+        """The D and T tables that rows of segments of these widths, in
+        this order, read."""
+        diag, pair = {}, {}
+        for i, h in enumerate(widths):
+            if h not in self.diag:
+                self.diag[h] = _diag_table(self.G, h)
+            diag[h] = self.diag[h]
+            for w in widths[i + 1 :]:
+                if (h, w) not in self.pair:
+                    self.pair[h, w] = _pair_table(self.G, h, w)
+                pair[h, w] = self.pair[h, w]
+        return diag, pair
+
+
+def _pair_bound(starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict) -> np.ndarray:
+    """||N^2||_F^(1/2) for each row of segments, starts[i] holding every
+    row's start of segment i, of width widths[i]. N is the symmetric
+    matrix with N_ii = D[start_i] and N_ij = N_ji = T[start_i, start_j]
+    (i < j), each at least the norm of the block of M = G[S,S] - I that
+    segments i and j span, so ||M||_2 <= ||N||_2 <= ||N^2||_F^(1/2), which
+    is (sum of lambda(N)^4)^(1/4). Structure of arrays: one vector per
+    entry of N and of N^2, the upper triangle only."""
+    m = len(starts)
+    N = {}
+    for i in range(m):
+        N[i, i] = diag[widths[i]].take(starts[i])
+        for j in range(i + 1, m):
+            T = pair[widths[i], widths[j]]
+            N[i, j] = N[j, i] = T.take(starts[i] * np.intp(T.shape[1]) + starts[j])
+    total = np.zeros(len(starts[0]))
+    for i in range(m):
+        for j in range(i, m):
+            e = N[i, 0] * N[0, j]
+            for k in range(1, m):
+                e += N[i, k] * N[k, j]
+            e *= e
+            if i != j:
+                e *= 2.0
+            total += e
+    return np.sqrt(np.sqrt(total))
+
+
 def _max_opdev(args) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
     over the rows of one chunk of runs into the windows W (`_gather`),
     bit-identical to np.argmax over a full batched eigvalsh.
 
-    Every row first gets the coarse bound `_eig_bound(M)`, computed block by
-    block, _BOUND_BLOCK_ELEMENTS entries of M at a time, in three buffers
-    that the whole chunk reuses; only the bounds are kept. The row with the
-    largest coarse bound (the first, on ties) is eigensolved first, and
-    only the rows whose coarse bound can reach its deviation stay
-    candidates; they are the rows the scan can visit, a prefix of the
-    descending coarse-bound order. The candidates alone are sorted (stable)
-    and gathered again in that order, in batches of 2, 4, 8, ... rows, at
-    most one block each. A row is eigensolved only if its fine bound
-    `_eig_bound(M, 2)` can still reach the best value so far, and the scan
-    stops at the first row whose coarse bound cannot. A bound can reach a
-    value if the bound times 1 + _BOUND_MARGIN, plus its floor, is at least
-    that value, whatever the rounding or underflow of either computation.
-    Ties go to the lowest row."""
-    W, runs = args
+    No row is gathered to be screened. Every row gets the pair bound
+    (`_pair_bound`) of its segments, read from the tables `diag` and
+    `pair`, in blocks of _BOUND_BLOCK_ELEMENTS entries of N; only the
+    bounds are kept. The row with the largest pair bound (the first, on
+    ties) is eigensolved first, and only the rows whose pair bound can
+    reach its deviation stay candidates; they are the rows the scan can
+    visit, a prefix of the descending pair-bound order. The candidates
+    alone are sorted (stable) and gathered in that order, in batches of
+    2, 4, 8, ... rows, at most _BOUND_BLOCK_ELEMENTS entries of M each. A
+    row is eigensolved only if its coarse bound `_eig_bound(M)` and then
+    its fine bound, `_eig_bound(M @ M)` ** 0.5, can still reach the best
+    value so far, and the scan stops at the first row whose pair bound
+    cannot. A bound can reach a value if the bound times 1 + _BOUND_MARGIN,
+    plus its floor, is at least that value, whatever the rounding or
+    underflow of either computation. Ties go to the lowest row."""
+    W, runs, segments, diag, pair = args
     n, _, g = W.shape
     w = runs.shape[1]
     s = w * g
     if runs.min() < 0 or runs.max() + g > n:
         raise IndexError(f"column index out of range for {n} columns")
+    widths = [h for starts, h in segments for _ in range(starts.shape[1])]
+    step = max(1, _BOUND_BLOCK_ELEMENTS // len(widths) ** 2)
+    reach = np.empty(len(runs))
+    for lo in range(0, len(runs), step):
+        starts = [part[lo : lo + step, j] for part, _ in segments for j in range(part.shape[1])]
+        reach[lo : lo + step] = _pair_bound(starts, widths, diag, pair)
+    reach *= 1.0 + _BOUND_MARGIN
+    reach += _BOUND_FLOOR
     block = min(len(runs), max(1, _BOUND_BLOCK_ELEMENTS // s**2))
     flat = np.empty((block, w, g, w), np.intp)
     M, MM = np.empty((2, block, s, s), W.dtype)
-    beta = np.empty(len(runs))
-    for lo in range(0, len(runs), block):
-        m = _gather(W, runs[lo : lo + block], flat, M)
-        beta[lo : lo + len(m)] = _eig_bound(m, out=MM[: len(m)])
-    arg = int(np.argmax(beta))
+    arg = int(np.argmax(reach))
     best = _deviations(_gather(W, runs[arg : arg + 1], flat, M))[0]
-    reach = beta * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR
-    candidates = np.flatnonzero(reach >= best)
-    order = candidates[np.argsort(-beta[candidates], kind="stable")]
+    order = np.flatnonzero(reach >= best)
+    order = order[np.argsort(-reach[order], kind="stable")]
     # minus each candidate's reach, ascending: the rows that can still
     # reach a value are a prefix, whose end one binary search finds
     fall = -reach[order]
     lo, size, stop = 1, min(2, block), len(order)  # order[0] is the row solved above
     while lo < stop:
         rows = order[lo : min(lo + size, stop)]
-        m = _gather(W, runs[rows], flat, M)
-        near = _eig_bound(m, 2) * (1.0 + _BOUND_MARGIN) + _FINE_BOUND_FLOOR >= best
         lo += len(rows)
         size = min(2 * size, block)
+        m = _gather(W, runs[rows], flat, M)
+        mm = MM[: len(m)]
+        near = _eig_bound(m, out=mm) * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR >= best
+        if not near.any():
+            continue
+        # ||(M @ M)^2||_F^(1/2) = (sum lambda^8)^(1/4), the fine bound squared
+        fine = np.sqrt(_eig_bound(mm[near])) * (1.0 + _BOUND_MARGIN) + _FINE_BOUND_FLOOR
+        near[near] = fine >= best
         if not near.any():
             continue
         rows = rows[near]
@@ -181,20 +293,37 @@ def _max_opdev(args) -> tuple[float, int]:
 
 
 def _batched_max_opdev(
-    G: np.ndarray, runs: np.ndarray, mapper=map, width: int = 1
+    G: np.ndarray, runs: np.ndarray, mapper=map, width: int = 1, segments=None, tables=None
 ) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
     the rows of runs, S being the columns runs[j] + t, 0 <= t < width, of
     its runs in order; at width 1 the rows are column indices, in any order
     and with repeats. The windows W (`_windows`) are built once per call.
-    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2, mapped over
-    `mapper` (a `worker_map`). Chunk results merge in row order and the
-    first chunk wins ties, so the result never depends on the mapper."""
+
+    `segments`, pairs (starts, h) of (rows, count) arrays, cut each row's
+    columns into the segments that its pair bound (`_pair_bound`) reads:
+    a cell passes its blocks (width b) and pseudo blocks (width l). By
+    default each run is one segment of `width` columns; off-diagonal blocks
+    come from G, so repeated or overlapping segments are bounded too. The
+    tables come from `tables` (a `_PairTables` of G; a new one by default),
+    which builds any it lacks here, before the chunks are mapped. Rows go
+    in chunks of at most _EIG_CHUNK_ELEMENTS // s^2, mapped over `mapper`
+    (a `worker_map`). Chunk results merge in row order and the first chunk
+    wins ties, so the result never depends on the mapper."""
+    if segments is None:
+        segments = ((runs, width),)
+    segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
+    diag, pair = (_PairTables(G) if tables is None else tables).read(
+        [h for starts, h in segments for _ in range(starts.shape[1])]
+    )
     s = runs.shape[1] * width
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
     starts = range(0, runs.shape[0], chunk)
     W = _windows(G, width)
-    parts = [(W, runs[lo : lo + chunk]) for lo in starts]
+    parts = [
+        (W, runs[lo : lo + chunk], [(part[lo : lo + chunk], h) for part, h in segments], diag, pair)
+        for lo in starts
+    ]
     best, arg = -1.0, -1
     for lo, (top, i) in zip(starts, mapper(_max_opdev, parts)):
         if top > best:
@@ -241,7 +370,8 @@ def pibric(
     `pibric_table`, after checking the total support count against `cap`.
 
     The result (including the argmax support, first in (k, r) cell order and
-    then in enumeration order on ties) never depends on jobs.
+    then in enumeration order on ties) never depends on jobs; a jobs below 1
+    raises ValueError.
     """
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
@@ -266,15 +396,21 @@ def pibric_table(
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
     the cell's run array (`_cell_data`) to the exact (max, first argmax
-    row), eigensolving only the rows whose certified bound can still reach
-    the maximum, and only that row becomes a Support. Cells larger than
-    cell_cap are marked skipped instead of computed, and `_order_deltas`
-    reads the order constants off the table. With jobs > 1 one pool of
-    forked workers (`worker_map`) runs every cell's chunks; the table never
-    depends on jobs."""
+    row), screening each row with the pair bound of its blocks (width b)
+    and pseudo blocks (width l) and eigensolving only the rows whose
+    certified bounds can still reach the maximum; only that row becomes a
+    Support. One `_PairTables` of G serves every cell, so each table the
+    cells read is built once per call, and only those: D_b once some cell
+    has k >= 1 and D_l once one has r >= 1, T_bb at k >= 2, T_bl at k >= 1
+    and r >= 1, T_ll at r >= 2.
+    Cells larger than cell_cap are marked skipped instead of computed, and
+    `_order_deltas` reads the order constants off the table. With jobs > 1
+    one pool of forked workers (`worker_map`) runs every cell's chunks; the
+    table never depends on jobs. A jobs below 1 raises ValueError."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
+    tables = _PairTables(G)
     table: dict[tuple[int, int], _CellStat] = {}
     with worker_map(jobs) as mapper:
         for k in range(K + 1):
@@ -292,7 +428,8 @@ def pibric_table(
                 if not cell.runs.shape[1]:
                     table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
                     continue
-                delta, i = _batched_max_opdev(G, cell.runs, mapper, cell.width)
+                segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
+                delta, i = _batched_max_opdev(G, cell.runs, mapper, cell.width, segments, tables)
                 table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
     return table
 

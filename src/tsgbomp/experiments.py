@@ -26,7 +26,7 @@ from .signal_model import (
     min_separation,
     sample_support,
 )
-from .workers import worker_map
+from .workers import check_jobs, worker_map
 
 __all__ = [
     "ALGORITHMS",
@@ -238,7 +238,7 @@ def run_curve(
     """Aggregate success rates over the (K, algorithm) grid. Results are
     independent of `jobs`; on any exception, a KeyboardInterrupt included,
     the points finished so far are flushed to `out_path` before it
-    propagates."""
+    propagates. A jobs below 1 raises ValueError and writes nothing."""
     tasks = [
         (config, K, alg, trial_seed(config.master_seed, K, alg, t))
         for K in config.K_grid
@@ -246,15 +246,15 @@ def run_curve(
         for t in range(config.trials)
     ]
     records: list[TrialRecord] = []
-    try:
-        with worker_map(jobs, chunksize=32) as mapper:
+    with worker_map(jobs, chunksize=32) as mapper:
+        try:
             for rec in mapper(_trial_task, tasks):
                 records.append(rec)
-    except BaseException:
-        if out_path is not None:
-            partial = _aggregate(config, records, complete_only=True)
-            _write(out_path, curve_to_csv(partial))
-        raise
+        except BaseException:
+            if out_path is not None:
+                partial = _aggregate(config, records, complete_only=True)
+                _write(out_path, curve_to_csv(partial))
+            raise
     points = _aggregate(config, records)
     if out_path is not None:
         _write(out_path, curve_to_csv(points))
@@ -462,7 +462,9 @@ def lemma_audit(matrices: int, jobs: int = 1) -> Iterator[LemmaReport]:
 
     Each matrix seeds its own generator, so the reports never depend on
     jobs. Matrix 0 runs in this process and fills the cell cache, which the
-    workers that map the other matrices inherit."""
+    workers that map the other matrices inherit. A jobs below 1 raises
+    ValueError before any matrix is audited."""
+    check_jobs(jobs)
     if matrices < 1:
         return
     yield _audit_matrix(0)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsgbomp import analysis, signal_model
@@ -150,6 +150,15 @@ class TestPibric:
         assert serial.argmax_support == parallel.argmax_support
         assert serial.supports_scanned == parallel.supports_scanned
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raises(self, jobs):
+        params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
+        Phi = gaussian_matrix(5, 7, "unit", True, np.random.default_rng(11))
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pibric(Phi, params, 2, 2, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            pibric_table(Phi, params, 2, 2, jobs=jobs)
+
     def test_table_cells_and_order_constants(self, monkeypatch):
         # cell (2, 2) is empty and cell (1, 1) holds 20 supports, over the cap
         params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
@@ -207,16 +216,28 @@ class TestPibric:
         assert est.delta == pytest.approx(pairwise, abs=1e-10)
 
 
-def _full_scan_max(G, idx):
-    """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
-    the rows S of idx, from one eigvalsh of every row."""
+def _deviations_of(G, idx):
+    """max |eigenvalue| of G[S,S] - I for every row S of idx, from one
+    eigvalsh of every row."""
     sub = G[idx[:, :, None], idx[:, None, :]]
     diag = np.arange(idx.shape[1])
     sub[:, diag, diag] -= 1.0
     ev = np.linalg.eigvalsh(sub)
-    devs = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
-    i = int(np.argmax(devs))
-    return float(devs[i]), i
+    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+
+
+def _full_scan_max(G, idx, rows=4096):
+    """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
+    the rows S of idx, from one eigvalsh of every row, `rows` rows at a
+    time (eigvalsh solves each matrix of a stack on its own, so the
+    values do not depend on the batch)."""
+    best, arg = -1.0, -1
+    for lo in range(0, len(idx), rows):
+        devs = _deviations_of(G, idx[lo : lo + rows])
+        i = int(np.argmax(devs))
+        if devs[i] > best:
+            best, arg = float(devs[i]), lo + i
+    return best, arg
 
 
 def _kernel_case(kind, complex_entries, s, rows, seed):
@@ -250,7 +271,8 @@ def _draw(rng, complex_entries, *shape):
 
 def _gram(kind, complex_entries, n, rng):
     """G on n columns for the identity, gaussian, duplicated, equal and tiny
-    kinds of `_kernel_case`."""
+    kinds of `_kernel_case`, and small: the gaussian case with off-diagonal
+    entries scaled to about 1e-20."""
     if kind == "identity":
         return np.eye(n)
     A = _draw(rng, complex_entries, 6, n)
@@ -260,8 +282,8 @@ def _gram(kind, complex_entries, n, rng):
         A[:] = A[:, :1]
     A /= np.linalg.norm(A, axis=0)
     G = A.conj().T @ A
-    if kind == "tiny":
-        G = np.eye(n) + 1e-100 * (G - np.diag(np.diag(G)))
+    if kind in ("tiny", "small"):
+        G = np.eye(n) + (1e-100 if kind == "tiny" else 1e-20) * (G - np.diag(np.diag(G)))
     return G
 
 
@@ -366,15 +388,16 @@ class TestScanKernel:
         assert got[1] == 1
 
     def test_largest_bound_row_need_not_win(self):
-        # the row with the largest coarse bound is eigensolved first, and in
+        # the row with the largest pair bound is eigensolved first, and in
         # some of these cells a later candidate beats it
         beaten = 0
         for seed in range(20):
             G, idx = _kernel_case("gaussian", False, 3, 200, seed)
-            M = G[idx[:, :, None], idx[:, None, :]] - np.eye(3)
+            diag, pair = analysis._PairTables(G).read([1, 1, 1])
+            bound = analysis._pair_bound(list(idx.T), [1, 1, 1], diag, pair)
             got = analysis._batched_max_opdev(G, idx.astype(np.int32))
             assert got == _full_scan_max(G, idx)
-            beaten += got[1] != np.argmax(analysis._eig_bound(M))
+            beaten += got[1] != np.argmax(bound)
         assert beaten > 0
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -428,6 +451,126 @@ class TestScanKernel:
         assert solved < len(cell)
         delta, i = _full_scan_max(Phi.gram, cell.columns)
         assert (table[(3, 0)].delta, table[(3, 0)].argmax) == (delta, cell.support(i))
+
+
+def _segment_case(kind, complex_entries, b, l, k, r, rows, seed):
+    """A Hermitian matrix G on 24 columns and rows of k blocks of b columns
+    and r pseudo blocks of l columns, pairwise disjoint, at random places
+    in random order: the block starts (rows, k), the pseudo starts
+    (rows, r) and each row's columns, blocks first."""
+    rng = np.random.default_rng(seed)
+    n = 24
+    G = _gram(kind, complex_entries, n, rng)
+    widths = np.array([b] * k + [l] * r)
+    starts = np.empty((rows, k + r), np.int32)
+    for row in range(rows):
+        order = rng.permutation(k + r)
+        gaps = np.sort(rng.integers(0, n - widths.sum() + 1, size=k + r))
+        ends = np.cumsum(widths[order]) - widths[order]
+        starts[row, order] = gaps + ends
+    columns = np.concatenate(
+        [starts[:, [j]] + np.arange(h) for j, h in enumerate(widths)], axis=1
+    )
+    return G, starts[:, :k], starts[:, k:], columns
+
+
+def _assert_pair_bound_covers(G, segments, columns, strip_elements):
+    """The pair bound of every row, times 1 + margin plus its floor, is at
+    least the row's deviation from a full eigvalsh; the tables are built
+    in strips of `strip_elements` entries."""
+    widths = [h for part, h in segments for _ in range(part.shape[1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_TABLE_STRIP_ELEMENTS", strip_elements)
+        diag, pair = analysis._PairTables(G).read(widths)
+    starts = [part[:, j] for part, _ in segments for j in range(part.shape[1])]
+    bound = analysis._pair_bound(starts, widths, diag, pair)
+    reach = bound * (1.0 + analysis._BOUND_MARGIN) + analysis._BOUND_FLOOR
+    assert np.all(reach >= _deviations_of(G, columns))
+    return bound
+
+
+class TestPairBound:
+    """The block-norm bound that screens every row of a scan."""
+
+    KINDS = ["gaussian", "duplicated", "equal", "identity", "small", "tiny"]
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        complex_entries=st.booleans(),
+        b=st.integers(1, 4),
+        l=st.integers(1, 5),
+        k=st.integers(0, 3),
+        r=st.integers(0, 2),
+        rows=st.integers(1, 60),
+        strip_elements=st.sampled_from([1, 50, 1 << 13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_covers_blocks_and_pseudo_blocks(
+        self, kind, complex_entries, b, l, k, r, rows, strip_elements, seed
+    ):
+        assume(b != l and k + r)
+        G, blocks, pseudo, columns = _segment_case(kind, complex_entries, b, l, k, r, rows, seed)
+        segments = [(part, h) for part, h in ((blocks, b), (pseudo, l)) if part.shape[1]]
+        bound = _assert_pair_bound_covers(G, segments, columns, strip_elements)
+        # the scan reads the same bound: columns as width-1 runs, cut into
+        # the blocks and pseudo blocks
+        got = analysis._batched_max_opdev(G, columns, map, 1, segments)
+        assert got == _full_scan_max(G, columns)
+        if kind == "identity":
+            assert np.all(bound == 0.0) and got == (0.0, 0)
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        complex_entries=st.booleans(),
+        g=st.integers(1, 4),
+        w=st.integers(1, 4),
+        rows=st.integers(1, 60),
+        strip_elements=st.sampled_from([1, 50, 1 << 13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_covers_repeated_and_overlapping_runs(
+        self, kind, complex_entries, g, w, rows, strip_elements, seed
+    ):
+        rng = np.random.default_rng(seed)
+        G = _gram(kind, complex_entries, 8, rng)
+        runs = rng.integers(0, 8 - g + 1, size=(rows, w))
+        # runs start anywhere, so they overlap; some rows repeat a run
+        repeat = rng.random(rows) < 0.3
+        runs[repeat, -1] = runs[repeat, 0]
+        columns = (runs[:, :, None] + np.arange(g)).reshape(rows, w * g)
+        _assert_pair_bound_covers(G, [(runs, g)], columns, strip_elements)
+
+
+class TestScanIdentity:
+    """`pibric_table` against a full eigvalsh of every row of every cell."""
+
+    GEOMETRIES = {
+        # criterion 5's two families on its 40x60 matrices, and the README's
+        # `ric` example on a 160x200 matrix
+        "family-A": (40, PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)),
+        "family-B": (40, PibsParams.from_window(n=60, b=2, p=2, l=1, L=4, K=2, R=2)),
+        "readme": (160, PibsParams(n=200, b=4, p=2, l=20, Lsep=20, K=1, R=1)),
+    }
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_cells_match_full_eigvalsh(self, geometry, complex_entries):
+        m, params = self.GEOMETRIES[geometry]
+        rng = np.random.default_rng(18)
+        Phi = gaussian_matrix(m, params.n, "unit", True, rng, complex_entries=complex_entries)
+        tables = [pibric_table(Phi, params, params.K, params.R, 150_000, jobs) for jobs in (1, 2)]
+        assert tables[0] == tables[1]
+        scanned = 0
+        for (k, r), stat in tables[0].items():
+            if stat.skipped or not k + r:
+                continue
+            cell = analysis._cell_data(params, k, r)
+            delta, i = _full_scan_max(Phi.gram, cell.columns)
+            assert (stat.delta, stat.argmax) == (delta, cell.support(i)), (k, r)
+            scanned += 1
+        assert scanned >= 3
 
 
 class TestVerifyLemmas:

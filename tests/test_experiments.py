@@ -185,6 +185,13 @@ class TestCurves:
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["1", "tsgbomp"]]
         assert lines[1].endswith(",2")
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raises_before_writing(self, tmp_path, jobs):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_curve(small_config(trials=1), jobs=jobs, out_path=str(out))
+        assert not out.exists()
+
     def test_csv_format(self):
         pts = [CurvePoint(K=1, algorithm="tsgbomp", success_rate=0.5, trials=2)]
         csv = curve_to_csv(pts)
@@ -210,6 +217,14 @@ class TestLemmaAudit:
         monkeypatch.setattr(experiments, "_audit_matrix", calls.append)
         next(lemma_audit(5))
         assert calls == [0]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raises_before_matrix_zero(self, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(experiments, "_audit_matrix", calls.append)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            next(lemma_audit(5, jobs=jobs))
+        assert calls == []
 
 
 class TestTheoremRegime:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tsgbomp
 from tsgbomp.workers import worker_map
 
@@ -15,6 +17,12 @@ class TestWorkerMap:
     def test_one_job_is_the_builtin_map(self):
         with worker_map(1) as mapper:
             assert mapper is map
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raises(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            with worker_map(jobs):
+                pass
 
     def test_workers_return_results_in_input_order(self):
         with worker_map(2) as mapper:
