@@ -54,6 +54,7 @@ __all__ = [
 
 _EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s: the rows one call screens and solves
 _BOUND_BLOCK_ELEMENTS = 1 << 16  # scalars per block: a block's N or M entries stay in cache
+_SCAN_BATCH_ELEMENTS = 1 << 14  # entries of M per scan batch: each of its temporaries holds 128 KB
 _TABLE_STRIP_ELEMENTS = 1 << 13  # entries per table strip: a temporary holds 64 KB (128 KB complex)
 _BOUND_MARGIN = 1e-9  # relative slack on the pruning bounds, far above their rounding
 _BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the pair bound's 4th powers underflow
@@ -168,21 +169,67 @@ def _pair_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
     return T
 
 
+def _two_segment_table(W: np.ndarray, h: int, w: int) -> np.ndarray:
+    """E[a, c] >= ||G[S,S] - I||_2 for S the columns a..a+h-1 and then
+    c..c+w-1: the scan's fine bound (sum lambda^8)^(1/8), times
+    1 + _BOUND_MARGIN, plus _FINE_BOUND_FLOOR, so it holds whatever the
+    rounding or underflow. Only disjoint pairs are bounded; an overlapping
+    pair reads +inf. Each pair is gathered (`_gather`) as runs of g
+    columns from W, the windows of G of a width g that divides h and w (a
+    scan passes its own, so no second copy is built), in blocks of at most
+    _BOUND_BLOCK_ELEMENTS entries; M, and so E, is the same for every
+    such g. The columns of (a, c) in E_hw are those of (c, a) in E_wh, so
+    h > w transposes E_wh and h = w mirrors a < c."""
+    if h > w:
+        return np.ascontiguousarray(_two_segment_table(W, w, h).T)
+    n, _, g = W.shape
+    if h % g or w % g:
+        raise ValueError(f"windows of width {g} do not tile segments of {h} and {w} columns")
+    va, vc = n - h + 1, n - w + 1
+    a, c = np.arange(va)[:, None], np.arange(vc)
+    disjoint = c >= a + h
+    if h < w:
+        disjoint |= a >= c + w
+    pairs = np.flatnonzero(disjoint)
+    E = np.full(va * vc, np.inf)
+    runs = (h + w) // g
+    block = min(len(pairs), max(1, _BOUND_BLOCK_ELEMENTS // (h + w) ** 2))
+    flat = np.empty((block, runs, g, runs), np.intp)
+    M, MM = np.empty((2, block, h + w, h + w), W.dtype)
+    for lo in range(0, len(pairs), block):
+        part = pairs[lo : lo + block]
+        a, c = np.divmod(part[:, None], vc)
+        m = _gather(W, np.concatenate([a + np.arange(0, h, g), c + np.arange(0, w, g)], axis=1),
+                    flat, M)
+        mm = np.matmul(m, m, out=MM[: len(part)])
+        # ||(M @ M)^2||_F^(1/2) = (sum lambda^8)^(1/4), as the scan's fine bound
+        E[part] = np.sqrt(_eig_bound(mm, out=m))
+    E *= 1.0 + _BOUND_MARGIN
+    E += _FINE_BOUND_FLOOR
+    E = E.reshape(va, vc)
+    if h == w:
+        np.fmin(E, E.T, out=E)  # in place: a new array would sit above the freed blocks
+    return E
+
+
 class _PairTables:
     """The tables of the pair bound for one Gram matrix G, each built on
-    first use and then kept: D_h (`_diag_table`) for each segment width h
-    and T_hw (`_pair_table`) for each ordered pair of widths that rows
-    read, so a `pibric_table` call builds each once."""
+    first use and then kept: D_h (`_diag_table`) for each segment width h,
+    and T_hw (`_pair_table`) and E_hw (`_two_segment_table`) for each
+    ordered pair of widths that rows read, so a `pibric_table` call builds
+    each once. Only rows of 2 or 3 segments read E (`_split_bound`)."""
 
     def __init__(self, G: np.ndarray):
         self.G = G
         self.diag: dict[int, np.ndarray] = {}
         self.pair: dict[tuple[int, int], np.ndarray] = {}
+        self.two: dict[tuple[int, int], np.ndarray] = {}
 
-    def read(self, widths: list[int]) -> tuple[dict, dict]:
-        """The D and T tables that rows of segments of these widths, in
-        this order, read."""
-        diag, pair = {}, {}
+    def read(self, widths: list[int], W: np.ndarray) -> tuple[dict, dict, dict]:
+        """The D, T and E tables that rows of segments of these widths, in
+        this order, read. E is gathered from W, windows of G whose width
+        divides every width (`_two_segment_table`)."""
+        diag, pair, two = {}, {}, {}
         for i, h in enumerate(widths):
             if h not in self.diag:
                 self.diag[h] = _diag_table(self.G, h)
@@ -191,24 +238,35 @@ class _PairTables:
                 if (h, w) not in self.pair:
                     self.pair[h, w] = _pair_table(self.G, h, w)
                 pair[h, w] = self.pair[h, w]
-        return diag, pair
+                if len(widths) <= 3:
+                    if (h, w) not in self.two:
+                        self.two[h, w] = _two_segment_table(W, h, w)
+                    two[h, w] = self.two[h, w]
+        return diag, pair, two
+
+
+def _block_norms(starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict) -> dict:
+    """N for each row of segments, starts[i] holding every row's start of
+    segment i, of width widths[i]: the symmetric matrix with N_ii =
+    D[start_i] and N_ij = N_ji = T[start_i, start_j] (i < j), each at least
+    the norm of the block of M = G[S,S] - I that segments i and j span.
+    Structure of arrays: one vector per entry."""
+    N = {}
+    for i, h in enumerate(widths):
+        N[i, i] = diag[h].take(starts[i])
+        for j in range(i + 1, len(widths)):
+            T = pair[h, widths[j]]
+            N[i, j] = N[j, i] = T.take(starts[i] * np.intp(T.shape[1]) + starts[j])
+    return N
 
 
 def _pair_bound(starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict) -> np.ndarray:
-    """||N^2||_F^(1/2) for each row of segments, starts[i] holding every
-    row's start of segment i, of width widths[i]. N is the symmetric
-    matrix with N_ii = D[start_i] and N_ij = N_ji = T[start_i, start_j]
-    (i < j), each at least the norm of the block of M = G[S,S] - I that
-    segments i and j span, so ||M||_2 <= ||N||_2 <= ||N^2||_F^(1/2), which
-    is (sum of lambda(N)^4)^(1/4). Structure of arrays: one vector per
-    entry of N and of N^2, the upper triangle only."""
+    """||N^2||_F^(1/2) >= ||N||_2 >= ||M||_2 for each row of segments, N
+    being its block norms (`_block_norms`): the block-norm bound, which is
+    (sum of lambda(N)^4)^(1/4). One vector per entry of N^2, the upper
+    triangle only."""
     m = len(starts)
-    N = {}
-    for i in range(m):
-        N[i, i] = diag[widths[i]].take(starts[i])
-        for j in range(i + 1, m):
-            T = pair[widths[i], widths[j]]
-            N[i, j] = N[j, i] = T.take(starts[i] * np.intp(T.shape[1]) + starts[j])
+    N = _block_norms(starts, widths, diag, pair)
     total = np.zeros(len(starts[0]))
     for i in range(m):
         for j in range(i, m):
@@ -222,51 +280,89 @@ def _pair_bound(starts: list[np.ndarray], widths: list[int], diag: dict, pair: d
     return np.sqrt(np.sqrt(total))
 
 
-def _max_opdev(args) -> tuple[float, int]:
-    """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
-    over the rows of one chunk of runs into the windows W (`_gather`),
-    bit-identical to np.argmax over a full batched eigvalsh.
+def _split_bound(
+    starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict, two: dict
+) -> np.ndarray:
+    """A second bound on ||M||_2, M = G[S,S] - I, for each row of 2 or 3
+    segments, read from the E tables `two` (`_two_segment_table`): E_01 for
+    a row of 2, and for a row of 3 the smallest, over its three splits into
+    a pair {i, j} and a segment k, top eigenvalue of [[E_ij, c], [c, N_kk]]
+    with c^2 = N_ik^2 + N_jk^2 (`_block_norms`). That is the block-norm
+    bound with two groups: the stacked block of M that {i, j} and k span
+    has norm at most c, and a nonnegative matrix's top eigenvalue only
+    grows with its entries. E reads +inf on overlapping segments, so such
+    a split bounds nothing. The squares underflow only below about 1e-154,
+    far under _BOUND_FLOOR."""
+    m = len(starts)
+    N = _block_norms(starts, widths, diag, pair) if m == 3 else {}
+    bound = np.full(len(starts[0]), np.inf)
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))[: 1 if m == 2 else 3]:
+        E = two[widths[i], widths[j]]
+        e = E.take(starts[i] * np.intp(E.shape[1]) + starts[j])
+        if m == 3:
+            # (p + q) / 2 + sqrt(((p - q) / 2)^2 + c^2) for p = E_ij, q = N_kk
+            q = N[k, k]
+            d = e - q
+            d *= 0.5
+            d *= d
+            d += N[i, k] * N[i, k]
+            d += N[j, k] * N[j, k]
+            e += q
+            e *= 0.5
+            e += np.sqrt(d, out=d)
+        np.fmin(bound, e, out=bound)
+    return bound
 
-    No row is gathered to be screened. Every row gets the pair bound
-    (`_pair_bound`) of its segments, read from the tables `diag` and
-    `pair`, in blocks of _BOUND_BLOCK_ELEMENTS entries of N; only the
-    bounds are kept. The row with the largest pair bound (the first, on
-    ties) is eigensolved first, and only the rows whose pair bound can
-    reach its deviation stay candidates; they are the rows the scan can
-    visit, a prefix of the descending pair-bound order. The candidates
-    alone are sorted (stable) and gathered in that order, in batches of
-    2, 4, 8, ... rows, at most _BOUND_BLOCK_ELEMENTS entries of M each. A
-    row is eigensolved only if its coarse bound `_eig_bound(M)` and then
-    its fine bound, `_eig_bound(M @ M)` ** 0.5, can still reach the best
-    value so far, and the scan stops at the first row whose pair bound
-    cannot. A bound can reach a value if the bound times 1 + _BOUND_MARGIN,
-    plus its floor, is at least that value, whatever the rounding or
-    underflow of either computation. Ties go to the lowest row."""
-    W, runs, segments, diag, pair = args
-    n, _, g = W.shape
-    w = runs.shape[1]
-    s = w * g
-    if runs.min() < 0 or runs.max() + g > n:
-        raise IndexError(f"column index out of range for {n} columns")
+
+def _lower_reach(reach: np.ndarray, bound, segments, tables, rows=None) -> None:
+    """Lower reach[i], the reach of row rows[i] of segments (of row i when
+    `rows` is None), in place to bound(starts, widths, *tables) times
+    1 + _BOUND_MARGIN plus _BOUND_FLOOR where that is smaller: a reach no
+    deviation exceeds, whatever the rounding or underflow of the bound.
+    fmin keeps the old reach where the bound is NaN. Rows go in blocks of
+    _BOUND_BLOCK_ELEMENTS entries of N, so no temporary outgrows a block."""
     widths = [h for starts, h in segments for _ in range(starts.shape[1])]
     step = max(1, _BOUND_BLOCK_ELEMENTS // len(widths) ** 2)
-    reach = np.empty(len(runs))
-    for lo in range(0, len(runs), step):
-        starts = [part[lo : lo + step, j] for part, _ in segments for j in range(part.shape[1])]
-        reach[lo : lo + step] = _pair_bound(starts, widths, diag, pair)
-    reach *= 1.0 + _BOUND_MARGIN
-    reach += _BOUND_FLOOR
-    block = min(len(runs), max(1, _BOUND_BLOCK_ELEMENTS // s**2))
-    flat = np.empty((block, w, g, w), np.intp)
-    M, MM = np.empty((2, block, s, s), W.dtype)
-    arg = int(np.argmax(reach))
-    best = _deviations(_gather(W, runs[arg : arg + 1], flat, M))[0]
+    for lo in range(0, len(reach), step):
+        index = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
+        starts = [part[index, j] for part, _ in segments for j in range(part.shape[1])]
+        b = bound(starts, widths, *tables)
+        b *= 1.0 + _BOUND_MARGIN
+        b += _BOUND_FLOOR
+        np.fmin(reach[lo : lo + step], b, out=reach[lo : lo + step])
+
+
+def _max_opdev(args) -> tuple[float, int]:
+    """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
+    over the rows of one chunk of runs into the windows W (`_gather`) whose
+    deviation is at least `floor`, bit-identical to np.argmax over a full
+    batched eigvalsh; (-1.0, -1) if no row's deviation reaches the floor.
+
+    `reach` holds each row's certified bound: no row with a deviation
+    above it. Only the rows whose reach is at least the floor are
+    candidates; they alone are sorted (stable) by descending reach and
+    gathered in that order, in batches of 2, 4, 8, ... rows, at most
+    _SCAN_BATCH_ELEMENTS entries of M each. A row is eigensolved only if
+    its coarse bound `_eig_bound(M)` and then its fine bound,
+    `_eig_bound(M @ M)` ** 0.5, can still reach the best value so far, and
+    the scan stops at the first row whose reach cannot. A bound can reach
+    a value if the bound times 1 + _BOUND_MARGIN, plus its floor, is at
+    least that value, whatever the rounding or underflow of either
+    computation. Ties go to the lowest row."""
+    W, runs, reach, floor = args
+    _, _, g = W.shape
+    w = runs.shape[1]
+    s = w * g
+    best, arg = floor, len(runs)
     order = np.flatnonzero(reach >= best)
     order = order[np.argsort(-reach[order], kind="stable")]
     # minus each candidate's reach, ascending: the rows that can still
     # reach a value are a prefix, whose end one binary search finds
     fall = -reach[order]
-    lo, size, stop = 1, min(2, block), len(order)  # order[0] is the row solved above
+    block = min(len(order), max(1, _SCAN_BATCH_ELEMENTS // s**2))
+    flat = np.empty((block, w, g, w), np.intp)
+    M, MM = np.empty((2, block, s, s), W.dtype)
+    lo, size, stop = 0, min(2, block), len(order)
     while lo < stop:
         rows = order[lo : min(lo + size, stop)]
         lo += len(rows)
@@ -289,7 +385,7 @@ def _max_opdev(args) -> tuple[float, int]:
             arg = first if top > best else min(arg, first)
             best = top
         stop = int(np.searchsorted(fall, -best, side="right"))
-    return float(best), arg
+    return (float(best), arg) if arg < len(runs) else (-1.0, -1)
 
 
 def _batched_max_opdev(
@@ -300,35 +396,79 @@ def _batched_max_opdev(
     its runs in order; at width 1 the rows are column indices, in any order
     and with repeats. The windows W (`_windows`) are built once per call.
 
-    `segments`, pairs (starts, h) of (rows, count) arrays, cut each row's
-    columns into the segments that its pair bound (`_pair_bound`) reads:
-    a cell passes its blocks (width b) and pseudo blocks (width l). By
-    default each run is one segment of `width` columns; off-diagonal blocks
-    come from G, so repeated or overlapping segments are bounded too. The
-    tables come from `tables` (a `_PairTables` of G; a new one by default),
-    which builds any it lacks here, before the chunks are mapped. Rows go
-    in chunks of at most _EIG_CHUNK_ELEMENTS // s^2, mapped over `mapper`
-    (a `worker_map`). Chunk results merge in row order and the first chunk
-    wins ties, so the result never depends on the mapper."""
+    No row is gathered to be screened. `segments`, pairs (starts, h) of
+    (rows, count) arrays, cut each row's columns into the segments that
+    its bounds read: a cell passes its blocks (width b) and pseudo blocks
+    (width l). By default each run is one segment of `width` columns;
+    off-diagonal blocks come from G, so repeated or overlapping segments
+    are bounded too. The tables come from `tables` (a `_PairTables` of G;
+    a new one by default), which builds any it lacks here.
+
+    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2. Each chunk's
+    rows get the reach (`_lower_reach`) of their pair bound
+    (`_pair_bound`); if the chunk's largest reach (the first, on ties)
+    exceeds the floor, that row is eigensolved and its deviation raises
+    the floor, a lower bound on the maximum. Only rows whose reach attains
+    the floor are kept as candidates, so memory grows with a chunk and the
+    candidates, not with the cell. Candidates of 2 or 3 segments then take
+    the smaller of that reach and the reach of their split bound
+    (`_split_bound`). They are cut, in descending reach, into pieces of a
+    chunk's size: the first is scanned here (`_max_opdev`) and raises the
+    floor to its maximum, and the others that hold a row which can still
+    reach it are mapped over `mapper` (a `worker_map`), so each piece
+    screens against about the cell's best row rather than its own. Results
+    merge by value and then lowest row, so the result never depends on
+    the mapper."""
+    n = G.shape[0]
+    if runs.min() < 0 or runs.max() + width > n:
+        raise IndexError(f"column index out of range for {n} columns")
     if segments is None:
         segments = ((runs, width),)
     segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
-    diag, pair = (_PairTables(G) if tables is None else tables).read(
-        [h for starts, h in segments for _ in range(starts.shape[1])]
-    )
-    s = runs.shape[1] * width
-    chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
-    starts = range(0, runs.shape[0], chunk)
     W = _windows(G, width)
-    parts = [
-        (W, runs[lo : lo + chunk], [(part[lo : lo + chunk], h) for part, h in segments], diag, pair)
-        for lo in starts
-    ]
-    best, arg = -1.0, -1
-    for lo, (top, i) in zip(starts, mapper(_max_opdev, parts)):
-        if top > best:
-            best, arg = top, lo + i
-    return best, arg
+    diag, pair, two = (_PairTables(G) if tables is None else tables).read(
+        [h for starts, h in segments for _ in range(starts.shape[1])], W
+    )
+    w = runs.shape[1]
+    s = w * width
+    one, flat = np.empty((1, s, s), W.dtype), np.empty((1, w, width, w), np.intp)
+    chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
+    found, floor, rows, reach = [], -1.0, [], []
+    for lo in range(0, len(runs), chunk):
+        part = [(starts[lo : lo + chunk], h) for starts, h in segments]
+        r = np.full(len(part[0][0]), np.inf)
+        _lower_reach(r, _pair_bound, part, (diag, pair))
+        j = int(np.argmax(r))
+        if r[j] > floor:
+            dev = _deviations(_gather(W, runs[lo + j : lo + j + 1], flat, one))[0]
+            found.append((dev, lo + j))
+            floor = max(floor, dev)
+            r[j] = -np.inf  # solved
+        keep = np.flatnonzero(r >= floor)
+        rows.append(keep + lo)
+        reach.append(r[keep])
+    rows, reach = np.concatenate(rows), np.concatenate(reach)
+    keep = reach >= floor
+    rows, reach = rows[keep], reach[keep]
+    if two:
+        _lower_reach(reach, _split_bound, segments, (diag, pair, two), rows)
+        keep = reach >= floor
+        rows, reach = rows[keep], reach[keep]
+    order = np.argsort(-reach, kind="stable")
+    pieces = [np.sort(order[lo : lo + chunk]) for lo in range(0, len(order), chunk)]
+    rest = pieces[1:]
+    if pieces:
+        value, i = _max_opdev((W, runs[rows[pieces[0]]], reach[pieces[0]], floor))
+        if i >= 0:
+            found.append((value, int(rows[pieces[0][i]])))
+            floor = value
+        rest = [p for p in rest if reach[p].max() >= floor]
+    parts = [(W, runs[rows[p]], reach[p], floor) for p in rest]
+    for p, (value, i) in zip(rest, mapper(_max_opdev, parts)):
+        if i >= 0:
+            found.append((value, int(rows[p[i]])))
+    best, arg = max(found, key=lambda f: (f[0], -f[1]))
+    return float(best), arg
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +537,18 @@ def pibric_table(
     the first support attaining it. `_batched_max_opdev` reduces the rows of
     the cell's run array (`_cell_data`) to the exact (max, first argmax
     row), screening each row with the pair bound of its blocks (width b)
-    and pseudo blocks (width l) and eigensolving only the rows whose
-    certified bounds can still reach the maximum; only that row becomes a
-    Support. One `_PairTables` of G serves every cell, so each table the
-    cells read is built once per call, and only those: D_b once some cell
-    has k >= 1 and D_l once one has r >= 1, T_bb at k >= 2, T_bl at k >= 1
-    and r >= 1, T_ll at r >= 2.
-    Cells larger than cell_cap are marked skipped instead of computed, and
-    `_order_deltas` reads the order constants off the table. With jobs > 1
-    one pool of forked workers (`worker_map`) runs every cell's chunks; the
-    table never depends on jobs. A jobs below 1 raises ValueError."""
+    and pseudo blocks (width l), and each candidate of 2 or 3 of them with
+    the split bound as well, and eigensolving only the rows whose certified
+    bounds can still reach the maximum; only that row becomes a Support.
+    One `_PairTables` of G serves every cell, so each table the cells read
+    is built once per call, and only those: D_b once some cell has k >= 1
+    and D_l once one has r >= 1, T_bb and E_bb at k >= 2, T_bl and E_bl at
+    k >= 1 and r >= 1, T_ll and E_ll at r >= 2, E only for cells with
+    k + r <= 3. Cells larger than cell_cap are marked skipped instead of
+    computed, and `_order_deltas` reads the order constants off the table.
+    With jobs > 1 one pool of forked workers (`worker_map`) runs the
+    chunks that each cell maps; the table never depends on jobs. A jobs
+    below 1 raises ValueError."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram

@@ -109,7 +109,8 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         """Parse `key=value` lines; blank lines and `#` comments are skipped.
         Unknown and repeated keys are errors, so a typo cannot fall back to
-        a default."""
+        a default, and a value that does not parse is a ValueError naming
+        its key."""
         fields: dict[str, str] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -126,11 +127,27 @@ class ExperimentConfig:
         missing = required - fields.keys()
         if missing:
             raise ValueError(f"config missing keys: {sorted(missing)}")
-        return cls(**{key: _CONFIG_PARSERS[key](value) for key, value in fields.items()})
+        parsed = {}
+        for key, value in fields.items():
+            try:
+                parsed[key] = _CONFIG_PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        return cls(**parsed)
 
 
 def _csv_tuple(item):
-    return lambda value: tuple(item(v) for v in value.split(",") if v)
+    """Parser of a comma-separated list: one or more items, none empty."""
+
+    def parse(value: str) -> tuple:
+        items = value.split(",")
+        if not value.strip():
+            raise ValueError("empty list")
+        if not all(v.strip() for v in items):
+            raise ValueError(f"empty item in {value!r}")
+        return tuple(item(v) for v in items)
+
+    return parse
 
 
 _CONFIG_PARSERS = {

@@ -163,6 +163,20 @@ def _parse_header(header: str, sep: str | None) -> tuple[int, int, int]:
     return m, n, flags
 
 
+def _loaded(entries: np.ndarray, flags: int) -> SensingMatrix:
+    """The matrix a file holds. A normalized flag is checked, not trusted:
+    ValueError names the first column whose norm is not 1 to within 1e-12."""
+    normalized = bool(flags & _FLAG_NORMALIZED)
+    if normalized:
+        norms = np.linalg.norm(entries, axis=0)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if bad.size:
+            j = int(bad[0])
+            norm = float(norms[j])
+            raise ValueError(f"matrix is flagged normalized, but column {j + 1} has norm {norm!r}")
+    return SensingMatrix(entries=entries, normalized=normalized)
+
+
 def matrix_to_csv(mat: SensingMatrix) -> str:
     """Row-major CSV; first line holds `m,n,flags`. Complex entries expand to
     interleaved re,im columns."""
@@ -178,8 +192,9 @@ def matrix_to_csv(mat: SensingMatrix) -> str:
 
 def matrix_from_csv(text: str) -> SensingMatrix:
     """Inverse of `matrix_to_csv`. Raises ValueError unless the header is
-    valid and the body has exactly m rows of n finite values (2n interleaved
-    re,im values when complex)."""
+    valid, the body has exactly m rows of n finite values (2n interleaved
+    re,im values when complex) and, if flagged normalized, every column has
+    unit norm to within 1e-12."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("matrix CSV is empty: no header line")
@@ -201,7 +216,7 @@ def matrix_from_csv(text: str) -> SensingMatrix:
             rows.append(np.asarray(re) + 1j * np.asarray(im))
         else:
             rows.append(np.asarray(vals))
-    return SensingMatrix(entries=np.vstack(rows), normalized=bool(flags & _FLAG_NORMALIZED))
+    return _loaded(np.vstack(rows), flags)
 
 
 def matrix_to_binary(mat: SensingMatrix) -> bytes:
@@ -220,7 +235,8 @@ def matrix_to_binary(mat: SensingMatrix) -> bytes:
 def matrix_from_binary(blob: bytes) -> SensingMatrix:
     """Inverse of `matrix_to_binary`. Raises ValueError when the header is
     missing or invalid, the payload size does not match its m, n and
-    complex flag, or a value is nan or inf."""
+    complex flag, a value is nan or inf, or a column of a matrix flagged
+    normalized does not have unit norm to within 1e-12."""
     newline = blob.find(b"\n")
     if newline < 0:
         raise ValueError("matrix binary has no header line: no newline found")
@@ -240,4 +256,4 @@ def matrix_from_binary(blob: bytes) -> SensingMatrix:
         entries = body[..., 0] + 1j * body[..., 1]
     else:
         entries = body.reshape(m, n)
-    return SensingMatrix(entries=entries.copy(), normalized=bool(flags & _FLAG_NORMALIZED))
+    return _loaded(entries.copy(), flags)

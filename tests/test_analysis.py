@@ -332,6 +332,7 @@ class TestScanKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+            mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
             got = analysis._batched_max_opdev(G, idx, forked_map if jobs > 1 else map)
         assert got == _full_scan_max(G, idx)
 
@@ -356,6 +357,7 @@ class TestScanKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+            mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
             got = analysis._batched_max_opdev(G, runs, forked_map if jobs > 1 else map, g)
         assert got == _full_scan_max(G, columns)
 
@@ -393,7 +395,7 @@ class TestScanKernel:
         beaten = 0
         for seed in range(20):
             G, idx = _kernel_case("gaussian", False, 3, 200, seed)
-            diag, pair = analysis._PairTables(G).read([1, 1, 1])
+            diag, pair, _ = analysis._PairTables(G).read([1, 1, 1], analysis._windows(G, 1))
             bound = analysis._pair_bound(list(idx.T), [1, 1, 1], diag, pair)
             got = analysis._batched_max_opdev(G, idx.astype(np.int32))
             assert got == _full_scan_max(G, idx)
@@ -474,19 +476,28 @@ def _segment_case(kind, complex_entries, b, l, k, r, rows, seed):
     return G, starts[:, :k], starts[:, k:], columns
 
 
-def _assert_pair_bound_covers(G, segments, columns, strip_elements):
+def _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elements):
     """The pair bound of every row, times 1 + margin plus its floor, is at
-    least the row's deviation from a full eigvalsh; the tables are built
-    in strips of `strip_elements` entries."""
+    least the row's deviation from a full eigvalsh, and so is the bound
+    without the E tables, which is never below it; the D and T tables are
+    built in strips of `strip_elements` entries and E in blocks of
+    `block_elements`. Returns both bounds, without E and with it."""
     widths = [h for part, h in segments for _ in range(part.shape[1])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_TABLE_STRIP_ELEMENTS", strip_elements)
-        diag, pair = analysis._PairTables(G).read(widths)
+        mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+        diag, pair, two = analysis._PairTables(G).read(widths, analysis._windows(G, 1))
+    assert bool(two) == (2 <= len(widths) <= 3)
     starts = [part[:, j] for part, _ in segments for j in range(part.shape[1])]
-    bound = analysis._pair_bound(starts, widths, diag, pair)
-    reach = bound * (1.0 + analysis._BOUND_MARGIN) + analysis._BOUND_FLOOR
-    assert np.all(reach >= _deviations_of(G, columns))
-    return bound
+    plain = analysis._pair_bound(starts, widths, diag, pair)
+    bound = plain
+    if two:
+        bound = np.fmin(plain, analysis._split_bound(starts, widths, diag, pair, two))
+    devs = _deviations_of(G, columns)
+    for b in (plain, bound):
+        assert np.all(b * (1.0 + analysis._BOUND_MARGIN) + analysis._BOUND_FLOOR >= devs)
+    assert np.all(bound <= plain)
+    return plain, bound
 
 
 class TestPairBound:
@@ -503,16 +514,17 @@ class TestPairBound:
         r=st.integers(0, 2),
         rows=st.integers(1, 60),
         strip_elements=st.sampled_from([1, 50, 1 << 13]),
+        block_elements=st.sampled_from([1, 50, 1 << 16]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_covers_blocks_and_pseudo_blocks(
-        self, kind, complex_entries, b, l, k, r, rows, strip_elements, seed
+        self, kind, complex_entries, b, l, k, r, rows, strip_elements, block_elements, seed
     ):
         assume(b != l and k + r)
         G, blocks, pseudo, columns = _segment_case(kind, complex_entries, b, l, k, r, rows, seed)
         segments = [(part, h) for part, h in ((blocks, b), (pseudo, l)) if part.shape[1]]
-        bound = _assert_pair_bound_covers(G, segments, columns, strip_elements)
+        _, bound = _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elements)
         # the scan reads the same bound: columns as width-1 runs, cut into
         # the blocks and pseudo blocks
         got = analysis._batched_max_opdev(G, columns, map, 1, segments)
@@ -527,11 +539,12 @@ class TestPairBound:
         w=st.integers(1, 4),
         rows=st.integers(1, 60),
         strip_elements=st.sampled_from([1, 50, 1 << 13]),
+        block_elements=st.sampled_from([1, 50, 1 << 16]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_covers_repeated_and_overlapping_runs(
-        self, kind, complex_entries, g, w, rows, strip_elements, seed
+        self, kind, complex_entries, g, w, rows, strip_elements, block_elements, seed
     ):
         rng = np.random.default_rng(seed)
         G = _gram(kind, complex_entries, 8, rng)
@@ -540,7 +553,53 @@ class TestPairBound:
         repeat = rng.random(rows) < 0.3
         runs[repeat, -1] = runs[repeat, 0]
         columns = (runs[:, :, None] + np.arange(g)).reshape(rows, w * g)
-        _assert_pair_bound_covers(G, [(runs, g)], columns, strip_elements)
+        plain, bound = _assert_pair_bound_covers(
+            G, [(runs, g)], columns, strip_elements, block_elements
+        )
+        # a row whose runs all overlap one another reads +inf from every E
+        # entry, so it keeps the bound without E
+        gaps = np.abs(runs[:, :, None] - runs[:, None, :])
+        apart = (gaps >= g) & ~np.eye(w, dtype=bool)
+        clash = ~apart.any(axis=(1, 2))
+        assert np.array_equal(bound[clash], plain[clash])
+        assert analysis._batched_max_opdev(G, runs, map, g) == _full_scan_max(G, columns)
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        complex_entries=st.booleans(),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        block_elements=st.sampled_from([1, 50, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_segment_table_covers_every_disjoint_pair(
+        self, kind, complex_entries, h, w, block_elements, seed
+    ):
+        # E[a, c] bounds the deviation of the columns a..a+h-1, c..c+w-1
+        # wherever the two segments are disjoint, and is +inf elsewhere
+        n = 12
+        G = _gram(kind, complex_entries, n, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
+            E = analysis._two_segment_table(analysis._windows(G, math.gcd(h, w)), h, w)
+        a, c = np.divmod(np.arange(E.size), E.shape[1])
+        disjoint = (c >= a + h) | (a >= c + w)
+        assert np.all(np.isinf(E.ravel()[~disjoint]))
+        columns = np.concatenate(
+            [a[disjoint, None] + np.arange(h), c[disjoint, None] + np.arange(w)], axis=1
+        )
+        assert np.all(E.ravel()[disjoint] >= _deviations_of(G, columns))
+
+    def test_two_groups_need_the_stacked_block_norm(self):
+        # every column the same unit vector: a row of 3 single columns has
+        # M = J - I, of norm 2, each pair block norm 1 and each column
+        # block 0, so the two-group bound needs c = sqrt(1 + 1); with
+        # c = max(1, 1) it would read about 1.68
+        G = np.ones((6, 6))
+        idx = np.array([[0, 2, 4], [1, 3, 5]])
+        tables = analysis._PairTables(G).read([1, 1, 1], analysis._windows(G, 1))
+        assert np.all(analysis._split_bound(list(idx.T), [1, 1, 1], *tables) >= 2.0)
 
 
 class TestScanIdentity:
@@ -571,6 +630,40 @@ class TestScanIdentity:
             assert (stat.delta, stat.argmax) == (delta, cell.support(i)), (k, r)
             scanned += 1
         assert scanned >= 3
+
+
+class TestGatherCount:
+    def test_family_a_pseudo_pair_cell_gathers_few_rows(self, monkeypatch):
+        # criterion 5's family A cell (1, 2), one 2-column block and two
+        # 10-column pseudo blocks, on the audit's matrices 1000-1009: the
+        # scan gathers under 5% of its 31,980 rows per matrix (75% with the
+        # block-norm pair bound alone). The tables are built first, so only
+        # the scan's own gathers are counted; the count is exact. A full
+        # eigvalsh of the first matrix's cell checks the scan's result.
+        params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
+        cell = analysis._cell_data(params, 1, 2)
+        assert len(cell) == 31_980
+        segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
+        gathered = []
+        gather = analysis._gather
+
+        def counting(W, runs, flat, out):
+            gathered[-1] += len(runs)
+            return gather(W, runs, flat, out)
+
+        for i in range(10):
+            Phi = gaussian_matrix(40, 60, "unit", True, np.random.default_rng(1000 + i))
+            tables = analysis._PairTables(Phi.gram)
+            tables.read([2, 10, 10], analysis._windows(Phi.gram, cell.width))
+            gathered.append(0)
+            with monkeypatch.context() as mp:
+                mp.setattr(analysis, "_gather", counting)
+                got = analysis._batched_max_opdev(
+                    Phi.gram, cell.runs, map, cell.width, segments, tables
+                )
+            if i == 0:
+                assert got == _full_scan_max(Phi.gram, cell.columns)
+        assert sum(gathered) / 10 < 0.05 * len(cell)
 
 
 class TestVerifyLemmas:

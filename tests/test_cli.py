@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,17 @@ class TestLemmasCommand:
         out = capsys.readouterr().out
         assert "lemma checks" in out
         assert code == 0
+
+    def test_rejects_a_false_normalized_flag(self, tmp_path, capsys):
+        # the header's normalized flag gates projected-column-bound, so a
+        # matrix flagged normalized with columns of norm 3 must not load
+        mat = gaussian_matrix(24, 30, "unit", True, np.random.default_rng(2))
+        path = tmp_path / "phi.bin"
+        path.write_bytes(matrix_to_binary(replace(mat, entries=3.0 * mat.entries)))
+        code = main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1",
+                     "--lsep", "4", "--K", "2", "--R", "1", "--seed", "0"])
+        assert code == 1
+        assert "column 1 has norm" in capsys.readouterr().err
 
 
 class TestCurveCommand:

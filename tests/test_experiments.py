@@ -72,6 +72,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="'master_seed' given twice"):
             ExperimentConfig.from_text(text)
 
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("K_grid=1,,3", r"'K_grid': empty item in '1,,3'"),
+            ("K_grid=1,2,", r"'K_grid': empty item"),
+            ("K_grid=,1", r"'K_grid': empty item"),
+            ("K_grid=1, ,3", r"'K_grid': empty item"),
+            ("K_grid=", r"'K_grid': empty list"),
+            ("algorithms=", r"'algorithms': empty list"),
+            ("algorithms=tsgbomp,,bomp", r"'algorithms': empty item"),
+        ],
+    )
+    def test_empty_list_item_rejected(self, line, match):
+        # an empty item was dropped, so K_grid=1,,3 read as (1, 3) and an
+        # empty list gave a run with no points
+        text = "n=48\nm=32\nb=2\np=2\nL=4\nmaster_seed=3\n" + line + "\n"
+        if not line.startswith("K_grid"):
+            text += "K_grid=1,2\n"
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_text(text)
+
+    def test_unparsable_value_names_its_key(self):
+        with pytest.raises(ValueError, match="config key 'trials'"):
+            ExperimentConfig.from_text(CONFIG_TEXT.replace("trials=5", "trials=five"))
+
     def test_infeasible_K_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_config(K_grid=(1, 50))

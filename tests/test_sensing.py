@@ -186,3 +186,34 @@ class TestSerialization:
         else:
             with pytest.raises(ValueError, match="non-finite value"):
                 matrix_from_binary(matrix_to_binary(mat))
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_rejects_normalized_flag_on_other_norms(self, fmt, complex_entries):
+        # flags=1 says every column has unit norm; a file whose columns have
+        # norm 3 must not load as normalized (normalize() would keep it)
+        mat = gaussian_matrix(
+            5, 4, "unit", True, np.random.default_rng(4), complex_entries=complex_entries
+        )
+        scaled = SensingMatrix(entries=3.0 * mat.entries, normalized=True)
+        with pytest.raises(ValueError, match=r"column 1 has norm 3\.0"):
+            if fmt == "csv":
+                matrix_from_csv(matrix_to_csv(scaled))
+            else:
+                matrix_from_binary(matrix_to_binary(scaled))
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_normalized_flag_allows_1e_12(self, fmt):
+        # column 3 is off by 5e-13 and loads; column 2 off by 2e-12 does not
+        entries = np.eye(4)
+        entries[2, 2] = 1.0 + 5e-13
+        ok = SensingMatrix(entries=entries.copy(), normalized=True)
+        entries[1, 1] = 1.0 + 2e-12
+        bad = SensingMatrix(entries=entries, normalized=True)
+        load = {
+            "csv": lambda m: matrix_from_csv(matrix_to_csv(m)),
+            "binary": lambda m: matrix_from_binary(matrix_to_binary(m)),
+        }[fmt]
+        assert load(ok).normalized
+        with pytest.raises(ValueError, match="column 2 has norm 1.000000000002"):
+            load(bad)
