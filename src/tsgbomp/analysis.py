@@ -217,7 +217,10 @@ class _PairTables:
     first use and then kept: D_h (`_diag_table`) for each segment width h,
     and T_hw (`_pair_table`) and E_hw (`_two_segment_table`) for each
     ordered pair of widths that rows read, so a `pibric_table` call builds
-    each once. Only rows of 2 or 3 segments read E (`_split_bound`)."""
+    each once. Only rows of 3 segments read E (`_split_bound`): there each
+    entry serves every row that pairs its two segments with a third one,
+    while a row of 2 segments would read an entry no other row reads, its
+    own fine bound, which the scan computes for its candidates anyway."""
 
     def __init__(self, G: np.ndarray):
         self.G = G
@@ -238,7 +241,7 @@ class _PairTables:
                 if (h, w) not in self.pair:
                     self.pair[h, w] = _pair_table(self.G, h, w)
                 pair[h, w] = self.pair[h, w]
-                if len(widths) <= 3:
+                if len(widths) == 3:
                     if (h, w) not in self.two:
                         self.two[h, w] = _two_segment_table(W, h, w)
                     two[h, w] = self.two[h, w]
@@ -283,34 +286,32 @@ def _pair_bound(starts: list[np.ndarray], widths: list[int], diag: dict, pair: d
 def _split_bound(
     starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict, two: dict
 ) -> np.ndarray:
-    """A second bound on ||M||_2, M = G[S,S] - I, for each row of 2 or 3
-    segments, read from the E tables `two` (`_two_segment_table`): E_01 for
-    a row of 2, and for a row of 3 the smallest, over its three splits into
-    a pair {i, j} and a segment k, top eigenvalue of [[E_ij, c], [c, N_kk]]
-    with c^2 = N_ik^2 + N_jk^2 (`_block_norms`). That is the block-norm
-    bound with two groups: the stacked block of M that {i, j} and k span
-    has norm at most c, and a nonnegative matrix's top eigenvalue only
-    grows with its entries. E reads +inf on overlapping segments, so such
-    a split bounds nothing. The squares underflow only below about 1e-154,
-    far under _BOUND_FLOOR."""
-    m = len(starts)
-    N = _block_norms(starts, widths, diag, pair) if m == 3 else {}
+    """A second bound on ||M||_2, M = G[S,S] - I, for each row of 3
+    segments, read from the E tables `two` (`_two_segment_table`): the
+    smallest, over the row's three splits into a pair {i, j} and a segment
+    k, top eigenvalue of [[E_ij, c], [c, N_kk]] with c^2 = N_ik^2 + N_jk^2
+    (`_block_norms`). That is the block-norm bound with two groups: the
+    stacked block of M that {i, j} and k span has norm at most c, and a
+    nonnegative matrix's top eigenvalue only grows with its entries. E
+    reads +inf on overlapping segments, so such a split bounds nothing.
+    The squares underflow only below about 1e-154, far under
+    _BOUND_FLOOR."""
+    N = _block_norms(starts, widths, diag, pair)
     bound = np.full(len(starts[0]), np.inf)
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))[: 1 if m == 2 else 3]:
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         E = two[widths[i], widths[j]]
-        e = E.take(starts[i] * np.intp(E.shape[1]) + starts[j])
-        if m == 3:
-            # (p + q) / 2 + sqrt(((p - q) / 2)^2 + c^2) for p = E_ij, q = N_kk
-            q = N[k, k]
-            d = e - q
-            d *= 0.5
-            d *= d
-            d += N[i, k] * N[i, k]
-            d += N[j, k] * N[j, k]
-            e += q
-            e *= 0.5
-            e += np.sqrt(d, out=d)
-        np.fmin(bound, e, out=bound)
+        p = E.take(starts[i] * np.intp(E.shape[1]) + starts[j])
+        # (p + q) / 2 + sqrt(((p - q) / 2)^2 + c^2) for q = N_kk
+        q = N[k, k]
+        d = p - q
+        d *= 0.5
+        d *= d
+        d += N[i, k] * N[i, k]
+        d += N[j, k] * N[j, k]
+        p += q
+        p *= 0.5
+        p += np.sqrt(d, out=d)
+        np.fmin(bound, p, out=bound)
     return bound
 
 
@@ -410,8 +411,8 @@ def _batched_max_opdev(
     exceeds the floor, that row is eigensolved and its deviation raises
     the floor, a lower bound on the maximum. Only rows whose reach attains
     the floor are kept as candidates, so memory grows with a chunk and the
-    candidates, not with the cell. Candidates of 2 or 3 segments then take
-    the smaller of that reach and the reach of their split bound
+    candidates, not with the cell. Candidates of 3 segments then take the
+    smaller of that reach and the reach of their split bound
     (`_split_bound`). They are cut, in descending reach, into pieces of a
     chunk's size: the first is scanned here (`_max_opdev`) and raises the
     floor to its maximum, and the others that hold a row which can still
@@ -537,14 +538,14 @@ def pibric_table(
     the first support attaining it. `_batched_max_opdev` reduces the rows of
     the cell's run array (`_cell_data`) to the exact (max, first argmax
     row), screening each row with the pair bound of its blocks (width b)
-    and pseudo blocks (width l), and each candidate of 2 or 3 of them with
-    the split bound as well, and eigensolving only the rows whose certified
+    and pseudo blocks (width l), and each candidate of 3 of them with the
+    split bound as well, and eigensolving only the rows whose certified
     bounds can still reach the maximum; only that row becomes a Support.
     One `_PairTables` of G serves every cell, so each table the cells read
     is built once per call, and only those: D_b once some cell has k >= 1
     and D_l once one has r >= 1, T_bb and E_bb at k >= 2, T_bl and E_bl at
     k >= 1 and r >= 1, T_ll and E_ll at r >= 2, E only for cells with
-    k + r <= 3. Cells larger than cell_cap are marked skipped instead of
+    k + r = 3. Cells larger than cell_cap are marked skipped instead of
     computed, and `_order_deltas` reads the order constants off the table.
     With jobs > 1 one pool of forked workers (`worker_map`) runs the
     chunks that each cell maps; the table never depends on jobs. A jobs

@@ -487,7 +487,7 @@ def _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elemen
         mp.setattr(analysis, "_TABLE_STRIP_ELEMENTS", strip_elements)
         mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
         diag, pair, two = analysis._PairTables(G).read(widths, analysis._windows(G, 1))
-    assert bool(two) == (2 <= len(widths) <= 3)
+    assert bool(two) == (len(widths) == 3)
     starts = [part[:, j] for part, _ in segments for j in range(part.shape[1])]
     plain = analysis._pair_bound(starts, widths, diag, pair)
     bound = plain
