@@ -140,9 +140,9 @@ def _csv_tuple(item):
     """Parser of a comma-separated list: one or more items, none empty."""
 
     def parse(value: str) -> tuple:
-        items = value.split(",")
         if not value.strip():
             raise ValueError("empty list")
+        items = value.split(",")
         if not all(v.strip() for v in items):
             raise ValueError(f"empty item in {value!r}")
         return tuple(item(v) for v in items)

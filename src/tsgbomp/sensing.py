@@ -173,7 +173,7 @@ def _loaded(entries: np.ndarray, flags: int) -> SensingMatrix:
         if bad.size:
             j = int(bad[0])
             norm = float(norms[j])
-            raise ValueError(f"matrix is flagged normalized, but column {j + 1} has norm {norm!r}")
+            raise ValueError(f"matrix flagged normalized, but column {j + 1} has norm {norm!r}")
     return SensingMatrix(entries=entries, normalized=normalized)
 
 
