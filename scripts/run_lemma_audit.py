@@ -23,14 +23,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tsgbomp.cli import add_jobs_option
+from tsgbomp.cli import at_least_one
 from tsgbomp.experiments import lemma_audit
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(allow_abbrev=False)
-    ap.add_argument("--matrices", type=int, default=100)
-    add_jobs_option(ap)
+    ap.add_argument("--matrices", type=at_least_one, default=100)
+    ap.add_argument("--jobs", type=at_least_one, default=1)
     args = ap.parse_args()
 
     digest = hashlib.sha256()

@@ -23,14 +23,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from tsgbomp.cli import add_jobs_option
+from tsgbomp.cli import at_least_one
 from tsgbomp.experiments import ExperimentConfig, run_curve
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(allow_abbrev=False)
-    ap.add_argument("--trials", type=int)
-    add_jobs_option(ap, default=2)
+    ap.add_argument("--trials", type=at_least_one)
+    ap.add_argument("--jobs", type=at_least_one, default=2)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 

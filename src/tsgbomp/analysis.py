@@ -29,7 +29,6 @@ from .signal_model import (
     iter_cell,
     min_separation,
 )
-from .workers import worker_map
 
 __all__ = [
     "RicEstimate",
@@ -333,42 +332,42 @@ def _lower_reach(reach: np.ndarray, bound, segments, tables, rows=None) -> None:
         np.fmin(reach[lo : lo + step], b, out=reach[lo : lo + step])
 
 
-def _max_opdev(args) -> tuple[float, int]:
+def _max_opdev(
+    W: np.ndarray, runs: np.ndarray, rows: np.ndarray, reach: np.ndarray, best: float, arg: int
+) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
-    over the rows of one chunk of runs into the windows W (`_gather`) whose
-    deviation is at least `floor`, bit-identical to np.argmax over a full
-    batched eigvalsh; (-1.0, -1) if no row's deviation reaches the floor.
+    over the candidate rows `rows` of runs into the windows W (`_gather`),
+    starting from the best value so far, `best`, first attained at row
+    `arg`: bit-identical to np.argmax over a full batched eigvalsh of
+    those rows and row `arg`.
 
-    `reach` holds each row's certified bound: no row with a deviation
-    above it. Only the rows whose reach is at least the floor are
-    candidates; they alone are sorted (stable) by descending reach and
-    gathered in that order, in batches of 2, 4, 8, ... rows, at most
-    _SCAN_BATCH_ELEMENTS entries of M each. A row is eigensolved only if
-    its coarse bound `_eig_bound(M)` and then its fine bound,
-    `_eig_bound(M @ M)` ** 0.5, can still reach the best value so far, and
-    the scan stops at the first row whose reach cannot. A bound can reach
-    a value if the bound times 1 + _BOUND_MARGIN, plus its floor, is at
-    least that value, whatever the rounding or underflow of either
-    computation. Ties go to the lowest row."""
-    W, runs, reach, floor = args
+    `reach` holds each candidate's certified bound: no deviation above it.
+    Only the candidates whose reach attains `best` are kept; they are
+    sorted (stable) by descending reach and gathered in that order, in
+    batches of 2, 4, 8, ... rows, at most _SCAN_BATCH_ELEMENTS entries of
+    M each. A row is eigensolved only if its coarse bound `_eig_bound(M)`
+    and then its fine bound, `_eig_bound(M @ M)` ** 0.5, can still reach
+    the best value so far, and the scan stops at the first row whose reach
+    cannot. A bound can reach a value if the bound times 1 + _BOUND_MARGIN,
+    plus its floor, is at least that value, whatever the rounding or
+    underflow of either computation. Ties go to the lowest row."""
     _, _, g = W.shape
     w = runs.shape[1]
     s = w * g
-    best, arg = floor, len(runs)
     order = np.flatnonzero(reach >= best)
     order = order[np.argsort(-reach[order], kind="stable")]
     # minus each candidate's reach, ascending: the rows that can still
     # reach a value are a prefix, whose end one binary search finds
-    fall = -reach[order]
-    block = min(len(order), max(1, _SCAN_BATCH_ELEMENTS // s**2))
+    rows, fall = rows[order], -reach[order]
+    block = min(len(rows), max(1, _SCAN_BATCH_ELEMENTS // s**2))
     flat = np.empty((block, w, g, w), np.intp)
     M, MM = np.empty((2, block, s, s), W.dtype)
-    lo, size, stop = 0, min(2, block), len(order)
+    lo, size, stop = 0, min(2, block), len(rows)
     while lo < stop:
-        rows = order[lo : min(lo + size, stop)]
-        lo += len(rows)
+        batch = rows[lo : min(lo + size, stop)]
+        lo += len(batch)
         size = min(2 * size, block)
-        m = _gather(W, runs[rows], flat, M)
+        m = _gather(W, runs[batch], flat, M)
         mm = MM[: len(m)]
         near = _eig_bound(m, out=mm) * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR >= best
         if not near.any():
@@ -378,19 +377,19 @@ def _max_opdev(args) -> tuple[float, int]:
         near[near] = fine >= best
         if not near.any():
             continue
-        rows = rows[near]
+        batch = batch[near]
         dev = _deviations(m[near])
         top = dev.max()
         if top >= best:
-            first = int(rows[dev == top].min())
+            first = int(batch[dev == top].min())
             arg = first if top > best else min(arg, first)
             best = top
         stop = int(np.searchsorted(fall, -best, side="right"))
-    return (float(best), arg) if arg < len(runs) else (-1.0, -1)
+    return float(best), arg
 
 
 def _batched_max_opdev(
-    G: np.ndarray, runs: np.ndarray, mapper=map, width: int = 1, segments=None, tables=None
+    G: np.ndarray, runs: np.ndarray, width: int = 1, segments=None, tables=None
 ) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
     the rows of runs, S being the columns runs[j] + t, 0 <= t < width, of
@@ -408,18 +407,13 @@ def _batched_max_opdev(
     Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2. Each chunk's
     rows get the reach (`_lower_reach`) of their pair bound
     (`_pair_bound`); if the chunk's largest reach (the first, on ties)
-    exceeds the floor, that row is eigensolved and its deviation raises
-    the floor, a lower bound on the maximum. Only rows whose reach attains
-    the floor are kept as candidates, so memory grows with a chunk and the
-    candidates, not with the cell. Candidates of 3 segments then take the
-    smaller of that reach and the reach of their split bound
-    (`_split_bound`). They are cut, in descending reach, into pieces of a
-    chunk's size: the first is scanned here (`_max_opdev`) and raises the
-    floor to its maximum, and the others that hold a row which can still
-    reach it are mapped over `mapper` (a `worker_map`), so each piece
-    screens against about the cell's best row rather than its own. Results
-    merge by value and then lowest row, so the result never depends on
-    the mapper."""
+    exceeds the best value so far, that row is eigensolved and may raise
+    it, a lower bound on the maximum. Only rows whose reach attains the
+    best value are kept as candidates, so memory grows with a chunk and
+    the candidates, not with the cell. Candidates of 3 segments then take
+    the smaller of that reach and the reach of their split bound
+    (`_split_bound`), and one descent (`_max_opdev`) scans every candidate
+    that can still reach the best value, from the chunks' best row on."""
     n = G.shape[0]
     if runs.min() < 0 or runs.max() + width > n:
         raise IndexError(f"column index out of range for {n} columns")
@@ -434,42 +428,26 @@ def _batched_max_opdev(
     s = w * width
     one, flat = np.empty((1, s, s), W.dtype), np.empty((1, w, width, w), np.intp)
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
-    found, floor, rows, reach = [], -1.0, [], []
+    best, arg, rows, reach = -math.inf, 0, [], []
     for lo in range(0, len(runs), chunk):
         part = [(starts[lo : lo + chunk], h) for starts, h in segments]
         r = np.full(len(part[0][0]), np.inf)
         _lower_reach(r, _pair_bound, part, (diag, pair))
         j = int(np.argmax(r))
-        if r[j] > floor:
+        if r[j] > best:
             dev = _deviations(_gather(W, runs[lo + j : lo + j + 1], flat, one))[0]
-            found.append((dev, lo + j))
-            floor = max(floor, dev)
+            if dev > best:  # chunks ascend, so an equal value keeps the lower row
+                best, arg = dev, lo + j
             r[j] = -np.inf  # solved
-        keep = np.flatnonzero(r >= floor)
+        keep = np.flatnonzero(r >= best)
         rows.append(keep + lo)
         reach.append(r[keep])
     rows, reach = np.concatenate(rows), np.concatenate(reach)
-    keep = reach >= floor
+    keep = reach >= best
     rows, reach = rows[keep], reach[keep]
     if two:
         _lower_reach(reach, _split_bound, segments, (diag, pair, two), rows)
-        keep = reach >= floor
-        rows, reach = rows[keep], reach[keep]
-    order = np.argsort(-reach, kind="stable")
-    pieces = [np.sort(order[lo : lo + chunk]) for lo in range(0, len(order), chunk)]
-    rest = pieces[1:]
-    if pieces:
-        value, i = _max_opdev((W, runs[rows[pieces[0]]], reach[pieces[0]], floor))
-        if i >= 0:
-            found.append((value, int(rows[pieces[0][i]])))
-            floor = value
-        rest = [p for p in rest if reach[p].max() >= floor]
-    parts = [(W, runs[rows[p]], reach[p], floor) for p in rest]
-    for p, (value, i) in zip(rest, mapper(_max_opdev, parts)):
-        if i >= 0:
-            found.append((value, int(rows[p[i]])))
-    best, arg = max(found, key=lambda f: (f[0], -f[1]))
-    return float(best), arg
+    return _max_opdev(W, runs, rows, reach, best, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +482,17 @@ def pibric(
     K: int,
     R: int,
     cap: int = 1_000_000,
-    jobs: int = 1,
 ) -> RicEstimate:
     """Exact max of operator_norm_dev over every support with at most K true
     blocks and at most R pseudo blocks: the largest cell maximum of
     `pibric_table`, after checking the total support count against `cap`.
-
-    The result (including the argmax support, first in (k, r) cell order and
-    then in enumeration order on ties) never depends on jobs; a jobs below 1
-    raises ValueError.
+    On ties the argmax support is the first in (k, r) cell order and then
+    in enumeration order.
     """
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
-    table = pibric_table(Phi, params, K, R, cell_cap=cap, jobs=jobs)
+    table = pibric_table(Phi, params, K, R, cell_cap=cap)
     best = max(table.values(), key=lambda stat: stat.delta)
     return RicEstimate(delta=best.delta, argmax_support=best.argmax, supports_scanned=total)
 
@@ -531,8 +506,7 @@ class _CellStat:
 
 
 def pibric_table(
-    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000,
-    jobs: int = 1,
+    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000
 ) -> dict[tuple[int, int], _CellStat]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
@@ -546,34 +520,28 @@ def pibric_table(
     and D_l once one has r >= 1, T_bb and E_bb at k >= 2, T_bl and E_bl at
     k >= 1 and r >= 1, T_ll and E_ll at r >= 2, E only for cells with
     k + r = 3. Cells larger than cell_cap are marked skipped instead of
-    computed, and `_order_deltas` reads the order constants off the table.
-    With jobs > 1 one pool of forked workers (`worker_map`) runs the
-    chunks that each cell maps; the table never depends on jobs. A jobs
-    below 1 raises ValueError."""
+    computed, and `_order_deltas` reads the order constants off the table."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
     tables = _PairTables(G)
     table: dict[tuple[int, int], _CellStat] = {}
-    with worker_map(jobs) as mapper:
-        for k in range(K + 1):
-            for r in range(R + 1):
-                count = cell_count(params, k, r)
-                if count == 0:
-                    table[(k, r)] = _CellStat(delta=0.0, argmax=None, count=0)
-                    continue
-                if count > cell_cap:
-                    table[(k, r)] = _CellStat(
-                        delta=math.nan, argmax=None, count=count, skipped=True
-                    )
-                    continue
-                cell = _cell_data(params, k, r)
-                if not cell.runs.shape[1]:
-                    table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
-                    continue
-                segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
-                delta, i = _batched_max_opdev(G, cell.runs, mapper, cell.width, segments, tables)
-                table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
+    for k in range(K + 1):
+        for r in range(R + 1):
+            count = cell_count(params, k, r)
+            if count == 0:
+                table[(k, r)] = _CellStat(delta=0.0, argmax=None, count=0)
+                continue
+            if count > cell_cap:
+                table[(k, r)] = _CellStat(delta=math.nan, argmax=None, count=count, skipped=True)
+                continue
+            cell = _cell_data(params, k, r)
+            if not cell.runs.shape[1]:
+                table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
+                continue
+            segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
+            delta, i = _batched_max_opdev(G, cell.runs, cell.width, segments, tables)
+            table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
     return table
 
 
@@ -890,9 +858,12 @@ def real_part_lower_bound_check(z: complex, w: complex) -> tuple[float, float, b
 
 def f_K(u: float, K: int, b: int, p: int) -> float:
     """Scaling function u*sqrt(B'b)/(1+u) * (K(1+u)/(4B') + sqrt(K+1) + 1)
-    with B' = pb - b + 1. Continuous, strictly increasing, f_K(0) = 0."""
+    with B' = pb - b + 1. Continuous, strictly increasing, f_K(0) = 0.
+    Defined for b, p >= 1 only."""
     if u < 0:
         raise ValueError("u must be nonnegative")
+    if b < 1 or p < 1:
+        raise ValueError(f"b and p must be >= 1, got b={b}, p={p}")
     Bp = p * b - b + 1
     return (u * math.sqrt(Bp * b) / (1.0 + u)) * (
         K * (1.0 + u) / (4.0 * Bp) + math.sqrt(K + 1.0) + 1.0
@@ -903,10 +874,10 @@ def f_K_inverse(target: float, K: int, b: int, p: int, bracket: float = 1e3) -> 
     """Invert f_K by bisection on [0, bracket] to 1e-12."""
     if target < 0:
         raise ValueError("target must be nonnegative")
-    if target == 0:
-        return 0.0
     if f_K(bracket, K, b, p) < target:
         raise ValueError(f"target {target} unreachable on [0, {bracket}]")
+    if target == 0:
+        return 0.0
     lo, hi = 0.0, bracket
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -960,6 +931,7 @@ def thm1_certificate(
         raise ValueError("K must be >= 1")
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
+    f = f_K(delta, K, b, p)
     Bp = p * b - b + 1
     thresh = 1.0 / math.sqrt(2.0 * K + 1.0)
     margin_17 = thresh - delta
@@ -976,10 +948,10 @@ def thm1_certificate(
         )
 
     if field == "real":
-        rhs = f_K(delta, K, b, p) * x_max + noise
+        rhs = f * x_max + noise
     else:
         numer = (
-            delta * math.sqrt(K * b) + (1.0 - delta**2) * f_K(delta, K, b, p)
+            delta * math.sqrt(K * b) + (1.0 - delta**2) * f
         ) * x_max
         rhs = numer / math.sqrt((1.0 - delta**2) ** 2 + delta**2) + noise
     margin_18 = x_min - rhs
@@ -1077,6 +1049,8 @@ def thm2_bound(
     never raised. Unless `g_value` is supplied, the magnitude-ratio tail g is
     replaced by its conservative closed-form lower bound Kb*w(a)^(Kb-1).
     """
+    if m < 1 or K < 1:
+        raise ValueError(f"m and K must be >= 1, got m={m}, K={K}")
     Lp = min_separation(b, p, L)
     if lambda_variant == "separation":
         lam = math.sqrt(((K - 1) * b + 2 * Lp) / m)

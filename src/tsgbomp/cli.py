@@ -88,7 +88,7 @@ def _cmd_recover(args) -> int:
 def _cmd_ric(args) -> int:
     Phi = _load_matrix(args.matrix)
     params = _params_from_args(args, Phi.n, args.K, args.R, args.l)
-    est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap, jobs=args.jobs)
+    est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap)
     print(f"delta = {est.delta!r}")
     print(f"supports scanned = {est.supports_scanned}")
     if est.argmax_support is not None and not est.argmax_support.is_empty():
@@ -175,20 +175,17 @@ def _cmd_theorem_suite(args) -> int:
     return 0 if report.all_recovered else 1
 
 
-def _worker_count(text: str) -> int:
+def at_least_one(text: str) -> int:
+    """Argparse type of every count option (a worker count, a number of
+    matrices or trials): an integer of at least 1, anything else being a
+    usage error."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return jobs
-
-
-def add_jobs_option(parser: argparse.ArgumentParser, default: int = 1) -> None:
-    """The --jobs option of every command and script that forks workers: a
-    worker count of at least 1, anything less being a usage error."""
-    parser.add_argument("--jobs", type=_worker_count, default=default)
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cap", type=int, default=1_000_000)
-    add_jobs_option(sp)
     sp.set_defaults(func=_cmd_ric)
 
     sp = sub.add_parser("lemmas", help="brute-force lemma checks on a matrix")
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curve", help="Monte Carlo phase-transition curve")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    add_jobs_option(sp)
+    sp.add_argument("--jobs", type=at_least_one, default=1)
     sp.add_argument("--check", action="store_true")
     sp.set_defaults(func=_cmd_curve)
 

@@ -197,6 +197,8 @@ def tsgbomp(
     norm. The p block starts {i, i+b, ..., i+(p-1)b} are the iteration's
     pick for the shared loop.
     """
+    if L < 1 or b < 1 or p < 1:
+        raise ValueError(f"L, b and p must all be >= 1, got L={L}, b={b}, p={p}")
     n = Phi.n
     if n % L != 0:
         raise ValueError(f"n={n} must be divisible by the window length L={L}")
@@ -230,6 +232,8 @@ def bomp(
 ) -> RecoveryResult:
     """Block OMP over the fixed partition into n/block consecutive blocks:
     each iteration picks the block with the largest correlation norm."""
+    if block < 1:
+        raise ValueError(f"block length must be >= 1, got {block}")
     n = Phi.n
     if n % block != 0:
         raise ValueError(f"n={n} must be divisible by the block length {block}")

@@ -28,7 +28,6 @@ from tsgbomp.analysis import (
 from tsgbomp.experiments import lemma_audit
 from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix
 from tsgbomp.signal_model import EnumerationCapError, PibsParams, iter_cell
-from tsgbomp.workers import worker_map
 
 
 def orthonormal_matrix(n, rng):
@@ -132,32 +131,12 @@ class TestPibric:
         params = PibsParams(n=9, b=1, p=2, l=2, Lsep=2, K=2, R=1)
         # n = 2 leaves cell (2, 1) empty, so the cells (1, 1) and (2, 0) tie
         tiny = PibsParams(n=2, b=1, p=2, l=1, Lsep=1, K=2, R=1)
-        for jobs in (1, 2):
-            est = pibric(Phi, params, 2, 1, jobs=jobs)
-            assert est.delta == pytest.approx(3.0)
-            assert est.argmax_support == next(iter_cell(params, 2, 1))
-            est = pibric(SensingMatrix(Phi.entries[:, :2], normalized=True), tiny, 2, 1, jobs=jobs)
-            assert est.delta == pytest.approx(1.0)
-            assert est.argmax_support == next(iter_cell(tiny, 1, 1))
-
-    def test_jobs_do_not_change_result(self):
-        rng = np.random.default_rng(6)
-        Phi = gaussian_matrix(20, 30, "unit", True, rng)
-        params = PibsParams(n=30, b=2, p=2, l=4, Lsep=6, K=2, R=1)
-        serial = pibric(Phi, params, 2, 1, jobs=1)
-        parallel = pibric(Phi, params, 2, 1, jobs=2)
-        assert serial.delta == parallel.delta
-        assert serial.argmax_support == parallel.argmax_support
-        assert serial.supports_scanned == parallel.supports_scanned
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_raises(self, jobs):
-        params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
-        Phi = gaussian_matrix(5, 7, "unit", True, np.random.default_rng(11))
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            pibric(Phi, params, 2, 2, jobs=jobs)
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            pibric_table(Phi, params, 2, 2, jobs=jobs)
+        est = pibric(Phi, params, 2, 1)
+        assert est.delta == pytest.approx(3.0)
+        assert est.argmax_support == next(iter_cell(params, 2, 1))
+        est = pibric(SensingMatrix(Phi.entries[:, :2], normalized=True), tiny, 2, 1)
+        assert est.delta == pytest.approx(1.0)
+        assert est.argmax_support == next(iter_cell(tiny, 1, 1))
 
     def test_table_cells_and_order_constants(self, monkeypatch):
         # cell (2, 2) is empty and cell (1, 1) holds 20 supports, over the cap
@@ -194,10 +173,9 @@ class TestPibric:
         assert est.delta == first.delta and est.argmax_support == first.argmax
         assert est.supports_scanned == sum(s.count for s in full.values())
 
-        # one gathered row per chunk: the pool sees many chunks per cell
+        # one row per chunk: every row of a cell is a chunk's seed
         monkeypatch.setattr(analysis, "_EIG_CHUNK_ELEMENTS", 1)
-        assert pibric_table(Phi, params, 2, 2, cell_cap=15, jobs=1) == table
-        assert pibric_table(Phi, params, 2, 2, cell_cap=15, jobs=2) == table
+        assert pibric_table(Phi, params, 2, 2, cell_cap=15) == table
 
     def test_identity_matrix_returns_empty_support(self):
         params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
@@ -302,12 +280,6 @@ def _run_case(kind, complex_entries, g, w, rows, ordered, seed):
     return G, runs.astype(np.int32), columns
 
 
-@pytest.fixture(scope="module")
-def forked_map():
-    with worker_map(2) as mapper:
-        yield mapper
-
-
 class TestScanKernel:
     """The bound-screened scan kernel against a full eigvalsh of every row."""
 
@@ -318,14 +290,12 @@ class TestScanKernel:
         rows=st.integers(1, 300),
         chunk_elements=st.sampled_from([1, 50, 4_000_000]),
         block_elements=st.sampled_from([1, 20, 1 << 16]),
-        jobs=st.sampled_from([1, 2]),
         dtype=st.sampled_from([np.intp, np.int32]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_full_eigvalsh(
-        self, forked_map, kind, complex_entries, s, rows, chunk_elements, block_elements, jobs,
-        dtype, seed,
+        self, kind, complex_entries, s, rows, chunk_elements, block_elements, dtype, seed
     ):
         G, idx = _kernel_case(kind, complex_entries, s, rows, seed)
         idx = idx.astype(dtype)
@@ -333,7 +303,7 @@ class TestScanKernel:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
-            got = analysis._batched_max_opdev(G, idx, forked_map if jobs > 1 else map)
+            got = analysis._batched_max_opdev(G, idx)
         assert got == _full_scan_max(G, idx)
 
     @given(
@@ -345,20 +315,18 @@ class TestScanKernel:
         ordered=st.booleans(),
         chunk_elements=st.sampled_from([1, 50, 4_000_000]),
         block_elements=st.sampled_from([1, 20, 1 << 16]),
-        jobs=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_runs_match_full_eigvalsh_of_their_columns(
-        self, forked_map, kind, complex_entries, g, w, rows, ordered, chunk_elements,
-        block_elements, jobs, seed,
+        self, kind, complex_entries, g, w, rows, ordered, chunk_elements, block_elements, seed
     ):
         G, runs, columns = _run_case(kind, complex_entries, g, w, rows, ordered, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
-            got = analysis._batched_max_opdev(G, runs, forked_map if jobs > 1 else map, g)
+            got = analysis._batched_max_opdev(G, runs, g)
         assert got == _full_scan_max(G, columns)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -437,10 +405,10 @@ class TestScanKernel:
         # the gather's flat take clips, so the range is checked first; a run
         # of 2 columns from start 1 ends at column 2 of 3, one from start 2
         # past it
-        assert analysis._batched_max_opdev(np.eye(3), np.array([[1]]), map, 2) == (0.0, 0)
+        assert analysis._batched_max_opdev(np.eye(3), np.array([[1]]), 2) == (0.0, 0)
         for idx, width in (([[0, 3]], 1), ([[-1, 0]], 1), ([[2]], 2), ([[0, 2]], 2), ([[-1]], 2)):
             with pytest.raises(IndexError):
-                analysis._batched_max_opdev(np.eye(3), np.array(idx), map, width)
+                analysis._batched_max_opdev(np.eye(3), np.array(idx), width)
 
     def test_screen_skips_eigensolves(self):
         params = PibsParams(n=50, b=1, p=1, l=0, Lsep=1, K=3, R=0)
@@ -527,7 +495,7 @@ class TestPairBound:
         _, bound = _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elements)
         # the scan reads the same bound: columns as width-1 runs, cut into
         # the blocks and pseudo blocks
-        got = analysis._batched_max_opdev(G, columns, map, 1, segments)
+        got = analysis._batched_max_opdev(G, columns, 1, segments)
         assert got == _full_scan_max(G, columns)
         if kind == "identity":
             assert np.all(bound == 0.0) and got == (0.0, 0)
@@ -562,7 +530,7 @@ class TestPairBound:
         apart = (gaps >= g) & ~np.eye(w, dtype=bool)
         clash = ~apart.any(axis=(1, 2))
         assert np.array_equal(bound[clash], plain[clash])
-        assert analysis._batched_max_opdev(G, runs, map, g) == _full_scan_max(G, columns)
+        assert analysis._batched_max_opdev(G, runs, g) == _full_scan_max(G, columns)
 
     @given(
         kind=st.sampled_from(KINDS),
@@ -619,10 +587,8 @@ class TestScanIdentity:
         m, params = self.GEOMETRIES[geometry]
         rng = np.random.default_rng(18)
         Phi = gaussian_matrix(m, params.n, "unit", True, rng, complex_entries=complex_entries)
-        tables = [pibric_table(Phi, params, params.K, params.R, 150_000, jobs) for jobs in (1, 2)]
-        assert tables[0] == tables[1]
         scanned = 0
-        for (k, r), stat in tables[0].items():
+        for (k, r), stat in pibric_table(Phi, params, params.K, params.R, 150_000).items():
             if stat.skipped or not k + r:
                 continue
             cell = analysis._cell_data(params, k, r)
@@ -658,9 +624,7 @@ class TestGatherCount:
             gathered.append(0)
             with monkeypatch.context() as mp:
                 mp.setattr(analysis, "_gather", counting)
-                got = analysis._batched_max_opdev(
-                    Phi.gram, cell.runs, map, cell.width, segments, tables
-                )
+                got = analysis._batched_max_opdev(Phi.gram, cell.runs, cell.width, segments, tables)
             if i == 0:
                 assert got == _full_scan_max(Phi.gram, cell.columns)
         assert sum(gathered) / 10 < 0.05 * len(cell)

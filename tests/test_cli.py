@@ -82,6 +82,18 @@ class TestThm1:
         assert "FAIL(19)" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "geometry", [["--b", "0", "--p", "2"], ["--b", "2", "--p", "0"], ["--b", "-1", "--p", "2"]],
+        ids=["b0", "p0", "b-1"],
+    )
+    def test_block_or_cluster_below_one_exits_one(self, geometry, capsys):
+        # at b = 0 f_K is 0, and both conditions used to pass
+        code = main(["thm1", "--delta", "0.2", "--K", "2", *geometry])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
+
+
 class TestThm2:
     README = ["thm2", "--b", "1", "--p", "1", "--L", "2", "--K", "4", "--m", "2000",
               "--n", "200", "--eps0", "0.05", "--eps", "0.05"]
@@ -111,6 +123,15 @@ class TestThm2:
                      "--m", "40", "--n", "100", "--eps0", "0.1", "--eps", "0.1"])
         assert code == 1
         assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
+
+    @pytest.mark.parametrize("option", ["--m", "--K"])
+    def test_measurements_or_budget_zero_exits_one(self, option, capsys):
+        argv = list(self.README)
+        argv[argv.index(option) + 1] = "0"
+        code = main(argv)
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
 
 
 class TestGbounds:
@@ -209,6 +230,27 @@ class TestRecover:
                      "--K", "2", "--L", "4", "--b", "2", "--p", "2", "--eps", "1e-8"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            ["--alg", "tsgbomp", "--L", "0", "--b", "2", "--p", "2"],
+            ["--alg", "tsgbomp", "--L", "4", "--b", "0", "--p", "2"],
+            ["--alg", "tsgbomp", "--L", "4", "--b", "2", "--p", "0"],
+            ["--alg", "bomp", "--b", "0", "--p", "2"],
+        ],
+        ids=["tsgbomp-L0", "tsgbomp-b0", "tsgbomp-p0", "bomp-b0"],
+    )
+    def test_zero_window_or_block_exits_one(self, matrix_file, tmp_path, capsys, geometry):
+        mat, mat_path = matrix_file
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries[:, 0]))
+        code = main(["recover", "--matrix", str(mat_path), "--y", str(y_path), "--K", "1",
+                     *geometry, "--eps", "1e-8"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
 
 
 class TestRic:
@@ -333,21 +375,21 @@ class TestUsageErrors:
         assert "--L" in err_text and "--lsep" in err_text
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
-             "--K", "1", "--R", "0"],
-            ["curve", "--config", "exp.cfg"],
-        ],
-        ids=["ric", "curve"],
-    )
+    @pytest.mark.parametrize("argv", [["curve", "--config", "exp.cfg"]], ids=["curve"])
     def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
         # a worker count below 1 used to run serially without a word
         with pytest.raises(SystemExit) as err:
             main([*argv, "--jobs", jobs])
         assert err.value.code == 2
         assert f"--jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
+
+    def test_ric_takes_no_jobs(self, capsys):
+        # the scan is one serial descent per cell, with no workers to count
+        with pytest.raises(SystemExit) as err:
+            main(["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
+                  "--K", "1", "--R", "0", "--jobs", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_geometry_error_reported(self, capsys):
         code = main(["gen-signal", "--n", "3", "--b", "2", "--p", "1", "--lsep", "2",

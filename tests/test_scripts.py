@@ -36,6 +36,11 @@ class TestRunLemmaAudit:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "--jobs: must be an integer of at least 1, got '0'" in proc.stderr
 
+    def test_matrices_below_one_exits_two(self):
+        proc = run_script("run_lemma_audit.py", "--matrices", "-5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--matrices: must be an integer of at least 1, got '-5'" in proc.stderr
+
 
 class TestRunPhaseTransition:
     def test_writes_every_config_curve(self, tmp_path):
@@ -61,3 +66,9 @@ class TestRunPhaseTransition:
         )
         assert proc.returncode == 2 and list(tmp_path.iterdir()) == []
         assert "--jobs: must be an integer of at least 1, got '-3'" in proc.stderr
+
+    def test_trials_below_one_exits_two(self, tmp_path):
+        out_dir = tmp_path / "results"
+        proc = run_script("run_phase_transition.py", "--trials", "0", "--out-dir", str(out_dir))
+        assert proc.returncode == 2 and proc.stdout == "" and not out_dir.exists()
+        assert "--trials: must be an integer of at least 1, got '0'" in proc.stderr
