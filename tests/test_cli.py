@@ -375,13 +375,23 @@ class TestUsageErrors:
         assert "--L" in err_text and "--lsep" in err_text
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [["curve", "--config", "exp.cfg"]], ids=["curve"])
-    def test_jobs_below_one_exits_two(self, argv, jobs, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # ric has no workers, so any --jobs is a usage error
+            (["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
+              "--K", "1", "--R", "0"], "unrecognized arguments: --jobs {jobs}"),
+            (["curve", "--config", "exp.cfg"],
+             "--jobs: must be an integer of at least 1, got '{jobs}'"),
+        ],
+        ids=["ric", "curve"],
+    )
+    def test_jobs_below_one_exits_two(self, argv, message, jobs, capsys):
         # a worker count below 1 used to run serially without a word
         with pytest.raises(SystemExit) as err:
             main([*argv, "--jobs", jobs])
         assert err.value.code == 2
-        assert f"--jobs: must be an integer of at least 1, got '{jobs}'" in capsys.readouterr().err
+        assert message.format(jobs=jobs) in capsys.readouterr().err
 
     def test_ric_takes_no_jobs(self, capsys):
         # the scan is one serial descent per cell, with no workers to count
