@@ -10,6 +10,7 @@ Gaussian-matrix probability bound with all intermediates exposed for audit.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -58,6 +59,8 @@ _TABLE_STRIP_ELEMENTS = 1 << 13  # entries per table strip: a temporary holds 64
 _BOUND_MARGIN = 1e-9  # relative slack on the pruning bounds, far above their rounding
 _BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the pair bound's 4th powers underflow
 _FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
+_STACK_CHUNK = 32  # sampled supports or subsets per stacked product: their draws stay near 0.1 MB
+_OVER_CAP = "cells over cell_cap"  # why a family ran no check when cap-skipped cells stopped it
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +460,7 @@ def _batched_max_opdev(
 def _cell_data(params: PibsParams, k: int, r: int) -> CellRows:
     """The (k, r) cell as index arrays (`cell_rows`), rows in `iter_cell`
     order; only arrays are cached, and a Support is built only for a row
-    that is reported or sampled. Row 0 is checked against the first support
+    that is reported. Row 0 is checked against the first support
     `iter_cell` yields. Callers check the cell's `cell_count` against their
     cap first."""
     cell = cell_rows(params, k, r)
@@ -601,20 +604,12 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
 
-def _projector_complement(Phi: SensingMatrix, cols0: np.ndarray):
-    """Return a function applying I - P onto span(Phi[:, cols0])."""
-    if cols0.size == 0:
-        return lambda v: v
-    Q, _ = np.linalg.qr(Phi.entries[:, cols0])
-    return lambda v: v - Q @ (Q.conj().T @ v)
-
-
-def _table_supports(
+def _table_cells(
     table: dict[tuple[int, int], _CellStat], params: PibsParams, K: int, R: int
 ) -> list[CellRows]:
     """The computed cells of the table with k <= K and r <= R whose supports
-    cover at least one column, in cell order: the pool `_sample_supports`
-    draws from, as arrays, with no Support built."""
+    cover at least one column, in cell order: the pool `_sample_rows` draws
+    from."""
     cells = []
     for k in range(K + 1):
         for r in range(R + 1):
@@ -626,33 +621,87 @@ def _table_supports(
     return cells
 
 
-def _sample_supports(
+def _sample_rows(
     cells: list[CellRows], limit: int, rng: np.random.Generator
-) -> list[Support]:
-    """Every row of the cells, in order, as Supports when they number at most
-    `limit`; otherwise `limit` rows drawn without replacement, in order."""
+) -> list[tuple[CellRows, np.ndarray]]:
+    """Every row of the cells when they number at most `limit`, otherwise
+    `limit` rows drawn without replacement, as (cell, ascending row indices)
+    pairs in row order, each holding at most _STACK_CHUNK rows of one cell."""
     sizes = [len(cell) for cell in cells]
     total = sum(sizes)
-    picks = range(total) if total <= limit else sorted(rng.choice(total, size=limit, replace=False))
-    ends = np.cumsum(sizes)
-    out = []
-    for i in picks:
-        c = int(np.searchsorted(ends, i, side="right"))
-        out.append(cells[c].support(int(i - ends[c] + sizes[c])))
-    return out
+    if total <= limit:
+        picks = np.arange(total)
+    else:
+        picks = np.sort(rng.choice(total, size=limit, replace=False))
+    starts = np.cumsum([0] + sizes)
+    ends = np.searchsorted(picks, starts)
+    return [
+        (cell, picks[lo : min(lo + _STACK_CHUNK, hi)] - start)
+        for cell, start, first, hi in zip(cells, starts, ends, ends[1:])
+        for lo in range(first, hi, _STACK_CHUNK)
+    ]
 
 
-def _random_coeffs(size: int, draws: int, rng: np.random.Generator, complex_values: bool):
-    X = rng.standard_normal((size, draws))
-    if complex_values:
-        X = X + 1j * rng.standard_normal((size, draws))
-    X /= np.linalg.norm(X, axis=0)
+def _stacked(Phi: SensingMatrix, cols: np.ndarray) -> np.ndarray:
+    """Phi[:, cols[i]] for every row i of cols, as an (S, m, s) stack. Each
+    slice has the F-contiguous layout of `Phi.entries[:, cols[i]]`: a
+    C-contiguous stack rounds some products differently in the last bit."""
+    return Phi.entries.T[cols].transpose(0, 2, 1)
+
+
+def _draws(rng: np.random.Generator, shape: tuple[int, int, int], complex_values: bool):
+    """Standard normal coefficients of shape (S, size, draws), consuming the
+    generator as S successive (size, draws) draws do; a complex item takes
+    its real part before its imaginary part."""
+    if not complex_values:
+        return rng.standard_normal(shape)
+    Z = rng.standard_normal((shape[0], 2) + shape[1:])
+    return Z[:, 0] + 1j * Z[:, 1]
+
+
+def _unit(X: np.ndarray) -> np.ndarray:
+    """X with each column of each slice scaled to unit norm, in place."""
+    X /= np.linalg.norm(X, axis=-2, keepdims=True)
     return X
 
 
-def _sandwich_margin(norms2: np.ndarray, delta: float) -> float:
-    """Worst slack of 1 - delta <= norms2 <= 1 + delta over all draws."""
-    return min(float((norms2 - (1.0 - delta)).min()), float(((1.0 + delta) - norms2).min()))
+def _project_out(Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
+    """(I - Q Q^H) V slice by slice; Q None projects onto nothing."""
+    if Q is None:
+        return V
+    return V - Q @ (Q.conj().transpose(0, 2, 1) @ V)
+
+
+def _projected_checks(
+    Phi: SensingMatrix, items: list[tuple], sandwich: _Tally, inner: _Tally
+) -> None:
+    """The projected sandwich and inner-product checks of same-shape
+    subsets, stacked. Each item is (delta, covered, rest, X, split) with,
+    when rest has 2 or more columns, split = (S2, S3, U, V)."""
+    delta = np.array([item[0] for item in items])[:, None]
+    covered = np.stack([item[1] for item in items])
+    Q = np.linalg.qr(_stacked(Phi, covered))[0] if covered.shape[1] else None
+    X = _unit(np.stack([item[3] for item in items]))
+    Z = _project_out(Q, _stacked(Phi, np.stack([item[2] for item in items])) @ X)
+    norms2 = np.linalg.norm(Z, axis=-2) ** 2
+    sandwich.add(np.minimum(norms2 - (1.0 - delta), (1.0 + delta) - norms2))
+    if items[0][4] is None:
+        return
+    S2, S3, U, V = (np.stack(part) for part in zip(*(item[4] for item in items)))
+    PU = _project_out(Q, _stacked(Phi, S2) @ _unit(U))
+    QV = _stacked(Phi, S3) @ _unit(V)
+    inner.add(delta - np.abs(np.sum(PU.conj() * QV, axis=-2)))
+
+
+def _missing(d: dict[tuple[int, int], float], orders, at_least_one: bool = False) -> bool:
+    """Whether some order of `orders` has no constant in `d`, which happens
+    only when one of its cells was over cell_cap. With `at_least_one`, such
+    an order counts only if no computed order below it reaches 1, since an
+    order's constant is at least that of every order below it."""
+    def reaches_one(o):
+        return any(q[0] <= o[0] and q[1] <= o[1] and v >= 1.0 for q, v in d.items())
+
+    return any(o not in d and not (at_least_one and reaches_one(o)) for o in orders)
 
 
 class _Tally:
@@ -671,8 +720,11 @@ class _Tally:
         self.worst = math.inf
         self.passed = True
 
-    def add(self, margin: float, checks: int = 1) -> None:
-        self.checks += checks
+    def add(self, margins) -> None:
+        """Count each margin of `margins`, a number or an array, as one check."""
+        margins = np.asarray(margins)
+        self.checks += margins.size
+        margin = float(margins.min())
         self.worst = min(self.worst, margin)
         if margin < -self.tol:
             self.passed = False
@@ -700,13 +752,20 @@ def verify_lemmas(
 
     Each lemma family reports its check count and worst margin (the slack of
     its inequality); it fails iff some margin is below -tol. Cells of the
-    support lattice larger than `cell_cap` are skipped (the affected
-    comparisons are reported as skipped, never silently passed).
-    Per-support instantiations sample `support_samples` supports when a cell
-    family is larger than that.
+    support lattice larger than `cell_cap` (at least 1) are skipped, and a
+    family that could run no check because of them is reported as skipped
+    (cells over cell_cap), never silently passed. Per-support instantiations
+    sample `support_samples` supports when a cell family is larger than
+    that. A sampled support stays a row of its cell's arrays, of which only
+    the runs are expanded to columns. The sampled supports of one cell, or
+    the subsets of one shape, are checked with one stacked product per
+    chunk of _STACK_CHUNK, drawing from `rng` in the order of one check at
+    a time.
     """
     if params.l != params.Lsep:
         raise ValueError("verify_lemmas expects params.l == params.Lsep for the main family")
+    if cell_cap < 1:
+        raise ValueError(f"cell_cap must be >= 1, got {cell_cap}")
     families: list[_Tally] = []
 
     def family(name: str, skip: str = "") -> _Tally:
@@ -722,17 +781,19 @@ def verify_lemmas(
     complex_case = Phi.is_complex
 
     # norm sandwich on every support of the structured family
-    fam = family("norm-sandwich")
-    for order in [o for o in d_A if o[0] == K or o[1] == R]:
-        pool = _table_supports(table_A, params, *order)
-        for sup in _sample_supports(pool, support_samples, rng):
-            cols = sup.column_array
-            X = _random_coeffs(cols.size, draws_sandwich, rng, complex_case)
-            norms2 = np.linalg.norm(Phi.entries[:, cols] @ X, axis=0) ** 2
-            fam.add(_sandwich_margin(norms2, d_A[order]), draws_sandwich)
+    top = [o for o in table_A if o[0] == K or o[1] == R]
+    fam = family("norm-sandwich", skip=_OVER_CAP if _missing(d_A, top) else "")
+    for order in [o for o in top if o in d_A]:
+        delta = d_A[order]
+        pool = _table_cells(table_A, params, *order)
+        for cell, rows in _sample_rows(pool, support_samples, rng):
+            cols = cell.row_columns(rows)
+            X = _unit(_draws(rng, cols.shape + (draws_sandwich,), complex_case))
+            norms2 = np.linalg.norm(_stacked(Phi, cols) @ X, axis=-2) ** 2
+            fam.add(np.minimum(norms2 - (1.0 - delta), (1.0 + delta) - norms2))
 
     # constants grow with the block and pseudo budgets
-    fam = family("budget-monotonicity", skip="no cells")
+    fam = family("budget-monotonicity", skip=_OVER_CAP if _missing(d_A, table_A) else "no cells")
     for o1 in d_A:
         for o2 in d_A:
             if o1 != o2 and o1[0] <= o2[0] and o1[1] <= o2[1]:
@@ -750,7 +811,9 @@ def verify_lemmas(
     if params.window_length < params.B:
         family("block-for-pseudo-trade", skip="window below cluster capacity")
     else:
-        fam = family("block-for-pseudo-trade", skip="needed orders unavailable")
+        needed = [o for Kp in range(1, K + 1) for o in ((Kp, 1), (Kp - 1, 2))] if R >= 2 else []
+        reason = _OVER_CAP if _missing(d_A, needed) else "needed orders unavailable"
+        fam = family("block-for-pseudo-trade", skip=reason)
         for Kp in range(1, K + 1):
             if (Kp, 1) in d_A and (Kp - 1, 2) in d_A:
                 fam.add(d_A[(Kp - 1, 2)] - d_A[(Kp, 1)])
@@ -762,47 +825,53 @@ def verify_lemmas(
         o for o in usable
         if not any(q != o and q[0] >= o[0] and q[1] >= o[1] for q in usable)
     ]
-    reason = "" if frontier else "delta >= 1"
+    if frontier:
+        reason = ""
+    elif _missing(d_A, [o for o in table_A if o[0] or o[1]], at_least_one=True):
+        reason = _OVER_CAP
+    else:
+        reason = "delta >= 1"
     sandwich = family("projected-sandwich", skip=reason)
     inner = family("projected-innerproduct", skip=reason)
-    order_samples: list[tuple[Support, float]] = []
+    order_rows = []
     for order in frontier:
-        pool = _table_supports(table_A, params, *order)
+        pool = _table_cells(table_A, params, *order)
         per_order = max(1, support_samples // len(frontier))
-        order_samples.extend((s, d_A[order]) for s in _sample_supports(pool, per_order, rng))
-    for sup, delta in order_samples:
-        subsets = [()]
-        for t in sup.block_starts:
-            subsets += [s + (t,) for s in subsets]
-        if len(subsets) > 8:
-            keep = rng.choice(len(subsets), size=8, replace=False)
-            subsets = [subsets[i] for i in sorted(keep)]
-        for S1 in subsets:
-            covered = set()
-            for t in S1:
-                covered.update(range(t, t + params.b))
-            rest = np.asarray([c for c in sup.columns if c not in covered], dtype=np.intp)
-            if rest.size == 0:
-                continue
-            proj = _projector_complement(
-                Phi, np.asarray(sorted(covered), dtype=np.intp) - 1
-            )
-            X = _random_coeffs(rest.size, draws_projected, rng, complex_case)
-            Z = proj(Phi.entries[:, rest - 1] @ X)
-            norms2 = np.linalg.norm(Z, axis=0) ** 2
-            sandwich.add(_sandwich_margin(norms2, delta), draws_projected)
-
-            if rest.size >= 2:
-                split = rng.integers(1, rest.size)
-                perm = rng.permutation(rest.size)
-                S2 = rest[perm[:split]]
-                S3 = rest[perm[split:]]
-                U = _random_coeffs(S2.size, draws_innerproduct, rng, complex_case)
-                V = _random_coeffs(S3.size, draws_innerproduct, rng, complex_case)
-                PU = proj(Phi.entries[:, S2 - 1] @ U)
-                QV = Phi.entries[:, S3 - 1] @ V
-                vals = np.abs(np.sum(PU.conj() * QV, axis=0))
-                inner.add(float((delta - vals).min()), draws_innerproduct)
+        order_rows += [(cell, rows, d_A[order])
+                       for cell, rows in _sample_rows(pool, per_order, rng)]
+    # each subset draws in turn; subsets of one shape are checked together
+    pending: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
+    for cell, rows, delta in order_rows:
+        starts = cell.blocks[rows][:, :, None]
+        cols = cell.row_columns(rows)
+        # bit i of a column's mask is set when the column lies in block i,
+        # so subset j of the doubling order covers the columns of mask & j
+        inside = (cols[:, None] >= starts) & (cols[:, None] < starts + params.b)
+        masks = (inside << np.arange(starts.shape[1])[:, None]).sum(axis=1)
+        count = 1 << starts.shape[1]
+        for row_cols, mask in zip(cols, masks):
+            subsets = range(count)
+            if count > 8:
+                subsets = sorted(rng.choice(count, size=8, replace=False))
+            for j in subsets:
+                in_S1 = (mask & j) != 0
+                rest = row_cols[~in_S1]
+                if rest.size == 0:
+                    continue
+                X = _draws(rng, (1, rest.size, draws_projected), complex_case)[0]
+                cut, split = 0, None
+                if rest.size >= 2:
+                    cut = int(rng.integers(1, rest.size))
+                    perm = rng.permutation(rest.size)
+                    U = _draws(rng, (1, cut, draws_innerproduct), complex_case)[0]
+                    V = _draws(rng, (1, rest.size - cut, draws_innerproduct), complex_case)[0]
+                    split = (rest[perm[:cut]], rest[perm[cut:]], U, V)
+                key = (row_cols.size - rest.size, rest.size, cut)
+                pending[key].append((delta, row_cols[in_S1], rest, X, split))
+                if len(pending[key]) == _STACK_CHUNK:
+                    _projected_checks(Phi, pending.pop(key), sandwich, inner)
+    for items in pending.values():
+        _projected_checks(Phi, items, sandwich, inner)
 
     # projected-column lower bound from the singleton-pseudo family,
     # checked at the largest block budget whose constant stays below 1
@@ -812,20 +881,22 @@ def verify_lemmas(
             K7 = Kp
             break
     if K7 is None:
-        family("projected-column-bound", skip="no order with delta < 1")
+        needed = [(Kp, 1) for Kp in range(1, K + 1) if (Kp, 1) in table_B]
+        capped = _missing(d_B, needed, at_least_one=True)
+        family("projected-column-bound", skip=_OVER_CAP if capped else "no order with delta < 1")
     elif not Phi.normalized:
         family("projected-column-bound", skip="columns not unit norm")
     else:
         fam = family("projected-column-bound")
         bound = math.sqrt(1.0 - d_B[(K7, 1)] ** 2)
-        pool = _table_supports(table_B, fam_B, K7, 0)
-        for sup in _sample_supports(pool, support_samples, rng):
-            cols0 = sup.column_array
-            proj = _projector_complement(Phi, cols0)
-            others = np.setdiff1d(np.arange(Phi.n), cols0)
-            W = proj(Phi.entries[:, others])
-            norms = np.linalg.norm(W, axis=0)
-            fam.add(float((norms - bound).min()), others.size)
+        pool = _table_cells(table_B, fam_B, K7, 0)
+        for cell, rows in _sample_rows(pool, support_samples, rng):
+            cols = cell.row_columns(rows)
+            outside = np.ones((len(cols), Phi.n), dtype=bool)
+            np.put_along_axis(outside, cols, False, axis=1)
+            others = np.nonzero(outside)[1].reshape(len(cols), -1)
+            Q = np.linalg.qr(_stacked(Phi, cols))[0]
+            fam.add(np.linalg.norm(_project_out(Q, _stacked(Phi, others)), axis=-2) - bound)
 
     return LemmaReport(entries=tuple(f.entry() for f in families), K=K, R=R)
 
@@ -924,9 +995,12 @@ def thm1_certificate(
 ) -> RecoveryCertificate:
     """Evaluate the recovery conditions: the isometry constant below
     1/sqrt(2K+1), and the smallest magnitude above the field-dependent
-    threshold built from f_K plus a noise term."""
+    threshold built from f_K plus a noise term. The noise level epsilon
+    must be finite and >= 0."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if field not in ("real", "complex"):

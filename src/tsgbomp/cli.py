@@ -177,8 +177,8 @@ def _cmd_theorem_suite(args) -> int:
 
 def at_least_one(text: str) -> int:
     """Argparse type of every count option (a worker count, a number of
-    matrices or trials): an integer of at least 1, anything else being a
-    usage error."""
+    matrices or trials, a cell cap): an integer of at least 1, anything
+    else being a usage error."""
     try:
         count = int(text)
     except ValueError:
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lsep", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
-    sp.add_argument("--cell-cap", type=int, default=150_000)
+    sp.add_argument("--cell-cap", type=at_least_one, default=150_000)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--margins-csv", default=None)
     sp.set_defaults(func=_cmd_lemmas)

@@ -213,7 +213,10 @@ def solve(
 ) -> RecoveryResult:
     """Run `algorithm` on one instance of the (b, p, L) geometry. The block
     OMP baseline partitions into blocks of the cluster capacity p*b and
-    never reads the window length L."""
+    never reads the window length L. A b or p below 1 raises ValueError,
+    even where their product is a valid block length."""
+    if b < 1 or p < 1:
+        raise ValueError(f"b and p must be >= 1, got b={b}, p={p}")
     if algorithm == "tsgbomp":
         return tsgbomp(Phi, measurement, K=K, L=L, b=b, p=p, epsilon=epsilon)
     if algorithm == "bomp":

@@ -404,9 +404,15 @@ class CellRows:
     def columns(self) -> np.ndarray:
         """(N, k*b + r*l) int32: each support's sorted columns, expanded
         from the runs on every call."""
-        rows, w = self.runs.shape
+        return self.row_columns(slice(None))
+
+    def row_columns(self, rows) -> np.ndarray:
+        """The sorted columns of the rows `rows` (an index array or a
+        slice) as a (rows, k*b + r*l) int32 array, expanding only their
+        runs."""
+        runs = self.runs[rows]
         steps = np.arange(self.width, dtype=np.int32)
-        return (self.runs[:, :, None] + steps).reshape(rows, w * self.width)
+        return (runs[:, :, None] + steps).reshape(len(runs), runs.shape[1] * self.width)
 
     def support(self, i: int) -> Support:
         """Row i as a Support. Adjacent blocks belong to one cluster, since

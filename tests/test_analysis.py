@@ -719,6 +719,62 @@ class TestVerifyLemmas:
         with pytest.raises(ValueError):
             verify_lemmas(Phi, params, 1, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cell_cap_below_one_rejected(self, cap):
+        params = PibsParams(n=24, b=1, p=1, l=4, Lsep=4, K=1, R=1)
+        with pytest.raises(ValueError, match="cell_cap must be >= 1"):
+            verify_lemmas(identity_matrix(24), params, 1, 1, np.random.default_rng(0), cell_cap=cap)
+
+    def test_families_stopped_by_the_cap_are_skipped(self):
+        # every cell but the empty one is over the cap: no family may pass
+        # vacuously or blame delta; the trade needs R >= 2 whatever the cap
+        params = PibsParams(n=30, b=1, p=1, l=3, Lsep=3, K=1, R=1)
+        Phi = gaussian_matrix(20, 30, "unit", True, np.random.default_rng(0))
+        report = verify_lemmas(Phi, params, 1, 1, np.random.default_rng(0), cell_cap=1)
+        reasons = {e.name: e.reason for e in report.entries if e.skipped}
+        capped = ("norm-sandwich", "budget-monotonicity", "projected-sandwich",
+                  "projected-innerproduct", "projected-column-bound")
+        assert reasons == {**dict.fromkeys(capped, "cells over cell_cap"),
+                           "block-for-pseudo-trade": "needed orders unavailable"}
+
+    # (params, rows, seed, complex entries, normalized, verify_lemmas options)
+    ORACLE_CASES = {
+        "criterion-5": (PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2), 40, 1003,
+                        False, True, dict(support_samples=60, draws_sandwich=25,
+                                          draws_projected=10, draws_innerproduct=40)),
+        "complex": (PibsParams(n=24, b=1, p=2, l=3, Lsep=3, K=2, R=1), 30, 0, True, True, {}),
+        "unnormalized": (PibsParams(n=24, b=1, p=2, l=3, Lsep=3, K=2, R=1), 6, 5,
+                         False, False, dict(cell_cap=50)),
+        "pseudo-length-3": (PibsParams(n=30, b=2, p=2, l=3, Lsep=3, K=2, R=1), 20, 3,
+                            False, True, {}),
+        "complex-unnormalized": (PibsParams(n=30, b=2, p=2, l=3, Lsep=3, K=2, R=1), 20, 5,
+                                 True, False, {}),
+        "capped": (PibsParams(n=30, b=1, p=1, l=3, Lsep=3, K=1, R=1), 20, 0,
+                   False, True, dict(cell_cap=30)),
+        "four-blocks": (PibsParams(n=24, b=1, p=1, l=2, Lsep=2, K=4, R=1), 60, 9,
+                        False, True, {}),
+    }
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_the_one_support_at_a_time_oracle(self, case):
+        from lemma_oracle import reference_lemmas
+
+        params, m, seed, complex_entries, normalize, options = self.ORACLE_CASES[case]
+        reports = []
+        for verify in (verify_lemmas, reference_lemmas):
+            rng = np.random.default_rng(seed)
+            Phi = gaussian_matrix(m, params.n, "unit", normalize, rng,
+                                  complex_entries=complex_entries)
+            report = verify(Phi, params, params.K, params.R, rng, **options)
+            reports.append(report.render() + report.margins_csv())
+        assert reports[0] == reports[1]
+        if case == "four-blocks":
+            # 4-block supports have 16 subsets, of which 8 are drawn
+            d = _order_deltas(pibric_table(Phi, params, params.K, params.R))
+            assert d[(4, 1)] < 1.0
+        if case == "capped":
+            assert "skipped (cells over cell_cap)" in reports[0]
+
 
 class TestRealPartBound:
     def test_real_ratio_gives_exact_magnitude(self):
@@ -828,6 +884,12 @@ class TestCertificate:
             thm1_certificate(1.0, 1, 1, 1)
         with pytest.raises(ValueError):
             thm1_certificate(0.1, 0, 1, 1)
+
+    @pytest.mark.parametrize("eps", [-5.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, eps):
+        # a negative noise term lowered the threshold of condition 18
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            thm1_certificate(0.2, 2, 2, 2, epsilon=eps, x_min=3.0)
 
 
 class TestThm2:

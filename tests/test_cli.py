@@ -94,6 +94,16 @@ class TestThm1:
         assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("eps", ["-5", "nan", "inf"])
+    def test_negative_or_non_finite_noise_exits_one(self, eps, capsys):
+        # --eps -5 used to print PASS(18) margin=29.83, and nan FAIL(18) margin=nan
+        code = main(["thm1", "--delta", "0.2", "--K", "2", "--b", "2", "--p", "2",
+                     "--xmin", "3", "--eps", eps])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: epsilon must be finite and >= 0")
+
+
 class TestThm2:
     README = ["thm2", "--b", "1", "--p", "1", "--L", "2", "--K", "4", "--m", "2000",
               "--n", "200", "--eps0", "0.05", "--eps", "0.05"]
@@ -253,6 +263,18 @@ class TestRecover:
         assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
 
 
+    def test_negative_block_and_cluster_exit_one(self, matrix_file, tmp_path, capsys):
+        # b * p = 2 passes the block check, but b and p are not sizes
+        mat, mat_path = matrix_file
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries[:, 0]))
+        code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--K", "1", "--b", "-2", "--p", "-1", "--eps", "1e-8"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: b and p must be >= 1, got b=-2, p=-1")
+
+
 class TestRic:
     def test_window_length_matches_separation(self, matrix_file, capsys):
         # L=4 with b=p=2 gives Lsep = L + 2pb - b = 10
@@ -313,6 +335,36 @@ class TestLemmasCommand:
                      "--lsep", "4", "--K", "2", "--R", "1", "--seed", "0"])
         assert code == 1
         assert "column 1 has norm" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cell_cap_below_one_exits_two(self, matrix_file, cap, capsys):
+        _, path = matrix_file
+        with pytest.raises(SystemExit) as err:
+            main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1", "--lsep", "3",
+                  "--K", "1", "--R", "1", "--seed", "0", "--cell-cap", cap])
+        assert err.value.code == 2
+        message = f"--cell-cap: must be an integer of at least 1, got '{cap}'"
+        assert message in capsys.readouterr().err
+
+    def test_families_over_the_cap_print_skipped(self, tmp_path, capsys):
+        # these used to print norm-sandwich: pass checks=0 and blame delta >= 1
+        mat = gaussian_matrix(20, 30, "unit", True, np.random.default_rng(0))
+        path = tmp_path / "phi.bin"
+        path.write_bytes(matrix_to_binary(mat))
+        code = main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1", "--lsep", "3",
+                     "--K", "1", "--R", "1", "--seed", "0", "--cell-cap", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "lemma checks (K=1, R=1)\n"
+            "  norm-sandwich: skipped (cells over cell_cap)\n"
+            "  budget-monotonicity: skipped (cells over cell_cap)\n"
+            "  pseudo-length-monotonicity: pass checks=2 worst_margin=0.000e+00\n"
+            "  block-for-pseudo-trade: skipped (needed orders unavailable)\n"
+            "  projected-sandwich: skipped (cells over cell_cap)\n"
+            "  projected-innerproduct: skipped (cells over cell_cap)\n"
+            "  projected-column-bound: skipped (cells over cell_cap)\n"
+        )
 
 
 class TestCurveCommand:

@@ -20,6 +20,7 @@ from tsgbomp.experiments import (
     theorem_regime_suite,
     trial_seed,
 )
+from tsgbomp.sensing import Measurement, identity_matrix
 from tsgbomp.signal_model import min_separation
 
 
@@ -152,6 +153,14 @@ class TestTrials:
             b.iterations,
             b.rel_error,
         )
+
+    @pytest.mark.parametrize("b, p", [(-2, -1), (0, 2), (2, 0)])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_solve_rejects_block_or_cluster_below_one(self, algorithm, b, p):
+        # bomp used to read only the product b * p, so (-2, -1) ran block 2
+        Phi = identity_matrix(8)
+        with pytest.raises(ValueError, match="b and p must be >= 1"):
+            experiments.solve(algorithm, Phi, Measurement(y=np.ones(8)), 1, 4, b, p, 0.0)
 
     def test_identity_override_always_succeeds(self):
         cfg = small_config(m=48, matrix_kind="identity", K_grid=(1, 2, 3))
