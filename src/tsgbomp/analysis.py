@@ -231,23 +231,19 @@ class _PairTables:
         self.two: dict[tuple[int, int], np.ndarray] = {}
 
     def read(self, widths: list[int], W: np.ndarray) -> tuple[dict, dict, dict]:
-        """The D, T and E tables that rows of segments of these widths, in
-        this order, read. E is gathered from W, windows of G whose width
-        divides every width (`_two_segment_table`)."""
-        diag, pair, two = {}, {}, {}
+        """Every D, T and E table built so far, once those that rows of
+        segments of these widths, in this order, read are built. E is empty
+        unless there are 3 segments; it is gathered from W, windows of G
+        whose width divides every width (`_two_segment_table`)."""
         for i, h in enumerate(widths):
             if h not in self.diag:
                 self.diag[h] = _diag_table(self.G, h)
-            diag[h] = self.diag[h]
             for w in widths[i + 1 :]:
                 if (h, w) not in self.pair:
                     self.pair[h, w] = _pair_table(self.G, h, w)
-                pair[h, w] = self.pair[h, w]
-                if len(widths) == 3:
-                    if (h, w) not in self.two:
-                        self.two[h, w] = _two_segment_table(W, h, w)
-                    two[h, w] = self.two[h, w]
-        return diag, pair, two
+                if len(widths) == 3 and (h, w) not in self.two:
+                    self.two[h, w] = _two_segment_table(W, h, w)
+        return self.diag, self.pair, self.two if len(widths) == 3 else {}
 
 
 def _block_norms(starts: list[np.ndarray], widths: list[int], diag: dict, pair: dict) -> dict:
@@ -335,14 +331,27 @@ def _lower_reach(reach: np.ndarray, bound, segments, tables, rows=None) -> None:
         np.fmin(reach[lo : lo + step], b, out=reach[lo : lo + step])
 
 
+def _row_runs(segments, rows, g: int) -> np.ndarray:
+    """Run starts of width g (g divides every h) of the rows `rows`, a
+    nonempty index array or slice, of `segments`, (starts, h) pairs: each
+    pair's runs in turn, sorted only if two pairs cover columns. A cell's
+    blocks and pseudo blocks each ascend, so its runs ascend."""
+    parts = [starts[rows][:, :, None] + np.arange(0, h, g, dtype=starts.dtype)
+             for starts, h in segments if starts.shape[1] and h]
+    runs = np.concatenate([part.reshape(len(part), -1) for part in parts], axis=1)
+    if len(parts) > 1:
+        runs.sort(axis=1)
+    return runs
+
+
 def _max_opdev(
-    W: np.ndarray, runs: np.ndarray, rows: np.ndarray, reach: np.ndarray, best: float, arg: int
+    W: np.ndarray, segments, rows: np.ndarray, reach: np.ndarray, best: float, arg: int
 ) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
-    over the candidate rows `rows` of runs into the windows W (`_gather`),
-    starting from the best value so far, `best`, first attained at row
-    `arg`: bit-identical to np.argmax over a full batched eigvalsh of
-    those rows and row `arg`.
+    over the candidate rows `rows` of segments, gathered as runs
+    (`_row_runs`) from the windows W (`_gather`), starting from the best
+    value so far, `best`, first attained at row `arg`: bit-identical to
+    np.argmax over a full batched eigvalsh of those rows and row `arg`.
 
     `reach` holds each candidate's certified bound: no deviation above it.
     Only the candidates whose reach attains `best` are kept; they are
@@ -355,22 +364,21 @@ def _max_opdev(
     plus its floor, is at least that value, whatever the rounding or
     underflow of either computation. Ties go to the lowest row."""
     _, _, g = W.shape
-    w = runs.shape[1]
-    s = w * g
+    s = sum(starts.shape[1] * h for starts, h in segments)
     order = np.flatnonzero(reach >= best)
     order = order[np.argsort(-reach[order], kind="stable")]
     # minus each candidate's reach, ascending: the rows that can still
     # reach a value are a prefix, whose end one binary search finds
     rows, fall = rows[order], -reach[order]
     block = min(len(rows), max(1, _SCAN_BATCH_ELEMENTS // s**2))
-    flat = np.empty((block, w, g, w), np.intp)
+    flat = np.empty((block, s // g, g, s // g), np.intp)
     M, MM = np.empty((2, block, s, s), W.dtype)
     lo, size, stop = 0, min(2, block), len(rows)
     while lo < stop:
         batch = rows[lo : min(lo + size, stop)]
         lo += len(batch)
         size = min(2 * size, block)
-        m = _gather(W, runs[batch], flat, M)
+        m = _gather(W, _row_runs(segments, batch, g), flat, M)
         mm = MM[: len(m)]
         near = _eig_bound(m, out=mm) * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR >= best
         if not near.any():
@@ -391,21 +399,19 @@ def _max_opdev(
     return float(best), arg
 
 
-def _batched_max_opdev(
-    G: np.ndarray, runs: np.ndarray, width: int = 1, segments=None, tables=None
-) -> tuple[float, int]:
+def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
-    the rows of runs, S being the columns runs[j] + t, 0 <= t < width, of
-    its runs in order; at width 1 the rows are column indices, in any order
-    and with repeats. The windows W (`_windows`) are built once per call.
+    the rows of `segments`, pairs (starts, h) of (rows, count) arrays: S is
+    the columns starts[i] + t, 0 <= t < h, of row i's segments, in the
+    order `_row_runs` gathers them from the windows W (`_windows`) of width
+    g, the gcd of all widths h, built once per call. A cell passes its blocks
+    (width b) and pseudo blocks (width l); one pair of width 1 holds column
+    indices, in any order and with repeats. A segment past G raises
+    IndexError; a row of no column deviates by 0.
 
-    No row is gathered to be screened. `segments`, pairs (starts, h) of
-    (rows, count) arrays, cut each row's columns into the segments that
-    its bounds read: a cell passes its blocks (width b) and pseudo blocks
-    (width l). By default each run is one segment of `width` columns;
-    off-diagonal blocks come from G, so repeated or overlapping segments
-    are bounded too. The tables come from `tables` (a `_PairTables` of G;
-    a new one by default), which builds any it lacks here.
+    No row is gathered to be screened; off-diagonal blocks come from G, so
+    repeated or overlapping segments are bounded too. `tables`, a
+    `_PairTables` of G (a new one by default), builds any table it lacks.
 
     Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2. Each chunk's
     rows get the reach (`_lower_reach`) of their pair bound
@@ -417,28 +423,26 @@ def _batched_max_opdev(
     the smaller of that reach and the reach of their split bound
     (`_split_bound`), and one descent (`_max_opdev`) scans every candidate
     that can still reach the best value, from the chunks' best row on."""
-    n = G.shape[0]
-    if runs.min() < 0 or runs.max() + width > n:
-        raise IndexError(f"column index out of range for {n} columns")
-    if segments is None:
-        segments = ((runs, width),)
+    n, g = G.shape[0], math.gcd(*(h for _, h in segments))
     segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
-    W = _windows(G, width)
-    diag, pair, two = (_PairTables(G) if tables is None else tables).read(
-        [h for starts, h in segments for _ in range(starts.shape[1])], W
-    )
-    w = runs.shape[1]
-    s = w * width
-    one, flat = np.empty((1, s, s), W.dtype), np.empty((1, w, width, w), np.intp)
+    if not segments:
+        return 0.0, 0
+    if any(starts.min() < 0 or starts.max() + h > n for starts, h in segments):
+        raise IndexError(f"column index out of range for {n} columns")
+    widths = [h for starts, h in segments for _ in range(starts.shape[1])]
+    W = _windows(G, g)
+    diag, pair, two = (_PairTables(G) if tables is None else tables).read(widths, W)
+    s = sum(widths)
+    one, flat = np.empty((1, s, s), W.dtype), np.empty((1, s // g, g, s // g), np.intp)
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
     best, arg, rows, reach = -math.inf, 0, [], []
-    for lo in range(0, len(runs), chunk):
+    for lo in range(0, len(segments[0][0]), chunk):
         part = [(starts[lo : lo + chunk], h) for starts, h in segments]
         r = np.full(len(part[0][0]), np.inf)
         _lower_reach(r, _pair_bound, part, (diag, pair))
         j = int(np.argmax(r))
         if r[j] > best:
-            dev = _deviations(_gather(W, runs[lo + j : lo + j + 1], flat, one))[0]
+            dev = _deviations(_gather(W, _row_runs(segments, [lo + j], g), flat, one))[0]
             if dev > best:  # chunks ascend, so an equal value keeps the lower row
                 best, arg = dev, lo + j
             r[j] = -np.inf  # solved
@@ -450,7 +454,7 @@ def _batched_max_opdev(
     rows, reach = rows[keep], reach[keep]
     if two:
         _lower_reach(reach, _split_bound, segments, (diag, pair, two), rows)
-    return _max_opdev(W, runs, rows, reach, best, arg)
+    return _max_opdev(W, segments, rows, reach, best, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +517,15 @@ def pibric_table(
 ) -> dict[tuple[int, int], _CellStat]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
-    the cell's run array (`_cell_data`) to the exact (max, first argmax
-    row), screening each row with the pair bound of its blocks (width b)
-    and pseudo blocks (width l), and each candidate of 3 of them with the
-    split bound as well, and eigensolving only the rows whose certified
-    bounds can still reach the maximum; only that row becomes a Support.
-    One `_PairTables` of G serves every cell, so each table the cells read
-    is built once per call, and only those: D_b once some cell has k >= 1
-    and D_l once one has r >= 1, T_bb and E_bb at k >= 2, T_bl and E_bl at
-    k >= 1 and r >= 1, T_ll and E_ll at r >= 2, E only for cells with
-    k + r = 3. Cells larger than cell_cap are marked skipped instead of
-    computed, and `_order_deltas` reads the order constants off the table."""
+    the cell (`_cell_data`) to the exact (max, first argmax row), screening
+    each row with the pair bound of its blocks (width b) and pseudo blocks
+    (width l), and each candidate of 3 of them with the split bound as
+    well, and eigensolving only the rows whose certified bounds can still
+    reach the maximum; only that row becomes a Support. One `_PairTables`
+    of G serves every cell, so each table the cells read is built once per
+    call, and only those: E only for cells with k + r = 3. Cells larger
+    than cell_cap are marked skipped instead of computed, and
+    `_order_deltas` reads the order constants off the table."""
     if Phi.n != params.n:
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
@@ -539,11 +541,7 @@ def pibric_table(
                 table[(k, r)] = _CellStat(delta=math.nan, argmax=None, count=count, skipped=True)
                 continue
             cell = _cell_data(params, k, r)
-            if not cell.runs.shape[1]:
-                table[(k, r)] = _CellStat(delta=0.0, argmax=cell.support(0), count=count)
-                continue
-            segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
-            delta, i = _batched_max_opdev(G, cell.runs, cell.width, segments, tables)
+            delta, i = _batched_max_opdev(G, cell.segments, tables)
             table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
     return table
 
@@ -614,10 +612,8 @@ def _table_cells(
     for k in range(K + 1):
         for r in range(R + 1):
             stat = table[(k, r)]
-            if stat.count and not stat.skipped:
-                cell = _cell_data(params, k, r)
-                if cell.runs.shape[1]:
-                    cells.append(cell)
+            if stat.count and not stat.skipped and k * params.b + r * params.l:
+                cells.append(_cell_data(params, k, r))
     return cells
 
 
@@ -756,11 +752,11 @@ def verify_lemmas(
     family that could run no check because of them is reported as skipped
     (cells over cell_cap), never silently passed. Per-support instantiations
     sample `support_samples` supports when a cell family is larger than
-    that. A sampled support stays a row of its cell's arrays, of which only
-    the runs are expanded to columns. The sampled supports of one cell, or
-    the subsets of one shape, are checked with one stacked product per
-    chunk of _STACK_CHUNK, drawing from `rng` in the order of one check at
-    a time.
+    that. A sampled support stays a row of its cell's arrays, and only the
+    sampled rows are expanded to columns (`_row_runs` at g = 1). The
+    sampled supports of one cell, or the subsets of one shape, are checked
+    with one stacked product per chunk of _STACK_CHUNK, drawing from `rng`
+    in the order of one check at a time.
     """
     if params.l != params.Lsep:
         raise ValueError("verify_lemmas expects params.l == params.Lsep for the main family")
@@ -787,7 +783,7 @@ def verify_lemmas(
         delta = d_A[order]
         pool = _table_cells(table_A, params, *order)
         for cell, rows in _sample_rows(pool, support_samples, rng):
-            cols = cell.row_columns(rows)
+            cols = _row_runs(cell.segments, rows, 1)
             X = _unit(_draws(rng, cols.shape + (draws_sandwich,), complex_case))
             norms2 = np.linalg.norm(_stacked(Phi, cols) @ X, axis=-2) ** 2
             fam.add(np.minimum(norms2 - (1.0 - delta), (1.0 + delta) - norms2))
@@ -843,7 +839,7 @@ def verify_lemmas(
     pending: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
     for cell, rows, delta in order_rows:
         starts = cell.blocks[rows][:, :, None]
-        cols = cell.row_columns(rows)
+        cols = _row_runs(cell.segments, rows, 1)
         # bit i of a column's mask is set when the column lies in block i,
         # so subset j of the doubling order covers the columns of mask & j
         inside = (cols[:, None] >= starts) & (cols[:, None] < starts + params.b)
@@ -891,7 +887,7 @@ def verify_lemmas(
         bound = math.sqrt(1.0 - d_B[(K7, 1)] ** 2)
         pool = _table_cells(table_B, fam_B, K7, 0)
         for cell, rows in _sample_rows(pool, support_samples, rng):
-            cols = cell.row_columns(rows)
+            cols = _row_runs(cell.segments, rows, 1)
             outside = np.ones((len(cols), Phi.n), dtype=bool)
             np.put_along_axis(outside, cols, False, axis=1)
             others = np.nonzero(outside)[1].reshape(len(cols), -1)
@@ -1120,11 +1116,14 @@ def thm2_bound(
     `lambda_variant` "separation" uses sqrt(((K-1)b + 2L')/m), which is what
     the tail-bound derivation supports; "window" uses 2L in place of 2L' as a
     compatibility switch. Side-condition violations are reported as flags,
-    never raised. Unless `g_value` is supplied, the magnitude-ratio tail g is
-    replaced by its conservative closed-form lower bound Kb*w(a)^(Kb-1).
+    never raised; n, m or K below 1, R below 0 and a non-finite eps0 or eps
+    raise ValueError. Unless `g_value` is supplied, the magnitude-ratio tail
+    g is replaced by its conservative closed-form lower bound Kb*w(a)^(Kb-1).
     """
-    if m < 1 or K < 1:
-        raise ValueError(f"m and K must be >= 1, got m={m}, K={K}")
+    if min(n, m, K) < 1 or R < 0:
+        raise ValueError(f"n, m and K must be >= 1 and R >= 0, got n={n}, m={m}, K={K}, R={R}")
+    if not (math.isfinite(eps0) and math.isfinite(eps)):
+        raise ValueError(f"eps0 and eps must be finite, got eps0={eps0!r}, eps={eps!r}")
     Lp = min_separation(b, p, L)
     if lambda_variant == "separation":
         lam = math.sqrt(((K - 1) * b + 2 * Lp) / m)

@@ -63,7 +63,7 @@ def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One phase-transition experiment. `epsilon` is the residual-threshold
-    multiplier on ||y|| (trials are noiseless)."""
+    multiplier on ||y||, finite and >= 0 (trials are noiseless)."""
 
     n: int
     m: int
@@ -81,6 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

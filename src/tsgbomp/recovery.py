@@ -107,7 +107,8 @@ def _greedy(
     covers extend the orthonormal basis Q of the covered columns, and the
     residual loses its component along them: r -= Q2 (Q2^H r). A pick that
     covers nothing new leaves r as it is. Stops when the residual drops
-    below max(epsilon, _RESIDUAL_FLOOR * |y|) or after K iterations. The
+    below max(epsilon, _RESIDUAL_FLOOR * |y|) or after K iterations; an
+    epsilon that is negative or not finite raises ValueError. The
     coefficients are then refit once by least squares on all covered
     columns in index order.
 
@@ -123,6 +124,8 @@ def _greedy(
         raise ValueError(f"measurement length {y.shape} does not match m={m}")
     if K < 0:
         raise ValueError("block budget K must be >= 0")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)

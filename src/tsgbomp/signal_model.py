@@ -384,35 +384,21 @@ _ROW_CHUNK_ELEMENTS = 1 << 21  # bound on rows * n entries of one enumeration st
 class CellRows:
     """Every support of one (k, r) cell as index arrays, row i being the
     i-th support `iter_cell` yields, all 0-based and int32: `blocks` (N, k)
-    holds each support's block starts and `pseudo` (N, r) its pseudo-block
-    starts. Every support is a union of blocks of b columns and pseudo
-    blocks of l, so its sorted columns are runs of `width` consecutive
-    columns, width = b when r = 0 and gcd(b, l) otherwise; `runs`
-    (N, (k*b + r*l) // width) holds the ascending run starts. At r = 0 the
-    runs are the blocks, and `runs` is `blocks`."""
+    holds each support's ascending block starts and `pseudo` (N, r) its
+    ascending pseudo-block starts."""
 
     params: PibsParams
-    runs: np.ndarray
-    width: int
     blocks: np.ndarray
     pseudo: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.runs)
+        return len(self.blocks)
 
     @property
-    def columns(self) -> np.ndarray:
-        """(N, k*b + r*l) int32: each support's sorted columns, expanded
-        from the runs on every call."""
-        return self.row_columns(slice(None))
-
-    def row_columns(self, rows) -> np.ndarray:
-        """The sorted columns of the rows `rows` (an index array or a
-        slice) as a (rows, k*b + r*l) int32 array, expanding only their
-        runs."""
-        runs = self.runs[rows]
-        steps = np.arange(self.width, dtype=np.int32)
-        return (runs[:, :, None] + steps).reshape(len(runs), runs.shape[1] * self.width)
+    def segments(self) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+        """The rows' segments as (starts, width) pairs: the blocks of b
+        columns, then the pseudo blocks of l."""
+        return (self.blocks, self.params.b), (self.pseudo, self.params.l)
 
     def support(self, i: int) -> Support:
         """Row i as a Support. Adjacent blocks belong to one cluster, since
@@ -443,20 +429,13 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     ascending start at a time (`_place_pseudo`). Layouts and partial rows
     go in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
     entries, so apart from the rows it returns and one cluster count's
-    offsets, memory does not grow with the cell. At r = 0 the runs are the
-    block starts, which ascend by construction; at r >= 1 each chunk's runs
-    are written into their rows of `runs` and sorted there. A row count
-    other than `cell_count` raises AssertionError."""
+    offsets, memory does not grow with the cell. A row count other than
+    `cell_count` raises AssertionError."""
     n, b, l = params.n, params.b, params.l
-    width = math.gcd(b, l) if r else b
     chunk = max(1, _ROW_CHUNK_ELEMENTS // n)
     total = cell_count(params, k, r)
     blocks = np.empty((total, k), np.int32)
     pseudo = np.empty((total, r), np.int32)
-    runs = np.empty((total, (k * b + r * l) // width), np.int32) if r else blocks
-    block_runs, pseudo_runs = k * b // width, r * l // width
-    block_steps = np.arange(0, b, width, dtype=np.int32)
-    pseudo_steps = np.arange(0, l, width, dtype=np.int32)
     at = 0
     for kc, _, slack in _layout_table(params, k):
         offsets = _combinations(slack + kc, kc) - np.arange(kc, dtype=np.int32)
@@ -474,20 +453,11 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
                     if end > total:
                         raise AssertionError(f"cell ({k}, {r}) holds more than {total} rows")
                     blocks[at:end] = starts[rows]
-                    if r:
-                        pseudo[at:end] = placed
-                        out = runs[at:end]
-                        out[:, :block_runs] = (
-                            blocks[at:end, :, None] + block_steps
-                        ).reshape(end - at, block_runs)
-                        out[:, block_runs:] = (
-                            placed[:, :, None] + pseudo_steps
-                        ).reshape(end - at, pseudo_runs)
-                        out.sort(axis=1)
+                    pseudo[at:end] = placed
                     at = end
     if at != total:
         raise AssertionError(f"cell ({k}, {r}) holds {at} rows, cell_count gives {total}")
-    return CellRows(params=params, runs=runs, width=width, blocks=blocks, pseudo=pseudo)
+    return CellRows(params=params, blocks=blocks, pseudo=pseudo)
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
@@ -747,7 +717,10 @@ def fill_values(
     rng: np.random.Generator | None = None,
 ) -> SignalInstance:
     """Fill the support with values: `const` draws equiprobable +-amplitude,
-    `gaussian` draws standard normals (resampling exact zeros)."""
+    `gaussian` draws standard normals (resampling exact zeros). The
+    amplitude must be finite and > 0."""
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be finite and > 0, got {amplitude!r}")
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
     params = support.params

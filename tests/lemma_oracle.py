@@ -58,7 +58,7 @@ def sample_supports(table, params, K, R, limit, rng):
             stat = table[(k, r)]
             if stat.count and not stat.skipped:
                 cell = analysis._cell_data(params, k, r)
-                if cell.runs.shape[1]:
+                if any(starts.shape[1] and h for starts, h in cell.segments):
                     cells.append(cell)
     sizes = [len(cell) for cell in cells]
     total = sum(sizes)

@@ -218,6 +218,11 @@ def _full_scan_max(G, idx, rows=4096):
     return best, arg
 
 
+def _cell_columns(cell):
+    """Every row's columns, ascending, as the scan gathers a cell's rows."""
+    return analysis._row_runs(cell.segments, slice(None), 1)
+
+
 def _kernel_case(kind, complex_entries, s, rows, seed):
     """A Hermitian matrix G on 8 columns and index rows of width s into it.
 
@@ -303,7 +308,7 @@ class TestScanKernel:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
-            got = analysis._batched_max_opdev(G, idx)
+            got = analysis._batched_max_opdev(G, ((idx, 1),))
         assert got == _full_scan_max(G, idx)
 
     @given(
@@ -326,7 +331,7 @@ class TestScanKernel:
             mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
-            got = analysis._batched_max_opdev(G, runs, g)
+            got = analysis._batched_max_opdev(G, ((runs, g),))
         assert got == _full_scan_max(G, columns)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -336,14 +341,14 @@ class TestScanKernel:
         for seed in range(20):
             for s in (3, 4):
                 G, idx = _kernel_case("permuted", complex_entries, s, 0, seed)
-                assert analysis._batched_max_opdev(G, idx) == _full_scan_max(G, idx)
+                assert analysis._batched_max_opdev(G, ((idx, 1),)) == _full_scan_max(G, idx)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_underflowing_bounds_match_full_eigvalsh(self, complex_entries):
         # deviations near 1e-100: every bound underflows to 0
         for seed in range(10):
             G, idx = _kernel_case("tiny", complex_entries, 3, 50, seed)
-            assert analysis._batched_max_opdev(G, idx) == _full_scan_max(G, idx)
+            assert analysis._batched_max_opdev(G, ((idx, 1),)) == _full_scan_max(G, idx)
 
     def test_tie_inside_a_later_batch_goes_to_the_lower_row(self):
         # row 0 has the largest bound (eigenvalues +-0.9, twice each) but not
@@ -353,7 +358,7 @@ class TestScanKernel:
         G[:4, :4] += 0.9 * np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
         G[4:, 4:] += 0.25
         idx = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [4, 5, 6, 7]])
-        got = analysis._batched_max_opdev(G, idx)
+        got = analysis._batched_max_opdev(G, ((idx, 1),))
         assert got == _full_scan_max(G, idx)
         assert got[1] == 1
 
@@ -365,7 +370,7 @@ class TestScanKernel:
             G, idx = _kernel_case("gaussian", False, 3, 200, seed)
             diag, pair, _ = analysis._PairTables(G).read([1, 1, 1], analysis._windows(G, 1))
             bound = analysis._pair_bound(list(idx.T), [1, 1, 1], diag, pair)
-            got = analysis._batched_max_opdev(G, idx.astype(np.int32))
+            got = analysis._batched_max_opdev(G, ((idx.astype(np.int32), 1),))
             assert got == _full_scan_max(G, idx)
             beaten += got[1] != np.argmax(bound)
         assert beaten > 0
@@ -402,13 +407,23 @@ class TestScanKernel:
                 assert np.all(reach >= devs)
 
     def test_out_of_range_column_raises(self):
-        # the gather's flat take clips, so the range is checked first; a run
-        # of 2 columns from start 1 ends at column 2 of 3, one from start 2
-        # past it
-        assert analysis._batched_max_opdev(np.eye(3), np.array([[1]]), 2) == (0.0, 0)
+        # the gather's flat take clips, so the range is checked first; a
+        # segment of 2 columns from start 1 ends at column 2 of 3, one from
+        # start 2 past it. Each segment is checked on its own width, so a
+        # start that fits a block of 1 can still leave G as a block of 2.
+        eye = np.eye(3)
+        assert analysis._batched_max_opdev(eye, ((np.array([[1]]), 2),)) == (0.0, 0)
+        two = ((np.array([[0]]), 1), (np.array([[1]]), 2))
+        assert analysis._batched_max_opdev(eye, two) == (0.0, 0)
         for idx, width in (([[0, 3]], 1), ([[-1, 0]], 1), ([[2]], 2), ([[0, 2]], 2), ([[-1]], 2)):
             with pytest.raises(IndexError):
-                analysis._batched_max_opdev(np.eye(3), np.array(idx), width)
+                analysis._batched_max_opdev(eye, ((np.array(idx), width),))
+        for blocks, pseudo in (([[0]], [[2]]), ([[3]], [[0]]), ([[0]], [[-1]]), ([[-1]], [[1]])):
+            with pytest.raises(IndexError):
+                analysis._batched_max_opdev(eye, ((np.array(blocks), 1), (np.array(pseudo), 2)))
+        # a row that covers no column deviates by 0
+        empty = ((np.empty((2, 0), int), 2), (np.array([[0], [1]]), 0))
+        assert analysis._batched_max_opdev(eye, empty) == (0.0, 0)
 
     def test_screen_skips_eigensolves(self):
         params = PibsParams(n=50, b=1, p=1, l=0, Lsep=1, K=3, R=0)
@@ -419,7 +434,7 @@ class TestScanKernel:
             table = pibric_table(Phi, params, 3, 0)
         solved = sum(call.args[0].shape[0] for call in eig.call_args_list)
         assert solved < len(cell)
-        delta, i = _full_scan_max(Phi.gram, cell.columns)
+        delta, i = _full_scan_max(Phi.gram, _cell_columns(cell))
         assert (table[(3, 0)].delta, table[(3, 0)].argmax) == (delta, cell.support(i))
 
 
@@ -493,10 +508,11 @@ class TestPairBound:
         G, blocks, pseudo, columns = _segment_case(kind, complex_entries, b, l, k, r, rows, seed)
         segments = [(part, h) for part, h in ((blocks, b), (pseudo, l)) if part.shape[1]]
         _, bound = _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elements)
-        # the scan reads the same bound: columns as width-1 runs, cut into
-        # the blocks and pseudo blocks
-        got = analysis._batched_max_opdev(G, columns, 1, segments)
-        assert got == _full_scan_max(G, columns)
+        # the scan reads the same bound; it gathers the columns of blocks
+        # and pseudo blocks in ascending order, and those of one group in
+        # the order given
+        got = analysis._batched_max_opdev(G, segments)
+        assert got == _full_scan_max(G, np.sort(columns, axis=1) if k and r else columns)
         if kind == "identity":
             assert np.all(bound == 0.0) and got == (0.0, 0)
 
@@ -530,7 +546,7 @@ class TestPairBound:
         apart = (gaps >= g) & ~np.eye(w, dtype=bool)
         clash = ~apart.any(axis=(1, 2))
         assert np.array_equal(bound[clash], plain[clash])
-        assert analysis._batched_max_opdev(G, runs, g) == _full_scan_max(G, columns)
+        assert analysis._batched_max_opdev(G, ((runs, g),)) == _full_scan_max(G, columns)
 
     @given(
         kind=st.sampled_from(KINDS),
@@ -592,7 +608,7 @@ class TestScanIdentity:
             if stat.skipped or not k + r:
                 continue
             cell = analysis._cell_data(params, k, r)
-            delta, i = _full_scan_max(Phi.gram, cell.columns)
+            delta, i = _full_scan_max(Phi.gram, _cell_columns(cell))
             assert (stat.delta, stat.argmax) == (delta, cell.support(i)), (k, r)
             scanned += 1
         assert scanned >= 3
@@ -609,7 +625,6 @@ class TestGatherCount:
         params = PibsParams.from_window(n=60, b=2, p=2, l=10, L=4, K=2, R=2)
         cell = analysis._cell_data(params, 1, 2)
         assert len(cell) == 31_980
-        segments = ((cell.blocks, params.b), (cell.pseudo, params.l))
         gathered = []
         gather = analysis._gather
 
@@ -620,13 +635,13 @@ class TestGatherCount:
         for i in range(10):
             Phi = gaussian_matrix(40, 60, "unit", True, np.random.default_rng(1000 + i))
             tables = analysis._PairTables(Phi.gram)
-            tables.read([2, 10, 10], analysis._windows(Phi.gram, cell.width))
+            tables.read([2, 10, 10], analysis._windows(Phi.gram, 2))
             gathered.append(0)
             with monkeypatch.context() as mp:
                 mp.setattr(analysis, "_gather", counting)
-                got = analysis._batched_max_opdev(Phi.gram, cell.runs, cell.width, segments, tables)
+                got = analysis._batched_max_opdev(Phi.gram, cell.segments, tables)
             if i == 0:
-                assert got == _full_scan_max(Phi.gram, cell.columns)
+                assert got == _full_scan_max(Phi.gram, _cell_columns(cell))
         assert sum(gathered) / 10 < 0.05 * len(cell)
 
 

@@ -485,6 +485,69 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {typo} 4" in capsys.readouterr().err
 
 
+FUZZ_VALUES = ["-3", "0", "nan", "inf", "-inf"]
+
+# Every fuzzed option with the values of FUZZ_VALUES inside its domain and
+# whether it is an integer option; the legitimate zeros are named here.
+DOMAINS = {
+    ("recover", "--eps"): ({"0"}, False),  # a zero threshold: stop at the floor
+    ("gen-signal", "--amplitude"): (set(), False),
+    ("thm2", "--n"): (set(), True),
+    ("thm2", "--R"): ({"0"}, True),  # no pseudo blocks
+    ("thm2", "--eps0"): ({"-3", "0"}, False),  # any finite value; the range is a flag
+    ("thm2", "--eps"): ({"0"}, False),  # -3 takes nu + eps below 0, outside f_K
+    ("curve", "epsilon"): ({"0"}, False),  # the config key
+}
+
+
+class TestNumericDomains:
+    """Each option above, set to each value of FUZZ_VALUES in an otherwise
+    valid command line: exit 0 inside its domain, 2 for a value its type
+    does not parse, and 1 for any other value, never with a traceback. The
+    value is passed as --option=value, since argparse reads a lone -inf as
+    an option."""
+
+    def command(self, name, option, value, tmp_path):
+        setting = f"{option}={value}"
+        if name == "recover":
+            mat = gaussian_matrix(24, 32, "unit", True, np.random.default_rng(0))
+            (tmp_path / "phi.bin").write_bytes(matrix_to_binary(mat))
+            x = np.zeros(32)
+            x[8:12] = 5.0
+            (tmp_path / "y.csv").write_text(signal_to_csv(mat.entries @ x))
+            return ["recover", "--matrix", str(tmp_path / "phi.bin"), "--y",
+                    str(tmp_path / "y.csv"), "--K", "2", "--L", "4", "--b", "2", "--p", "2",
+                    setting]
+        if name == "gen-signal":
+            return ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
+                    "--seed", "1", "--out", str(tmp_path / "out.csv"), setting]
+        if name == "thm2":
+            argv = list(TestThm2.README)
+            if option in argv:
+                del argv[argv.index(option) : argv.index(option) + 2]
+            return argv + [setting]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
+                       f"matrix_kind=identity\n{setting}\n")
+        return ["curve", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+
+    @pytest.mark.parametrize("value", FUZZ_VALUES)
+    @pytest.mark.parametrize("name, option", list(DOMAINS), ids=[" ".join(k) for k in DOMAINS])
+    def test_exit_code_follows_the_domain(self, name, option, value, tmp_path, capsys):
+        inside, integer = DOMAINS[name, option]
+        expected = 0 if value in inside else 2 if integer and value in ("nan", "inf", "-inf") else 1
+        try:
+            code = main(self.command(name, option, value, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ")
+            assert not (tmp_path / "out.csv").exists()
+
+
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -149,6 +149,15 @@ class TestTsgbomp:
         assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("epsilon", [-1e-12, -np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
+def test_threshold_outside_its_domain_raises(algorithm, epsilon):
+    # nan and inf used to run no iteration, and a negative value acted as 0
+    Phi, meas, _ = make_instance(n=40, m=32, K=1)
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        solve(algorithm, Phi, meas, K=1, L=8, b=4, p=2, epsilon=epsilon)
+
+
 class TestBomp:
     def test_single_partition_block_one_iteration(self):
         Phi = identity_matrix(8)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsgbomp import signal_model
+from tsgbomp import analysis, signal_model
 from tsgbomp.analysis import thm2_bound
 from tsgbomp.signal_model import (
     CountComparison,
@@ -150,17 +150,21 @@ class TestSampling:
 
 def assert_rows_match_iter_cell(params, k, r):
     """`cell_rows` holds iter_cell's supports in iter_cell's order: the
-    columns, block starts and pseudo starts of each row, and the Support it
-    rebuilds. Returns the cell's size."""
+    block starts and pseudo starts of each row, the columns the scan's
+    width-1 runs expand them to, and the Support it rebuilds. Returns the
+    cell's size."""
     cell = cell_rows(params, k, r)
     sups = list(iter_cell(params, k, r))
     assert len(cell) == len(sups) == signal_model.cell_count(params, k, r)
-    assert cell.columns.dtype == cell.blocks.dtype == cell.pseudo.dtype == np.int32
+    assert cell.blocks.dtype == cell.pseudo.dtype == np.int32
     width = k * params.b + r * params.l
-    assert cell.columns.shape == (len(sups), width)
+    columns = np.empty((len(sups), width), np.int32)
+    if len(sups) and width:
+        columns = analysis._row_runs(cell.segments, np.arange(len(sups)), 1)
+    assert columns.dtype == np.int32 and columns.shape == (len(sups), width)
     assert cell.blocks.shape == (len(sups), k) and cell.pseudo.shape == (len(sups), r)
     for i, sup in enumerate(sups):
-        assert tuple(cell.columns[i] + 1) == sup.columns
+        assert tuple(columns[i] + 1) == sup.columns
         assert tuple(cell.blocks[i] + 1) == sup.block_starts
         assert tuple(cell.pseudo[i] + 1) == sup.pseudo
         assert cell.support(i) == sup
@@ -233,15 +237,21 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("b,l", [(2, 10), (2, 3), (3, 6), (4, 2)])
     def test_cells_hold_runs_not_columns(self, b, l):
-        # a cell without pseudo blocks stores its block starts once; one with
-        # pseudo blocks stores a start per gcd(b, l) columns
+        # a cell stores only its block and pseudo starts, the starts of runs
+        # of b and l columns; the scan merges them into ascending runs of
+        # gcd(b, l) columns for the rows it gathers
         params = PibsParams(n=40, b=b, p=2, l=l, Lsep=l, K=2, R=2)
-        plain = cell_rows(params, 2, 0)
-        assert plain.runs is plain.blocks and plain.width == b
-        for r in (1, 2):
+        g = math.gcd(b, l)
+        for r in (0, 1, 2):
             cell = cell_rows(params, 2, r)
-            assert len(cell) > 0 and cell.width == math.gcd(b, l)
-            assert cell.runs.shape[1] == (2 * b + r * l) // math.gcd(b, l)
+            assert len(cell) > 0 and cell.segments == ((cell.blocks, b), (cell.pseudo, l))
+            assert not hasattr(cell, "runs") and not hasattr(cell, "columns")
+            rows = np.arange(0, len(cell), 7)
+            runs = analysis._row_runs(cell.segments, rows, g if r else b)
+            assert runs.shape == (len(rows), (2 * b + r * l) // (g if r else b))
+            assert np.all(np.diff(runs, axis=1) > 0)
+            if not r:
+                assert np.array_equal(runs, cell.blocks[rows])
 
     @pytest.mark.parametrize("m", range(13))
     def test_combinations_match_itertools(self, m):
