@@ -992,11 +992,14 @@ def thm1_certificate(
     """Evaluate the recovery conditions: the isometry constant below
     1/sqrt(2K+1), and the smallest magnitude above the field-dependent
     threshold built from f_K plus a noise term. The noise level epsilon
-    must be finite and >= 0."""
+    must be finite and >= 0, and the magnitudes finite with
+    0 < x_min <= x_max."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if not (0.0 <= epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if not (0.0 < x_min <= x_max < math.inf):
+        raise ValueError(f"need finite 0 < x_min <= x_max, got x_min={x_min!r}, x_max={x_max!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
     if field not in ("real", "complex"):
@@ -1116,9 +1119,10 @@ def thm2_bound(
     `lambda_variant` "separation" uses sqrt(((K-1)b + 2L')/m), which is what
     the tail-bound derivation supports; "window" uses 2L in place of 2L' as a
     compatibility switch. Side-condition violations are reported as flags,
-    never raised; n, m or K below 1, R below 0 and a non-finite eps0 or eps
-    raise ValueError. Unless `g_value` is supplied, the magnitude-ratio tail
-    g is replaced by its conservative closed-form lower bound Kb*w(a)^(Kb-1).
+    never raised; n, m or K below 1, R below 0, a non-finite eps0 or eps and
+    an eps below -nu (f_K's argument nu + eps below 0) raise ValueError.
+    Unless `g_value` is supplied, the magnitude-ratio tail g is replaced by
+    its conservative closed-form lower bound Kb*w(a)^(Kb-1).
     """
     if min(n, m, K) < 1 or R < 0:
         raise ValueError(f"n, m and K must be >= 1 and R >= 0, got n={n}, m={m}, K={K}, R={R}")
@@ -1132,6 +1136,8 @@ def thm2_bound(
     else:
         raise ValueError("lambda_variant must be 'separation' or 'window'")
     nu = lam**2 + 2 * lam
+    if nu + eps < 0:
+        raise ValueError(f"eps must be >= -nu = {-nu!r}, got eps={eps!r}")
     rho = f_K_inverse(1.0, K, b, p)
 
     A, C, D, E, h = count_bound_exponent(n, b, p, Lp, K, R, order=K - 1)

@@ -15,7 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, experiments, recovery, sensing, signal_model
+from . import analysis, sensing, signal_model
+
+# `experiments` and `recovery` load in the commands that run them, so that a
+# `ric` or `count` does not import the solvers and the pool; `--alg` lists
+# experiments.ALGORITHMS.
+_ALGORITHMS = ("tsgbomp", "bomp")
 
 def _params_from_args(args, n: int, K: int, R: int, l: int = 0) -> signal_model.PibsParams:
     """Geometry from --b/--p, exactly one of --L or --lsep, and pseudo length l."""
@@ -49,7 +54,8 @@ def _cmd_gen_signal(args) -> int:
     if args.scheme == "gaussian":
         sig = signal_model.fill_values(support, "gaussian", rng=rng)
     else:
-        sig = signal_model.fill_values(support, "const", args.amplitude, rng)
+        amplitude = 10.0 if args.amplitude is None else args.amplitude
+        sig = signal_model.fill_values(support, "const", amplitude, rng)
     Path(args.out).write_text(signal_model.signal_to_csv(sig.x), newline="\n")
     if args.support_out:
         Path(args.support_out).write_text(
@@ -69,6 +75,8 @@ def _cmd_gen_matrix(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from . import experiments, recovery
+
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
     result = experiments.solve(
@@ -156,6 +164,8 @@ def _cmd_gbounds(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import experiments
+
     config = experiments.ExperimentConfig.from_text(Path(args.config).read_text())
     points = experiments.run_curve(config, jobs=args.jobs, out_path=args.out)
     if not args.out:
@@ -169,6 +179,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_theorem_suite(args) -> int:
+    from . import experiments
+
     rng = np.random.default_rng(args.seed)
     report = experiments.theorem_regime_suite(args.count, rng)
     sys.stdout.write(report.render())
@@ -211,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     geometry(sp, with_l=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--scheme", choices=["const", "gaussian"], default="const")
-    sp.add_argument("--amplitude", type=float, default=10.0)
+    sp.add_argument("--amplitude", type=float, default=None,
+                    help="value magnitude of the const scheme (default 10)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--support-out", default=None)
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gen_matrix)
 
     sp = sub.add_parser("recover", help="run a solver on a stored instance")
-    sp.add_argument("--alg", choices=list(experiments.ALGORITHMS), default="tsgbomp")
+    sp.add_argument("--alg", choices=_ALGORITHMS, default="tsgbomp")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--K", type=int, required=True)
@@ -321,6 +334,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gbounds" and args.trials and args.seed is None:
         parser.error("--seed is required when --trials is set")
+    if args.command == "gen-signal" and args.scheme == "gaussian" and args.amplitude is not None:
+        parser.error("--amplitude applies to --scheme const only")
     if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
         parser.error("--L is required for --alg tsgbomp")
     try:

@@ -421,13 +421,15 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     """Every support with exactly k true blocks and r pseudo blocks as int32
     index arrays, in `iter_cell` order, with no Support built.
 
-    The arrays are allocated once, with `cell_count` rows, and each chunk
-    of rows is written into them in place. Each composition's layouts are
-    its packed block starts plus the non-decreasing offsets
-    `_combinations(slack + kc, kc) - arange(kc)`, held whole for one
-    cluster count kc and taken in chunks; pseudo blocks are added one
-    ascending start at a time (`_place_pseudo`). Layouts and partial rows
-    go in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
+    The arrays are allocated once, with `cell_count` rows, and written in
+    place. Each composition's layouts are its packed block starts plus
+    non-decreasing cluster offsets: cluster i's offsets are row i of
+    `_combinations(slack + kc, kc)`, held whole for one cluster count kc,
+    less i, which `base` takes off each block's packed start. With no
+    pseudo blocks each block column is written whole, one `np.add` of its
+    cluster's row and its base; otherwise layouts are taken in chunks and
+    pseudo blocks are added one ascending start at a time (`_place_pseudo`),
+    in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
     entries, so apart from the rows it returns and one cluster count's
     offsets, memory does not grow with the cell. A row count other than
     `cell_count` raises AssertionError."""
@@ -438,16 +440,24 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     pseudo = np.empty((total, r), np.int32)
     at = 0
     for kc, _, slack in _layout_table(params, k):
-        offsets = _combinations(slack + kc, kc) - np.arange(kc, dtype=np.int32)
+        offsets = _combinations(slack + kc, kc)
         for comp in _compositions(k, kc, params.p):
             base, owner, packed = [], [], 0
             for i, j in enumerate(comp):
-                base += [packed + w * b for w in range(j)]
+                base += [packed + w * b - i for w in range(j)]
                 owner += [i] * j
                 packed += j * b + params.Lsep
             base = np.asarray(base, dtype=np.int32)
-            for lo in range(0, len(offsets), chunk):
-                starts = offsets[lo : lo + chunk, owner] + base
+            if r == 0:
+                end = at + offsets.shape[1]
+                if end > total:
+                    raise AssertionError(f"cell ({k}, {r}) holds more than {total} rows")
+                for c, i in enumerate(owner):
+                    np.add(offsets[i], base[c], out=blocks[at:end, c])
+                at = end
+                continue
+            for lo in range(0, offsets.shape[1], chunk):
+                starts = offsets[owner, lo : lo + chunk].T + base
                 for rows, placed in _place_pseudo(starts, n, b, l, r, chunk):
                     end = at + len(rows)
                     if end > total:
@@ -461,20 +471,27 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
-    """Every k-subset of range(m) as the rows of a (C(m, k), k) int32 array,
-    ascending, in the lexicographic order of `itertools.combinations`
-    (Knuth, TAOCP Vol. 4A, 7.2.1.3). Column t is built from the first t:
-    each row is repeated once per value from its last entry + 1 to
-    m - k + t, and those values are appended in ascending order."""
-    rows = np.zeros((1, 0), dtype=np.int32)
-    last = np.full(1, -1, dtype=np.int32)
-    for t in range(k):
-        counts = np.maximum(m - k + t - last, 0)
-        parent = np.repeat(np.arange(len(rows)), counts)
-        group_start = np.cumsum(counts) - counts
-        last = (np.arange(len(parent)) - group_start[parent] + last[parent] + 1).astype(np.int32)
-        rows = np.column_stack((rows[parent], last))
-    return rows
+    """Every k-subset of range(m), ascending, as the columns of a
+    (k, C(m, k)) int32 array, in the lexicographic order of
+    `itertools.combinations`. Built from the last position back, with no
+    recursion: the j-subsets of range(k - j, m) that start with a are a
+    followed by the (j - 1)-subsets of range(a + 1, m), which are the last
+    C(m - a - 1, j - 1) of the (j - 1)-subsets of range(k - j + 1, m), so
+    each row of each step is a run of contiguous copies."""
+    if k == 0:
+        return np.empty((0, 1), dtype=np.int32)
+    tail = np.arange(k - 1, m, dtype=np.int32)[None]  # the 1-subsets of range(k - 1, m)
+    for j in range(2, k + 1):
+        firsts = np.arange(k - j, m - j + 1, dtype=np.int32)
+        counts = [math.comb(m - a - 1, j - 1) for a in firsts.tolist()]
+        step = np.empty((j, sum(counts)), dtype=np.int32)
+        step[0] = np.repeat(firsts, counts)
+        at, width = 0, tail.shape[1]
+        for c in counts:
+            step[1:, at : at + c] = tail[:, width - c :]
+            at += c
+        tail = step
+    return tail
 
 
 def _place_pseudo(

@@ -867,6 +867,14 @@ class TestCertificate:
         bracket = K * (1 + d) / (4 * Bp) + math.sqrt(K + 1) + 1
         required = coeff * bracket
         assert required == pytest.approx(2.1257931603357276, rel=1e-12)
+        # above 1, so no magnitudes with x_min <= x_max clear it
+        cert = thm1_certificate(d, K, b, p, epsilon=0.0, x_min=1.0, x_max=1.0)
+        assert not cert.condition_18_ok
+        assert cert.margin_18 == pytest.approx(1.0 - required, rel=1e-12)
+        # at a smaller delta the threshold is below 1 and x_min crosses it
+        d = 0.05
+        required = d * math.sqrt(Bp * b) / (1 + d) * (K * (1 + d) / (4 * Bp) + math.sqrt(K + 1) + 1)
+        assert required < 1
         cert = thm1_certificate(d, K, b, p, epsilon=0.0, x_min=required * 1.001,
                                 x_max=1.0)
         assert cert.condition_18_ok
@@ -875,7 +883,7 @@ class TestCertificate:
         assert not cert2.condition_18_ok
 
     def test_complex_threshold_double_evaluation(self):
-        d, K, b, p = 0.15, 2, 2, 2
+        d, K, b, p = 0.05, 2, 2, 2
         Bp = p * b - b + 1
         bracket = K * (1 + d) / (4 * Bp) + math.sqrt(K + 1) + 1
         numer = (d * math.sqrt(K * b)
@@ -904,7 +912,16 @@ class TestCertificate:
     def test_negative_or_non_finite_noise_rejected(self, eps):
         # a negative noise term lowered the threshold of condition 18
         with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-            thm1_certificate(0.2, 2, 2, 2, epsilon=eps, x_min=3.0)
+            thm1_certificate(0.2, 2, 2, 2, epsilon=eps, x_min=3.0, x_max=3.0)
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        (3.0, 1.0), (3.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-3.0, -1.0),
+        (math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_magnitudes_outside_their_domain_rejected(self, x_min, x_max):
+        # x_max < x_min describes no signal, and a zero x_min no support
+        with pytest.raises(ValueError, match="need finite 0 < x_min <= x_max"):
+            thm1_certificate(0.2, 2, 2, 2, x_min=x_min, x_max=x_max)
 
 
 class TestThm2:

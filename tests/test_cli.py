@@ -459,6 +459,25 @@ class TestUsageErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_gen_signal_gaussian_takes_no_amplitude(self, tmp_path, capsys):
+        # the gaussian scheme draws standard-normal values and used to ignore it
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
+                  "--seed", "1", "--scheme", "gaussian", "--amplitude", "3", "--out", str(out)])
+        assert err.value.code == 2
+        assert "--amplitude applies to --scheme const only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recover_lists_every_algorithm(self):
+        # the CLI names the algorithms without importing experiments
+        from tsgbomp import experiments
+        from tsgbomp.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        alg = next(a for a in sub.choices["recover"]._actions if a.dest == "alg")
+        assert tuple(alg.choices) == experiments.ALGORITHMS
+
     def test_gen_signal_takes_no_pseudo_length(self, capsys):
         # signals are pseudo-free; --l must not pass as an abbreviation of --lsep
         with pytest.raises(SystemExit) as err:
@@ -496,16 +515,28 @@ DOMAINS = {
     ("thm2", "--R"): ({"0"}, True),  # no pseudo blocks
     ("thm2", "--eps0"): ({"-3", "0"}, False),  # any finite value; the range is a flag
     ("thm2", "--eps"): ({"0"}, False),  # -3 takes nu + eps below 0, outside f_K
+    ("thm1", "--xmin"): (set(), False),  # finite, 0 < x_min <= x_max
+    ("thm1", "--xmax"): (set(), False),
     ("curve", "epsilon"): ({"0"}, False),  # the config key
+}
+
+# The message of each refusal pinned so far, by (command, option, value).
+MESSAGES = {
+    ("thm2", "--eps", "-3"): "error: eps must be >= -nu = ",
+    ("thm1", "--xmin", "inf"): "error: need finite 0 < x_min <= x_max, got x_min=inf",
+    ("thm1", "--xmax", "-3"): "error: need finite 0 < x_min <= x_max, got x_min=1.0, x_max=-3.0",
 }
 
 
 class TestNumericDomains:
     """Each option above, set to each value of FUZZ_VALUES in an otherwise
     valid command line: exit 0 inside its domain, 2 for a value its type
-    does not parse, and 1 for any other value, never with a traceback. The
-    value is passed as --option=value, since argparse reads a lone -inf as
-    an option."""
+    does not parse, and 1 for any other value, never with a traceback and
+    with the message MESSAGES pins. The value is passed as --option=value,
+    since argparse reads a lone -inf as an option."""
+
+    # passes both conditions: at delta = 0 the threshold is 0
+    THM1 = ["thm1", "--delta", "0", "--K", "2", "--b", "2", "--p", "2", "--xmin", "1", "--xmax", "2"]
 
     def command(self, name, option, value, tmp_path):
         setting = f"{option}={value}"
@@ -521,8 +552,8 @@ class TestNumericDomains:
         if name == "gen-signal":
             return ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
                     "--seed", "1", "--out", str(tmp_path / "out.csv"), setting]
-        if name == "thm2":
-            argv = list(TestThm2.README)
+        if name in ("thm1", "thm2"):
+            argv = list(TestThm2.README if name == "thm2" else self.THM1)
             if option in argv:
                 del argv[argv.index(option) : argv.index(option) + 2]
             return argv + [setting]
@@ -544,7 +575,7 @@ class TestNumericDomains:
         assert code == expected, err
         assert "Traceback" not in err
         if code == 1:
-            assert err.startswith("error: ")
+            assert err.startswith(MESSAGES.get((name, option, value), "error: "))
             assert not (tmp_path / "out.csv").exists()
 
 

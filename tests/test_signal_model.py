@@ -148,6 +148,14 @@ class TestSampling:
         assert (len(sup.block_starts), len(sup.pseudo)) == (K, R)
 
 
+def assert_combinations_match_itertools(m, k):
+    """`_combinations(m, k)` holds the k-subsets of range(m) as its columns,
+    in `itertools.combinations` order."""
+    got = signal_model._combinations(m, k)
+    assert got.dtype == np.int32 and got.shape == (k, math.comb(m, k))
+    assert list(map(tuple, got.T.tolist())) == list(itertools.combinations(range(m), k))
+
+
 def assert_rows_match_iter_cell(params, k, r):
     """`cell_rows` holds iter_cell's supports in iter_cell's order: the
     block starts and pseudo starts of each row, the columns the scan's
@@ -220,17 +228,22 @@ class TestEnumeration:
         assert sup.columns == tuple(range(1, 2000, 2))
         assert_rows_match_iter_cell(params, 1000, 0)
 
-    @pytest.mark.parametrize("n,b,p,Lsep", [(9, 1, 1, 2), (12, 1, 2, 3), (14, 2, 2, 2), (11, 1, 3, 4)])
+    @pytest.mark.parametrize(
+        "n,b,p,Lsep,K",
+        [(9, 1, 1, 2, 3), (12, 1, 2, 3, 3), (14, 2, 2, 2, 3), (11, 1, 3, 4, 3), (12, 1, 3, 2, 4)],
+        # K = 4 lays out three clusters, one of two blocks, and four clusters
+        ids=["9-1-1-2", "12-1-2-3", "14-2-2-2", "11-1-3-4", "12-1-3-2-K4"],
+    )
     @pytest.mark.parametrize("chunked", [False, True])
-    def test_cell_rows_match_iter_cell(self, n, b, p, Lsep, chunked, monkeypatch):
-        # every cell with k <= 3 and r <= 2, the empty ones included; chunked
+    def test_cell_rows_match_iter_cell(self, n, b, p, Lsep, K, chunked, monkeypatch):
+        # every cell with k <= K and r <= 2, the empty ones included; chunked
         # enumeration steps take two rows at a time
         if chunked:
             monkeypatch.setattr(signal_model, "_ROW_CHUNK_ELEMENTS", 2 * n)
         empty = 0
         for l in sorted({0, 1, 2, Lsep}):
-            params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=3, R=2)
-            for k in range(4):
+            params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=K, R=2)
+            for k in range(K + 1):
                 for r in range(3):
                     empty += assert_rows_match_iter_cell(params, k, r) == 0
         assert empty > 0
@@ -256,9 +269,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", range(13))
     def test_combinations_match_itertools(self, m):
         for k in range(m + 1):
-            got = signal_model._combinations(m, k)
-            assert got.dtype == np.int32 and got.shape == (math.comb(m, k), k)
-            assert list(map(tuple, got.tolist())) == list(itertools.combinations(range(m), k))
+            assert_combinations_match_itertools(m, k)
+
+    @pytest.mark.parametrize("m", [13, 21, 32, 40])
+    def test_wide_combinations_match_itertools(self, m):
+        for k in range(5):
+            assert_combinations_match_itertools(m, k)
 
     @pytest.mark.parametrize("r", [0, 1])
     @pytest.mark.parametrize("error", [-1, 1])

@@ -32,12 +32,21 @@ class TestWorkerMap:
 
     def test_cli_import_loads_no_pool_modules(self):
         # the pool modules load only when a command asks for workers
-        code = (
-            "import sys, tsgbomp.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(tsgbomp.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        loaded = modules_after_cli_import()
+        assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+    def test_cli_import_loads_only_what_ric_runs(self):
+        # the solvers, the experiments and the pool helper load in the
+        # commands that run them, not with the package or the parser
+        loaded = modules_after_cli_import()
+        assert "tsgbomp.analysis" in loaded
+        assert {"tsgbomp.experiments", "tsgbomp.recovery", "tsgbomp.workers"}.isdisjoint(loaded)
+
+
+def modules_after_cli_import():
+    """Every module a fresh interpreter holds after `import tsgbomp.cli`."""
+    code = "import sys, tsgbomp.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(tsgbomp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.split()
