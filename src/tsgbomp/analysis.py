@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sensing import SensingMatrix
 from .signal_model import (
@@ -81,41 +80,25 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
-def _windows(G: np.ndarray, g: int) -> np.ndarray:
-    """W, G's length-g row windows as one contiguous (n, n - g + 1, g)
-    array: W[i, j] = G[i, j : j + g]. At g = 1 it is a view of G."""
-    return np.ascontiguousarray(sliding_window_view(G, g, axis=1))
-
-
-def _gather(W: np.ndarray, runs: np.ndarray, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """M = G[S,S] - I for every row of runs, S being the columns of its
-    runs of g = W.shape[2] consecutive columns, into the leading rows of
-    `out`; the result is a view of `out`. Row t of the block of M that
-    runs j and j' span is the window W[runs[j] + t, runs[j']], so one take
-    of whole windows, with `flat` (rows, w, g, w) for their flat indices,
-    writes M in place: s^2 / g indices per row of s = w*g columns. The flat indices are formed
-    in intp, since int32 run starts times n overflow int32 once
-    n > 46,340. The take clips, so the caller checks the runs' range."""
-    n, v, g = W.shape
-    c, w = runs.shape
-    s = w * g
-    f, M = flat[:c], out[:c]
-    window_rows = runs[:, :, None] * np.intp(v) + np.arange(0, g * v, v)
-    np.add(window_rows[:, :, :, None], runs[:, None, None, :], out=f)
-    W.reshape(n * v, g).take(f, axis=0, out=M.reshape(c, w, g, w, g), mode="clip")
+def _gather(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M = G[S,S] - I for every row S of cols, a new (rows, s, s) array:
+    one take of G's flat indices, formed in intp, since int32 columns
+    times n overflow int32 once n > 46,340. The take clips, so the caller
+    checks the columns' range."""
+    c, s = cols.shape
+    rows = cols * np.intp(G.shape[0])
+    M = G.take(rows[:, :, None] + cols[:, None, :], mode="clip")
     M.reshape(c, s * s)[:, :: s + 1] -= 1.0
     return M
 
 
-def _eig_bound(M: np.ndarray, squarings: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """For a stack of Hermitian matrices, ||M^q||_F^(1/q) per matrix with
-    q = 2^squarings: that is (sum of lambda^(2q))^(1/(2q)), so at least
-    max |lambda|, and closer to it the larger q is. M @ M goes to `out`
-    if one is given."""
-    P = M
-    for _ in range(squarings):
-        P = np.matmul(P, P, out=out if P is M else None)
-    return np.einsum("ijk,ijk->i", P, P.conj()).real ** (0.5 ** (squarings + 1))
+def _eig_bound(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """||M @ M||_F^(1/2) per matrix of a Hermitian stack: that is
+    (sum of lambda^4)^(1/4), so at least max |lambda|. Applied to M @ M,
+    its square root is (sum of lambda^8)^(1/8), closer still. M @ M goes
+    to `out` if one is given."""
+    P = np.matmul(M, M, out=out)
+    return np.einsum("ijk,ijk->i", P, P.conj()).real ** 0.25
 
 
 def _deviations(M: np.ndarray) -> np.ndarray:
@@ -125,17 +108,15 @@ def _deviations(M: np.ndarray) -> np.ndarray:
 
 
 def _diag_table(G: np.ndarray, h: int) -> np.ndarray:
-    """D[a] = max |eigenvalue| of G[a:a+h, a:a+h] - I for every a, from
-    batched eigvalsh calls of at most _TABLE_STRIP_ELEMENTS entries each."""
+    """D[a] = max |eigenvalue| of G[a:a+h, a:a+h] - I for every a, gathered
+    (`_gather`) and solved in batched eigvalsh calls of at most
+    _TABLE_STRIP_ELEMENTS entries each."""
     v = G.shape[0] - h + 1
-    windows = sliding_window_view(G, (h, h))
     D = np.empty(v)
     strip = max(1, _TABLE_STRIP_ELEMENTS // (h * h))
     for a in range(0, v, strip):
-        diagonal = np.arange(a, min(a + strip, v))
-        blocks = windows[diagonal, diagonal]
-        blocks.reshape(len(diagonal), h * h)[:, :: h + 1] -= 1.0
-        D[diagonal] = _deviations(blocks)
+        starts = np.arange(a, min(a + strip, v))
+        D[starts] = _deviations(_gather(G, starts[:, None] + np.arange(h)))
     return D
 
 
@@ -171,22 +152,18 @@ def _pair_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
     return T
 
 
-def _two_segment_table(W: np.ndarray, h: int, w: int) -> np.ndarray:
+def _two_segment_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
     """E[a, c] >= ||G[S,S] - I||_2 for S the columns a..a+h-1 and then
     c..c+w-1: the scan's fine bound (sum lambda^8)^(1/8), times
     1 + _BOUND_MARGIN, plus _FINE_BOUND_FLOOR, so it holds whatever the
     rounding or underflow. Only disjoint pairs are bounded; an overlapping
-    pair reads +inf. Each pair is gathered (`_gather`) as runs of g
-    columns from W, the windows of G of a width g that divides h and w (a
-    scan passes its own, so no second copy is built), in blocks of at most
-    _BOUND_BLOCK_ELEMENTS entries; M, and so E, is the same for every
-    such g. The columns of (a, c) in E_hw are those of (c, a) in E_wh, so
-    h > w transposes E_wh and h = w mirrors a < c."""
+    pair reads +inf. The pairs are gathered (`_gather`) in blocks of at
+    most _BOUND_BLOCK_ELEMENTS entries. The columns of (a, c) in E_hw are
+    those of (c, a) in E_wh, so h > w transposes E_wh and h = w mirrors
+    a < c."""
     if h > w:
-        return np.ascontiguousarray(_two_segment_table(W, w, h).T)
-    n, _, g = W.shape
-    if h % g or w % g:
-        raise ValueError(f"windows of width {g} do not tile segments of {h} and {w} columns")
+        return np.ascontiguousarray(_two_segment_table(G, w, h).T)
+    n = G.shape[0]
     va, vc = n - h + 1, n - w + 1
     a, c = np.arange(va)[:, None], np.arange(vc)
     disjoint = c >= a + h
@@ -194,18 +171,13 @@ def _two_segment_table(W: np.ndarray, h: int, w: int) -> np.ndarray:
         disjoint |= a >= c + w
     pairs = np.flatnonzero(disjoint)
     E = np.full(va * vc, np.inf)
-    runs = (h + w) // g
     block = min(len(pairs), max(1, _BOUND_BLOCK_ELEMENTS // (h + w) ** 2))
-    flat = np.empty((block, runs, g, runs), np.intp)
-    M, MM = np.empty((2, block, h + w, h + w), W.dtype)
     for lo in range(0, len(pairs), block):
         part = pairs[lo : lo + block]
         a, c = np.divmod(part[:, None], vc)
-        m = _gather(W, np.concatenate([a + np.arange(0, h, g), c + np.arange(0, w, g)], axis=1),
-                    flat, M)
-        mm = np.matmul(m, m, out=MM[: len(part)])
+        m = _gather(G, np.concatenate([a + np.arange(h), c + np.arange(w)], axis=1))
         # ||(M @ M)^2||_F^(1/2) = (sum lambda^8)^(1/4), as the scan's fine bound
-        E[part] = np.sqrt(_eig_bound(mm, out=m))
+        E[part] = np.sqrt(_eig_bound(m @ m))
     E *= 1.0 + _BOUND_MARGIN
     E += _FINE_BOUND_FLOOR
     E = E.reshape(va, vc)
@@ -230,11 +202,10 @@ class _PairTables:
         self.pair: dict[tuple[int, int], np.ndarray] = {}
         self.two: dict[tuple[int, int], np.ndarray] = {}
 
-    def read(self, widths: list[int], W: np.ndarray) -> tuple[dict, dict, dict]:
+    def read(self, widths: list[int]) -> tuple[dict, dict, dict]:
         """Every D, T and E table built so far, once those that rows of
         segments of these widths, in this order, read are built. E is empty
-        unless there are 3 segments; it is gathered from W, windows of G
-        whose width divides every width (`_two_segment_table`)."""
+        unless there are 3 segments."""
         for i, h in enumerate(widths):
             if h not in self.diag:
                 self.diag[h] = _diag_table(self.G, h)
@@ -242,7 +213,7 @@ class _PairTables:
                 if (h, w) not in self.pair:
                     self.pair[h, w] = _pair_table(self.G, h, w)
                 if len(widths) == 3 and (h, w) not in self.two:
-                    self.two[h, w] = _two_segment_table(W, h, w)
+                    self.two[h, w] = _two_segment_table(self.G, h, w)
         return self.diag, self.pair, self.two if len(widths) == 3 else {}
 
 
@@ -331,25 +302,25 @@ def _lower_reach(reach: np.ndarray, bound, segments, tables, rows=None) -> None:
         np.fmin(reach[lo : lo + step], b, out=reach[lo : lo + step])
 
 
-def _row_runs(segments, rows, g: int) -> np.ndarray:
-    """Run starts of width g (g divides every h) of the rows `rows`, a
-    nonempty index array or slice, of `segments`, (starts, h) pairs: each
-    pair's runs in turn, sorted only if two pairs cover columns. A cell's
-    blocks and pseudo blocks each ascend, so its runs ascend."""
-    parts = [starts[rows][:, :, None] + np.arange(0, h, g, dtype=starts.dtype)
+def _row_columns(segments, rows) -> np.ndarray:
+    """The columns of the rows `rows`, a nonempty index array or slice, of
+    `segments`, (starts, h) pairs: each pair's columns in turn, sorted only
+    if two pairs cover columns. A cell's blocks and pseudo blocks each
+    ascend, so its columns ascend."""
+    parts = [starts[rows][:, :, None] + np.arange(h, dtype=starts.dtype)
              for starts, h in segments if starts.shape[1] and h]
-    runs = np.concatenate([part.reshape(len(part), -1) for part in parts], axis=1)
+    cols = np.concatenate([part.reshape(len(part), -1) for part in parts], axis=1)
     if len(parts) > 1:
-        runs.sort(axis=1)
-    return runs
+        cols.sort(axis=1)
+    return cols
 
 
 def _max_opdev(
-    W: np.ndarray, segments, rows: np.ndarray, reach: np.ndarray, best: float, arg: int
+    G: np.ndarray, segments, rows: np.ndarray, reach: np.ndarray, best: float, arg: int
 ) -> tuple[float, int]:
     """(max, first argmax row) of the max-|eigenvalue| of M = G[S,S] - I
-    over the candidate rows `rows` of segments, gathered as runs
-    (`_row_runs`) from the windows W (`_gather`), starting from the best
+    over the candidate rows `rows` of segments, S being their columns
+    (`_row_columns`) as `_gather` takes them, starting from the best
     value so far, `best`, first attained at row `arg`: bit-identical to
     np.argmax over a full batched eigvalsh of those rows and row `arg`.
 
@@ -363,7 +334,6 @@ def _max_opdev(
     cannot. A bound can reach a value if the bound times 1 + _BOUND_MARGIN,
     plus its floor, is at least that value, whatever the rounding or
     underflow of either computation. Ties go to the lowest row."""
-    _, _, g = W.shape
     s = sum(starts.shape[1] * h for starts, h in segments)
     order = np.flatnonzero(reach >= best)
     order = order[np.argsort(-reach[order], kind="stable")]
@@ -371,15 +341,13 @@ def _max_opdev(
     # reach a value are a prefix, whose end one binary search finds
     rows, fall = rows[order], -reach[order]
     block = min(len(rows), max(1, _SCAN_BATCH_ELEMENTS // s**2))
-    flat = np.empty((block, s // g, g, s // g), np.intp)
-    M, MM = np.empty((2, block, s, s), W.dtype)
     lo, size, stop = 0, min(2, block), len(rows)
     while lo < stop:
         batch = rows[lo : min(lo + size, stop)]
         lo += len(batch)
         size = min(2 * size, block)
-        m = _gather(W, _row_runs(segments, batch, g), flat, M)
-        mm = MM[: len(m)]
+        m = _gather(G, _row_columns(segments, batch))
+        mm = np.empty_like(m)
         near = _eig_bound(m, out=mm) * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR >= best
         if not near.any():
             continue
@@ -403,11 +371,10 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     """(max, first argmax row) of the max-|eigenvalue| of G[S,S] - I over
     the rows of `segments`, pairs (starts, h) of (rows, count) arrays: S is
     the columns starts[i] + t, 0 <= t < h, of row i's segments, in the
-    order `_row_runs` gathers them from the windows W (`_windows`) of width
-    g, the gcd of all widths h, built once per call. A cell passes its blocks
-    (width b) and pseudo blocks (width l); one pair of width 1 holds column
-    indices, in any order and with repeats. A segment past G raises
-    IndexError; a row of no column deviates by 0.
+    order `_row_columns` lists them. A cell passes its blocks (width b)
+    and pseudo blocks (width l); one pair of width 1 holds column indices,
+    in any order and with repeats. A segment past G raises IndexError; a
+    row of no column deviates by 0.
 
     No row is gathered to be screened; off-diagonal blocks come from G, so
     repeated or overlapping segments are bounded too. `tables`, a
@@ -423,17 +390,15 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     the smaller of that reach and the reach of their split bound
     (`_split_bound`), and one descent (`_max_opdev`) scans every candidate
     that can still reach the best value, from the chunks' best row on."""
-    n, g = G.shape[0], math.gcd(*(h for _, h in segments))
+    n = G.shape[0]
     segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
     if not segments:
         return 0.0, 0
     if any(starts.min() < 0 or starts.max() + h > n for starts, h in segments):
         raise IndexError(f"column index out of range for {n} columns")
     widths = [h for starts, h in segments for _ in range(starts.shape[1])]
-    W = _windows(G, g)
-    diag, pair, two = (_PairTables(G) if tables is None else tables).read(widths, W)
+    diag, pair, two = (_PairTables(G) if tables is None else tables).read(widths)
     s = sum(widths)
-    one, flat = np.empty((1, s, s), W.dtype), np.empty((1, s // g, g, s // g), np.intp)
     chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
     best, arg, rows, reach = -math.inf, 0, [], []
     for lo in range(0, len(segments[0][0]), chunk):
@@ -442,7 +407,7 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
         _lower_reach(r, _pair_bound, part, (diag, pair))
         j = int(np.argmax(r))
         if r[j] > best:
-            dev = _deviations(_gather(W, _row_runs(segments, [lo + j], g), flat, one))[0]
+            dev = _deviations(_gather(G, _row_columns(segments, [lo + j])))[0]
             if dev > best:  # chunks ascend, so an equal value keeps the lower row
                 best, arg = dev, lo + j
             r[j] = -np.inf  # solved
@@ -454,7 +419,7 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     rows, reach = rows[keep], reach[keep]
     if two:
         _lower_reach(reach, _split_bound, segments, (diag, pair, two), rows)
-    return _max_opdev(W, segments, rows, reach, best, arg)
+    return _max_opdev(G, segments, rows, reach, best, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +457,12 @@ def pibric(
 ) -> RicEstimate:
     """Exact max of operator_norm_dev over every support with at most K true
     blocks and at most R pseudo blocks: the largest cell maximum of
-    `pibric_table`, after checking the total support count against `cap`.
-    On ties the argmax support is the first in (k, r) cell order and then
-    in enumeration order.
+    `pibric_table`, after checking the total support count against `cap`
+    (at least 1). On ties the argmax support is the first in (k, r) cell
+    order and then in enumeration order.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
@@ -753,7 +720,7 @@ def verify_lemmas(
     (cells over cell_cap), never silently passed. Per-support instantiations
     sample `support_samples` supports when a cell family is larger than
     that. A sampled support stays a row of its cell's arrays, and only the
-    sampled rows are expanded to columns (`_row_runs` at g = 1). The
+    sampled rows are expanded to columns (`_row_columns`). The
     sampled supports of one cell, or the subsets of one shape, are checked
     with one stacked product per chunk of _STACK_CHUNK, drawing from `rng`
     in the order of one check at a time.
@@ -783,7 +750,7 @@ def verify_lemmas(
         delta = d_A[order]
         pool = _table_cells(table_A, params, *order)
         for cell, rows in _sample_rows(pool, support_samples, rng):
-            cols = _row_runs(cell.segments, rows, 1)
+            cols = _row_columns(cell.segments, rows)
             X = _unit(_draws(rng, cols.shape + (draws_sandwich,), complex_case))
             norms2 = np.linalg.norm(_stacked(Phi, cols) @ X, axis=-2) ** 2
             fam.add(np.minimum(norms2 - (1.0 - delta), (1.0 + delta) - norms2))
@@ -839,7 +806,7 @@ def verify_lemmas(
     pending: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
     for cell, rows, delta in order_rows:
         starts = cell.blocks[rows][:, :, None]
-        cols = _row_runs(cell.segments, rows, 1)
+        cols = _row_columns(cell.segments, rows)
         # bit i of a column's mask is set when the column lies in block i,
         # so subset j of the doubling order covers the columns of mask & j
         inside = (cols[:, None] >= starts) & (cols[:, None] < starts + params.b)
@@ -887,7 +854,7 @@ def verify_lemmas(
         bound = math.sqrt(1.0 - d_B[(K7, 1)] ** 2)
         pool = _table_cells(table_B, fam_B, K7, 0)
         for cell, rows in _sample_rows(pool, support_samples, rng):
-            cols = _row_runs(cell.segments, rows, 1)
+            cols = _row_columns(cell.segments, rows)
             outside = np.ones((len(cols), Phi.n), dtype=bool)
             np.put_along_axis(outside, cols, False, axis=1)
             others = np.nonzero(outside)[1].reshape(len(cols), -1)

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     geometry(sp, with_n=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=1_000_000)
+    sp.add_argument("--cap", type=at_least_one, default=1_000_000)
     sp.set_defaults(func=_cmd_ric)
 
     sp = sub.add_parser("lemmas", help="brute-force lemma checks on a matrix")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_curve)
 
     sp = sub.add_parser("theorem-suite", help="certified-instance validation")
-    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--count", type=at_least_one, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=_cmd_theorem_suite)
 

@@ -384,8 +384,6 @@ class RegimeReport:
         return self.recovered == self.certified
 
     def render(self) -> str:
-        if not self.instances:
-            return "no instances\n"
         lines = [
             f"instances: {self.attempted}",
             f"certified: {self.certified}",
@@ -403,8 +401,10 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
 
     The signal is built to clear the magnitude condition with margin: the
     largest magnitude is 1 and the smallest is kept two percent above the
-    certificate threshold f_K(delta).
+    certificate threshold f_K(delta). A count below 1 raises ValueError.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     instances: list[RegimeInstance] = []
     for i in range(count):
         cfg = REGIME_CONFIGS[i % len(REGIME_CONFIGS)]

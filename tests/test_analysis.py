@@ -94,6 +94,12 @@ class TestPibric:
         with pytest.raises(EnumerationCapError):
             pibric(Phi, params, 4, 0, cap=100)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, cap):
+        params = PibsParams(n=12, b=1, p=1, l=0, Lsep=1, K=1, R=0)
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            pibric(identity_matrix(12), params, 1, 0, cap=cap)
+
     def test_cap_check_counts_every_cell_in_one_pass(self):
         # 65 cells, all read from one counting pass of the geometry
         params = PibsParams(n=1000, b=4, p=3, l=50, Lsep=100, K=12, R=4)
@@ -220,7 +226,7 @@ def _full_scan_max(G, idx, rows=4096):
 
 def _cell_columns(cell):
     """Every row's columns, ascending, as the scan gathers a cell's rows."""
-    return analysis._row_runs(cell.segments, slice(None), 1)
+    return analysis._row_columns(cell.segments, slice(None))
 
 
 def _kernel_case(kind, complex_entries, s, rows, seed):
@@ -368,7 +374,7 @@ class TestScanKernel:
         beaten = 0
         for seed in range(20):
             G, idx = _kernel_case("gaussian", False, 3, 200, seed)
-            diag, pair, _ = analysis._PairTables(G).read([1, 1, 1], analysis._windows(G, 1))
+            diag, pair, _ = analysis._PairTables(G).read([1, 1, 1])
             bound = analysis._pair_bound(list(idx.T), [1, 1, 1], diag, pair)
             got = analysis._batched_max_opdev(G, ((idx.astype(np.int32), 1),))
             assert got == _full_scan_max(G, idx)
@@ -377,21 +383,12 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_int32_and_intp_rows_gather_the_same(self, complex_entries):
-        # at g = 1 the rows are random columns, repeats included
-        for g in (1, 2, 3):
-            if g == 1:
-                G, runs = _kernel_case("gaussian", complex_entries, 4, 50, seed=3)
-                columns = runs
-            else:
-                G, runs, columns = _run_case("gaussian", complex_entries, g, 3, 50, False, seed=3)
-            w, s = runs.shape[1], columns.shape[1]
-            W = analysis._windows(G, g)
-            flat = np.empty((50, w, g, w), np.intp)
-            out = np.empty((50, s, s), G.dtype)
-            wide = analysis._gather(W, runs.astype(np.intp), flat, out).copy()
-            narrow = analysis._gather(W, runs.astype(np.int32), flat, out)
-            assert np.array_equal(wide, narrow)
-            assert np.array_equal(wide, G[columns[:, :, None], columns[:, None, :]] - np.eye(s))
+        # the rows are random columns, repeats included
+        G, columns = _kernel_case("gaussian", complex_entries, 4, 50, seed=3)
+        wide = analysis._gather(G, columns.astype(np.intp))
+        narrow = analysis._gather(G, columns.astype(np.int32))
+        assert np.array_equal(wide, narrow)
+        assert np.array_equal(wide, G[columns[:, :, None], columns[:, None, :]] - np.eye(4))
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "equal", "permuted", "tiny"])
@@ -402,9 +399,11 @@ class TestScanKernel:
             M[:, range(s), range(s)] -= 1.0
             ev = np.linalg.eigvalsh(M)
             devs = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
-            for squarings, floor in ((1, analysis._BOUND_FLOOR), (2, analysis._FINE_BOUND_FLOOR)):
-                reach = analysis._eig_bound(M, squarings) * (1.0 + analysis._BOUND_MARGIN) + floor
-                assert np.all(reach >= devs)
+            # the coarse bound, and the fine bound as the scan computes it
+            coarse = analysis._eig_bound(M) * (1.0 + analysis._BOUND_MARGIN)
+            fine = np.sqrt(analysis._eig_bound(M @ M)) * (1.0 + analysis._BOUND_MARGIN)
+            assert np.all(coarse + analysis._BOUND_FLOOR >= devs)
+            assert np.all(fine + analysis._FINE_BOUND_FLOOR >= devs)
 
     def test_out_of_range_column_raises(self):
         # the gather's flat take clips, so the range is checked first; a
@@ -469,7 +468,7 @@ def _assert_pair_bound_covers(G, segments, columns, strip_elements, block_elemen
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_TABLE_STRIP_ELEMENTS", strip_elements)
         mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
-        diag, pair, two = analysis._PairTables(G).read(widths, analysis._windows(G, 1))
+        diag, pair, two = analysis._PairTables(G).read(widths)
     assert bool(two) == (len(widths) == 3)
     starts = [part[:, j] for part, _ in segments for j in range(part.shape[1])]
     plain = analysis._pair_bound(starts, widths, diag, pair)
@@ -566,7 +565,7 @@ class TestPairBound:
         G = _gram(kind, complex_entries, n, np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
-            E = analysis._two_segment_table(analysis._windows(G, math.gcd(h, w)), h, w)
+            E = analysis._two_segment_table(G, h, w)
         a, c = np.divmod(np.arange(E.size), E.shape[1])
         disjoint = (c >= a + h) | (a >= c + w)
         assert np.all(np.isinf(E.ravel()[~disjoint]))
@@ -575,6 +574,24 @@ class TestPairBound:
         )
         assert np.all(E.ravel()[disjoint] >= _deviations_of(G, columns))
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("h", [1, 2, 4, 10])
+    def test_diag_table_matches_each_block_solved_alone(self, h, complex_entries, monkeypatch):
+        # strips of 4 starts leave a partial last strip of the 31 - h starts;
+        # eigvalsh solves each matrix of a stack on its own, so D is the
+        # per-block deviation bit for bit
+        n = 30
+        G = _gram("gaussian", complex_entries, n, np.random.default_rng(h))
+        assert (n - h + 1) % 4
+        monkeypatch.setattr(analysis, "_TABLE_STRIP_ELEMENTS", 4 * h * h)
+        D = analysis._diag_table(G, h)
+        expected = []
+        for a in range(n - h + 1):
+            block = np.arange(a, a + h)
+            ev = np.linalg.eigvalsh(G[block[:, None], block] - np.eye(h))
+            expected.append(max(abs(ev[0]), abs(ev[-1])))
+        assert D.tobytes() == np.array(expected).tobytes()
+
     def test_two_groups_need_the_stacked_block_norm(self):
         # every column the same unit vector: a row of 3 single columns has
         # M = J - I, of norm 2, each pair block norm 1 and each column
@@ -582,7 +599,7 @@ class TestPairBound:
         # c = max(1, 1) it would read about 1.68
         G = np.ones((6, 6))
         idx = np.array([[0, 2, 4], [1, 3, 5]])
-        tables = analysis._PairTables(G).read([1, 1, 1], analysis._windows(G, 1))
+        tables = analysis._PairTables(G).read([1, 1, 1])
         assert np.all(analysis._split_bound(list(idx.T), [1, 1, 1], *tables) >= 2.0)
 
 
@@ -628,14 +645,14 @@ class TestGatherCount:
         gathered = []
         gather = analysis._gather
 
-        def counting(W, runs, flat, out):
-            gathered[-1] += len(runs)
-            return gather(W, runs, flat, out)
+        def counting(G, cols):
+            gathered[-1] += len(cols)
+            return gather(G, cols)
 
         for i in range(10):
             Phi = gaussian_matrix(40, 60, "unit", True, np.random.default_rng(1000 + i))
             tables = analysis._PairTables(Phi.gram)
-            tables.read([2, 10, 10], analysis._windows(Phi.gram, 2))
+            tables.read([2, 10, 10])
             gathered.append(0)
             with monkeypatch.context() as mp:
                 mp.setattr(analysis, "_gather", counting)

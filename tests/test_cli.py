@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tsgbomp
-from tsgbomp.cli import main
+from tsgbomp.cli import at_least_one, main
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
 from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
 
@@ -507,17 +507,37 @@ class TestUsageErrors:
 FUZZ_VALUES = ["-3", "0", "nan", "inf", "-inf"]
 
 # Every fuzzed option with the values of FUZZ_VALUES inside its domain and
-# whether it is an integer option; the legitimate zeros are named here.
+# the type its parser reads it with: float, int, or at_least_one, which
+# refuses every value of FUZZ_VALUES. The legitimate zeros are named here.
 DOMAINS = {
-    ("recover", "--eps"): ({"0"}, False),  # a zero threshold: stop at the floor
-    ("gen-signal", "--amplitude"): (set(), False),
-    ("thm2", "--n"): (set(), True),
-    ("thm2", "--R"): ({"0"}, True),  # no pseudo blocks
-    ("thm2", "--eps0"): ({"-3", "0"}, False),  # any finite value; the range is a flag
-    ("thm2", "--eps"): ({"0"}, False),  # -3 takes nu + eps below 0, outside f_K
-    ("thm1", "--xmin"): (set(), False),  # finite, 0 < x_min <= x_max
-    ("thm1", "--xmax"): (set(), False),
-    ("curve", "epsilon"): ({"0"}, False),  # the config key
+    ("recover", "--eps"): ({"0"}, float),  # a zero threshold: stop at the floor
+    ("gen-signal", "--amplitude"): (set(), float),
+    ("thm2", "--n"): (set(), int),
+    ("thm2", "--R"): ({"0"}, int),  # no pseudo blocks
+    ("thm2", "--eps0"): ({"-3", "0"}, float),  # any finite value; the range is a flag
+    ("thm2", "--eps"): ({"0"}, float),  # -3 takes nu + eps below 0, outside f_K
+    ("thm1", "--xmin"): (set(), float),  # finite, 0 < x_min <= x_max
+    ("thm1", "--xmax"): (set(), float),
+    ("thm1", "--delta"): ({"0"}, float),  # in [0, 1)
+    ("thm1", "--K"): (set(), int),
+    ("curve", "epsilon"): ({"0"}, float),  # the config key
+    ("ric", "--cap"): (set(), at_least_one),
+    ("ric", "--K"): ({"0"}, int),  # pseudo blocks only
+    ("ric", "--R"): ({"0"}, int),  # blocks only
+    ("ric", "--lsep"): (set(), int),
+    ("ric", "--l"): ({"0"}, int),  # pseudo blocks of no column
+    ("count", "--n"): (set(), int),
+    ("count", "--K"): ({"0"}, int),
+    ("count", "--R"): ({"0"}, int),
+    ("count", "--l"): ({"0"}, int),
+    ("lemmas", "--K"): ({"0"}, int),
+    ("lemmas", "--R"): ({"0"}, int),
+    ("lemmas", "--lsep"): (set(), int),
+    ("gbounds", "--a"): ({"0"}, float),  # a ratio in [0, 1]
+    ("gbounds", "--K"): (set(), int),
+    ("gbounds", "--b"): (set(), int),
+    ("gbounds", "--trials"): ({"0"}, int),  # no Monte Carlo estimate
+    ("theorem-suite", "--count"): (set(), at_least_one),
 }
 
 # The message of each refusal pinned so far, by (command, option, value).
@@ -531,18 +551,31 @@ MESSAGES = {
 class TestNumericDomains:
     """Each option above, set to each value of FUZZ_VALUES in an otherwise
     valid command line: exit 0 inside its domain, 2 for a value its type
-    does not parse, and 1 for any other value, never with a traceback and
-    with the message MESSAGES pins. The value is passed as --option=value,
-    since argparse reads a lone -inf as an option."""
+    does not parse or refuses, and 1 for any other value, never with a
+    traceback and with the message MESSAGES pins. The value is passed as
+    --option=value, since argparse reads a lone -inf as an option."""
 
     # passes both conditions: at delta = 0 the threshold is 0
     THM1 = ["thm1", "--delta", "0", "--K", "2", "--b", "2", "--p", "2", "--xmin", "1", "--xmax", "2"]
+    # valid command lines whose options are replaced one at a time; a
+    # --lsep setting replaces --L, its alternative
+    GEOMETRY = ["--b", "2", "--p", "2", "--L", "4", "--l", "2", "--K", "1", "--R", "1"]
+    BASE = {
+        "thm1": THM1,
+        "thm2": TestThm2.README,
+        "ric": ["ric", "--matrix", "phi.bin", *GEOMETRY],
+        "count": ["count", "--n", "24", *GEOMETRY],
+        "lemmas": ["lemmas", "--matrix", "phi.bin", "--b", "2", "--p", "2", "--lsep", "4",
+                   "--K", "1", "--R", "1", "--seed", "1"],
+        "gbounds": ["gbounds", "--a", "0.5", "--K", "2", "--b", "2", "--seed", "1"],
+        "theorem-suite": ["theorem-suite", "--seed", "1"],
+    }
 
     def command(self, name, option, value, tmp_path):
         setting = f"{option}={value}"
+        mat = gaussian_matrix(24, 32, "unit", True, np.random.default_rng(0))
+        (tmp_path / "phi.bin").write_bytes(matrix_to_binary(mat))
         if name == "recover":
-            mat = gaussian_matrix(24, 32, "unit", True, np.random.default_rng(0))
-            (tmp_path / "phi.bin").write_bytes(matrix_to_binary(mat))
             x = np.zeros(32)
             x[8:12] = 5.0
             (tmp_path / "y.csv").write_text(signal_to_csv(mat.entries @ x))
@@ -552,10 +585,11 @@ class TestNumericDomains:
         if name == "gen-signal":
             return ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
                     "--seed", "1", "--out", str(tmp_path / "out.csv"), setting]
-        if name in ("thm1", "thm2"):
-            argv = list(TestThm2.README if name == "thm2" else self.THM1)
-            if option in argv:
-                del argv[argv.index(option) : argv.index(option) + 2]
+        if name in self.BASE:
+            argv = [str(tmp_path / arg) if arg == "phi.bin" else arg for arg in self.BASE[name]]
+            for replaced in (option, "--L" if option == "--lsep" else None):
+                if replaced in argv:
+                    del argv[argv.index(replaced) : argv.index(replaced) + 2]
             return argv + [setting]
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
@@ -565,8 +599,13 @@ class TestNumericDomains:
     @pytest.mark.parametrize("value", FUZZ_VALUES)
     @pytest.mark.parametrize("name, option", list(DOMAINS), ids=[" ".join(k) for k in DOMAINS])
     def test_exit_code_follows_the_domain(self, name, option, value, tmp_path, capsys):
-        inside, integer = DOMAINS[name, option]
-        expected = 0 if value in inside else 2 if integer and value in ("nan", "inf", "-inf") else 1
+        inside, kind = DOMAINS[name, option]
+        if value in inside:
+            expected = 0
+        elif kind is at_least_one or kind is int and value in ("nan", "inf", "-inf"):
+            expected = 2
+        else:
+            expected = 1
         try:
             code = main(self.command(name, option, value, tmp_path))
         except SystemExit as exc:

@@ -262,10 +262,10 @@ class TestLemmaAudit:
 
 
 class TestTheoremRegime:
-    def test_empty_report(self):
-        rep = theorem_regime_suite(0, np.random.default_rng(0))
-        assert rep.attempted == 0
-        assert rep.render() == "no instances\n"
+    def test_count_below_one_raises(self):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+                theorem_regime_suite(count, np.random.default_rng(0))
 
     def test_small_run_all_recovered(self):
         rep = theorem_regime_suite(6, np.random.default_rng(3))

@@ -42,6 +42,15 @@ class TestRunLemmaAudit:
         assert "--matrices: must be an integer of at least 1, got '-5'" in proc.stderr
 
 
+class TestScanFingerprint:
+    def test_quick_set_gives_the_documented_hash(self):
+        # every cell's constant to the last bit, argmax, count and skip flag
+        # on the first matrix of each group, criterion 5's (2, 2) cell included
+        proc = run_script("scan_fingerprint.py", "--quick")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "scan sha256 3392deeec118f472\n"
+
+
 class TestRunPhaseTransition:
     def test_writes_every_config_curve(self, tmp_path):
         proc = run_script(

@@ -158,9 +158,9 @@ def assert_combinations_match_itertools(m, k):
 
 def assert_rows_match_iter_cell(params, k, r):
     """`cell_rows` holds iter_cell's supports in iter_cell's order: the
-    block starts and pseudo starts of each row, the columns the scan's
-    width-1 runs expand them to, and the Support it rebuilds. Returns the
-    cell's size."""
+    block starts and pseudo starts of each row, the columns the scan
+    expands them to, and the Support it rebuilds. Returns the cell's
+    size."""
     cell = cell_rows(params, k, r)
     sups = list(iter_cell(params, k, r))
     assert len(cell) == len(sups) == signal_model.cell_count(params, k, r)
@@ -168,7 +168,7 @@ def assert_rows_match_iter_cell(params, k, r):
     width = k * params.b + r * params.l
     columns = np.empty((len(sups), width), np.int32)
     if len(sups) and width:
-        columns = analysis._row_runs(cell.segments, np.arange(len(sups)), 1)
+        columns = analysis._row_columns(cell.segments, np.arange(len(sups)))
     assert columns.dtype == np.int32 and columns.shape == (len(sups), width)
     assert cell.blocks.shape == (len(sups), k) and cell.pseudo.shape == (len(sups), r)
     for i, sup in enumerate(sups):
@@ -251,20 +251,20 @@ class TestEnumeration:
     @pytest.mark.parametrize("b,l", [(2, 10), (2, 3), (3, 6), (4, 2)])
     def test_cells_hold_runs_not_columns(self, b, l):
         # a cell stores only its block and pseudo starts, the starts of runs
-        # of b and l columns; the scan merges them into ascending runs of
-        # gcd(b, l) columns for the rows it gathers
+        # of b and l columns; the scan expands them into ascending columns
+        # for the rows it gathers
         params = PibsParams(n=40, b=b, p=2, l=l, Lsep=l, K=2, R=2)
-        g = math.gcd(b, l)
         for r in (0, 1, 2):
             cell = cell_rows(params, 2, r)
             assert len(cell) > 0 and cell.segments == ((cell.blocks, b), (cell.pseudo, l))
             assert not hasattr(cell, "runs") and not hasattr(cell, "columns")
             rows = np.arange(0, len(cell), 7)
-            runs = analysis._row_runs(cell.segments, rows, g if r else b)
-            assert runs.shape == (len(rows), (2 * b + r * l) // (g if r else b))
-            assert np.all(np.diff(runs, axis=1) > 0)
+            columns = analysis._row_columns(cell.segments, rows)
+            assert columns.shape == (len(rows), 2 * b + r * l)
+            assert np.all(np.diff(columns, axis=1) > 0)
             if not r:
-                assert np.array_equal(runs, cell.blocks[rows])
+                blocks = cell.blocks[rows][:, :, None] + np.arange(b)
+                assert np.array_equal(columns, blocks.reshape(len(rows), 2 * b))
 
     @pytest.mark.parametrize("m", range(13))
     def test_combinations_match_itertools(self, m):
