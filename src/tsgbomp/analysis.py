@@ -25,6 +25,7 @@ from .signal_model import (
     Support,
     cell_count,
     cell_rows,
+    check_at_least,
     count_bound_exponent,
     iter_cell,
     min_separation,
@@ -461,8 +462,7 @@ def pibric(
     (at least 1). On ties the argmax support is the first in (k, r) cell
     order and then in enumeration order.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    check_at_least(1, cap=cap)
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
     if total > cap:
         raise EnumerationCapError(total, cap)
@@ -727,8 +727,7 @@ def verify_lemmas(
     """
     if params.l != params.Lsep:
         raise ValueError("verify_lemmas expects params.l == params.Lsep for the main family")
-    if cell_cap < 1:
-        raise ValueError(f"cell_cap must be >= 1, got {cell_cap}")
+    check_at_least(1, cell_cap=cell_cap)
     families: list[_Tally] = []
 
     def family(name: str, skip: str = "") -> _Tally:
@@ -896,8 +895,7 @@ def f_K(u: float, K: int, b: int, p: int) -> float:
     Defined for b, p >= 1 only."""
     if u < 0:
         raise ValueError("u must be nonnegative")
-    if b < 1 or p < 1:
-        raise ValueError(f"b and p must be >= 1, got b={b}, p={p}")
+    check_at_least(1, b=b, p=p)
     Bp = p * b - b + 1
     return (u * math.sqrt(Bp * b) / (1.0 + u)) * (
         K * (1.0 + u) / (4.0 * Bp) + math.sqrt(K + 1.0) + 1.0
@@ -927,15 +925,6 @@ class RecoveryCertificate:
     """Evaluation of the two exact-recovery conditions at a known isometry
     constant. `passed` requires both."""
 
-    delta_used: float
-    K: int
-    b: int
-    p: int
-    Bprime: int
-    epsilon: float
-    x_min: float
-    x_max: float
-    field: str
     condition_17_ok: bool
     condition_18_ok: bool
     margin_17: float
@@ -963,12 +952,10 @@ def thm1_certificate(
     0 < x_min <= x_max."""
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
-    if not (0.0 <= epsilon < math.inf):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    check_at_least(0, epsilon=epsilon)
     if not (0.0 < x_min <= x_max < math.inf):
         raise ValueError(f"need finite 0 < x_min <= x_max, got x_min={x_min!r}, x_max={x_max!r}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_at_least(1, K=K)
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     f = f_K(delta, K, b, p)
@@ -998,8 +985,6 @@ def thm1_certificate(
     cond_18 = x_min > rhs
 
     return RecoveryCertificate(
-        delta_used=delta, K=K, b=b, p=p, Bprime=Bp, epsilon=epsilon,
-        x_min=x_min, x_max=x_max, field=field,
         condition_17_ok=cond_17, condition_18_ok=cond_18,
         margin_17=margin_17, margin_18=margin_18,
     )
@@ -1091,8 +1076,8 @@ def thm2_bound(
     Unless `g_value` is supplied, the magnitude-ratio tail g is replaced by
     its conservative closed-form lower bound Kb*w(a)^(Kb-1).
     """
-    if min(n, m, K) < 1 or R < 0:
-        raise ValueError(f"n, m and K must be >= 1 and R >= 0, got n={n}, m={m}, K={K}, R={R}")
+    check_at_least(1, n=n, m=m, K=K)
+    check_at_least(0, R=R)
     if not (math.isfinite(eps0) and math.isfinite(eps)):
         raise ValueError(f"eps0 and eps must be finite, got eps0={eps0!r}, eps={eps!r}")
     Lp = min_separation(b, p, L)
@@ -1159,9 +1144,8 @@ def g_bounds(a: float, K: int, b: int) -> tuple[float, float]:
     The length-1 case is deterministic: the ratio is identically 1."""
     if not (0.0 <= a <= 1.0):
         raise ValueError("a must lie in [0, 1]")
+    check_at_least(1, K=K, b=b)
     Kb = K * b
-    if Kb < 1:
-        raise ValueError("K*b must be >= 1")
     if Kb == 1:
         return (1.0, 1.0) if a < 1.0 else (0.0, 0.0)
     w = max(_w(a), 0.0)
@@ -1170,8 +1154,7 @@ def g_bounds(a: float, K: int, b: int) -> tuple[float, float]:
 
 def g_empirical(a: float, K: int, b: int, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the min/max magnitude ratio tail."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_at_least(1, trials=trials)
     Kb = K * b
     X = np.abs(rng.standard_normal((trials, Kb)))
     ratio = X.min(axis=1) / X.max(axis=1)

@@ -187,17 +187,26 @@ def _cmd_theorem_suite(args) -> int:
     return 0 if report.all_recovered else 1
 
 
-def at_least_one(text: str) -> int:
-    """Argparse type of every count option (a worker count, a number of
-    matrices or trials, a cell cap): an integer of at least 1, anything
-    else being a usage error."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return count
+def _integer_at_least(low: int):
+    """Argparse type of an integer option bounded below by `low`: text that
+    is not an integer, or one that `signal_model.check_at_least` refuses, is
+    a usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        try:
+            signal_model.check_at_least(low, value=value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return integer
+
+
+# counts of workers, matrices, trials or instances, and caps
+at_least_one = _integer_at_least(1)
+# seeds, and gbounds --trials, where 0 asks for no estimate
+at_least_zero = _integer_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=["const", "gaussian"], default="const")
     sp.add_argument("--amplitude", type=float, default=None,
                     help="value magnitude of the const scheme (default 10)")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--support-out", default=None)
     sp.set_defaults(func=_cmd_gen_signal)
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variance", choices=["unit", "one_over_m"], default="unit")
     sp.add_argument("--no-normalize", action="store_true")
     sp.add_argument("--complex", action="store_true")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_gen_matrix)
 
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cell-cap", type=at_least_one, default=150_000)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.add_argument("--margins-csv", default=None)
     sp.set_defaults(func=_cmd_lemmas)
 
@@ -310,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--trials", type=at_least_zero, default=0)
+    sp.add_argument("--seed", type=at_least_zero, default=None)
     sp.set_defaults(func=_cmd_gbounds)
 
     sp = sub.add_parser("curve", help="Monte Carlo phase-transition curve")
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("theorem-suite", help="certified-instance validation")
     sp.add_argument("--count", type=at_least_one, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.set_defaults(func=_cmd_theorem_suite)
 
     return parser

@@ -22,11 +22,12 @@ from .signal_model import (
     PibsParams,
     SignalInstance,
     Support,
+    check_at_least,
     fill_values,
     min_separation,
     sample_support,
 )
-from .workers import check_jobs, worker_map
+from .workers import worker_map
 
 __all__ = [
     "ALGORITHMS",
@@ -79,10 +80,8 @@ class ExperimentConfig:
     matrix_kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        check_at_least(1, trials=self.trials)
+        check_at_least(0, epsilon=self.epsilon)
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -217,8 +216,7 @@ def solve(
     OMP baseline partitions into blocks of the cluster capacity p*b and
     never reads the window length L. A b or p below 1 raises ValueError,
     even where their product is a valid block length."""
-    if b < 1 or p < 1:
-        raise ValueError(f"b and p must be >= 1, got b={b}, p={p}")
+    check_at_least(1, b=b, p=p)
     if algorithm == "tsgbomp":
         return tsgbomp(Phi, measurement, K=K, L=L, b=b, p=p, epsilon=epsilon)
     if algorithm == "bomp":
@@ -403,8 +401,7 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
     largest magnitude is 1 and the smallest is kept two percent above the
     certificate threshold f_K(delta). A count below 1 raises ValueError.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_at_least(1, count=count)
     instances: list[RegimeInstance] = []
     for i in range(count):
         cfg = REGIME_CONFIGS[i % len(REGIME_CONFIGS)]
@@ -486,7 +483,7 @@ def lemma_audit(matrices: int, jobs: int = 1) -> Iterator[LemmaReport]:
     jobs. Matrix 0 runs in this process and fills the cell cache, which the
     workers that map the other matrices inherit. A jobs below 1 raises
     ValueError before any matrix is audited."""
-    check_jobs(jobs)
+    check_at_least(1, jobs=jobs)
     if matrices < 1:
         return
     yield _audit_matrix(0)

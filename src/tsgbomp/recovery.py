@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .sensing import Measurement, SensingMatrix
-from .signal_model import SignalInstance
+from .signal_model import SignalInstance, check_at_least
 
 __all__ = [
     "IterationRecord",
@@ -122,10 +122,7 @@ def _greedy(
     m, n = Phi.m, Phi.n
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match m={m}")
-    if K < 0:
-        raise ValueError("block budget K must be >= 0")
-    if not 0.0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    check_at_least(0, K=K, epsilon=epsilon)
 
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
@@ -200,8 +197,7 @@ def tsgbomp(
     norm. The p block starts {i, i+b, ..., i+(p-1)b} are the iteration's
     pick for the shared loop.
     """
-    if L < 1 or b < 1 or p < 1:
-        raise ValueError(f"L, b and p must all be >= 1, got L={L}, b={b}, p={p}")
+    check_at_least(1, L=L, b=b, p=p)
     n = Phi.n
     if n % L != 0:
         raise ValueError(f"n={n} must be divisible by the window length L={L}")
@@ -235,8 +231,7 @@ def bomp(
 ) -> RecoveryResult:
     """Block OMP over the fixed partition into n/block consecutive blocks:
     each iteration picks the block with the largest correlation norm."""
-    if block < 1:
-        raise ValueError(f"block length must be >= 1, got {block}")
+    check_at_least(1, block=block)
     n = Phi.n
     if n % block != 0:
         raise ValueError(f"n={n} must be divisible by the block length {block}")

@@ -8,6 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .signal_model import check_at_least
+
 __all__ = [
     "SensingMatrix",
     "Measurement",
@@ -82,8 +84,7 @@ def gaussian_matrix(
     Complex matrices draw independent real and imaginary parts with half the
     variance each, so columns keep the same expected norm.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    check_at_least(1, m=m, n=n)
     if rng is None:
         raise ValueError("gaussian_matrix needs an explicit rng")
     if variance_mode == "unit":

@@ -13,6 +13,7 @@ sampled and filled signals are pseudo-free. All user-facing indices are
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,6 +31,7 @@ __all__ = [
     "CellRows",
     "SignalInstance",
     "CountComparison",
+    "check_at_least",
     "min_separation",
     "validate_support",
     "sample_support",
@@ -62,10 +64,19 @@ class EnumerationCapError(RuntimeError):
         super().__init__(f"enumeration size {count} exceeds cap {cap}")
 
 
+def check_at_least(low, **values) -> None:
+    """Raise ValueError naming the first of `values` outside low <= value <
+    inf: below `low`, or, for a value that is not an integer, nan or
+    infinite. Every lower bound on an input of the package is this rule."""
+    for name, value in values.items():
+        if not low <= value < math.inf:
+            finite = "" if isinstance(value, numbers.Integral) else "finite and "
+            raise ValueError(f"{name} must be {finite}>= {low}, got {value!r}")
+
+
 def min_separation(b: int, p: int, L: int) -> int:
     """Minimum cluster separation induced by a window of length L: L + 2pb - b."""
-    if b < 1 or p < 1 or L < 1:
-        raise ValueError("b, p, L must all be >= 1")
+    check_at_least(1, b=b, p=p, L=L)
     return L + 2 * p * b - b
 
 
@@ -89,14 +100,8 @@ class PibsParams:
     L: int | None = None
 
     def __post_init__(self):
-        if self.b < 1 or self.p < 1:
-            raise ValueError("b and p must be >= 1")
-        if self.K < 0 or self.R < 0:
-            raise ValueError("K and R must be >= 0")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.Lsep < 1:
-            raise ValueError("Lsep must be >= 1")
+        check_at_least(1, b=self.b, p=self.p, n=self.n, Lsep=self.Lsep)
+        check_at_least(0, K=self.K, R=self.R)
         if not (0 <= self.l <= self.Lsep):
             raise ValueError("pseudo length l must satisfy 0 <= l <= Lsep")
         if self.L is not None and min_separation(self.b, self.p, self.L) != self.Lsep:
@@ -602,8 +607,7 @@ def count_supports_formula(params: PibsParams, K: int, R: int) -> int:
     individual placements, so it can disagree with `cell_count`;
     compare_counts() reports such gaps instead of papering over them.
     """
-    if K < 0 or R < 0:
-        raise ValueError("K and R must be nonnegative")
+    check_at_least(0, K=K, R=R)
     if R == 0:
         return sum(count for _, count, _ in _layout_table(params, K))
     if K == 0:

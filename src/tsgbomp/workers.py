@@ -3,11 +3,7 @@
 from contextlib import contextmanager
 from functools import partial
 
-
-def check_jobs(jobs: int) -> None:
-    """Raise ValueError unless jobs, a worker count, is at least 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+from .signal_model import check_at_least
 
 
 @contextmanager
@@ -15,8 +11,8 @@ def worker_map(jobs: int, chunksize: int = 1):
     """Yield an ordered `map(fn, items)`: the builtin one when jobs is 1,
     else that of `jobs` forked workers, which inherit this process's caches
     (the cell cache among them) instead of rebuilding them. A jobs below 1
-    raises ValueError (`check_jobs`)."""
-    check_jobs(jobs)
+    raises ValueError."""
+    check_at_least(1, jobs=jobs)
     if jobs == 1:
         yield map
         return

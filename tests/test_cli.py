@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tsgbomp
-from tsgbomp.cli import at_least_one, main
+from tsgbomp.cli import at_least_one, at_least_zero, main
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
 from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
 
@@ -132,7 +132,7 @@ class TestThm2:
         code = main(["thm2", "--b", "1", "--p", "1", "--L", "0", "--K", "4",
                      "--m", "40", "--n", "100", "--eps0", "0.1", "--eps", "0.1"])
         assert code == 1
-        assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
+        assert capsys.readouterr().err == "error: L must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("option", ["--m", "--K"])
     def test_measurements_or_budget_zero_exits_one(self, option, capsys):
@@ -161,6 +161,29 @@ class TestGbounds:
             main([*self.ARGS, "--trials", "1000"])
         assert err.value.code == 2
         assert "--seed is required when --trials is set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["-3", "-1"])
+    def test_negative_block_count_and_size_exit_one(self, size, capsys):
+        # their product 9 or 1 is a valid length, and these printed an
+        # upper bound of 1.84 and of 1.0
+        code = main(["gbounds", "--a", "0.5", f"--K={size}", f"--b={size}"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: K must be >= 1, got {size}\n"
+
+    @pytest.mark.parametrize(
+        "setting, option",
+        [(["--trials=-5"], "--trials"), (["--seed=-3", "--trials", "10"], "--seed")],
+        ids=["trials", "seed"],
+    )
+    def test_negative_trials_or_seed_exits_two(self, setting, option, capsys):
+        # the seed used to reach numpy after both bounds were printed, and
+        # trials without a seed to ask for a seed
+        with pytest.raises(SystemExit) as err:
+            main([*self.ARGS, *setting])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and f"argument {option}: value must be >= 0, got -" in err_text
 
 
 class TestGenerators:
@@ -272,7 +295,7 @@ class TestRecover:
                      "--K", "1", "--b", "-2", "--p", "-1", "--eps", "1e-8"])
         assert code == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: b and p must be >= 1, got b=-2, p=-1")
+        assert out == "" and err.startswith("error: b must be >= 1, got -2")
 
 
 class TestRic:
@@ -344,7 +367,7 @@ class TestLemmasCommand:
             main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1", "--lsep", "3",
                   "--K", "1", "--R", "1", "--seed", "0", "--cell-cap", cap])
         assert err.value.code == 2
-        message = f"--cell-cap: must be an integer of at least 1, got '{cap}'"
+        message = f"--cell-cap: value must be >= 1, got {cap}"
         assert message in capsys.readouterr().err
 
     def test_families_over_the_cap_print_skipped(self, tmp_path, capsys):
@@ -387,7 +410,7 @@ class TestCurveCommand:
         cfg.write_text("n=48\nm=48\nb=2\np=2\nL=0\nK_grid=1\nmaster_seed=5\n")
         code = main(["curve", "--config", str(cfg)])
         assert code == 1
-        assert capsys.readouterr().err == "error: b, p, L must all be >= 1\n"
+        assert capsys.readouterr().err == "error: L must be >= 1, got 0\n"
 
 
 class TestTheoremSuiteCommand:
@@ -434,7 +457,7 @@ class TestUsageErrors:
             (["ric", "--matrix", "phi.bin", "--b", "1", "--p", "1", "--lsep", "2",
               "--K", "1", "--R", "0"], "unrecognized arguments: --jobs {jobs}"),
             (["curve", "--config", "exp.cfg"],
-             "--jobs: must be an integer of at least 1, got '{jobs}'"),
+             "--jobs: value must be >= 1, got {jobs}"),
         ],
         ids=["ric", "curve"],
     )
@@ -506,38 +529,76 @@ class TestUsageErrors:
 
 FUZZ_VALUES = ["-3", "0", "nan", "inf", "-inf"]
 
-# Every fuzzed option with the values of FUZZ_VALUES inside its domain and
-# the type its parser reads it with: float, int, or at_least_one, which
-# refuses every value of FUZZ_VALUES. The legitimate zeros are named here.
+# Every numeric option of the parser, and the one numeric key of a curve
+# config, with the values of FUZZ_VALUES inside its domain and the type its
+# parser reads it with: float, int, or at_least_one or at_least_zero, which
+# refuse every value of FUZZ_VALUES outside the domain. The legitimate
+# zeros are named here.
 DOMAINS = {
-    ("recover", "--eps"): ({"0"}, float),  # a zero threshold: stop at the floor
+    ("gen-signal", "--n"): (set(), int),
+    ("gen-signal", "--b"): (set(), int),
+    ("gen-signal", "--p"): (set(), int),
+    ("gen-signal", "--L"): (set(), int),
+    ("gen-signal", "--lsep"): (set(), int),
+    ("gen-signal", "--K"): ({"0"}, int),  # the zero signal
     ("gen-signal", "--amplitude"): (set(), float),
-    ("thm2", "--n"): (set(), int),
-    ("thm2", "--R"): ({"0"}, int),  # no pseudo blocks
-    ("thm2", "--eps0"): ({"-3", "0"}, float),  # any finite value; the range is a flag
-    ("thm2", "--eps"): ({"0"}, float),  # -3 takes nu + eps below 0, outside f_K
-    ("thm1", "--xmin"): (set(), float),  # finite, 0 < x_min <= x_max
-    ("thm1", "--xmax"): (set(), float),
-    ("thm1", "--delta"): ({"0"}, float),  # in [0, 1)
-    ("thm1", "--K"): (set(), int),
-    ("curve", "epsilon"): ({"0"}, float),  # the config key
-    ("ric", "--cap"): (set(), at_least_one),
-    ("ric", "--K"): ({"0"}, int),  # pseudo blocks only
-    ("ric", "--R"): ({"0"}, int),  # blocks only
+    ("gen-signal", "--seed"): ({"0"}, at_least_zero),
+    ("gen-matrix", "--m"): (set(), int),
+    ("gen-matrix", "--n"): (set(), int),
+    ("gen-matrix", "--seed"): ({"0"}, at_least_zero),
+    ("recover", "--K"): ({"0"}, int),  # no iteration: the zero estimate
+    ("recover", "--L"): (set(), int),
+    ("recover", "--b"): (set(), int),
+    ("recover", "--p"): (set(), int),
+    ("recover", "--eps"): ({"0"}, float),  # a zero threshold: stop at the floor
+    ("ric", "--b"): (set(), int),
+    ("ric", "--p"): (set(), int),
+    ("ric", "--L"): (set(), int),
     ("ric", "--lsep"): (set(), int),
     ("ric", "--l"): ({"0"}, int),  # pseudo blocks of no column
-    ("count", "--n"): (set(), int),
-    ("count", "--K"): ({"0"}, int),
-    ("count", "--R"): ({"0"}, int),
-    ("count", "--l"): ({"0"}, int),
+    ("ric", "--K"): ({"0"}, int),  # pseudo blocks only
+    ("ric", "--R"): ({"0"}, int),  # blocks only
+    ("ric", "--cap"): (set(), at_least_one),
+    ("lemmas", "--b"): (set(), int),
+    ("lemmas", "--p"): (set(), int),
+    ("lemmas", "--lsep"): (set(), int),
     ("lemmas", "--K"): ({"0"}, int),
     ("lemmas", "--R"): ({"0"}, int),
-    ("lemmas", "--lsep"): (set(), int),
+    ("lemmas", "--cell-cap"): (set(), at_least_one),
+    ("lemmas", "--seed"): ({"0"}, at_least_zero),
+    ("count", "--n"): (set(), int),
+    ("count", "--b"): (set(), int),
+    ("count", "--p"): (set(), int),
+    ("count", "--L"): (set(), int),
+    ("count", "--lsep"): (set(), int),
+    ("count", "--l"): ({"0"}, int),
+    ("count", "--K"): ({"0"}, int),
+    ("count", "--R"): ({"0"}, int),
+    ("thm1", "--delta"): ({"0"}, float),  # in [0, 1)
+    ("thm1", "--K"): (set(), int),
+    ("thm1", "--b"): (set(), int),
+    ("thm1", "--p"): (set(), int),
+    ("thm1", "--eps"): ({"0"}, float),  # noiseless
+    ("thm1", "--xmin"): (set(), float),  # finite, 0 < x_min <= x_max
+    ("thm1", "--xmax"): (set(), float),
+    ("thm2", "--b"): (set(), int),
+    ("thm2", "--p"): (set(), int),
+    ("thm2", "--L"): (set(), int),
+    ("thm2", "--K"): (set(), int),
+    ("thm2", "--R"): ({"0"}, int),  # no pseudo blocks
+    ("thm2", "--m"): (set(), int),
+    ("thm2", "--n"): (set(), int),
+    ("thm2", "--eps0"): ({"-3", "0"}, float),  # any finite value; the range is a flag
+    ("thm2", "--eps"): ({"0"}, float),  # -3 takes nu + eps below 0, outside f_K
     ("gbounds", "--a"): ({"0"}, float),  # a ratio in [0, 1]
     ("gbounds", "--K"): (set(), int),
     ("gbounds", "--b"): (set(), int),
-    ("gbounds", "--trials"): ({"0"}, int),  # no Monte Carlo estimate
+    ("gbounds", "--trials"): ({"0"}, at_least_zero),  # no Monte Carlo estimate
+    ("gbounds", "--seed"): ({"0"}, at_least_zero),
+    ("curve", "--jobs"): (set(), at_least_one),
+    ("curve", "epsilon"): ({"0"}, float),  # the config key
     ("theorem-suite", "--count"): (set(), at_least_one),
+    ("theorem-suite", "--seed"): ({"0"}, at_least_zero),
 }
 
 # The message of each refusal pinned so far, by (command, option, value).
@@ -545,6 +606,9 @@ MESSAGES = {
     ("thm2", "--eps", "-3"): "error: eps must be >= -nu = ",
     ("thm1", "--xmin", "inf"): "error: need finite 0 < x_min <= x_max, got x_min=inf",
     ("thm1", "--xmax", "-3"): "error: need finite 0 < x_min <= x_max, got x_min=1.0, x_max=-3.0",
+    ("thm1", "--eps", "inf"): "error: epsilon must be finite and >= 0, got inf",
+    ("thm2", "--m", "0"): "error: m must be >= 1, got 0",
+    ("gbounds", "--b", "-3"): "error: b must be >= 1, got -3",
 }
 
 
@@ -561,6 +625,11 @@ class TestNumericDomains:
     # --lsep setting replaces --L, its alternative
     GEOMETRY = ["--b", "2", "--p", "2", "--L", "4", "--l", "2", "--K", "1", "--R", "1"]
     BASE = {
+        "gen-signal": ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
+                       "--seed", "1", "--out", "out.csv"],
+        "gen-matrix": ["gen-matrix", "--m", "6", "--n", "8", "--seed", "1", "--out", "out.csv"],
+        "recover": ["recover", "--matrix", "phi.bin", "--y", "y.csv", "--K", "2", "--L", "4",
+                    "--b", "2", "--p", "2", "--eps", "1e-8"],
         "thm1": THM1,
         "thm2": TestThm2.README,
         "ric": ["ric", "--matrix", "phi.bin", *GEOMETRY],
@@ -568,33 +637,30 @@ class TestNumericDomains:
         "lemmas": ["lemmas", "--matrix", "phi.bin", "--b", "2", "--p", "2", "--lsep", "4",
                    "--K", "1", "--R", "1", "--seed", "1"],
         "gbounds": ["gbounds", "--a", "0.5", "--K", "2", "--b", "2", "--seed", "1"],
-        "theorem-suite": ["theorem-suite", "--seed", "1"],
+        "curve": ["curve", "--config", "exp.cfg", "--out", "out.csv"],
+        "theorem-suite": ["theorem-suite", "--count", "1", "--seed", "1"],
     }
+    FILES = ("phi.bin", "y.csv", "exp.cfg", "out.csv")
 
     def command(self, name, option, value, tmp_path):
         setting = f"{option}={value}"
         mat = gaussian_matrix(24, 32, "unit", True, np.random.default_rng(0))
         (tmp_path / "phi.bin").write_bytes(matrix_to_binary(mat))
-        if name == "recover":
-            x = np.zeros(32)
-            x[8:12] = 5.0
-            (tmp_path / "y.csv").write_text(signal_to_csv(mat.entries @ x))
-            return ["recover", "--matrix", str(tmp_path / "phi.bin"), "--y",
-                    str(tmp_path / "y.csv"), "--K", "2", "--L", "4", "--b", "2", "--p", "2",
-                    setting]
-        if name == "gen-signal":
-            return ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
-                    "--seed", "1", "--out", str(tmp_path / "out.csv"), setting]
-        if name in self.BASE:
-            argv = [str(tmp_path / arg) if arg == "phi.bin" else arg for arg in self.BASE[name]]
+        x = np.zeros(32)
+        x[8:12] = 5.0
+        (tmp_path / "y.csv").write_text(signal_to_csv(mat.entries @ x))
+        config = ("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
+                  "matrix_kind=identity\n")
+        argv = [str(tmp_path / arg) if arg in self.FILES else arg for arg in self.BASE[name]]
+        if option.startswith("--"):
             for replaced in (option, "--L" if option == "--lsep" else None):
                 if replaced in argv:
                     del argv[argv.index(replaced) : argv.index(replaced) + 2]
-            return argv + [setting]
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
-                       f"matrix_kind=identity\n{setting}\n")
-        return ["curve", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+            argv.append(setting)
+        else:  # a config key
+            config += f"{setting}\n"
+        (tmp_path / "exp.cfg").write_text(config)
+        return argv
 
     @pytest.mark.parametrize("value", FUZZ_VALUES)
     @pytest.mark.parametrize("name, option", list(DOMAINS), ids=[" ".join(k) for k in DOMAINS])
@@ -602,7 +668,7 @@ class TestNumericDomains:
         inside, kind = DOMAINS[name, option]
         if value in inside:
             expected = 0
-        elif kind is at_least_one or kind is int and value in ("nan", "inf", "-inf"):
+        elif kind in (at_least_one, at_least_zero) or kind is int and value in ("nan", "inf", "-inf"):
             expected = 2
         else:
             expected = 1
@@ -610,9 +676,11 @@ class TestNumericDomains:
             code = main(self.command(name, option, value, tmp_path))
         except SystemExit as exc:
             code = exc.code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == expected, err
         assert "Traceback" not in err
+        if code:
+            assert out == ""
         if code == 1:
             assert err.startswith(MESSAGES.get((name, option, value), "error: "))
             assert not (tmp_path / "out.csv").exists()

@@ -103,7 +103,7 @@ class TestConfig:
             small_config(K_grid=(1, 50))
 
     def test_window_length_zero_rejected(self):
-        with pytest.raises(ValueError, match="b, p, L must all be >= 1"):
+        with pytest.raises(ValueError, match="L must be >= 1, got 0"):
             small_config(L=0)
 
     def test_identity_kind_needs_square(self):
@@ -159,7 +159,8 @@ class TestTrials:
     def test_solve_rejects_block_or_cluster_below_one(self, algorithm, b, p):
         # bomp used to read only the product b * p, so (-2, -1) ran block 2
         Phi = identity_matrix(8)
-        with pytest.raises(ValueError, match="b and p must be >= 1"):
+        name, value = ("b", b) if b < 1 else ("p", p)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
             experiments.solve(algorithm, Phi, Measurement(y=np.ones(8)), 1, 4, b, p, 0.0)
 
     def test_identity_override_always_succeeds(self):
@@ -222,7 +223,7 @@ class TestCurves:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_raises_before_writing(self, tmp_path, jobs):
         out = tmp_path / "curve.csv"
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_curve(small_config(trials=1), jobs=jobs, out_path=str(out))
         assert not out.exists()
 
@@ -256,7 +257,7 @@ class TestLemmaAudit:
     def test_jobs_below_one_raises_before_matrix_zero(self, monkeypatch, jobs):
         calls = []
         monkeypatch.setattr(experiments, "_audit_matrix", calls.append)
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             next(lemma_audit(5, jobs=jobs))
         assert calls == []
 

@@ -34,12 +34,12 @@ class TestRunLemmaAudit:
     def test_jobs_below_one_exits_two(self):
         proc = run_script("run_lemma_audit.py", "--matrices", "1", "--jobs", "0")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "--jobs: must be an integer of at least 1, got '0'" in proc.stderr
+        assert "--jobs: value must be >= 1, got 0" in proc.stderr
 
     def test_matrices_below_one_exits_two(self):
         proc = run_script("run_lemma_audit.py", "--matrices", "-5")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "--matrices: must be an integer of at least 1, got '-5'" in proc.stderr
+        assert "--matrices: value must be >= 1, got -5" in proc.stderr
 
 
 class TestScanFingerprint:
@@ -74,10 +74,10 @@ class TestRunPhaseTransition:
             "--out-dir", str(tmp_path),
         )
         assert proc.returncode == 2 and list(tmp_path.iterdir()) == []
-        assert "--jobs: must be an integer of at least 1, got '-3'" in proc.stderr
+        assert "--jobs: value must be >= 1, got -3" in proc.stderr
 
     def test_trials_below_one_exits_two(self, tmp_path):
         out_dir = tmp_path / "results"
         proc = run_script("run_phase_transition.py", "--trials", "0", "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == "" and not out_dir.exists()
-        assert "--trials: must be an integer of at least 1, got '0'" in proc.stderr
+        assert "--trials: value must be >= 1, got 0" in proc.stderr

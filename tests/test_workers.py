@@ -20,7 +20,7 @@ class TestWorkerMap:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_raises(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             with worker_map(jobs):
                 pass
 
