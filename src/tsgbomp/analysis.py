@@ -52,8 +52,7 @@ __all__ = [
     "g_empirical",
 ]
 
-_EIG_CHUNK_ELEMENTS = 4_000_000  # bound on chunk * s * s: the rows one call screens and solves
-_BOUND_BLOCK_ELEMENTS = 1 << 16  # scalars per block: a block's N or M entries stay in cache
+_BOUND_BLOCK_ELEMENTS = 1 << 16  # scalars per block of rows or pairs: its N or M stays in cache
 _SCAN_BATCH_ELEMENTS = 1 << 14  # entries of M per scan batch: each of its temporaries holds 128 KB
 _TABLE_STRIP_ELEMENTS = 1 << 13  # entries per table strip: a temporary holds 64 KB (128 KB complex)
 _BOUND_MARGIN = 1e-9  # relative slack on the pruning bounds, far above their rounding
@@ -155,13 +154,12 @@ def _pair_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
 
 def _two_segment_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
     """E[a, c] >= ||G[S,S] - I||_2 for S the columns a..a+h-1 and then
-    c..c+w-1: the scan's fine bound (sum lambda^8)^(1/8), times
-    1 + _BOUND_MARGIN, plus _FINE_BOUND_FLOOR, so it holds whatever the
-    rounding or underflow. Only disjoint pairs are bounded; an overlapping
-    pair reads +inf. The pairs are gathered (`_gather`) in blocks of at
-    most _BOUND_BLOCK_ELEMENTS entries. The columns of (a, c) in E_hw are
-    those of (c, a) in E_wh, so h > w transposes E_wh and h = w mirrors
-    a < c."""
+    c..c+w-1: the reach (`_reach`) of the scan's fine bound
+    (sum lambda^8)^(1/8), so it holds whatever the rounding or underflow.
+    Only disjoint pairs are bounded; an overlapping pair reads +inf. The
+    pairs are gathered (`_gather`) in blocks of at most
+    _BOUND_BLOCK_ELEMENTS entries. The columns of (a, c) in E_hw are those
+    of (c, a) in E_wh, so h > w transposes E_wh and h = w mirrors a < c."""
     if h > w:
         return np.ascontiguousarray(_two_segment_table(G, w, h).T)
     n = G.shape[0]
@@ -179,9 +177,7 @@ def _two_segment_table(G: np.ndarray, h: int, w: int) -> np.ndarray:
         m = _gather(G, np.concatenate([a + np.arange(h), c + np.arange(w)], axis=1))
         # ||(M @ M)^2||_F^(1/2) = (sum lambda^8)^(1/4), as the scan's fine bound
         E[part] = np.sqrt(_eig_bound(m @ m))
-    E *= 1.0 + _BOUND_MARGIN
-    E += _FINE_BOUND_FLOOR
-    E = E.reshape(va, vc)
+    E = _reach(E, _FINE_BOUND_FLOOR).reshape(va, vc)
     if h == w:
         np.fmin(E, E.T, out=E)  # in place: a new array would sit above the freed blocks
     return E
@@ -285,22 +281,15 @@ def _split_bound(
     return bound
 
 
-def _lower_reach(reach: np.ndarray, bound, segments, tables, rows=None) -> None:
-    """Lower reach[i], the reach of row rows[i] of segments (of row i when
-    `rows` is None), in place to bound(starts, widths, *tables) times
-    1 + _BOUND_MARGIN plus _BOUND_FLOOR where that is smaller: a reach no
-    deviation exceeds, whatever the rounding or underflow of the bound.
-    fmin keeps the old reach where the bound is NaN. Rows go in blocks of
-    _BOUND_BLOCK_ELEMENTS entries of N, so no temporary outgrows a block."""
-    widths = [h for starts, h in segments for _ in range(starts.shape[1])]
-    step = max(1, _BOUND_BLOCK_ELEMENTS // len(widths) ** 2)
-    for lo in range(0, len(reach), step):
-        index = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
-        starts = [part[index, j] for part, _ in segments for j in range(part.shape[1])]
-        b = bound(starts, widths, *tables)
-        b *= 1.0 + _BOUND_MARGIN
-        b += _BOUND_FLOOR
-        np.fmin(reach[lo : lo + step], b, out=reach[lo : lo + step])
+def _reach(bound: np.ndarray, floor: float) -> np.ndarray:
+    """The reach of a bound, in place: bound times 1 + _BOUND_MARGIN, plus
+    `floor`, a value no deviation the bound covers exceeds, whatever the
+    rounding or underflow of the bound. A NaN bound, possible only when
+    entries overflow, reaches everything."""
+    bound *= 1.0 + _BOUND_MARGIN
+    bound += floor
+    bound[np.isnan(bound)] = np.inf
+    return bound
 
 
 def _row_columns(segments, rows) -> np.ndarray:
@@ -332,9 +321,8 @@ def _max_opdev(
     M each. A row is eigensolved only if its coarse bound `_eig_bound(M)`
     and then its fine bound, `_eig_bound(M @ M)` ** 0.5, can still reach
     the best value so far, and the scan stops at the first row whose reach
-    cannot. A bound can reach a value if the bound times 1 + _BOUND_MARGIN,
-    plus its floor, is at least that value, whatever the rounding or
-    underflow of either computation. Ties go to the lowest row."""
+    cannot. A bound can reach a value if its reach (`_reach`) is at least
+    that value. Ties go to the lowest row."""
     s = sum(starts.shape[1] * h for starts, h in segments)
     order = np.flatnonzero(reach >= best)
     order = order[np.argsort(-reach[order], kind="stable")]
@@ -349,11 +337,11 @@ def _max_opdev(
         size = min(2 * size, block)
         m = _gather(G, _row_columns(segments, batch))
         mm = np.empty_like(m)
-        near = _eig_bound(m, out=mm) * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR >= best
+        near = _reach(_eig_bound(m, out=mm), _BOUND_FLOOR) >= best
         if not near.any():
             continue
         # ||(M @ M)^2||_F^(1/2) = (sum lambda^8)^(1/4), the fine bound squared
-        fine = np.sqrt(_eig_bound(mm[near])) * (1.0 + _BOUND_MARGIN) + _FINE_BOUND_FLOOR
+        fine = _reach(np.sqrt(_eig_bound(mm[near])), _FINE_BOUND_FLOOR)
         near[near] = fine >= best
         if not near.any():
             continue
@@ -381,16 +369,19 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     repeated or overlapping segments are bounded too. `tables`, a
     `_PairTables` of G (a new one by default), builds any table it lacks.
 
-    Rows go in chunks of at most _EIG_CHUNK_ELEMENTS // s^2. Each chunk's
-    rows get the reach (`_lower_reach`) of their pair bound
-    (`_pair_bound`); if the chunk's largest reach (the first, on ties)
-    exceeds the best value so far, that row is eigensolved and may raise
-    it, a lower bound on the maximum. Only rows whose reach attains the
-    best value are kept as candidates, so memory grows with a chunk and
-    the candidates, not with the cell. Candidates of 3 segments then take
-    the smaller of that reach and the reach of their split bound
-    (`_split_bound`), and one descent (`_max_opdev`) scans every candidate
-    that can still reach the best value, from the chunks' best row on."""
+    Rows go in blocks of _BOUND_BLOCK_ELEMENTS // (k+r)^2, k + r being
+    the segments of a row, so each block's vectors of N entries hold
+    _BOUND_BLOCK_ELEMENTS in all. Each block's rows get the reach
+    (`_reach`) of their pair bound (`_pair_bound`); if the block's largest
+    reach (the first, on ties) exceeds the best value so far, that row is
+    eigensolved and may raise it, a lower bound on the maximum. Only rows
+    whose reach attains the best value are kept as candidates, so memory
+    grows with a block and the candidates, not with the cell. Once every
+    block has its seed, the candidates of 3 segments that still attain the
+    best value take, in blocks of the same size, the smaller of that reach
+    and the reach of their split bound (`_split_bound`), and one descent
+    (`_max_opdev`) scans every candidate that can still reach the best
+    value, from the blocks' best row on."""
     n = G.shape[0]
     segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
     if not segments:
@@ -399,17 +390,19 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
         raise IndexError(f"column index out of range for {n} columns")
     widths = [h for starts, h in segments for _ in range(starts.shape[1])]
     diag, pair, two = (_PairTables(G) if tables is None else tables).read(widths)
-    s = sum(widths)
-    chunk = max(1, _EIG_CHUNK_ELEMENTS // (s * s))
+    step = max(1, _BOUND_BLOCK_ELEMENTS // len(widths) ** 2)
+
+    def block_starts(rows) -> list[np.ndarray]:
+        return [part[rows, j] for part, _ in segments for j in range(part.shape[1])]
+
     best, arg, rows, reach = -math.inf, 0, [], []
-    for lo in range(0, len(segments[0][0]), chunk):
-        part = [(starts[lo : lo + chunk], h) for starts, h in segments]
-        r = np.full(len(part[0][0]), np.inf)
-        _lower_reach(r, _pair_bound, part, (diag, pair))
+    for lo in range(0, len(segments[0][0]), step):
+        r = _pair_bound(block_starts(slice(lo, lo + step)), widths, diag, pair)
+        r = _reach(r, _BOUND_FLOOR)
         j = int(np.argmax(r))
         if r[j] > best:
             dev = _deviations(_gather(G, _row_columns(segments, [lo + j])))[0]
-            if dev > best:  # chunks ascend, so an equal value keeps the lower row
+            if dev > best:  # blocks ascend, so an equal value keeps the lower row
                 best, arg = dev, lo + j
             r[j] = -np.inf  # solved
         keep = np.flatnonzero(r >= best)
@@ -419,7 +412,10 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     keep = reach >= best
     rows, reach = rows[keep], reach[keep]
     if two:
-        _lower_reach(reach, _split_bound, segments, (diag, pair, two), rows)
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            split = _split_bound(block_starts(rows[part]), widths, diag, pair, two)
+            np.minimum(reach[part], _reach(split, _BOUND_FLOOR), out=reach[part])
     return _max_opdev(G, segments, rows, reach, best, arg)
 
 
@@ -442,11 +438,14 @@ def _cell_data(params: PibsParams, k: int, r: int) -> CellRows:
 
 @dataclass(frozen=True)
 class RicEstimate:
-    """Structured isometry constant with the support attaining it."""
+    """Structured isometry constant of a cell or an order, with the first
+    support attaining it (None when no support was scanned) and the count
+    of supports it covers. A cell over its cap is `skipped`, with delta NaN."""
 
     delta: float
-    argmax_support: Support | None
-    supports_scanned: int
+    argmax: Support | None
+    count: int
+    skipped: bool = False
 
 
 def pibric(
@@ -460,7 +459,8 @@ def pibric(
     blocks and at most R pseudo blocks: the largest cell maximum of
     `pibric_table`, after checking the total support count against `cap`
     (at least 1). On ties the argmax support is the first in (k, r) cell
-    order and then in enumeration order.
+    order and then in enumeration order. The estimate is that cell's, with
+    `count` the total scanned.
     """
     check_at_least(1, cap=cap)
     total = sum(cell_count(params, k, r) for k in range(K + 1) for r in range(R + 1))
@@ -468,20 +468,12 @@ def pibric(
         raise EnumerationCapError(total, cap)
     table = pibric_table(Phi, params, K, R, cell_cap=cap)
     best = max(table.values(), key=lambda stat: stat.delta)
-    return RicEstimate(delta=best.delta, argmax_support=best.argmax, supports_scanned=total)
-
-
-@dataclass(frozen=True)
-class _CellStat:
-    delta: float
-    argmax: Support | None
-    count: int
-    skipped: bool = False
+    return replace(best, count=total)
 
 
 def pibric_table(
     Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000
-) -> dict[tuple[int, int], _CellStat]:
+) -> dict[tuple[int, int], RicEstimate]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
     the cell (`_cell_data`) to the exact (max, first argmax row), screening
@@ -497,23 +489,23 @@ def pibric_table(
         raise ValueError(f"matrix has n={Phi.n} but params.n={params.n}")
     G = Phi.gram
     tables = _PairTables(G)
-    table: dict[tuple[int, int], _CellStat] = {}
+    table: dict[tuple[int, int], RicEstimate] = {}
     for k in range(K + 1):
         for r in range(R + 1):
             count = cell_count(params, k, r)
             if count == 0:
-                table[(k, r)] = _CellStat(delta=0.0, argmax=None, count=0)
+                table[(k, r)] = RicEstimate(delta=0.0, argmax=None, count=0)
                 continue
             if count > cell_cap:
-                table[(k, r)] = _CellStat(delta=math.nan, argmax=None, count=count, skipped=True)
+                table[(k, r)] = RicEstimate(delta=math.nan, argmax=None, count=count, skipped=True)
                 continue
             cell = _cell_data(params, k, r)
             delta, i = _batched_max_opdev(G, cell.segments, tables)
-            table[(k, r)] = _CellStat(delta=delta, argmax=cell.support(i), count=count)
+            table[(k, r)] = RicEstimate(delta=delta, argmax=cell.support(i), count=count)
     return table
 
 
-def _order_deltas(table: dict[tuple[int, int], _CellStat]) -> dict[tuple[int, int], float]:
+def _order_deltas(table: dict[tuple[int, int], RicEstimate]) -> dict[tuple[int, int], float]:
     """Constant of every order (K', R') whose cells k <= K', r <= R' were all
     computed, in the table's (k, r) order: the max of cell (K', R') and of
     the orders (K'-1, R') and (K', R'-1)."""
@@ -570,7 +562,7 @@ class LemmaReport:
 
 
 def _table_cells(
-    table: dict[tuple[int, int], _CellStat], params: PibsParams, K: int, R: int
+    table: dict[tuple[int, int], RicEstimate], params: PibsParams, K: int, R: int
 ) -> list[CellRows]:
     """The computed cells of the table with k <= K and r <= R whose supports
     cover at least one column, in cell order: the pool `_sample_rows` draws
@@ -892,9 +884,8 @@ def real_part_lower_bound_check(z: complex, w: complex) -> tuple[float, float, b
 def f_K(u: float, K: int, b: int, p: int) -> float:
     """Scaling function u*sqrt(B'b)/(1+u) * (K(1+u)/(4B') + sqrt(K+1) + 1)
     with B' = pb - b + 1. Continuous, strictly increasing, f_K(0) = 0.
-    Defined for b, p >= 1 only."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    Defined for u >= 0 and b, p >= 1 only."""
+    check_at_least(0, u=u)
     check_at_least(1, b=b, p=p)
     Bp = p * b - b + 1
     return (u * math.sqrt(Bp * b) / (1.0 + u)) * (
@@ -903,9 +894,9 @@ def f_K(u: float, K: int, b: int, p: int) -> float:
 
 
 def f_K_inverse(target: float, K: int, b: int, p: int, bracket: float = 1e3) -> float:
-    """Invert f_K by bisection on [0, bracket] to 1e-12."""
-    if target < 0:
-        raise ValueError("target must be nonnegative")
+    """Invert f_K by bisection on [0, bracket] to 1e-12, for a finite
+    target >= 0."""
+    check_at_least(0, target=target)
     if f_K(bracket, K, b, p) < target:
         raise ValueError(f"target {target} unreachable on [0, {bracket}]")
     if target == 0:

@@ -98,10 +98,10 @@ def _cmd_ric(args) -> int:
     params = _params_from_args(args, Phi.n, args.K, args.R, args.l)
     est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap)
     print(f"delta = {est.delta!r}")
-    print(f"supports scanned = {est.supports_scanned}")
-    if est.argmax_support is not None and not est.argmax_support.is_empty():
+    print(f"supports scanned = {est.count}")
+    if est.argmax is not None and not est.argmax.is_empty():
         print("argmax support:")
-        sys.stdout.write(signal_model.support_to_text(est.argmax_support))
+        sys.stdout.write(signal_model.support_to_text(est.argmax))
     return 0
 
 

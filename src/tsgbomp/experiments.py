@@ -64,7 +64,9 @@ def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One phase-transition experiment. `epsilon` is the residual-threshold
-    multiplier on ||y||, finite and >= 0 (trials are noiseless)."""
+    multiplier on ||y||, finite and >= 0 (trials are noiseless). Every
+    K_grid entry is >= 0 and, when tsgbomp runs, L >= p*b: both are
+    checked here, before any trial."""
 
     n: int
     m: int
@@ -92,7 +94,10 @@ class ExperimentConfig:
         Lsep = self.Lsep  # raises unless b, p and L are all >= 1
         if self.n % self.L != 0:
             raise ValueError("n must be divisible by L")
+        if "tsgbomp" in self.algorithms and self.L < self.p * self.b:
+            raise ValueError(f"window length L={self.L} must be at least B=p*b={self.p * self.b}")
         for K in self.K_grid:
+            check_at_least(0, K=K)
             need = _min_indices(self.b, self.p, Lsep, K)
             if need > self.n:
                 raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")

@@ -502,7 +502,7 @@ def _combinations(m: int, k: int) -> np.ndarray:
 def _place_pseudo(
     starts: np.ndarray, n: int, b: int, l: int, r: int, chunk: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(layout row, pseudo starts) array pairs for every placement of r
+    """(layout row, pseudo starts) array pairs for every placement of r >= 1
     pseudo blocks beside the 0-based blocks of b columns starting at each
     layout row of `starts`, in lexicographic order. A start is allowed when
     its l columns stay in range and miss every cluster; each step extends a
@@ -510,9 +510,6 @@ def _place_pseudo(
     `np.nonzero` of that (rows, starts) mask is row-major, so the order
     stays lexicographic."""
     m = len(starts)
-    if r == 0:
-        yield np.arange(m), np.empty((m, 0), dtype=np.intp)
-        return
     if not 0 < l <= n:
         return
     covered = np.zeros((m, n + 1), dtype=np.int32)  # [:, j]: cluster columns below j

@@ -78,8 +78,8 @@ class TestPibric:
             abs(G[i, j]) for i in range(20) for j in range(i + 3, 20)
         )
         assert est.delta == pytest.approx(pairwise, abs=1e-10)
-        assert est.argmax_support is not None
-        assert len(est.argmax_support.columns) == 2
+        assert est.argmax is not None
+        assert len(est.argmax.columns) == 2
 
     def test_block_monotonicity_on_random_matrices(self):
         params = PibsParams(n=24, b=1, p=1, l=2, Lsep=2, K=3, R=0)
@@ -133,16 +133,16 @@ class TestPibric:
         # every column is the same unit vector, so each support's Gram matrix
         # is all ones and every support of a width ties
         Phi = SensingMatrix(np.full((4, 9), 0.5), normalized=True)
-        monkeypatch.setattr(analysis, "_EIG_CHUNK_ELEMENTS", 1)  # one row per chunk
+        monkeypatch.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", 1)  # one row per block
         params = PibsParams(n=9, b=1, p=2, l=2, Lsep=2, K=2, R=1)
         # n = 2 leaves cell (2, 1) empty, so the cells (1, 1) and (2, 0) tie
         tiny = PibsParams(n=2, b=1, p=2, l=1, Lsep=1, K=2, R=1)
         est = pibric(Phi, params, 2, 1)
         assert est.delta == pytest.approx(3.0)
-        assert est.argmax_support == next(iter_cell(params, 2, 1))
+        assert est.argmax == next(iter_cell(params, 2, 1))
         est = pibric(SensingMatrix(Phi.entries[:, :2], normalized=True), tiny, 2, 1)
         assert est.delta == pytest.approx(1.0)
-        assert est.argmax_support == next(iter_cell(tiny, 1, 1))
+        assert est.argmax == next(iter_cell(tiny, 1, 1))
 
     def test_table_cells_and_order_constants(self, monkeypatch):
         # cell (2, 2) is empty and cell (1, 1) holds 20 supports, over the cap
@@ -176,17 +176,17 @@ class TestPibric:
         est = pibric(Phi, params, 2, 2)
         top = max(s.delta for s in full.values())
         first = next(s for s in full.values() if s.delta == top)
-        assert est.delta == first.delta and est.argmax_support == first.argmax
-        assert est.supports_scanned == sum(s.count for s in full.values())
+        assert est.delta == first.delta and est.argmax == first.argmax
+        assert est.count == sum(s.count for s in full.values())
 
-        # one row per chunk: every row of a cell is a chunk's seed
-        monkeypatch.setattr(analysis, "_EIG_CHUNK_ELEMENTS", 1)
+        # one row per block: every row of a cell is a block's seed
+        monkeypatch.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", 1)
         assert pibric_table(Phi, params, 2, 2, cell_cap=15) == table
 
     def test_identity_matrix_returns_empty_support(self):
         params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
         est = pibric(identity_matrix(7), params, 2, 2)
-        assert est.delta == 0.0 and est.argmax_support.is_empty()
+        assert est.delta == 0.0 and est.argmax.is_empty()
 
     def test_complex_matrix_pairwise_reduction(self):
         rng = np.random.default_rng(9)
@@ -299,19 +299,17 @@ class TestScanKernel:
         complex_entries=st.booleans(),
         s=st.integers(1, 4),
         rows=st.integers(1, 300),
-        chunk_elements=st.sampled_from([1, 50, 4_000_000]),
         block_elements=st.sampled_from([1, 20, 1 << 16]),
         dtype=st.sampled_from([np.intp, np.int32]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_full_eigvalsh(
-        self, kind, complex_entries, s, rows, chunk_elements, block_elements, dtype, seed
+        self, kind, complex_entries, s, rows, block_elements, dtype, seed
     ):
         G, idx = _kernel_case(kind, complex_entries, s, rows, seed)
         idx = idx.astype(dtype)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
             got = analysis._batched_max_opdev(G, ((idx, 1),))
@@ -324,17 +322,15 @@ class TestScanKernel:
         w=st.integers(1, 3),
         rows=st.integers(1, 300),
         ordered=st.booleans(),
-        chunk_elements=st.sampled_from([1, 50, 4_000_000]),
         block_elements=st.sampled_from([1, 20, 1 << 16]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_runs_match_full_eigvalsh_of_their_columns(
-        self, kind, complex_entries, g, w, rows, ordered, chunk_elements, block_elements, seed
+        self, kind, complex_entries, g, w, rows, ordered, block_elements, seed
     ):
         G, runs, columns = _run_case(kind, complex_entries, g, w, rows, ordered, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_EIG_CHUNK_ELEMENTS", chunk_elements)
             mp.setattr(analysis, "_BOUND_BLOCK_ELEMENTS", block_elements)
             mp.setattr(analysis, "_SCAN_BATCH_ELEMENTS", block_elements)
             got = analysis._batched_max_opdev(G, ((runs, g),))

@@ -412,6 +412,27 @@ class TestCurveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: L must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ("b=2\np=2\nL=4\nK_grid=1,-1\n", "K must be >= 0, got -1"),
+            ("b=2\np=2\nL=2\nK_grid=1\n", "window length L=2 must be at least B=p*b=4"),
+        ],
+        ids=["negative-K", "window-below-capacity"],
+    )
+    def test_bad_grid_or_window_exits_one_before_writing(
+        self, tmp_path, capsys, geometry, message
+    ):
+        # both used to fail in the middle of the run, after --out was written
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=48\nm=48\n" + geometry + "trials=2\nmaster_seed=5\n"
+                       "matrix_kind=identity\n")
+        out = tmp_path / "curve.csv"
+        code = main(["curve", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTheoremSuiteCommand:
     def test_runs_and_reports(self, capsys):

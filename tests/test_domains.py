@@ -1,6 +1,7 @@
 """Every lower bound on an input of the package is `check_at_least`: each
-entry point refuses each bounded argument one below its bound, and the
-epsilons nan and inf too, with a ValueError that names the argument."""
+entry point refuses each bounded argument one below its bound, and each
+real-valued one at -1, nan and inf, with a ValueError that names the
+argument."""
 
 import math
 import re
@@ -45,7 +46,8 @@ ENTRY_POINTS = {
     analysis.pibric: (dict(Phi=PHI, params=PARAMS, K=1, R=1), dict(cap=1)),
     analysis.verify_lemmas: (dict(Phi=PHI, params=PARAMS, K=1, R=1, rng=_rng()),
                              dict(cell_cap=1)),
-    analysis.f_K: (dict(u=0.1, K=2, b=2, p=2), dict(b=1, p=1)),
+    analysis.f_K: (dict(u=0.1, K=2, b=2, p=2), dict(u=0, b=1, p=1)),
+    analysis.f_K_inverse: (dict(target=1.0, K=2, b=2, p=2), dict(target=0)),
     analysis.thm1_certificate: (dict(delta=0.1, K=2, b=2, p=2), dict(K=1, epsilon=0)),
     analysis.thm2_bound: (dict(b=1, p=1, L=2, K=4, R=2, m=2000, n=200, eps0=0.05, eps=0.05),
                           dict(n=1, m=1, K=1, R=0)),
@@ -63,11 +65,12 @@ def _call(fn, **changed):
         list(result)  # the generator checks on its first step
 
 
+REAL = {"epsilon", "u", "target"}  # real-valued arguments: also refused at nan and inf
 CASES = [
     (fn, name, low, value)
     for fn, (_, bounds) in ENTRY_POINTS.items()
     for name, low in bounds.items()
-    for value in ([-1.0, math.nan, math.inf] if name == "epsilon" else [low - 1])
+    for value in ([-1.0, math.nan, math.inf] if name in REAL else [low - 1])
 ]
 
 

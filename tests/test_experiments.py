@@ -106,6 +106,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="L must be >= 1, got 0"):
             small_config(L=0)
 
+    def test_window_below_cluster_capacity_rejected_only_for_tsgbomp(self):
+        # L = 2 < p*b = 4: tsgbomp's windows cannot hold a cluster, while
+        # bomp never reads L
+        with pytest.raises(ValueError, match="window length L=2 must be at least B=p\\*b=4"):
+            small_config(L=2)
+        assert small_config(L=2, algorithms=("bomp",)).L == 2
+
     def test_identity_kind_needs_square(self):
         with pytest.raises(ValueError):
             small_config(matrix_kind="identity")
