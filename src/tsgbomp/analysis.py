@@ -80,14 +80,20 @@ def operator_norm_dev(Phi: SensingMatrix, columns: Sequence[int]) -> float:
     return float(max(abs(ev[0]), abs(ev[-1])))
 
 
+def _flat(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """rows * width + cols, the flat indices of entries of a table `width`
+    wide, in intp whatever the type of rows and cols: in their own type
+    the flat indices of a square table overflow int8 from width 12, int16
+    from 182 and int32 from 46,341."""
+    return np.multiply(rows, width, dtype=np.intp) + cols
+
+
 def _gather(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """M = G[S,S] - I for every row S of cols, a new (rows, s, s) array:
-    one take of G's flat indices, formed in intp, since int32 columns
-    times n overflow int32 once n > 46,340. The take clips, so the caller
+    one take of G's flat indices (`_flat`). The take clips, so the caller
     checks the columns' range."""
     c, s = cols.shape
-    rows = cols * np.intp(G.shape[0])
-    M = G.take(rows[:, :, None] + cols[:, None, :], mode="clip")
+    M = G.take(_flat(cols[:, :, None], cols[:, None, :], G.shape[0]), mode="clip")
     M.reshape(c, s * s)[:, :: s + 1] -= 1.0
     return M
 
@@ -225,7 +231,7 @@ def _block_norms(starts: list[np.ndarray], widths: list[int], diag: dict, pair: 
         N[i, i] = diag[h].take(starts[i])
         for j in range(i + 1, len(widths)):
             T = pair[h, widths[j]]
-            N[i, j] = N[j, i] = T.take(starts[i] * np.intp(T.shape[1]) + starts[j])
+            N[i, j] = N[j, i] = T.take(_flat(starts[i], starts[j], T.shape[1]))
     return N
 
 
@@ -266,7 +272,7 @@ def _split_bound(
     bound = np.full(len(starts[0]), np.inf)
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         E = two[widths[i], widths[j]]
-        p = E.take(starts[i] * np.intp(E.shape[1]) + starts[j])
+        p = E.take(_flat(starts[i], starts[j], E.shape[1]))
         # (p + q) / 2 + sqrt(((p - q) / 2)^2 + c^2) for q = N_kk
         q = N[k, k]
         d = p - q
@@ -386,7 +392,7 @@ def _batched_max_opdev(G: np.ndarray, segments, tables=None) -> tuple[float, int
     segments = [(starts, h) for starts, h in segments if starts.shape[1] and h]
     if not segments:
         return 0.0, 0
-    if any(starts.min() < 0 or starts.max() + h > n for starts, h in segments):
+    if any(starts.min() < 0 or int(starts.max()) + h > n for starts, h in segments):
         raise IndexError(f"column index out of range for {n} columns")
     widths = [h for starts, h in segments for _ in range(starts.shape[1])]
     diag, pair, two = (_PairTables(G) if tables is None else tables).read(widths)

@@ -22,6 +22,7 @@ from .signal_model import (
     PibsParams,
     SignalInstance,
     Support,
+    check_amplitude,
     check_at_least,
     fill_values,
     min_separation,
@@ -65,8 +66,8 @@ def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
 class ExperimentConfig:
     """One phase-transition experiment. `epsilon` is the residual-threshold
     multiplier on ||y||, finite and >= 0 (trials are noiseless). Every
-    K_grid entry is >= 0 and, when tsgbomp runs, L >= p*b: both are
-    checked here, before any trial."""
+    K_grid entry is >= 0, value_scheme is one `_fill` reads and, when
+    tsgbomp runs, L >= p*b: all are checked here, before any trial."""
 
     n: int
     m: int
@@ -84,6 +85,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_at_least(1, trials=self.trials)
         check_at_least(0, epsilon=self.epsilon)
+        _value_scheme(self.value_scheme)
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -199,12 +201,25 @@ def trial_seed(master_seed: int, K: int, algorithm: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _fill(support: Support, scheme: str, rng: np.random.Generator) -> SignalInstance:
-    if scheme.startswith("const:"):
-        return fill_values(support, "const", float(scheme.split(":", 1)[1]), rng)
+def _value_scheme(scheme: str) -> dict:
+    """The `fill_values` arguments of a value scheme: `gaussian`, or
+    `const:<amplitude>` with an amplitude `check_amplitude` accepts. Any
+    other scheme is a ValueError."""
     if scheme == "gaussian":
-        return fill_values(support, "gaussian", rng=rng)
-    raise ValueError(f"unknown value scheme {scheme!r}")
+        return {"scheme": "gaussian"}
+    kind, _, text = scheme.partition(":")
+    try:
+        amplitude = float(text)
+    except ValueError:
+        kind = "unknown"
+    if kind != "const":
+        raise ValueError(f"unknown value scheme {scheme!r}")
+    check_amplitude(amplitude)
+    return {"scheme": "const", "amplitude": amplitude}
+
+
+def _fill(support: Support, scheme: str, rng: np.random.Generator) -> SignalInstance:
+    return fill_values(support, rng=rng, **_value_scheme(scheme))
 
 
 def solve(

@@ -32,6 +32,7 @@ __all__ = [
     "SignalInstance",
     "CountComparison",
     "check_at_least",
+    "check_amplitude",
     "min_separation",
     "validate_support",
     "sample_support",
@@ -382,15 +383,24 @@ def iter_cell(params: PibsParams, k: int, r: int) -> Iterator[Support]:
             yield Support(clusters=clusters, pseudo=pseudo, params=params)
 
 
-_ROW_CHUNK_ELEMENTS = 1 << 21  # bound on rows * n entries of one enumeration step
+_ROW_CHUNK_ELEMENTS = 1 << 16  # bound on rows * n entries of one enumeration step
+
+
+def _row_dtype(params: PibsParams) -> np.dtype:
+    """The narrowest signed integer type holding -(n + max(b, l)), so every
+    start, and every start plus b or l, of the geometry: int8 up to
+    n + max(b, l) = 128, int16 up to 32,768, int32 beyond."""
+    return np.min_scalar_type(-(params.n + max(params.b, params.l)))
 
 
 @dataclass(frozen=True, eq=False)
 class CellRows:
     """Every support of one (k, r) cell as index arrays, row i being the
-    i-th support `iter_cell` yields, all 0-based and int32: `blocks` (N, k)
-    holds each support's ascending block starts and `pseudo` (N, r) its
-    ascending pseudo-block starts."""
+    i-th support `iter_cell` yields, all 0-based and of the geometry's
+    narrowest index type (`_row_dtype`: int8 at n = 60, int16 at n = 200):
+    `blocks` (N, k) holds each support's ascending block starts and
+    `pseudo` (N, r) its ascending pseudo-block starts. Readers form a flat
+    index from them, a start times a row length, in intp."""
 
     params: PibsParams
     blocks: np.ndarray
@@ -423,8 +433,9 @@ class CellRows:
 
 
 def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
-    """Every support with exactly k true blocks and r pseudo blocks as int32
-    index arrays, in `iter_cell` order, with no Support built.
+    """Every support with exactly k true blocks and r pseudo blocks as index
+    arrays of the narrowest type the geometry allows (`_row_dtype`), in
+    `iter_cell` order, with no Support built.
 
     The arrays are allocated once, with `cell_count` rows, and written in
     place. Each composition's layouts are its packed block starts plus
@@ -436,23 +447,27 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     pseudo blocks are added one ascending start at a time (`_place_pseudo`),
     in chunks whose (rows, n) masks hold at most _ROW_CHUNK_ELEMENTS
     entries, so apart from the rows it returns and one cluster count's
-    offsets, memory does not grow with the cell. A row count other than
+    offsets, memory does not grow with the cell: one step's masks and
+    `np.nonzero` pairs stay near 1 MB. The (1, 2) cell of n=200, b=4,
+    l=Lsep=12, 2,633,925 int16 rows, holds 15.1 MiB, and enumerating it
+    peaks at 1.15 times that under tracemalloc. A row count other than
     `cell_count` raises AssertionError."""
     n, b, l = params.n, params.b, params.l
     chunk = max(1, _ROW_CHUNK_ELEMENTS // n)
     total = cell_count(params, k, r)
-    blocks = np.empty((total, k), np.int32)
-    pseudo = np.empty((total, r), np.int32)
+    dtype = _row_dtype(params)
+    blocks = np.empty((total, k), dtype)
+    pseudo = np.empty((total, r), dtype)
     at = 0
     for kc, _, slack in _layout_table(params, k):
-        offsets = _combinations(slack + kc, kc)
+        offsets = _combinations(slack + kc, kc, dtype)
         for comp in _compositions(k, kc, params.p):
             base, owner, packed = [], [], 0
             for i, j in enumerate(comp):
                 base += [packed + w * b - i for w in range(j)]
                 owner += [i] * j
                 packed += j * b + params.Lsep
-            base = np.asarray(base, dtype=np.int32)
+            base = np.asarray(base, dtype=dtype)
             if r == 0:
                 end = at + offsets.shape[1]
                 if end > total:
@@ -475,21 +490,21 @@ def cell_rows(params: PibsParams, k: int, r: int) -> CellRows:
     return CellRows(params=params, blocks=blocks, pseudo=pseudo)
 
 
-def _combinations(m: int, k: int) -> np.ndarray:
+def _combinations(m: int, k: int, dtype=np.int32) -> np.ndarray:
     """Every k-subset of range(m), ascending, as the columns of a
-    (k, C(m, k)) int32 array, in the lexicographic order of
+    (k, C(m, k)) array of `dtype`, in the lexicographic order of
     `itertools.combinations`. Built from the last position back, with no
     recursion: the j-subsets of range(k - j, m) that start with a are a
     followed by the (j - 1)-subsets of range(a + 1, m), which are the last
     C(m - a - 1, j - 1) of the (j - 1)-subsets of range(k - j + 1, m), so
     each row of each step is a run of contiguous copies."""
     if k == 0:
-        return np.empty((0, 1), dtype=np.int32)
-    tail = np.arange(k - 1, m, dtype=np.int32)[None]  # the 1-subsets of range(k - 1, m)
+        return np.empty((0, 1), dtype=dtype)
+    tail = np.arange(k - 1, m, dtype=dtype)[None]  # the 1-subsets of range(k - 1, m)
     for j in range(2, k + 1):
-        firsts = np.arange(k - j, m - j + 1, dtype=np.int32)
+        firsts = np.arange(k - j, m - j + 1, dtype=dtype)
         counts = [math.comb(m - a - 1, j - 1) for a in firsts.tolist()]
-        step = np.empty((j, sum(counts)), dtype=np.int32)
+        step = np.empty((j, sum(counts)), dtype=dtype)
         step[0] = np.repeat(firsts, counts)
         at, width = 0, tail.shape[1]
         for c in counts:
@@ -504,11 +519,11 @@ def _place_pseudo(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(layout row, pseudo starts) array pairs for every placement of r >= 1
     pseudo blocks beside the 0-based blocks of b columns starting at each
-    layout row of `starts`, in lexicographic order. A start is allowed when
-    its l columns stay in range and miss every cluster; each step extends a
-    row by every allowed start at or past the previous start + l, and
-    `np.nonzero` of that (rows, starts) mask is row-major, so the order
-    stays lexicographic."""
+    layout row of `starts`, in lexicographic order, the pseudo starts of
+    the type of `starts`. A start is allowed when its l columns stay in
+    range and miss every cluster; each step extends a row by every allowed
+    start at or past the previous start + l, and `np.nonzero` of that
+    (rows, starts) mask is row-major, so the order stays lexicographic."""
     m = len(starts)
     if not 0 < l <= n:
         return
@@ -516,7 +531,7 @@ def _place_pseudo(
     covered[np.arange(m)[:, None, None], starts[:, :, None] + np.arange(1, b + 1)] = 1
     covered.cumsum(axis=1, out=covered)
     free = covered[:, l:] == covered[:, :-l]
-    yield from _extend_pseudo(free, l, r, np.arange(m), np.empty((m, 0), dtype=np.intp), chunk)
+    yield from _extend_pseudo(free, l, r, np.arange(m), np.empty((m, 0), starts.dtype), chunk)
 
 
 def _extend_pseudo(
@@ -530,7 +545,8 @@ def _extend_pseudo(
         part_rows, part = rows[lo : lo + chunk], placed[lo : lo + chunk]
         low = part[:, -1:] + l if part.shape[1] else 0
         i, s = np.nonzero(free[part_rows] & (at >= low))
-        yield from _extend_pseudo(free, l, r, part_rows[i], np.column_stack((part[i], s)), chunk)
+        placed_next = np.column_stack((part[i], s.astype(part.dtype)))
+        yield from _extend_pseudo(free, l, r, part_rows[i], placed_next, chunk)
 
 
 def enumerate_supports(
@@ -728,6 +744,13 @@ class SignalInstance:
     x_max: float | None
 
 
+def check_amplitude(amplitude: float) -> None:
+    """Raise ValueError unless `amplitude`, the magnitude of the const
+    scheme's values, is finite and > 0."""
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be finite and > 0, got {amplitude!r}")
+
+
 def fill_values(
     support: Support,
     scheme: str = "const",
@@ -736,9 +759,8 @@ def fill_values(
 ) -> SignalInstance:
     """Fill the support with values: `const` draws equiprobable +-amplitude,
     `gaussian` draws standard normals (resampling exact zeros). The
-    amplitude must be finite and > 0."""
-    if not 0.0 < amplitude < math.inf:
-        raise ValueError(f"amplitude must be finite and > 0, got {amplitude!r}")
+    amplitude must be finite and > 0 (`check_amplitude`)."""
+    check_amplitude(amplitude)
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
     params = support.params
@@ -777,6 +799,9 @@ def support_to_text(support: Support) -> str:
 
 
 def support_from_text(text: str, params: PibsParams) -> Support:
+    """The support of `support_to_text` lines under `params`: an
+    unrecognized record, or a support that `validate_support` refuses, is a
+    ValueError naming what is wrong."""
     clusters = []
     pseudo = []
     for line in text.splitlines():
@@ -784,13 +809,21 @@ def support_from_text(text: str, params: PibsParams) -> Support:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "cluster" and len(parts) == 3:
-            clusters.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "pseudo" and len(parts) == 2:
-            pseudo.append(int(parts[1]))
+        try:
+            values = tuple(map(int, parts[1:]))
+        except ValueError:
+            values = ()
+        if parts[0] == "cluster" and len(values) == 2:
+            clusters.append(values)
+        elif parts[0] == "pseudo" and len(values) == 1:
+            pseudo.append(values[0])
         else:
             raise ValueError(f"unrecognized support record: {line!r}")
-    return Support(clusters=tuple(clusters), pseudo=tuple(pseudo), params=params)
+    support = Support(clusters=tuple(clusters), pseudo=tuple(pseudo), params=params)
+    ok, bad = validate_support(support)
+    if not ok:
+        raise ValueError("invalid support: " + "; ".join(bad))
+    return support
 
 
 def signal_to_csv(x: np.ndarray) -> str:

@@ -385,6 +385,27 @@ class TestScanKernel:
         narrow = analysis._gather(G, columns.astype(np.int32))
         assert np.array_equal(wide, narrow)
         assert np.array_equal(wide, G[columns[:, :, None], columns[:, None, :]] - np.eye(4))
+        # on 200 columns, column times 200 leaves int8 from column 1 and
+        # int16 from column 164: rows of the top 50 columns each type holds
+        rng = np.random.default_rng(3)
+        G = _gram("gaussian", complex_entries, 200, rng)
+        for dtype in (np.int8, np.int16):
+            top = min(200, np.iinfo(dtype).max + 1)
+            columns = rng.integers(top - 50, top, size=(50, 4))
+            wide = analysis._gather(G, columns.astype(np.intp))
+            assert np.array_equal(analysis._gather(G, columns.astype(dtype)), wide)
+            assert np.array_equal(wide, G[columns[:, :, None], columns[:, None, :]] - np.eye(4))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_narrow_rows_screen_as_intp(self, dtype):
+        # rows of 3 columns read the D, T and E tables of a 200-column G at
+        # flat indices column * 200 + column, past int8 and int16 as above
+        rng = np.random.default_rng(5)
+        G = _gram("gaussian", False, 200, rng)
+        top = min(200, np.iinfo(dtype).max + 1)
+        idx = rng.integers(top - 50, top, size=(300, 3))
+        got = analysis._batched_max_opdev(G, ((idx.astype(dtype), 1),))
+        assert got == analysis._batched_max_opdev(G, ((idx, 1),)) == _full_scan_max(G, idx)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "equal", "permuted", "tiny"])

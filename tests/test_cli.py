@@ -417,8 +417,11 @@ class TestCurveCommand:
         [
             ("b=2\np=2\nL=4\nK_grid=1,-1\n", "K must be >= 0, got -1"),
             ("b=2\np=2\nL=2\nK_grid=1\n", "window length L=2 must be at least B=p*b=4"),
+            ("b=2\np=2\nL=4\nK_grid=1\nvalue_scheme=const:-5\n",
+             "amplitude must be finite and > 0, got -5.0"),
+            ("b=2\np=2\nL=4\nK_grid=1\nvalue_scheme=bogus\n", "unknown value scheme 'bogus'"),
         ],
-        ids=["negative-K", "window-below-capacity"],
+        ids=["negative-K", "window-below-capacity", "negative-amplitude", "unknown-scheme"],
     )
     def test_bad_grid_or_window_exits_one_before_writing(
         self, tmp_path, capsys, geometry, message

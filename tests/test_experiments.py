@@ -119,6 +119,28 @@ class TestConfig:
         cfg = small_config(m=48, matrix_kind="identity")
         assert cfg.matrix_kind == "identity"
 
+    @pytest.mark.parametrize(
+        "scheme,match",
+        [
+            ("const:-5", "amplitude must be finite and > 0, got -5.0"),
+            ("const:0", "amplitude must be finite and > 0"),
+            ("const:nan", "amplitude must be finite and > 0, got nan"),
+            ("const:inf", "amplitude must be finite and > 0, got inf"),
+            ("const:", "unknown value scheme 'const:'"),
+            ("const:ten", "unknown value scheme 'const:ten'"),
+            ("const", "unknown value scheme 'const'"),
+            ("bogus", "unknown value scheme 'bogus'"),
+        ],
+    )
+    def test_bad_value_scheme_rejected(self, scheme, match):
+        # a bad scheme used to fail only in the first trial
+        with pytest.raises(ValueError, match=match):
+            small_config(value_scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", ["gaussian", "const:10", "const:0.5"])
+    def test_value_schemes_accepted(self, scheme):
+        assert small_config(value_scheme=scheme).value_scheme == scheme
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             small_config(algorithms=("tsgbomp", "omp"))

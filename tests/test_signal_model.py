@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -160,16 +161,19 @@ def assert_rows_match_iter_cell(params, k, r):
     """`cell_rows` holds iter_cell's supports in iter_cell's order: the
     block starts and pseudo starts of each row, the columns the scan
     expands them to, and the Support it rebuilds. Returns the cell's
-    size."""
+    size. The rows are of the narrowest signed type whose minimum is at
+    most -(n + max(b, l))."""
     cell = cell_rows(params, k, r)
     sups = list(iter_cell(params, k, r))
     assert len(cell) == len(sups) == signal_model.cell_count(params, k, r)
-    assert cell.blocks.dtype == cell.pseudo.dtype == np.int32
+    reach = params.n + max(params.b, params.l)
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).min <= -reach)
+    assert cell.blocks.dtype == cell.pseudo.dtype == dtype
     width = k * params.b + r * params.l
-    columns = np.empty((len(sups), width), np.int32)
+    columns = np.empty((len(sups), width), dtype)
     if len(sups) and width:
         columns = analysis._row_columns(cell.segments, np.arange(len(sups)))
-    assert columns.dtype == np.int32 and columns.shape == (len(sups), width)
+    assert columns.dtype == dtype and columns.shape == (len(sups), width)
     assert cell.blocks.shape == (len(sups), k) and cell.pseudo.shape == (len(sups), r)
     for i, sup in enumerate(sups):
         assert tuple(columns[i] + 1) == sup.columns
@@ -247,6 +251,25 @@ class TestEnumeration:
                 for r in range(3):
                     empty += assert_rows_match_iter_cell(params, k, r) == 0
         assert empty > 0
+
+    def test_cell_rows_widen_to_int32(self):
+        # n + b = 40,001 leaves int16, so the rows and their columns are int32
+        params = PibsParams(n=40_000, b=1, p=1, l=0, Lsep=1, K=1, R=0)
+        assert assert_rows_match_iter_cell(params, 1, 0) == 40_000
+
+    def test_enumeration_peak_stays_near_the_rows(self):
+        # the (1, 2) cell of the p=1 curve geometry: 2,633,925 int16 rows of
+        # 3 starts; one enumeration step allocates about 1 MB besides them
+        params = PibsParams(n=200, b=4, p=1, l=12, Lsep=12, K=1, R=2)
+        tracemalloc.start()
+        try:
+            cell = cell_rows(params, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = cell.blocks.nbytes + cell.pseudo.nbytes
+        assert len(cell) == 2_633_925 and cell.blocks.dtype == np.int16
+        assert peak < 1.5 * rows
 
     @pytest.mark.parametrize("b,l", [(2, 10), (2, 3), (3, 6), (4, 2)])
     def test_cells_hold_runs_not_columns(self, b, l):
@@ -498,6 +521,33 @@ class TestSerialization:
         text = support_to_text(sup)
         assert "cluster 2 2" in text and "pseudo 25" in text
         assert support_from_text(text, params) == sup
+
+    @pytest.mark.parametrize(
+        "text,violation",
+        [
+            ("cluster 1 5\n", "cluster-size"),
+            ("cluster 38 2\n", "cluster-range"),
+            ("cluster 2 2\ncluster 4 1\n", "separation"),
+            ("cluster 2 1\ncluster 2 1\n", "separation"),
+            ("cluster 2 2\npseudo 4\n", "pseudo-overlap"),
+            ("pseudo 10\npseudo 11\n", "pseudo-overlap"),
+            ("pseudo 39\n", "pseudo-range"),
+        ],
+        ids=["too-many-blocks", "past-n", "overlapping-clusters", "repeated-cluster",
+             "pseudo-in-cluster", "overlapping-pseudo", "pseudo-past-n"],
+    )
+    def test_invalid_support_text_rejected(self, text, violation):
+        params = PibsParams(n=40, b=2, p=2, l=3, Lsep=5, K=2, R=2)
+        with pytest.raises(ValueError, match=f"invalid support: .*{violation}"):
+            support_from_text(text, params)
+
+    @pytest.mark.parametrize(
+        "line", ["cluster a 1", "cluster 1.5 1", "cluster 2", "pseudo x", "block 3"]
+    )
+    def test_unrecognized_support_record_named(self, line):
+        params = PibsParams(n=40, b=2, p=2, l=3, Lsep=5, K=2, R=2)
+        with pytest.raises(ValueError, match=f"unrecognized support record: '{line}'"):
+            support_from_text(f"cluster 2 1\n{line}\n", params)
 
     def test_signal_round_trip_real(self):
         x = np.zeros(9)
