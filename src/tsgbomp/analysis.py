@@ -26,7 +26,6 @@ from .signal_model import (
     cell_count,
     cell_rows,
     check_at_least,
-    count_bound_exponent,
     iter_cell,
     min_separation,
 )
@@ -34,7 +33,6 @@ from .signal_model import (
 __all__ = [
     "RicEstimate",
     "RecoveryCertificate",
-    "Thm2Params",
     "Thm2Report",
     "LemmaCheck",
     "LemmaReport",
@@ -60,6 +58,8 @@ _BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the pair bound's 4th p
 _FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
 _STACK_CHUNK = 32  # sampled supports or subsets per stacked product: their draws stay near 0.1 MB
 _OVER_CAP = "cells over cell_cap"  # why a family ran no check when cap-skipped cells stopped it
+_LEMMA_TOL = 1e-10  # a lemma family fails iff some margin falls below -_LEMMA_TOL
+_F_K_BRACKET = 1e3  # f_K_inverse bisects on [0, _F_K_BRACKET]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,7 @@ def pibric(
 
 
 def pibric_table(
-    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int = 200_000
+    Phi: SensingMatrix, params: PibsParams, K: int, R: int, cell_cap: int
 ) -> dict[tuple[int, int], RicEstimate]:
     """Per-cell maxima of operator_norm_dev, keyed in (k, r) order, each with
     the first support attaining it. `_batched_max_opdev` reduces the rows of
@@ -669,13 +669,13 @@ class _Tally:
     """One lemma family's verdict, and the only place a LemmaCheck is built.
 
     It adds up the checks and keeps the worst margin; the family fails iff
-    some margin falls below -tol. A family that ran no check is reported as
-    skipped when it has a `skip` reason, and as a vacuous pass otherwise.
+    some margin falls below -_LEMMA_TOL. A family that ran no check is
+    reported as skipped when it has a `skip` reason, and as a vacuous pass
+    otherwise.
     """
 
-    def __init__(self, name: str, tol: float, skip: str = ""):
+    def __init__(self, name: str, skip: str = ""):
         self.name = name
-        self.tol = tol
         self.skip = skip
         self.checks = 0
         self.worst = math.inf
@@ -687,7 +687,7 @@ class _Tally:
         self.checks += margins.size
         margin = float(margins.min())
         self.worst = min(self.worst, margin)
-        if margin < -self.tol:
+        if margin < -_LEMMA_TOL:
             self.passed = False
 
     def entry(self) -> LemmaCheck:
@@ -707,17 +707,16 @@ def verify_lemmas(
     draws_sandwich: int = 50,
     draws_projected: int = 20,
     draws_innerproduct: int = 100,
-    tol: float = 1e-10,
 ) -> LemmaReport:
     """Check the isometry-constant inequalities on one matrix by brute force.
 
     Each lemma family reports its check count and worst margin (the slack of
-    its inequality); it fails iff some margin is below -tol. Cells of the
-    support lattice larger than `cell_cap` (at least 1) are skipped, and a
-    family that could run no check because of them is reported as skipped
-    (cells over cell_cap), never silently passed. Per-support instantiations
-    sample `support_samples` supports when a cell family is larger than
-    that. A sampled support stays a row of its cell's arrays, and only the
+    its inequality); it fails iff some margin is below -_LEMMA_TOL. Cells
+    of the support lattice larger than `cell_cap` (at least 1) are skipped,
+    and a family that could run no check because of them is reported as
+    skipped (cells over cell_cap), never silently passed. Per-support
+    instantiations sample `support_samples` supports when a cell family is
+    larger than that. A sampled support stays a row of its cell's arrays, and only the
     sampled rows are expanded to columns (`_row_columns`). The
     sampled supports of one cell, or the subsets of one shape, are checked
     with one stacked product per chunk of _STACK_CHUNK, drawing from `rng`
@@ -729,7 +728,7 @@ def verify_lemmas(
     families: list[_Tally] = []
 
     def family(name: str, skip: str = "") -> _Tally:
-        families.append(_Tally(name, tol, skip))
+        families.append(_Tally(name, skip))
         return families[-1]
 
     fam_B = replace(params, l=1)
@@ -899,15 +898,15 @@ def f_K(u: float, K: int, b: int, p: int) -> float:
     )
 
 
-def f_K_inverse(target: float, K: int, b: int, p: int, bracket: float = 1e3) -> float:
-    """Invert f_K by bisection on [0, bracket] to 1e-12, for a finite
+def f_K_inverse(target: float, K: int, b: int, p: int) -> float:
+    """Invert f_K by bisection on [0, _F_K_BRACKET] to 1e-12, for a finite
     target >= 0."""
     check_at_least(0, target=target)
-    if f_K(bracket, K, b, p) < target:
-        raise ValueError(f"target {target} unreachable on [0, {bracket}]")
+    if f_K(_F_K_BRACKET, K, b, p) < target:
+        raise ValueError(f"target {target} unreachable on [0, {_F_K_BRACKET}]")
     if target == 0:
         return 0.0
-    lo, hi = 0.0, bracket
+    lo, hi = 0.0, _F_K_BRACKET
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f_K(mid, K, b, p) < target:
@@ -991,40 +990,39 @@ def thm1_certificate(
 # Gaussian-matrix probability bound
 
 @dataclass(frozen=True)
-class Thm2Params:
+class Thm2Report:
+    """The Theorem 2 bound with every intermediate: lambda (of the variant
+    named), nu, rho, the count-bound terms A, C, D, E and exponent h, the
+    tail constants c1 and c2 at eps0 and eps, the magnitude-ratio tail g,
+    the bound in both forms, and the side-condition flags."""
+
     lam: float
+    lambda_variant: str
     nu: float
     rho: float
-    c1: float
-    c2: float
-    h: float
     A: float
     C: float
     D: float
     E: float
+    h: float
+    c1: float
+    c2: float
     eps0: float
     eps: float
-    lambda_variant: str
-
-
-@dataclass(frozen=True)
-class Thm2Report:
-    quantities: Thm2Params
     g_used: float
     bound: float
     bound_derivation: float
     flags: dict[str, bool]
 
     def render(self) -> str:
-        q = self.quantities
         lines = [
-            f"lambda = {q.lam!r} ({q.lambda_variant})",
-            f"nu     = {q.nu!r}",
-            f"rho    = {q.rho!r}",
-            f"A = {q.A!r}  C = {q.C!r}  D = {q.D!r}  E = {q.E!r}",
-            f"h  = {q.h!r}",
-            f"c1 = {q.c1!r}",
-            f"c2 = {q.c2!r}",
+            f"lambda = {self.lam!r} ({self.lambda_variant})",
+            f"nu     = {self.nu!r}",
+            f"rho    = {self.rho!r}",
+            f"A = {self.A!r}  C = {self.C!r}  D = {self.D!r}  E = {self.E!r}",
+            f"h  = {self.h!r}",
+            f"c1 = {self.c1!r}",
+            f"c2 = {self.c2!r}",
             f"g  = {self.g_used!r}",
             f"bound            = {self.bound!r}",
             f"bound (derivation form) = {self.bound_derivation!r}",
@@ -1034,12 +1032,11 @@ class Thm2Report:
         return "\n".join(lines) + "\n"
 
     def csv(self) -> str:
-        q = self.quantities
         rows = [
-            ("lambda", q.lam), ("nu", q.nu), ("rho", q.rho),
-            ("A", q.A), ("C", q.C), ("D", q.D), ("E", q.E),
-            ("h", q.h), ("c1", q.c1), ("c2", q.c2),
-            ("eps0", q.eps0), ("eps", q.eps),
+            ("lambda", self.lam), ("nu", self.nu), ("rho", self.rho),
+            ("A", self.A), ("C", self.C), ("D", self.D), ("E", self.E),
+            ("h", self.h), ("c1", self.c1), ("c2", self.c2),
+            ("eps0", self.eps0), ("eps", self.eps),
             ("g", self.g_used), ("bound", self.bound),
             ("bound_derivation", self.bound_derivation),
         ]
@@ -1047,6 +1044,22 @@ class Thm2Report:
         lines += [f"{name},{value!r}" for name, value in rows]
         lines += [f"flag_{name},{int(ok)}" for name, ok in self.flags.items()]
         return "\n".join(lines) + "\n"
+
+
+def _count_bound_exponent(
+    n: int, b: int, p: int, Lsep: int, K: int, R: int
+) -> tuple[float, float, float, float, float]:
+    """Terms (A, C, D, E, h) of the closed-form count bound exp(h) on the
+    supports of the order-(K-1, R) constant that the recovery certificate
+    checks: A and D count K - 1 true blocks, the other terms K, as the
+    bound is stated. h is inf when p*D/K - E <= 0."""
+    A = 3.0 * p * (K - 1) / (2.0 * (p + 1) ** 2) + R
+    C = math.log(p) + 21.0 / 8.0 - 1.0 / p
+    D = float(n - (K - 1) * b + Lsep)
+    E = float(Lsep - 1)
+    arg = p * D / K - E
+    h = A + K * C + K * math.log(arg) if arg > 0 else math.inf
+    return A, C, D, E, h
 
 
 def thm2_bound(
@@ -1089,7 +1102,7 @@ def thm2_bound(
         raise ValueError(f"eps must be >= -nu = {-nu!r}, got eps={eps!r}")
     rho = f_K_inverse(1.0, K, b, p)
 
-    A, C, D, E, h = count_bound_exponent(n, b, p, Lp, K, R, order=K - 1)
+    A, C, D, E, h = _count_bound_exponent(n, b, p, Lp, K, R)
     try:
         c1 = 2.0 * math.exp(h)
     except OverflowError:
@@ -1117,12 +1130,9 @@ def thm2_bound(
         "eps-range": 0.0 <= eps <= max(rho - nu, 0.0),
         "h-defined": h < math.inf,
     }
-    quantities = Thm2Params(
-        lam=lam, nu=nu, rho=rho, c1=c1, c2=c2, h=h, A=A, C=C, D=D, E=E,
-        eps0=eps0, eps=eps, lambda_variant=lambda_variant,
-    )
     return Thm2Report(
-        quantities=quantities, g_used=g, bound=bound,
+        lam=lam, lambda_variant=lambda_variant, nu=nu, rho=rho, A=A, C=C, D=D, E=E, h=h,
+        c1=c1, c2=c2, eps0=eps0, eps=eps, g_used=g, bound=bound,
         bound_derivation=bound_derivation, flags=flags,
     )
 

@@ -80,8 +80,7 @@ def _cmd_recover(args) -> int:
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
     result = experiments.solve(
-        args.alg, Phi, sensing.Measurement(y=y),
-        K=args.K, L=args.L, b=args.b, p=args.p, epsilon=args.eps,
+        args.alg, Phi, y, K=args.K, L=args.L, b=args.b, p=args.p, epsilon=args.eps
     )
     report = recovery.result_report(result)
     if args.out:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import LemmaReport, f_K, pibric, thm1_certificate, verify_lemmas
 from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
-from .sensing import Measurement, SensingMatrix, gaussian_matrix, identity_matrix, measure
+from .sensing import SensingMatrix, gaussian_matrix, identity_matrix, measure
 from .signal_model import (
     PibsParams,
     SignalInstance,
@@ -66,8 +66,9 @@ def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
 class ExperimentConfig:
     """One phase-transition experiment. `epsilon` is the residual-threshold
     multiplier on ||y||, finite and >= 0 (trials are noiseless). Every
-    K_grid entry is >= 0, value_scheme is one `_fill` reads and, when
-    tsgbomp runs, L >= p*b: all are checked here, before any trial."""
+    K_grid entry is >= 0, no K or algorithm is listed twice, value_scheme
+    is one `_fill` reads and, when tsgbomp runs, L >= p*b: all are checked
+    here, before any trial."""
 
     n: int
     m: int
@@ -89,6 +90,10 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        for name, values in (("K", self.K_grid), ("algorithm", self.algorithms)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} listed more than once: {repeated}")
         if self.matrix_kind not in ("gaussian", "identity"):
             raise ValueError("matrix_kind must be 'gaussian' or 'identity'")
         if self.matrix_kind == "identity" and self.m != self.n:
@@ -225,7 +230,7 @@ def _fill(support: Support, scheme: str, rng: np.random.Generator) -> SignalInst
 def solve(
     algorithm: str,
     Phi: SensingMatrix,
-    measurement: Measurement,
+    y: np.ndarray,
     K: int,
     L: int | None,
     b: int,
@@ -238,9 +243,9 @@ def solve(
     even where their product is a valid block length."""
     check_at_least(1, b=b, p=p)
     if algorithm == "tsgbomp":
-        return tsgbomp(Phi, measurement, K=K, L=L, b=b, p=p, epsilon=epsilon)
+        return tsgbomp(Phi, y, K=K, L=L, b=b, p=p, epsilon=epsilon)
     if algorithm == "bomp":
-        return bomp(Phi, measurement, K=K, block=b * p, epsilon=epsilon)
+        return bomp(Phi, y, K=K, block=b * p, epsilon=epsilon)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -254,9 +259,9 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
         Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
     support = sample_support(config.params_for(K), K, rng)
     signal = _fill(support, config.value_scheme, rng)
-    meas = measure(Phi, signal.x)
-    eps = config.epsilon * float(np.linalg.norm(meas.y))
-    result = solve(algorithm, Phi, meas, K=K, L=config.L, b=config.b, p=config.p, epsilon=eps)
+    y = measure(Phi, signal.x)
+    eps = config.epsilon * float(np.linalg.norm(y))
+    result = solve(algorithm, Phi, y, K=K, L=config.L, b=config.b, p=config.p, epsilon=eps)
     return TrialRecord(
         seed=seed,
         K=K,
@@ -451,10 +456,7 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
         signs = rng.integers(0, 2, size=cols.size) * 2 - 1
         x = np.zeros(cfg.n)
         x[cols] = mags * signs
-        signal = SignalInstance(
-            x=x, support=support, params=sig_params,
-            x_min=float(np.min(mags)), x_max=1.0,
-        )
+        signal = SignalInstance(x=x, support=support, x_min=float(np.min(mags)), x_max=1.0)
 
         cert = thm1_certificate(
             delta, cfg.K, cfg.b, cfg.p, epsilon=0.0,
@@ -464,9 +466,9 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
             instances.append(RegimeInstance(cfg, delta, certified=False, success=None))
             continue
 
-        meas = measure(Phi, signal.x)
-        eps = 1e-9 * float(np.linalg.norm(meas.y))
-        result = tsgbomp(Phi, meas, K=cfg.K, L=cfg.L, b=cfg.b, p=cfg.p, epsilon=eps)
+        y = measure(Phi, signal.x)
+        eps = 1e-9 * float(np.linalg.norm(y))
+        result = tsgbomp(Phi, y, K=cfg.K, L=cfg.L, b=cfg.b, p=cfg.p, epsilon=eps)
         instances.append(
             RegimeInstance(
                 cfg, delta, certified=True, success=success_check(result, signal)

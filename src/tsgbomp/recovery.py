@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sensing import Measurement, SensingMatrix
+from .sensing import SensingMatrix
 from .signal_model import SignalInstance, check_at_least
 
 __all__ = [
@@ -92,7 +92,7 @@ def _extend_basis(Q: np.ndarray, ncov: int, A: np.ndarray) -> np.ndarray | None:
 
 def _greedy(
     Phi: SensingMatrix,
-    measurement: Measurement,
+    y: np.ndarray,
     K: int,
     epsilon: float,
     block_length: int,
@@ -118,7 +118,6 @@ def _greedy(
     every later iteration refit by least squares, whose minimum-norm
     solution and residual then stand.
     """
-    y = measurement.y
     m, n = Phi.m, Phi.n
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match m={m}")
@@ -181,7 +180,7 @@ def _greedy(
 
 def tsgbomp(
     Phi: SensingMatrix,
-    measurement: Measurement,
+    y: np.ndarray,
     K: int,
     L: int,
     b: int,
@@ -219,12 +218,12 @@ def tsgbomp(
         i_k = int(starts[np.argmax(run_norms)])
         return w, i_k, tuple(i_k + j * b for j in range(p))
 
-    return _greedy(Phi, measurement, K, epsilon, b, B, select)
+    return _greedy(Phi, y, K, epsilon, b, B, select)
 
 
 def bomp(
     Phi: SensingMatrix,
-    measurement: Measurement,
+    y: np.ndarray,
     K: int,
     block: int,
     epsilon: float,
@@ -242,7 +241,7 @@ def bomp(
         start = j * block + 1
         return j + 1, start, (start,)
 
-    return _greedy(Phi, measurement, K, epsilon, block, block, select)
+    return _greedy(Phi, y, K, epsilon, block, block, select)
 
 
 def success_check(result: RecoveryResult, truth: SignalInstance) -> bool:

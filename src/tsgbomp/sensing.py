@@ -12,7 +12,6 @@ from .signal_model import check_at_least
 
 __all__ = [
     "SensingMatrix",
-    "Measurement",
     "gaussian_matrix",
     "identity_matrix",
     "measure",
@@ -62,14 +61,6 @@ class SensingMatrix:
         return SensingMatrix(entries=self.entries / norms, normalized=True)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Measurement vector with the norm of the noise that produced it."""
-
-    y: np.ndarray
-    noise_bound: float = 0.0
-
-
 def gaussian_matrix(
     m: int,
     n: int,
@@ -113,14 +104,16 @@ def measure(
     x: np.ndarray,
     noise: None | tuple[str, float] | np.ndarray = None,
     rng: np.random.Generator | None = None,
-) -> Measurement:
-    """y = Phi x + e. The noise bound records the exact norm of e."""
+) -> np.ndarray:
+    """y = Phi x + e, with e zero, a given length-m vector, or for
+    ("gaussian", sigma) i.i.d. entries of standard deviation sigma drawn
+    from `rng`, complex when Phi or x is."""
     x = np.asarray(x)
     if x.shape != (Phi.n,):
         raise ValueError(f"signal length {x.shape} does not match n={Phi.n}")
     y = Phi.entries @ x
     if noise is None:
-        return Measurement(y=y, noise_bound=0.0)
+        return y
     if isinstance(noise, tuple):
         kind, sigma = noise
         if kind != "gaussian":
@@ -137,7 +130,7 @@ def measure(
         e = np.asarray(noise)
         if e.shape != (Phi.m,):
             raise ValueError(f"noise length {e.shape} does not match m={Phi.m}")
-    return Measurement(y=y + e, noise_bound=float(np.linalg.norm(e)))
+    return y + e
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,10 @@ def matrix_from_csv(text: str) -> SensingMatrix:
     width = 2 * n if is_complex else n
     rows = []
     for i, ln in enumerate(lines[1:], start=1):
-        vals = [float(v) for v in ln.split(",")]
+        try:
+            vals = [float(v) for v in ln.split(",")]
+        except ValueError:
+            raise ValueError(f"matrix CSV row {i} holds a field that is not a number: {ln!r}") from None
         if len(vals) != width:
             raise ValueError(f"matrix CSV row {i} has {len(vals)} fields, expected {width}")
         if not all(map(math.isfinite, vals)):

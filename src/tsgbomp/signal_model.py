@@ -40,8 +40,6 @@ __all__ = [
     "enumerate_supports",
     "cell_count",
     "count_supports_formula",
-    "count_bound_exponent",
-    "count_supports_bound",
     "formula_assumptions",
     "compare_counts",
     "fill_values",
@@ -88,7 +86,6 @@ class PibsParams:
     n: signal length; b: block size; p: max blocks per cluster;
     l: pseudo-block length; Lsep: minimum inter-cluster separation;
     K: total true-block budget; R: pseudo-block budget.
-    ``L`` is recorded when Lsep was derived from a window length.
     """
 
     n: int
@@ -98,19 +95,18 @@ class PibsParams:
     Lsep: int
     K: int
     R: int
-    L: int | None = None
 
     def __post_init__(self):
         check_at_least(1, b=self.b, p=self.p, n=self.n, Lsep=self.Lsep)
         check_at_least(0, K=self.K, R=self.R)
         if not (0 <= self.l <= self.Lsep):
             raise ValueError("pseudo length l must satisfy 0 <= l <= Lsep")
-        if self.L is not None and min_separation(self.b, self.p, self.L) != self.Lsep:
-            raise ValueError("recorded window length inconsistent with Lsep")
 
     @classmethod
     def from_window(cls, n: int, b: int, p: int, l: int, L: int, K: int, R: int) -> "PibsParams":
-        return cls(n=n, b=b, p=p, l=l, Lsep=min_separation(b, p, L), K=K, R=R, L=L)
+        """The geometry whose separation a window of length L induces
+        (`min_separation`)."""
+        return cls(n=n, b=b, p=p, l=l, Lsep=min_separation(b, p, L), K=K, R=R)
 
     @property
     def B(self) -> int:
@@ -119,9 +115,7 @@ class PibsParams:
 
     @property
     def window_length(self) -> int:
-        """Window length, recorded or implied by Lsep = L + 2pb - b."""
-        if self.L is not None:
-            return self.L
+        """Window length L implied by Lsep = L + 2pb - b."""
         return self.Lsep - 2 * self.p * self.b + self.b
 
 
@@ -696,39 +690,6 @@ def compare_counts(params: PibsParams, K: int, R: int) -> CountComparison:
     )
 
 
-def count_bound_exponent(
-    n: int, b: int, p: int, Lsep: int, K: int, R: int, order: int
-) -> tuple[float, float, float, float, float]:
-    """Terms (A, C, D, E, h) of the closed-form support-count bound exp(h);
-    h is inf when p*D/K - E <= 0. `order` is the true-block count in A and D:
-    K for the (K, R) cell itself (`count_supports_bound`), K - 1 for the
-    supports of the order-(K-1, R) constant that the recovery certificate
-    uses (`thm2_bound`). The other K terms are K in both, as the bound is
-    stated."""
-    A = 3.0 * p * order / (2.0 * (p + 1) ** 2) + R
-    C = math.log(p) + 21.0 / 8.0 - 1.0 / p
-    D = float(n - order * b + Lsep)
-    E = float(Lsep - 1)
-    arg = p * D / K - E
-    h = A + K * C + K * math.log(arg) if arg > 0 else math.inf
-    return A, C, D, E, h
-
-
-def count_supports_bound(params: PibsParams, K: int, R: int) -> float:
-    """Closed-form upper bound exp(A + K*C + K*ln(p*D/K - E)) on the (K, R)
-    count, valid when L >= p*b and (R+1)*p <= K. Evaluated in the log domain."""
-    b, p = params.b, params.p
-    L = params.window_length
-    if L < p * b:
-        raise ValueError(f"bound requires L >= p*b ({L} < {p * b})")
-    if (R + 1) * p > K:
-        raise ValueError(f"bound requires (R+1)*p <= K ({(R + 1) * p} > {K})")
-    h = count_bound_exponent(params.n, b, p, params.Lsep, K, R, order=K)[-1]
-    if h == math.inf:
-        raise ValueError("bound undefined: p*D/K - E <= 0")
-    return math.exp(h)
-
-
 # ---------------------------------------------------------------------------
 # values
 
@@ -739,7 +700,6 @@ class SignalInstance:
 
     x: np.ndarray
     support: Support
-    params: PibsParams
     x_min: float | None
     x_max: float | None
 
@@ -763,8 +723,7 @@ def fill_values(
     check_amplitude(amplitude)
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
-    params = support.params
-    x = np.zeros(params.n)
+    x = np.zeros(support.params.n)
     cols = support.column_array
     if cols.size:
         if scheme == "const":
@@ -786,7 +745,7 @@ def fill_values(
         x_min, x_max = float(mags.min()), float(mags.max())
     else:
         x_min = x_max = None
-    return SignalInstance(x=x, support=support, params=params, x_min=x_min, x_max=x_max)
+    return SignalInstance(x=x, support=support, x_min=x_min, x_max=x_max)
 
 
 # ---------------------------------------------------------------------------

@@ -327,13 +327,13 @@ class TestCriterion9SolverInvariants:
             noise = None
             if trial % 3 == 0:
                 noise = ("gaussian", 0.05)
-            meas = measure(Phi, signal.x, noise=noise, rng=rng)
-            y_norm = np.linalg.norm(meas.y)
+            y = measure(Phi, signal.x, noise=noise, rng=rng)
+            y_norm = np.linalg.norm(y)
             solver = tsgbomp if trial % 4 else bomp
             if solver is tsgbomp:
-                res = tsgbomp(Phi, meas, K=K, L=L, b=b, p=p, epsilon=0.0)
+                res = tsgbomp(Phi, y, K=K, L=L, b=b, p=p, epsilon=0.0)
             else:
-                res = bomp(Phi, meas, K=K, block=b * p, epsilon=0.0)
+                res = bomp(Phi, y, K=K, block=b * p, epsilon=0.0)
 
             norms = [y_norm] + [r.residual_norm for r in res.trace]
             for before, after in zip(norms, norms[1:]):
@@ -346,8 +346,8 @@ class TestCriterion9SolverInvariants:
                 starts.update(rec.block_starts)
                 cols = sorted({c for s in starts for c in range(s - 1, s - 1 + width)})
                 A = Phi.entries[:, cols]
-                u, *_ = np.linalg.lstsq(A, meas.y, rcond=None)
-                r = meas.y - A @ u
+                u, *_ = np.linalg.lstsq(A, y, rcond=None)
+                r = y - A @ u
                 assert np.linalg.norm(A.conj().T @ r) <= 1e-8 * y_norm
             checked += 1
         elapsed = time.time() - t0

@@ -447,7 +447,7 @@ class TestScanKernel:
         cell = analysis._cell_data(params, 3, 0)
         assert len(cell) >= 10_000
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
-            table = pibric_table(Phi, params, 3, 0)
+            table = pibric_table(Phi, params, 3, 0, 200_000)
         solved = sum(call.args[0].shape[0] for call in eig.call_args_list)
         assert solved < len(cell)
         delta, i = _full_scan_max(Phi.gram, _cell_columns(cell))
@@ -819,7 +819,7 @@ class TestVerifyLemmas:
         assert reports[0] == reports[1]
         if case == "four-blocks":
             # 4-block supports have 16 subsets, of which 8 are drawn
-            d = _order_deltas(pibric_table(Phi, params, params.K, params.R))
+            d = _order_deltas(pibric_table(Phi, params, params.K, params.R, 200_000))
             assert d[(4, 1)] < 1.0
         if case == "capped":
             assert "skipped (cells over cell_cap)" in reports[0]
@@ -876,7 +876,7 @@ class TestScalingFunction:
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
-            f_K_inverse(1e9, 1, 1, 1, bracket=10.0)
+            f_K_inverse(1e9, 1, 1, 1)  # f_K(1e3, 1, 1, 1) = 252.4
 
 
 class TestCertificate:
@@ -981,24 +981,23 @@ class TestThm2:
         win = thm2_bound(1, 1, 2, 4, 2, 1000, 200, eps0=0.05, eps=0.05,
                          lambda_variant="window")
         Lp = 2 + 2 * 1 * 1 - 1
-        assert sep.quantities.lam == pytest.approx(math.sqrt((3 + 2 * Lp) / 1000))
-        assert win.quantities.lam == pytest.approx(math.sqrt((3 + 2 * 2) / 1000))
-        assert win.quantities.lam < sep.quantities.lam
+        assert sep.lam == pytest.approx(math.sqrt((3 + 2 * Lp) / 1000))
+        assert win.lam == pytest.approx(math.sqrt((3 + 2 * 2) / 1000))
+        assert win.lam < sep.lam
 
     def test_intermediates_match_definitions(self):
         b, p, L, K, R, m, n = 1, 1, 2, 4, 2, 2000, 200
         rep = thm2_bound(b, p, L, K, R, m, n, eps0=0.05, eps=0.05)
-        q = rep.quantities
         Lp = L + 2 * p * b - b
-        assert q.nu == pytest.approx(q.lam**2 + 2 * q.lam, rel=1e-12)
-        assert f_K(q.rho, K, b, p) == pytest.approx(1.0, abs=1e-9)
-        assert q.A == pytest.approx(3 * p * (K - 1) / (2 * (p + 1) ** 2) + R)
-        assert q.C == pytest.approx(math.log(p) + 21 / 8 - 1 / p)
-        assert q.D == n - (K - 1) * b + Lp
-        assert q.E == Lp - 1
-        assert q.h == pytest.approx(q.A + K * q.C + K * math.log(p * q.D / K - q.E))
-        assert q.c1 == pytest.approx(2 * math.exp(q.h))
-        assert q.c2 == pytest.approx(m / (q.lam + 1 + math.sqrt(1 + q.rho)) ** 2)
+        assert rep.nu == pytest.approx(rep.lam**2 + 2 * rep.lam, rel=1e-12)
+        assert f_K(rep.rho, K, b, p) == pytest.approx(1.0, abs=1e-9)
+        assert rep.A == pytest.approx(3 * p * (K - 1) / (2 * (p + 1) ** 2) + R)
+        assert rep.C == pytest.approx(math.log(p) + 21 / 8 - 1 / p)
+        assert rep.D == n - (K - 1) * b + Lp
+        assert rep.E == Lp - 1
+        assert rep.h == pytest.approx(rep.A + K * rep.C + K * math.log(p * rep.D / K - rep.E))
+        assert rep.c1 == pytest.approx(2 * math.exp(rep.h))
+        assert rep.c2 == pytest.approx(m / (rep.lam + 1 + math.sqrt(1 + rep.rho)) ** 2)
 
     def test_becomes_positive_for_large_m(self):
         rep = thm2_bound(1, 1, 2, 3, 2, 1_000_000, 200, eps0=0.02, eps=0.01)
@@ -1022,7 +1021,7 @@ class TestThm2:
 
     def test_user_supplied_g(self):
         rep = thm2_bound(1, 1, 2, 4, 2, 60_000, 200, eps0=0.09, eps=0.09, g_value=1.0)
-        tail = rep.quantities.c1 * math.exp(-rep.quantities.c2 * 0.09**2)
+        tail = rep.c1 * math.exp(-rep.c2 * 0.09**2)
         assert rep.bound == pytest.approx(1.0 - 2.0 * tail, rel=1e-9)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -127,6 +128,11 @@ class TestThm2:
         assert f"lambda = {values['lambda']} (separation)\n" in out
         assert f"h  = {values['h']}\n" in out
         assert f"bound            = {values['bound']}\n" in out
+        # every printed digit of both outputs
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "82d40f5bb0983f5713cac65b101bd056d8bf0e2f9a5ae57bed09697e5ce4db26")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "6b086e346b7236a39e0fdfdee318a6865e1ce1d998163cb24061ff5cc8819dbe")
 
     def test_window_length_zero_exits_one(self, capsys):
         code = main(["thm2", "--b", "1", "--p", "1", "--L", "0", "--K", "4",
@@ -263,6 +269,19 @@ class TestRecover:
                      "--K", "2", "--L", "4", "--b", "2", "--p", "2", "--eps", "1e-8"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_matrix_field_that_is_not_a_number_exits_one(self, tmp_path, capsys):
+        # float()'s own message named the field but not its row
+        mat_path = tmp_path / "phi.csv"
+        mat_path.write_text("2,2,0\n1.0,0.0\n1.0,x\n")
+        y_path = tmp_path / "y.csv"
+        y_path.write_text("index,value\n1,1.0\n")
+        code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--K", "1", "--b", "1", "--p", "1", "--eps", "1e-8"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: matrix CSV row 2 holds a field that is not a number: '1.0,x'\n"
 
 
     @pytest.mark.parametrize(
@@ -420,8 +439,12 @@ class TestCurveCommand:
             ("b=2\np=2\nL=4\nK_grid=1\nvalue_scheme=const:-5\n",
              "amplitude must be finite and > 0, got -5.0"),
             ("b=2\np=2\nL=4\nK_grid=1\nvalue_scheme=bogus\n", "unknown value scheme 'bogus'"),
+            ("b=2\np=2\nL=4\nK_grid=1,1\n", "K listed more than once: [1]"),
+            ("b=2\np=2\nL=4\nK_grid=1\nalgorithms=tsgbomp,tsgbomp\n",
+             "algorithm listed more than once: ['tsgbomp']"),
         ],
-        ids=["negative-K", "window-below-capacity", "negative-amplitude", "unknown-scheme"],
+        ids=["negative-K", "window-below-capacity", "negative-amplitude", "unknown-scheme",
+             "repeated-K", "repeated-algorithm"],
     )
     def test_bad_grid_or_window_exits_one_before_writing(
         self, tmp_path, capsys, geometry, message

@@ -20,7 +20,7 @@ from tsgbomp.experiments import (
     theorem_regime_suite,
     trial_seed,
 )
-from tsgbomp.sensing import Measurement, identity_matrix
+from tsgbomp.sensing import identity_matrix
 from tsgbomp.signal_model import min_separation
 
 
@@ -101,6 +101,14 @@ class TestConfig:
     def test_infeasible_K_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_config(K_grid=(1, 50))
+
+    def test_repeated_K_or_algorithm_rejected(self):
+        # a repeated entry ran its trials once per listing and reported
+        # each point that many times over
+        with pytest.raises(ValueError, match=r"K listed more than once: \[1\]"):
+            small_config(K_grid=(1, 2, 1))
+        with pytest.raises(ValueError, match=r"algorithm listed more than once: \['bomp'\]"):
+            small_config(algorithms=("bomp", "tsgbomp", "bomp"))
 
     def test_window_length_zero_rejected(self):
         with pytest.raises(ValueError, match="L must be >= 1, got 0"):
@@ -190,7 +198,7 @@ class TestTrials:
         Phi = identity_matrix(8)
         name, value = ("b", b) if b < 1 else ("p", p)
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
-            experiments.solve(algorithm, Phi, Measurement(y=np.ones(8)), 1, 4, b, p, 0.0)
+            experiments.solve(algorithm, Phi, np.ones(8), 1, 4, b, p, 0.0)
 
     def test_identity_override_always_succeeds(self):
         cfg = small_config(m=48, matrix_kind="identity", K_grid=(1, 2, 3))

@@ -17,7 +17,7 @@ from tsgbomp.recovery import (
     trace_to_csv,
     tsgbomp,
 )
-from tsgbomp.sensing import Measurement, SensingMatrix, gaussian_matrix, identity_matrix, measure
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix, measure
 from tsgbomp.signal_model import PibsParams, Support, fill_values, sample_support
 
 
@@ -27,8 +27,8 @@ def make_instance(n=200, m=160, b=4, p=2, L=8, K=4, seed=1, amplitude=10.0):
     support = sample_support(params, K, rng)
     signal = fill_values(support, "const", amplitude, rng)
     Phi = gaussian_matrix(m, n, "unit", True, rng)
-    meas = measure(Phi, signal.x)
-    return Phi, meas, signal
+    y = measure(Phi, signal.x)
+    return Phi, y, signal
 
 
 class TestTsgbomp:
@@ -39,43 +39,43 @@ class TestTsgbomp:
         support = sample_support(params, 2, rng)
         signal = fill_values(support, "gaussian", rng=rng)
         Phi = identity_matrix(n)
-        meas = measure(Phi, signal.x)
-        res = tsgbomp(Phi, meas, K=2, L=4, b=2, p=2, epsilon=1e-10)
+        y = measure(Phi, signal.x)
+        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2, epsilon=1e-10)
         assert set(signal.support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - signal.x) <= 1e-10
 
     def test_below_threshold_returns_zero(self):
         Phi = identity_matrix(8)
-        meas = measure(Phi, np.zeros(8), noise=np.full(8, 1e-9))
-        res = tsgbomp(Phi, meas, K=3, L=4, b=2, p=2, epsilon=1e-3)
+        y = measure(Phi, np.zeros(8), noise=np.full(8, 1e-9))
+        res = tsgbomp(Phi, y, K=3, L=4, b=2, p=2, epsilon=1e-3)
         assert res.iterations == 0
         assert res.estimated_columns == ()
         assert not res.x_hat.any()
         assert res.stop_reason == "residual-threshold"
 
     def test_gaussian_fixture_succeeds(self):
-        Phi, meas, signal = make_instance(seed=1)
-        res = tsgbomp(Phi, meas, K=4, L=8, b=4, p=2,
-                      epsilon=1e-6 * np.linalg.norm(meas.y))
+        Phi, y, signal = make_instance(seed=1)
+        res = tsgbomp(Phi, y, K=4, L=8, b=4, p=2,
+                      epsilon=1e-6 * np.linalg.norm(y))
         assert success_check(res, signal)
         assert res.iterations == 4
 
     def test_residual_monotone_and_orthogonal(self):
-        Phi, meas, signal = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, meas, K=6, L=8, b=4, p=2, epsilon=0.0)
-        norms = [np.linalg.norm(meas.y)] + [r.residual_norm for r in res.trace]
+        Phi, y, signal = make_instance(K=6, seed=9)
+        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
+        norms = [np.linalg.norm(y)] + [r.residual_norm for r in res.trace]
         for a, b_ in zip(norms, norms[1:]):
             assert b_ <= a + 1e-10
         cols = np.asarray(res.estimated_columns) - 1
-        r = meas.y - Phi.entries @ res.x_hat
-        assert np.linalg.norm(Phi.entries[:, cols].T @ r) <= 1e-8 * np.linalg.norm(meas.y)
+        r = y - Phi.entries @ res.x_hat
+        assert np.linalg.norm(Phi.entries[:, cols].T @ r) <= 1e-8 * np.linalg.norm(y)
 
     def test_zero_epsilon_stops_at_rounding_level(self):
         # the fifth pick recovers the signal exactly; a sixth would be
         # chosen from a residual of rounding noise
-        Phi, meas, signal = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, meas, K=6, L=8, b=4, p=2, epsilon=0.0)
-        floor = 1e-12 * np.linalg.norm(meas.y)
+        Phi, y, signal = make_instance(K=6, seed=9)
+        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
+        floor = 1e-12 * np.linalg.norm(y)
         assert res.stop_reason == "residual-threshold"
         assert res.iterations == 5
         assert res.trace[-1].residual_norm < floor
@@ -83,8 +83,8 @@ class TestTsgbomp:
         assert success_check(res, signal)
 
     def test_stage2_start_in_clamped_window_range(self):
-        Phi, meas, _ = make_instance(K=5, seed=21)
-        res = tsgbomp(Phi, meas, K=5, L=8, b=4, p=2, epsilon=0.0)
+        Phi, y, _ = make_instance(K=5, seed=21)
+        res = tsgbomp(Phi, y, K=5, L=8, b=4, p=2, epsilon=0.0)
         B = 8
         for rec in res.trace:
             lo = max(1, 8 * (rec.window - 1) + 1 - (B - 1))
@@ -96,15 +96,15 @@ class TestTsgbomp:
             assert rec.cluster_start <= w_hi and rec.cluster_start + B - 1 >= w_lo
 
     def test_estimated_columns_deduplicated(self):
-        Phi, meas, _ = make_instance(K=6, seed=4)
-        res = tsgbomp(Phi, meas, K=6, L=8, b=4, p=2, epsilon=0.0)
+        Phi, y, _ = make_instance(K=6, seed=4)
+        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
         assert len(res.estimated_columns) == len(set(res.estimated_columns))
         assert list(res.estimated_columns) == sorted(res.estimated_columns)
 
     def test_deterministic_trace(self):
-        Phi, meas, _ = make_instance(seed=13)
-        r1 = tsgbomp(Phi, meas, K=4, L=8, b=4, p=2, epsilon=0.0)
-        r2 = tsgbomp(Phi, meas, K=4, L=8, b=4, p=2, epsilon=0.0)
+        Phi, y, _ = make_instance(seed=13)
+        r1 = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
+        r2 = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.x_hat, r2.x_hat)
 
@@ -114,8 +114,8 @@ class TestTsgbomp:
         params = PibsParams.from_window(n=48, b=2, p=2, l=4, L=4, K=4, R=0)
         support = sample_support(params, 4, rng)
         signal = fill_values(support, "gaussian", rng=rng)
-        meas = measure(Phi, signal.x)
-        res = tsgbomp(Phi, meas, K=2, L=4, b=2, p=2, epsilon=0.0)
+        y = measure(Phi, signal.x)
+        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2, epsilon=0.0)
         assert support.clusters == ((3, 1), (22, 2), (36, 1))
         assert [r.window for r in res.trace] == [1, 9]
         assert [r.cluster_start for r in res.trace] == [2, 34]
@@ -127,11 +127,11 @@ class TestTsgbomp:
 
     def test_dimension_and_divisibility_errors(self):
         Phi = identity_matrix(10)
-        meas = measure(Phi, np.zeros(10))
+        y = measure(Phi, np.zeros(10))
         with pytest.raises(ValueError):
-            tsgbomp(Phi, meas, K=1, L=3, b=1, p=1, epsilon=0.0)
+            tsgbomp(Phi, y, K=1, L=3, b=1, p=1, epsilon=0.0)
         with pytest.raises(ValueError):
-            tsgbomp(Phi, meas, K=1, L=2, b=1, p=3, epsilon=0.0)
+            tsgbomp(Phi, y, K=1, L=2, b=1, p=3, epsilon=0.0)
 
     def test_complex_instance(self):
         rng = np.random.default_rng(6)
@@ -142,9 +142,9 @@ class TestTsgbomp:
         x = np.zeros(n, dtype=complex)
         cols = support.column_array
         x[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
-        meas = measure(Phi, x)
-        res = tsgbomp(Phi, meas, K=2, L=4, b=2, p=2,
-                      epsilon=1e-8 * np.linalg.norm(meas.y))
+        y = measure(Phi, x)
+        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2,
+                      epsilon=1e-8 * np.linalg.norm(y))
         assert set(support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
 
@@ -153,9 +153,9 @@ class TestTsgbomp:
 @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
 def test_threshold_outside_its_domain_raises(algorithm, epsilon):
     # nan and inf used to run no iteration, and a negative value acted as 0
-    Phi, meas, _ = make_instance(n=40, m=32, K=1)
+    Phi, y, _ = make_instance(n=40, m=32, K=1)
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-        solve(algorithm, Phi, meas, K=1, L=8, b=4, p=2, epsilon=epsilon)
+        solve(algorithm, Phi, y, K=1, L=8, b=4, p=2, epsilon=epsilon)
 
 
 class TestBomp:
@@ -163,8 +163,8 @@ class TestBomp:
         Phi = identity_matrix(8)
         x = np.zeros(8)
         x[4:6] = 2.0  # inside partition block [5..6] is block 3 of length 2
-        meas = measure(Phi, x)
-        res = bomp(Phi, meas, K=4, block=2, epsilon=1e-10)
+        y = measure(Phi, x)
+        res = bomp(Phi, y, K=4, block=2, epsilon=1e-10)
         assert res.iterations == 1
         assert res.estimated_columns == (5, 6)
 
@@ -173,8 +173,8 @@ class TestBomp:
         x = np.zeros(6)
         x[1] = 1.0
         x[2] = 2.0
-        meas = measure(Phi, x)
-        res = bomp(Phi, meas, K=3, block=2, epsilon=1e-10)
+        y = measure(Phi, x)
+        res = bomp(Phi, y, K=3, block=2, epsilon=1e-10)
         assert res.iterations == 2
         assert set((2, 3)).issubset(res.estimated_columns)
 
@@ -184,8 +184,8 @@ class TestBomp:
         params = PibsParams.from_window(n=32, b=2, p=2, l=4, L=4, K=2, R=0)
         support = sample_support(params, 2, rng)
         signal = fill_values(support, "const", 10.0, rng)
-        meas = measure(Phi, signal.x)
-        res = bomp(Phi, meas, K=2, block=4, epsilon=1e-6 * np.linalg.norm(meas.y))
+        y = measure(Phi, signal.x)
+        res = bomp(Phi, y, K=2, block=4, epsilon=1e-6 * np.linalg.norm(y))
         assert support.clusters == ((2, 1), (20, 1))
         assert [r.window for r in res.trace] == [1, 6]
         assert res.estimated_columns == (1, 2, 3, 4, 21, 22, 23, 24)
@@ -217,10 +217,10 @@ class TestSuccessCheck:
         assert not success_check(res, signal)
 
     def test_superset_with_noiseless_refit(self):
-        Phi, meas, signal = make_instance(K=2, seed=8)
+        Phi, y, signal = make_instance(K=2, seed=8)
         extra = [c for c in range(1, 201) if c not in signal.support.columns][:4]
         cols = sorted(set(signal.support.columns) | set(extra))
-        u, *_ = np.linalg.lstsq(Phi.entries[:, np.asarray(cols) - 1], meas.y, rcond=None)
+        u, *_ = np.linalg.lstsq(Phi.entries[:, np.asarray(cols) - 1], y, rcond=None)
         x_hat = np.zeros(200)
         x_hat[np.asarray(cols) - 1] = u
         from tsgbomp.recovery import RecoveryResult
@@ -234,8 +234,8 @@ class TestSuccessCheck:
 
 class TestReports:
     def test_report_and_csv_render(self):
-        Phi, meas, _ = make_instance(seed=1)
-        res = tsgbomp(Phi, meas, K=4, L=8, b=4, p=2, epsilon=0.0)
+        Phi, y, _ = make_instance(seed=1)
+        res = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
         text = result_report(res)
         assert "estimated columns:" in text
         csv = trace_to_csv(res)
@@ -243,9 +243,8 @@ class TestReports:
         assert len(csv.splitlines()) == res.iterations + 1
 
 
-def _reference_greedy(Phi, measurement, K, epsilon, block_length, width, select):
+def _reference_greedy(Phi, y, K, epsilon, block_length, width, select):
     """The greedy loop with a full least-squares refit on every iteration."""
-    y = measurement.y
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
     covered = np.zeros(Phi.n, dtype=bool)
@@ -270,15 +269,15 @@ def _reference_greedy(Phi, measurement, K, epsilon, block_length, width, select)
     return RecoveryResult(tuple(int(c) + 1 for c in cols0), x_hat, tuple(trace), k, stop)
 
 
-def _check_against_reference(algorithm, Phi, meas, K, b, p, L, epsilon):
+def _check_against_reference(algorithm, Phi, y, K, b, p, L, epsilon):
     """Solve once as shipped and once with the reference loop; the picks,
     stop and x_hat bytes must agree and the residual norms to rel=1e-9 (to
     1e-12 of |y| when at rounding level). Returns the result and the number
     of np.linalg.lstsq calls it made."""
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        got = solve(algorithm, Phi, meas, K, L, b, p, epsilon)
+        got = solve(algorithm, Phi, y, K, L, b, p, epsilon)
     with mock.patch.object(recovery, "_greedy", _reference_greedy):
-        want = solve(algorithm, Phi, meas, K, L, b, p, epsilon)
+        want = solve(algorithm, Phi, y, K, L, b, p, epsilon)
 
     def picks(res):
         return [(t.k, t.window, t.cluster_start, t.block_starts) for t in res.trace]
@@ -287,7 +286,7 @@ def _check_against_reference(algorithm, Phi, meas, K, b, p, L, epsilon):
     assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
     assert [t.residual_norm for t in got.trace] == pytest.approx(
         [t.residual_norm for t in want.trace],
-        rel=1e-9, abs=1e-12 * np.linalg.norm(meas.y),
+        rel=1e-9, abs=1e-12 * np.linalg.norm(y),
     )
     assert got.estimated_columns == want.estimated_columns
     assert got.x_hat.dtype == want.x_hat.dtype
@@ -318,7 +317,7 @@ def _random_instance(kind, seed, m, n, complex_entries, noise):
         entries[-1] = 0
         y = np.zeros(m, dtype=entries.dtype)
         y[-1] = 1.0
-    return SensingMatrix(entries), Measurement(y)
+    return SensingMatrix(entries), y
 
 
 class TestIncrementalResidual:
@@ -345,14 +344,14 @@ class TestIncrementalResidual:
         L = 2 * B
         n = L * windows
         m = max(2, int(m_share * n))
-        Phi, meas = _random_instance(kind, seed, m, n, complex_entries, noise)
-        epsilon = 1e-6 * np.linalg.norm(meas.y)
-        _check_against_reference(algorithm, Phi, meas, K, b, p, L, epsilon)
+        Phi, y = _random_instance(kind, seed, m, n, complex_entries, noise)
+        epsilon = 1e-6 * np.linalg.norm(y)
+        _check_against_reference(algorithm, Phi, y, K, b, p, L, epsilon)
 
     def test_one_lstsq_per_solve_without_fallback(self):
-        Phi, meas, signal = make_instance(K=6, seed=9)
-        epsilon = 1e-6 * np.linalg.norm(meas.y)
-        res, calls = _check_against_reference("tsgbomp", Phi, meas, 6, 4, 2, 8, epsilon)
+        Phi, y, signal = make_instance(K=6, seed=9)
+        epsilon = 1e-6 * np.linalg.norm(y)
+        res, calls = _check_against_reference("tsgbomp", Phi, y, 6, 4, 2, 8, epsilon)
         assert success_check(res, signal)
         assert calls == 1
 
@@ -364,9 +363,9 @@ class TestIncrementalResidual:
         x = np.zeros(96)
         x[2:6] = 10.0
         x[0:2] = 3.0
-        meas = measure(Phi, x)
+        y = measure(Phi, x)
         res, calls = _check_against_reference(
-            "tsgbomp", Phi, meas, 3, 2, 2, 8, 1e-6 * np.linalg.norm(meas.y)
+            "tsgbomp", Phi, y, 3, 2, 2, 8, 1e-6 * np.linalg.norm(y)
         )
         assert [t.cluster_start for t in res.trace] == [3, 1]
         assert res.estimated_columns == (1, 2, 3, 4, 5, 6)
@@ -374,8 +373,8 @@ class TestIncrementalResidual:
 
     @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
     def test_repeated_picks_add_no_columns(self, algorithm):
-        Phi, meas = _random_instance("orthogonal", 3, 12, 24, True, 0.0)
-        res, calls = _check_against_reference(algorithm, Phi, meas, 3, 2, 2, 4, 0.0)
+        Phi, y = _random_instance("orthogonal", 3, 12, 24, True, 0.0)
+        res, calls = _check_against_reference(algorithm, Phi, y, 3, 2, 2, 4, 0.0)
         assert res.iterations == 3
         assert len({t.block_starts for t in res.trace}) == 1
         assert res.estimated_columns == (1, 2, 3, 4)
@@ -383,8 +382,8 @@ class TestIncrementalResidual:
 
     @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
     def test_fallback_on_duplicated_column(self, algorithm):
-        Phi, meas = _random_instance("duplicate", 11, 20, 40, False, 0.0)
-        res, calls = _check_against_reference(algorithm, Phi, meas, 4, 2, 2, 4, 0.0)
+        Phi, y = _random_instance("duplicate", 11, 20, 40, False, 0.0)
+        res, calls = _check_against_reference(algorithm, Phi, y, 4, 2, 2, 4, 0.0)
         assert res.trace[0].block_starts[0] == 1
         # the first pick covers both copies: every iteration refits, and
         # no second refit follows the loop
@@ -394,8 +393,8 @@ class TestIncrementalResidual:
     def test_fallback_when_columns_outnumber_rows(self, m, fitted):
         # picks of 4 columns: at m=10 the third pick would make 12 > 10, at
         # m=3 the first already does
-        Phi, meas = _random_instance("gaussian", 2, m, 40, False, 0.05)
-        res, calls = _check_against_reference("bomp", Phi, meas, 4, 2, 2, 4, 1e-9)
+        Phi, y = _random_instance("gaussian", 2, m, 40, False, 0.05)
+        res, calls = _check_against_reference("bomp", Phi, y, 4, 2, 2, 4, 1e-9)
         assert len(res.estimated_columns) > m
         assert calls == res.iterations - fitted
 
@@ -408,9 +407,9 @@ class TestIncrementalResidual:
 
     def test_ill_conditioned_columns(self):
         entries = self._monomials(12)  # condition number about 8e7
-        meas = Measurement(np.random.default_rng(0).standard_normal(40))
+        y = np.random.default_rng(0).standard_normal(40)
         res, calls = _check_against_reference(
-            "bomp", SensingMatrix(entries), meas, 6, 1, 2, 2, 0.0
+            "bomp", SensingMatrix(entries), y, 6, 1, 2, 2, 0.0
         )
         assert res.estimated_columns == tuple(range(1, 13))
         assert calls == 1

@@ -19,8 +19,6 @@ from tsgbomp.signal_model import (
     PibsParams,
     Support,
     compare_counts,
-    count_bound_exponent,
-    count_supports_bound,
     count_supports_formula,
     cell_rows,
     enumerate_supports,
@@ -61,8 +59,15 @@ class TestParams:
     def test_window_constructor_records_L(self):
         params = PibsParams.from_window(n=200, b=4, p=2, l=8, L=8, K=4, R=0)
         assert params.Lsep == 20
-        assert params.L == 8
+        assert params.window_length == 8
         assert params.B == 8
+
+    def test_window_and_separation_constructors_agree(self):
+        # one geometry, however it is given, so both share the cell caches
+        by_window = PibsParams.from_window(n=200, b=4, p=2, l=8, L=8, K=4, R=0)
+        by_separation = PibsParams(n=200, b=4, p=2, l=8, Lsep=20, K=4, R=0)
+        assert by_window == by_separation
+        assert hash(by_window) == hash(by_separation)
 
     def test_pseudo_length_bounded_by_separation(self):
         with pytest.raises(ValueError):
@@ -425,63 +430,30 @@ class TestCounting:
         assert not ok
         assert len(reasons) == 2
 
-    def test_bound_dominates_enumeration(self):
-        for n in (20, 30, 40):
-            params = PibsParams(n=n, b=1, p=1, l=2, Lsep=2, K=2, R=1)
-            exact = sum(1 for _ in iter_cell(params, 2, 1))
-            assert count_supports_bound(params, 2, 1) >= exact
-
-    def test_bound_dominates_on_grid_where_preconditions_hold(self):
-        # every small grid point satisfying L >= p*b and (R+1)*p <= K
-        cases = 0
-        for n in (12, 20, 30):
-            for b in (1, 2):
-                for p in (1, 2):
-                    for K in range(1, 4):
-                        for R in (0, 1):
-                            Lsep = min_separation(b, p, p * b)
-                            if (R + 1) * p > K:
-                                continue
-                            l = Lsep if R else 0
-                            params = PibsParams(n=n, b=b, p=p, l=l, Lsep=Lsep, K=K, R=R)
-                            exact = sum(1 for _ in iter_cell(params, K, R))
-                            assert count_supports_bound(params, K, R) >= exact
-                            cases += 1
-        assert cases >= 20
-
     def test_bound_value_pinned(self):
-        params = PibsParams(n=40, b=1, p=1, l=0, Lsep=2, K=4, R=0)
-        value = count_supports_bound(params, 4, 0)
-        expected = math.exp(3 * 4 / 8 + 4 * (21 / 8 - 1) + 4 * math.log((40 - 4 + 2) / 4 - 1))
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(15560787.002232011, rel=1e-12)
+        # Theorem 2's count bound exp(h) over the order-(K-1, R) supports:
+        # A and D count K - 1 = 3 blocks, the other terms K = 4
+        rep = thm2_bound(1, 1, 1, 4, 0, 1000, 40, eps0=0.05, eps=0.05)
+        expected = 3 * 3 / 8 + 4 * (21 / 8 - 1) + 4 * math.log((40 - 3 + 2) / 4 - 1)
+        assert rep.h == pytest.approx(expected, rel=1e-12)
+        assert math.exp(rep.h) == pytest.approx(12009574.942659318, rel=1e-12)
 
     def test_bound_monotone_in_n(self):
         values = [
-            count_supports_bound(PibsParams(n=n, b=1, p=1, l=0, Lsep=2, K=4, R=0), 4, 0)
-            for n in range(20, 60, 5)
+            thm2_bound(1, 1, 1, 4, 0, 1000, n, eps0=0.05, eps=0.05).h for n in range(20, 60, 5)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_bound_exponent_orders(self):
-        # count_supports_bound bounds the (K, R) cell itself, so A and D count
-        # K blocks. thm2_bound takes its union bound over the supports of the
+        # thm2_bound takes its union bound over the supports of the
         # order-(K-1, R) constant that the recovery certificate checks, so A
-        # and D count K - 1 blocks. The other K terms are K in both.
+        # and D count K - 1 blocks. The other K terms are K.
         params = PibsParams.from_window(n=200, b=4, p=2, l=0, L=8, K=4, R=1)
         assert params.Lsep == 20
-        value = count_supports_bound(params, 4, 1)
-        assert value == 38484800488299.58
-        assert value == math.exp(count_bound_exponent(200, 4, 2, 20, 4, 1, order=4)[-1])
-        q = thm2_bound(4, 2, 8, 4, 1, 2000, 200, eps0=0.05, eps=0.05).quantities
+        rep = thm2_bound(4, 2, 8, 4, 1, 2000, 200, eps0=0.05, eps=0.05)
         terms = (2.0, 2.8181471805599454, 208.0, 19.0, 31.04319374820105)
-        assert (q.A, q.C, q.D, q.E, q.h) == terms
-        assert count_bound_exponent(200, 4, 2, 20, 4, 1, order=3) == terms
-
-    def test_bound_precondition_errors(self):
-        params = PibsParams(n=30, b=2, p=2, l=0, Lsep=10, K=3, R=1)
-        with pytest.raises(ValueError):
-            count_supports_bound(params, 3, 1)
+        assert (rep.A, rep.C, rep.D, rep.E, rep.h) == terms
+        assert analysis._count_bound_exponent(200, 4, 2, 20, 4, 1) == terms
 
 
 class TestFillValues:
