@@ -79,8 +79,10 @@ def _cmd_recover(args) -> int:
 
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
+    # b and p describe the signal; the solver reads only their product
+    signal_model.check_at_least(1, b=args.b, p=args.p)
     result = experiments.solve(
-        args.alg, Phi, y, K=args.K, L=args.L, b=args.b, p=args.p, epsilon=args.eps
+        args.alg, Phi, y, K=args.K, L=args.L, B=args.b * args.p, epsilon=args.eps
     )
     report = recovery.result_report(result)
     if args.out:

@@ -37,7 +37,6 @@ __all__ = [
     "CurvePoint",
     "RegimeInstance",
     "RegimeReport",
-    "feasible_K",
     "trial_seed",
     "solve",
     "run_trial",
@@ -55,11 +54,6 @@ def _min_indices(b: int, p: int, Lsep: int, K: int) -> int:
     """Indices the tightest packing of K blocks spans: ceil(K/p) clusters,
     K*b + (ceil(K/p) - 1)*Lsep (-Lsep at K = 0)."""
     return K * b + (-(-K // p) - 1) * Lsep
-
-
-def feasible_K(n: int, b: int, p: int, Lsep: int, K: int) -> bool:
-    """Whether K blocks can be arranged in n indices."""
-    return _min_indices(b, p, Lsep, K) <= n
 
 
 @dataclass(frozen=True)
@@ -233,19 +227,18 @@ def solve(
     y: np.ndarray,
     K: int,
     L: int | None,
-    b: int,
-    p: int,
+    B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Run `algorithm` on one instance of the (b, p, L) geometry. The block
-    OMP baseline partitions into blocks of the cluster capacity p*b and
-    never reads the window length L. A b or p below 1 raises ValueError,
-    even where their product is a valid block length."""
-    check_at_least(1, b=b, p=p)
+    """Run `algorithm` with budget K on cluster width B = p*b, the only
+    part of the (b, p) geometry a solver reads. The block OMP baseline
+    partitions into blocks of B columns and never reads the window length
+    L. A B below 1 raises ValueError; b and p themselves are checked where
+    they are read, by `ExperimentConfig` and the command line."""
     if algorithm == "tsgbomp":
-        return tsgbomp(Phi, y, K=K, L=L, b=b, p=p, epsilon=epsilon)
+        return tsgbomp(Phi, y, K=K, L=L, B=B, epsilon=epsilon)
     if algorithm == "bomp":
-        return bomp(Phi, y, K=K, block=b * p, epsilon=epsilon)
+        return bomp(Phi, y, K=K, block=B, epsilon=epsilon)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -261,7 +254,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     signal = _fill(support, config.value_scheme, rng)
     y = measure(Phi, signal.x)
     eps = config.epsilon * float(np.linalg.norm(y))
-    result = solve(algorithm, Phi, y, K=K, L=config.L, b=config.b, p=config.p, epsilon=eps)
+    result = solve(algorithm, Phi, y, K=K, L=config.L, B=config.b * config.p, epsilon=eps)
     return TrialRecord(
         seed=seed,
         K=K,
@@ -468,7 +461,7 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
 
         y = measure(Phi, signal.x)
         eps = 1e-9 * float(np.linalg.norm(y))
-        result = tsgbomp(Phi, y, K=cfg.K, L=cfg.L, b=cfg.b, p=cfg.p, epsilon=eps)
+        result = tsgbomp(Phi, y, K=cfg.K, L=cfg.L, B=cfg.b * cfg.p, epsilon=eps)
         instances.append(
             RegimeInstance(
                 cfg, delta, certified=True, success=success_check(result, signal)

@@ -2,15 +2,20 @@
 fixed-partition block OMP baseline, two selection rules on one greedy loop.
 
 The loop correlates columns with the residual, lets the selection rule pick
-a group of columns, and projects y off everything selected so far through
-an orthonormal basis that grows by each pick's new columns; one
+one run of consecutive columns, and projects y off everything selected so
+far through an orthonormal basis that grows by each pick's new columns; one
 least-squares refit after the loop gives the coefficients (see `_greedy`
 for the fallback to a refit on every iteration). The two-stage rule first
 picks the window (a fixed length-L group of columns) whose correlation norm
-is largest, then scans every cluster of B = p*b consecutive columns
-overlapping that window and keeps the best one; the block OMP rule picks the
-best block of a fixed partition. Ties always break toward the smallest
-index, so runs are reproducible.
+is largest, then scans every cluster of B consecutive columns overlapping
+that window and keeps the best one; the block OMP rule picks the best block
+of a fixed partition. Ties always break toward the smallest index, so runs
+are reproducible.
+
+The solvers read the signal geometry only through the cluster width B and,
+for the two-stage rule, the window length L: a signal of blocks of b
+columns, up to p to a cluster, is solved with B = p*b, and any (b, p) of
+the same product gives the same estimate.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One solver iteration: chosen window, chosen cluster start, the block
-    starts appended, and the residual norm after refitting. 1-based."""
+    """One solver iteration, 1-based: the chosen window (block OMP: the
+    chosen block), the start of the run of columns it covers, and the norm
+    of the least-squares residual on every column covered so far."""
 
     k: int
     window: int
     cluster_start: int
-    block_starts: tuple[int, ...]
     residual_norm: float
 
 
@@ -95,22 +100,20 @@ def _greedy(
     y: np.ndarray,
     K: int,
     epsilon: float,
-    block_length: int,
     width: int,
-    select: Callable[[np.ndarray], tuple[int, int, tuple[int, ...]]],
+    select: Callable[[np.ndarray], tuple[int, int]],
 ) -> RecoveryResult:
     """The shared correlate/select/project loop with budget K.
 
-    `select` maps the correlation powers |Phi^H r|^2 to (window, cluster
-    start, block starts); each chosen start marks `block_length` columns
-    covered, at most `width` per iteration. The columns an iteration newly
-    covers extend the orthonormal basis Q of the covered columns, and the
-    residual loses its component along them: r -= Q2 (Q2^H r). A pick that
-    covers nothing new leaves r as it is. Stops when the residual drops
-    below max(epsilon, _RESIDUAL_FLOOR * |y|) or after K iterations; an
-    epsilon that is negative or not finite raises ValueError. The
-    coefficients are then refit once by least squares on all covered
-    columns in index order.
+    `select` maps the correlation powers |Phi^H r|^2 to (window, start);
+    the pick covers the `width` columns start..start+width-1. The columns of
+    that run not covered before extend the orthonormal basis Q of the
+    covered columns, and the residual loses its component along them:
+    r -= Q2 (Q2^H r). A pick that covers nothing new leaves r as it is.
+    Stops when the residual drops below max(epsilon, _RESIDUAL_FLOOR * |y|)
+    or after K iterations; an epsilon that is negative or not finite raises
+    ValueError. The coefficients are then refit once by least squares on
+    all covered columns in index order.
 
     Q is one preallocated (m, min(m, K*width)) buffer. When the covered
     columns would outnumber m, or a new column's component outside the
@@ -137,11 +140,10 @@ def _greedy(
     while rnorm >= tol and k < K:
         k += 1
         c = Phi.entries.conj().T @ r
-        window, start, h_k = select(np.abs(c) ** 2)
-        before = covered.copy()
-        for t in h_k:
-            covered[t - 1 : t - 1 + block_length] = True
-        new = np.flatnonzero(covered & ~before)
+        window, start = select(np.abs(c) ** 2)
+        run = covered[start - 1 : start - 1 + width]
+        new = start - 1 + np.flatnonzero(~run)
+        run[:] = True
         cols0 = np.flatnonzero(covered)
         if Q is not None and new.size:
             A = Phi.entries[:, new].astype(dtype, copy=False)
@@ -153,15 +155,7 @@ def _greedy(
         if Q is None:
             u, r = _refit(Phi, cols0, y)
         rnorm = np.linalg.norm(r)
-        trace.append(
-            IterationRecord(
-                k=k,
-                window=window,
-                cluster_start=start,
-                block_starts=h_k,
-                residual_norm=float(rnorm),
-            )
-        )
+        trace.append(IterationRecord(k, window, start, float(rnorm)))
 
     stop = "residual-threshold" if rnorm < tol else "budget"
     x_hat = np.zeros(n, dtype=dtype)
@@ -183,24 +177,21 @@ def tsgbomp(
     y: np.ndarray,
     K: int,
     L: int,
-    b: int,
-    p: int,
+    B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Two-stage greedy recovery with block budget K.
+    """Two-stage greedy recovery with block budget K and cluster width B.
 
     Stage 1 scans the n/L fixed windows for the largest correlation norm.
     Stage 2 scans cluster starts i in {L*(w-1)+1-(B-1), ..., L*w}, clamped to
-    [1, n-B+1] so every candidate cluster of B = p*b columns is fully in
-    range, and selects the start whose B correlation entries have the largest
-    norm. The p block starts {i, i+b, ..., i+(p-1)b} are the iteration's
-    pick for the shared loop.
+    [1, n-B+1] so every candidate cluster of B columns is fully in range,
+    and selects the start whose B correlation entries have the largest norm.
+    The iteration's pick is the run of columns i..i+B-1.
     """
-    check_at_least(1, L=L, b=b, p=p)
+    check_at_least(1, L=L, B=B)
     n = Phi.n
     if n % L != 0:
         raise ValueError(f"n={n} must be divisible by the window length L={L}")
-    B = p * b
     if L < B:
         raise ValueError(f"window length L={L} must be at least B=p*b={B}")
     n_windows = n // L
@@ -215,10 +206,9 @@ def tsgbomp(
         csum = np.concatenate(([0.0], np.cumsum(power)))
         starts = np.arange(lo, hi + 1)
         run_norms = csum[starts - 1 + B] - csum[starts - 1]
-        i_k = int(starts[np.argmax(run_norms)])
-        return w, i_k, tuple(i_k + j * b for j in range(p))
+        return w, int(starts[np.argmax(run_norms)])
 
-    return _greedy(Phi, y, K, epsilon, b, B, select)
+    return _greedy(Phi, y, K, epsilon, B, select)
 
 
 def bomp(
@@ -238,10 +228,9 @@ def bomp(
 
     def select(power: np.ndarray):
         j = int(np.argmax(power.reshape(n_blocks, block).sum(axis=1)))
-        start = j * block + 1
-        return j + 1, start, (start,)
+        return j + 1, j * block + 1
 
-    return _greedy(Phi, y, K, epsilon, block, block, select)
+    return _greedy(Phi, y, K, epsilon, block, select)
 
 
 def success_check(result: RecoveryResult, truth: SignalInstance) -> bool:
@@ -276,8 +265,7 @@ def result_report(result: RecoveryResult) -> str:
 
 
 def trace_to_csv(result: RecoveryResult) -> str:
-    lines = ["k,window,cluster_start,block_starts,residual_norm"]
+    lines = ["k,window,cluster_start,residual_norm"]
     for rec in result.trace:
-        starts = ";".join(str(s) for s in rec.block_starts)
-        lines.append(f"{rec.k},{rec.window},{rec.cluster_start},{starts},{rec.residual_norm!r}")
+        lines.append(f"{rec.k},{rec.window},{rec.cluster_start},{rec.residual_norm!r}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from tsgbomp.analysis import (
 )
 from tsgbomp.experiments import (
     ExperimentConfig,
-    feasible_K,
     lemma_audit,
     run_curve,
     theorem_regime_suite,
@@ -93,7 +92,6 @@ class TestCriterion1Replica:
         # the requested grid tops out at 16, but 16 cannot host 8 separated
         # clusters in 200 indices; the harness must detect that
         assert grid == tuple(range(1, 16))
-        assert not feasible_K(config.n, config.b, config.p, config.Lsep, 16)
         with pytest.raises(ValueError, match="infeasible"):
             replace(config, K_grid=(16,))
 
@@ -304,6 +302,17 @@ class TestCriterion8GBounds:
         assert exact_point
 
 
+def _fits(n, b, p, L, K):
+    """Whether K blocks of the (b, p, L) window geometry fit in n indices,
+    as ExperimentConfig decides it."""
+    try:
+        ExperimentConfig(n=n, m=n, b=b, p=p, L=L, K_grid=(K,))
+    except ValueError as exc:
+        assert "infeasible" in str(exc)
+        return False
+    return True
+
+
 class TestCriterion9SolverInvariants:
     def test_thousand_random_solves(self):
         rng = np.random.default_rng(MASTER_SEED)
@@ -319,7 +328,7 @@ class TestCriterion9SolverInvariants:
             m = int(rng.integers(lo, max(lo + 1, n)))
             K = int(rng.integers(1, 5))
             params = PibsParams.from_window(n=n, b=b, p=p, l=L, L=L, K=K, R=0)
-            if not feasible_K(n, b, p, params.Lsep, K):
+            if not _fits(n, b, p, L, K):
                 continue
             Phi = gaussian_matrix(m, n, "unit", True, rng)
             support = sample_support(params, K, rng)
@@ -331,7 +340,7 @@ class TestCriterion9SolverInvariants:
             y_norm = np.linalg.norm(y)
             solver = tsgbomp if trial % 4 else bomp
             if solver is tsgbomp:
-                res = tsgbomp(Phi, y, K=K, L=L, b=b, p=p, epsilon=0.0)
+                res = tsgbomp(Phi, y, K=K, L=L, B=b * p, epsilon=0.0)
             else:
                 res = bomp(Phi, y, K=K, block=b * p, epsilon=0.0)
 
@@ -341,10 +350,9 @@ class TestCriterion9SolverInvariants:
 
             # independent replay: refit every prefix and test orthogonality
             starts: set[int] = set()
-            width = b if solver is tsgbomp else b * p
             for rec in res.trace:
-                starts.update(rec.block_starts)
-                cols = sorted({c for s in starts for c in range(s - 1, s - 1 + width)})
+                starts.add(rec.cluster_start)
+                cols = sorted({c for s in starts for c in range(s - 1, s - 1 + b * p)})
                 A = Phi.entries[:, cols]
                 u, *_ = np.linalg.lstsq(A, y, rcond=None)
                 r = y - A @ u

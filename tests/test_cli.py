@@ -239,6 +239,25 @@ class TestRecover:
         listed = out.splitlines()[-1].split(":")[1].split()
         assert {"9", "10", "11", "12"}.issubset(set(listed))
 
+    def test_solver_reads_only_the_cluster_width(self, matrix_file, tmp_path, capsys):
+        # (b=2, p=2) and (b=4, p=1) describe different signals, but both
+        # give the solver the cluster width B = 4
+        mat, mat_path = matrix_file
+        x = np.zeros(32)
+        x[5:9] = 5.0
+        x[20:22] = -3.0
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries @ x))
+        outs = []
+        for b, p in (("2", "2"), ("4", "1")):
+            code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
+                         "--y", str(y_path), "--K", "3", "--L", "8", "--b", b, "--p", p,
+                         "--eps", "1e-8"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("estimated columns: 6 7 8 9 19 20 21 22\n")
+
     def test_bomp_needs_no_window_length(self, matrix_file, tmp_path, capsys):
         mat, mat_path = matrix_file
         x = np.zeros(32)

@@ -13,7 +13,6 @@ from tsgbomp.experiments import (
     ExperimentConfig,
     check_curve,
     curve_to_csv,
-    feasible_K,
     lemma_audit,
     run_curve,
     run_trial,
@@ -21,7 +20,6 @@ from tsgbomp.experiments import (
     trial_seed,
 )
 from tsgbomp.sensing import identity_matrix
-from tsgbomp.signal_model import min_separation
 
 
 # every key set, none to its default
@@ -156,15 +154,16 @@ class TestConfig:
 
 class TestFeasibility:
     def test_published_grid_limits(self):
-        Lsep = min_separation(4, 2, 8)
-        assert not feasible_K(200, 4, 2, Lsep, 16)
-        assert feasible_K(200, 4, 2, Lsep, 15)
-        Lsep = min_separation(4, 1, 8)
-        assert not feasible_K(200, 4, 1, Lsep, 14)
-        assert feasible_K(200, 4, 1, Lsep, 13)
+        for p, last in ((2, 15), (1, 13)):
+            geometry = dict(n=200, m=120, b=4, p=p, L=8)
+            assert ExperimentConfig(**geometry, K_grid=(last,)).K_grid == (last,)
+            with pytest.raises(ValueError, match=f"K={last + 1} infeasible"):
+                ExperimentConfig(**geometry, K_grid=(last + 1,))
 
     def test_zero_blocks_always_fit(self):
-        assert feasible_K(1, 4, 2, 20, 0)
+        # K = 0 needs -Lsep indices: the smallest window geometry holds it
+        config = ExperimentConfig(n=8, m=8, b=4, p=2, L=8, K_grid=(0,))
+        assert config.K_grid == (0,)
 
 
 class TestTrials:
@@ -191,14 +190,15 @@ class TestTrials:
             b.rel_error,
         )
 
-    @pytest.mark.parametrize("b, p", [(-2, -1), (0, 2), (2, 0)])
+    @pytest.mark.parametrize("B", [-2, 0])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_solve_rejects_block_or_cluster_below_one(self, algorithm, b, p):
-        # bomp used to read only the product b * p, so (-2, -1) ran block 2
+    def test_solve_rejects_block_or_cluster_below_one(self, algorithm, B):
+        # b and p below 1 are refused where they are read: the config and
+        # the command line
         Phi = identity_matrix(8)
-        name, value = ("b", b) if b < 1 else ("p", p)
-        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
-            experiments.solve(algorithm, Phi, np.ones(8), 1, 4, b, p, 0.0)
+        name = "B" if algorithm == "tsgbomp" else "block"
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {B}"):
+            experiments.solve(algorithm, Phi, np.ones(8), 1, 4, B, 0.0)
 
     def test_identity_override_always_succeeds(self):
         cfg = small_config(m=48, matrix_kind="identity", K_grid=(1, 2, 3))

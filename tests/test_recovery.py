@@ -40,14 +40,14 @@ class TestTsgbomp:
         signal = fill_values(support, "gaussian", rng=rng)
         Phi = identity_matrix(n)
         y = measure(Phi, signal.x)
-        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2, epsilon=1e-10)
+        res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=1e-10)
         assert set(signal.support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - signal.x) <= 1e-10
 
     def test_below_threshold_returns_zero(self):
         Phi = identity_matrix(8)
         y = measure(Phi, np.zeros(8), noise=np.full(8, 1e-9))
-        res = tsgbomp(Phi, y, K=3, L=4, b=2, p=2, epsilon=1e-3)
+        res = tsgbomp(Phi, y, K=3, L=4, B=4, epsilon=1e-3)
         assert res.iterations == 0
         assert res.estimated_columns == ()
         assert not res.x_hat.any()
@@ -55,14 +55,14 @@ class TestTsgbomp:
 
     def test_gaussian_fixture_succeeds(self):
         Phi, y, signal = make_instance(seed=1)
-        res = tsgbomp(Phi, y, K=4, L=8, b=4, p=2,
+        res = tsgbomp(Phi, y, K=4, L=8, B=8,
                       epsilon=1e-6 * np.linalg.norm(y))
         assert success_check(res, signal)
         assert res.iterations == 4
 
     def test_residual_monotone_and_orthogonal(self):
         Phi, y, signal = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         norms = [np.linalg.norm(y)] + [r.residual_norm for r in res.trace]
         for a, b_ in zip(norms, norms[1:]):
             assert b_ <= a + 1e-10
@@ -74,7 +74,7 @@ class TestTsgbomp:
         # the fifth pick recovers the signal exactly; a sixth would be
         # chosen from a residual of rounding noise
         Phi, y, signal = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         floor = 1e-12 * np.linalg.norm(y)
         assert res.stop_reason == "residual-threshold"
         assert res.iterations == 5
@@ -84,27 +84,26 @@ class TestTsgbomp:
 
     def test_stage2_start_in_clamped_window_range(self):
         Phi, y, _ = make_instance(K=5, seed=21)
-        res = tsgbomp(Phi, y, K=5, L=8, b=4, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=5, L=8, B=8, epsilon=0.0)
         B = 8
         for rec in res.trace:
             lo = max(1, 8 * (rec.window - 1) + 1 - (B - 1))
             hi = min(8 * rec.window, 200 - B + 1)
             assert lo <= rec.cluster_start <= hi
-            assert len(rec.block_starts) == 2
             # selected cluster overlaps the chosen window
             w_lo, w_hi = 8 * (rec.window - 1) + 1, 8 * rec.window
             assert rec.cluster_start <= w_hi and rec.cluster_start + B - 1 >= w_lo
 
     def test_estimated_columns_deduplicated(self):
         Phi, y, _ = make_instance(K=6, seed=4)
-        res = tsgbomp(Phi, y, K=6, L=8, b=4, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         assert len(res.estimated_columns) == len(set(res.estimated_columns))
         assert list(res.estimated_columns) == sorted(res.estimated_columns)
 
     def test_deterministic_trace(self):
         Phi, y, _ = make_instance(seed=13)
-        r1 = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
-        r2 = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
+        r1 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
+        r2 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.x_hat, r2.x_hat)
 
@@ -115,11 +114,10 @@ class TestTsgbomp:
         support = sample_support(params, 4, rng)
         signal = fill_values(support, "gaussian", rng=rng)
         y = measure(Phi, signal.x)
-        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=0.0)
         assert support.clusters == ((3, 1), (22, 2), (36, 1))
         assert [r.window for r in res.trace] == [1, 9]
         assert [r.cluster_start for r in res.trace] == [2, 34]
-        assert [r.block_starts for r in res.trace] == [(2, 4), (34, 36)]
         assert res.estimated_columns == (2, 3, 4, 5, 34, 35, 36, 37)
         assert [r.residual_norm for r in res.trace] == pytest.approx(
             [2.720670877489354, 1.8336841800995194], rel=1e-12
@@ -129,9 +127,9 @@ class TestTsgbomp:
         Phi = identity_matrix(10)
         y = measure(Phi, np.zeros(10))
         with pytest.raises(ValueError):
-            tsgbomp(Phi, y, K=1, L=3, b=1, p=1, epsilon=0.0)
+            tsgbomp(Phi, y, K=1, L=3, B=1, epsilon=0.0)
         with pytest.raises(ValueError):
-            tsgbomp(Phi, y, K=1, L=2, b=1, p=3, epsilon=0.0)
+            tsgbomp(Phi, y, K=1, L=2, B=3, epsilon=0.0)
 
     def test_complex_instance(self):
         rng = np.random.default_rng(6)
@@ -143,7 +141,7 @@ class TestTsgbomp:
         cols = support.column_array
         x[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
         y = measure(Phi, x)
-        res = tsgbomp(Phi, y, K=2, L=4, b=2, p=2,
+        res = tsgbomp(Phi, y, K=2, L=4, B=4,
                       epsilon=1e-8 * np.linalg.norm(y))
         assert set(support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
@@ -155,7 +153,7 @@ def test_threshold_outside_its_domain_raises(algorithm, epsilon):
     # nan and inf used to run no iteration, and a negative value acted as 0
     Phi, y, _ = make_instance(n=40, m=32, K=1)
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-        solve(algorithm, Phi, y, K=1, L=8, b=4, p=2, epsilon=epsilon)
+        solve(algorithm, Phi, y, K=1, L=8, B=8, epsilon=epsilon)
 
 
 class TestBomp:
@@ -235,15 +233,15 @@ class TestSuccessCheck:
 class TestReports:
     def test_report_and_csv_render(self):
         Phi, y, _ = make_instance(seed=1)
-        res = tsgbomp(Phi, y, K=4, L=8, b=4, p=2, epsilon=0.0)
+        res = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
         text = result_report(res)
         assert "estimated columns:" in text
         csv = trace_to_csv(res)
-        assert csv.splitlines()[0] == "k,window,cluster_start,block_starts,residual_norm"
+        assert csv.splitlines()[0] == "k,window,cluster_start,residual_norm"
         assert len(csv.splitlines()) == res.iterations + 1
 
 
-def _reference_greedy(Phi, y, K, epsilon, block_length, width, select):
+def _reference_greedy(Phi, y, K, epsilon, width, select):
     """The greedy loop with a full least-squares refit on every iteration."""
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
@@ -254,14 +252,13 @@ def _reference_greedy(Phi, y, K, epsilon, block_length, width, select):
     k = 0
     while np.linalg.norm(r) >= epsilon and k < K:
         k += 1
-        window, start, h_k = select(np.abs(Phi.entries.conj().T @ r) ** 2)
-        for t in h_k:
-            covered[t - 1 : t - 1 + block_length] = True
+        window, start = select(np.abs(Phi.entries.conj().T @ r) ** 2)
+        covered[start - 1 : start - 1 + width] = True
         cols0 = np.flatnonzero(covered)
         A = Phi.entries[:, cols0]
         u, *_ = np.linalg.lstsq(A, y, rcond=None)
         r = y - A @ u
-        trace.append(IterationRecord(k, window, start, h_k, float(np.linalg.norm(r))))
+        trace.append(IterationRecord(k, window, start, float(np.linalg.norm(r))))
     stop = "residual-threshold" if np.linalg.norm(r) < epsilon else "budget"
     x_hat = np.zeros(Phi.n, dtype=dtype)
     if u is not None:
@@ -269,18 +266,18 @@ def _reference_greedy(Phi, y, K, epsilon, block_length, width, select):
     return RecoveryResult(tuple(int(c) + 1 for c in cols0), x_hat, tuple(trace), k, stop)
 
 
-def _check_against_reference(algorithm, Phi, y, K, b, p, L, epsilon):
+def _check_against_reference(algorithm, Phi, y, K, L, B, epsilon):
     """Solve once as shipped and once with the reference loop; the picks,
     stop and x_hat bytes must agree and the residual norms to rel=1e-9 (to
     1e-12 of |y| when at rounding level). Returns the result and the number
     of np.linalg.lstsq calls it made."""
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        got = solve(algorithm, Phi, y, K, L, b, p, epsilon)
+        got = solve(algorithm, Phi, y, K, L, B, epsilon)
     with mock.patch.object(recovery, "_greedy", _reference_greedy):
-        want = solve(algorithm, Phi, y, K, L, b, p, epsilon)
+        want = solve(algorithm, Phi, y, K, L, B, epsilon)
 
     def picks(res):
-        return [(t.k, t.window, t.cluster_start, t.block_starts) for t in res.trace]
+        return [(t.k, t.window, t.cluster_start) for t in res.trace]
 
     assert picks(got) == picks(want)
     assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
@@ -329,8 +326,7 @@ class TestIncrementalResidual:
         kind=st.sampled_from(["gaussian", "duplicate", "orthogonal"]),
         complex_entries=st.booleans(),
         noise=st.sampled_from([0.0, 0.05]),
-        b=st.integers(1, 3),
-        p=st.integers(1, 2),
+        B=st.integers(1, 6),
         windows=st.integers(3, 6),
         K=st.integers(1, 6),
         m_share=st.floats(0.1, 0.9),
@@ -338,20 +334,19 @@ class TestIncrementalResidual:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_lstsq_every_iteration(
-        self, algorithm, kind, complex_entries, noise, b, p, windows, K, m_share, seed
+        self, algorithm, kind, complex_entries, noise, B, windows, K, m_share, seed
     ):
-        B = b * p
         L = 2 * B
         n = L * windows
         m = max(2, int(m_share * n))
         Phi, y = _random_instance(kind, seed, m, n, complex_entries, noise)
         epsilon = 1e-6 * np.linalg.norm(y)
-        _check_against_reference(algorithm, Phi, y, K, b, p, L, epsilon)
+        _check_against_reference(algorithm, Phi, y, K, L, B, epsilon)
 
     def test_one_lstsq_per_solve_without_fallback(self):
         Phi, y, signal = make_instance(K=6, seed=9)
         epsilon = 1e-6 * np.linalg.norm(y)
-        res, calls = _check_against_reference("tsgbomp", Phi, y, 6, 4, 2, 8, epsilon)
+        res, calls = _check_against_reference("tsgbomp", Phi, y, 6, 8, 8, epsilon)
         assert success_check(res, signal)
         assert calls == 1
 
@@ -365,7 +360,7 @@ class TestIncrementalResidual:
         x[0:2] = 3.0
         y = measure(Phi, x)
         res, calls = _check_against_reference(
-            "tsgbomp", Phi, y, 3, 2, 2, 8, 1e-6 * np.linalg.norm(y)
+            "tsgbomp", Phi, y, 3, 8, 4, 1e-6 * np.linalg.norm(y)
         )
         assert [t.cluster_start for t in res.trace] == [3, 1]
         assert res.estimated_columns == (1, 2, 3, 4, 5, 6)
@@ -374,17 +369,17 @@ class TestIncrementalResidual:
     @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
     def test_repeated_picks_add_no_columns(self, algorithm):
         Phi, y = _random_instance("orthogonal", 3, 12, 24, True, 0.0)
-        res, calls = _check_against_reference(algorithm, Phi, y, 3, 2, 2, 4, 0.0)
+        res, calls = _check_against_reference(algorithm, Phi, y, 3, 4, 4, 0.0)
         assert res.iterations == 3
-        assert len({t.block_starts for t in res.trace}) == 1
+        assert len({t.cluster_start for t in res.trace}) == 1
         assert res.estimated_columns == (1, 2, 3, 4)
         assert calls == 1
 
     @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
     def test_fallback_on_duplicated_column(self, algorithm):
         Phi, y = _random_instance("duplicate", 11, 20, 40, False, 0.0)
-        res, calls = _check_against_reference(algorithm, Phi, y, 4, 2, 2, 4, 0.0)
-        assert res.trace[0].block_starts[0] == 1
+        res, calls = _check_against_reference(algorithm, Phi, y, 4, 4, 4, 0.0)
+        assert res.trace[0].cluster_start == 1
         # the first pick covers both copies: every iteration refits, and
         # no second refit follows the loop
         assert calls == res.iterations == 4
@@ -394,7 +389,7 @@ class TestIncrementalResidual:
         # picks of 4 columns: at m=10 the third pick would make 12 > 10, at
         # m=3 the first already does
         Phi, y = _random_instance("gaussian", 2, m, 40, False, 0.05)
-        res, calls = _check_against_reference("bomp", Phi, y, 4, 2, 2, 4, 1e-9)
+        res, calls = _check_against_reference("bomp", Phi, y, 4, 4, 4, 1e-9)
         assert len(res.estimated_columns) > m
         assert calls == res.iterations - fitted
 
@@ -409,7 +404,7 @@ class TestIncrementalResidual:
         entries = self._monomials(12)  # condition number about 8e7
         y = np.random.default_rng(0).standard_normal(40)
         res, calls = _check_against_reference(
-            "bomp", SensingMatrix(entries), y, 6, 1, 2, 2, 0.0
+            "bomp", SensingMatrix(entries), y, 6, 2, 2, 0.0
         )
         assert res.estimated_columns == tuple(range(1, 13))
         assert calls == 1

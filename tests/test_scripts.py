@@ -81,3 +81,11 @@ class TestRunPhaseTransition:
         proc = run_script("run_phase_transition.py", "--trials", "0", "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == "" and not out_dir.exists()
         assert "--trials: value must be >= 1, got 0" in proc.stderr
+
+
+class TestCheckOutputs:
+    def test_quick_outputs_match_the_manifest(self):
+        # the curve CSVs, ric stdout and the README examples, to the byte
+        proc = run_script("check_outputs.py", "--quick")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "11 of 11 outputs match OUTPUTS.sha256"

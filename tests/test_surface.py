@@ -21,7 +21,6 @@ CODE_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 ALLOWED = {
-    ("experiments", "feasible_K"): "used by tests only; open",
     ("analysis", "real_part_lower_bound_check"): "the subject of acceptance criterion 6",
 }
 
