@@ -190,15 +190,16 @@ class TestTrials:
             b.rel_error,
         )
 
-    @pytest.mark.parametrize("B", [-2, 0])
+    @pytest.mark.parametrize("b, p", [(-2, 1), (0, 2), (2, 0)])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_solve_rejects_block_or_cluster_below_one(self, algorithm, B):
-        # b and p below 1 are refused where they are read: the config and
-        # the command line
+    def test_solve_rejects_block_or_cluster_below_one(self, algorithm, b, p):
+        # solve reads only the width B = b * p, which is below 1 here; b and
+        # p themselves are refused where they are read: the config and the
+        # command line
         Phi = identity_matrix(8)
         name = "B" if algorithm == "tsgbomp" else "block"
-        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {B}"):
-            experiments.solve(algorithm, Phi, np.ones(8), 1, 4, B, 0.0)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {b * p}"):
+            experiments.solve(algorithm, Phi, np.ones(8), 1, 4, b * p, 0.0)
 
     def test_identity_override_always_succeeds(self):
         cfg = small_config(m=48, matrix_kind="identity", K_grid=(1, 2, 3))
