@@ -51,11 +51,8 @@ def _cmd_gen_signal(args) -> int:
     params = _params_from_args(args, args.n, args.K, 0)
     rng = np.random.default_rng(args.seed)
     support = signal_model.sample_support(params, args.K, rng)
-    if args.scheme == "gaussian":
-        sig = signal_model.fill_values(support, "gaussian", rng=rng)
-    else:
-        amplitude = 10.0 if args.amplitude is None else args.amplitude
-        sig = signal_model.fill_values(support, "const", amplitude, rng)
+    amplitude = {} if args.amplitude is None else {"amplitude": args.amplitude}
+    sig = signal_model.fill_values(support, args.scheme, rng=rng, **amplitude)
     Path(args.out).write_text(signal_model.signal_to_csv(sig.x), newline="\n")
     if args.support_out:
         Path(args.support_out).write_text(

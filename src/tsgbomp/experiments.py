@@ -17,13 +17,14 @@ import numpy as np
 
 from .analysis import LemmaReport, f_K, pibric, thm1_certificate, verify_lemmas
 from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
+from .recovery import check_block_geometry, check_window_geometry
 from .sensing import SensingMatrix, gaussian_matrix, identity_matrix, measure
 from .signal_model import (
     PibsParams,
     SignalInstance,
-    Support,
     check_amplitude,
     check_at_least,
+    count_supports_formula,
     fill_values,
     min_separation,
     sample_support,
@@ -50,19 +51,15 @@ __all__ = [
 ALGORITHMS = ("tsgbomp", "bomp")
 
 
-def _min_indices(b: int, p: int, Lsep: int, K: int) -> int:
-    """Indices the tightest packing of K blocks spans: ceil(K/p) clusters,
-    K*b + (ceil(K/p) - 1)*Lsep (-Lsep at K = 0)."""
-    return K * b + (-(-K // p) - 1) * Lsep
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One phase-transition experiment. `epsilon` is the residual-threshold
-    multiplier on ||y||, finite and >= 0 (trials are noiseless). Every
-    K_grid entry is >= 0, no K or algorithm is listed twice, value_scheme
-    is one `_fill` reads and, when tsgbomp runs, L >= p*b: all are checked
-    here, before any trial."""
+    multiplier on ||y||, finite and >= 0 (trials are noiseless). Before any
+    trial, so that a refused config writes nothing, it refuses, in this
+    order: a K or algorithm listed twice, a value_scheme `_value_scheme`
+    refuses, b, p or L below 1, a geometry that tsgbomp's check refuses
+    (with B = p*b), a K the sampler cannot draw, a geometry that bomp's
+    check refuses, and n or m below 1."""
 
     n: int
     m: int
@@ -92,25 +89,21 @@ class ExperimentConfig:
             raise ValueError("matrix_kind must be 'gaussian' or 'identity'")
         if self.matrix_kind == "identity" and self.m != self.n:
             raise ValueError("identity matrices need m == n")
-        Lsep = self.Lsep  # raises unless b, p and L are all >= 1
-        if self.n % self.L != 0:
-            raise ValueError("n must be divisible by L")
-        if "tsgbomp" in self.algorithms and self.L < self.p * self.b:
-            raise ValueError(f"window length L={self.L} must be at least B=p*b={self.p * self.b}")
+        Lsep = min_separation(self.b, self.p, self.L)  # raises unless b, p and L are >= 1
+        B = self.p * self.b
+        if "tsgbomp" in self.algorithms:
+            check_window_geometry(self.n, self.L, B)
         for K in self.K_grid:
-            check_at_least(0, K=K)
-            need = _min_indices(self.b, self.p, Lsep, K)
-            if need > self.n:
+            if count_supports_formula(self.params_for(K), K, 0) == 0:
+                # the tightest layout packs the K blocks into ceil(K/p) clusters
+                need = K * self.b + (-(-K // self.p) - 1) * Lsep
                 raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")
-
-    @property
-    def Lsep(self) -> int:
-        return min_separation(self.b, self.p, self.L)
+        if "bomp" in self.algorithms:
+            check_block_geometry(self.n, B)
+        check_at_least(1, n=self.n, m=self.m)
 
     def params_for(self, K: int) -> PibsParams:
-        return PibsParams.from_window(
-            n=self.n, b=self.b, p=self.p, l=self.L, L=self.L, K=K, R=0
-        )
+        return PibsParams.from_window(n=self.n, b=self.b, p=self.p, l=self.L, L=self.L, K=K, R=0)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -217,10 +210,6 @@ def _value_scheme(scheme: str) -> dict:
     return {"scheme": "const", "amplitude": amplitude}
 
 
-def _fill(support: Support, scheme: str, rng: np.random.Generator) -> SignalInstance:
-    return fill_values(support, rng=rng, **_value_scheme(scheme))
-
-
 def solve(
     algorithm: str,
     Phi: SensingMatrix,
@@ -231,10 +220,10 @@ def solve(
     epsilon: float,
 ) -> RecoveryResult:
     """Run `algorithm` with budget K on cluster width B = p*b, the only
-    part of the (b, p) geometry a solver reads. The block OMP baseline
-    partitions into blocks of B columns and never reads the window length
-    L. A B below 1 raises ValueError; b and p themselves are checked where
-    they are read, by `ExperimentConfig` and the command line."""
+    part of the (b, p) geometry a solver reads; block OMP never reads the
+    window length L. Each solver first runs its geometry check, the one
+    `ExperimentConfig` also calls; b and p are checked where they are read,
+    by the config and the command line."""
     if algorithm == "tsgbomp":
         return tsgbomp(Phi, y, K=K, L=L, B=B, epsilon=epsilon)
     if algorithm == "bomp":
@@ -251,7 +240,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     else:
         Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
     support = sample_support(config.params_for(K), K, rng)
-    signal = _fill(support, config.value_scheme, rng)
+    signal = fill_values(support, rng=rng, **_value_scheme(config.value_scheme))
     y = measure(Phi, signal.x)
     eps = config.epsilon * float(np.linalg.norm(y))
     result = solve(algorithm, Phi, y, K=K, L=config.L, B=config.b * config.p, epsilon=eps)

@@ -33,6 +33,8 @@ __all__ = [
     "RecoveryResult",
     "tsgbomp",
     "bomp",
+    "check_window_geometry",
+    "check_block_geometry",
     "success_check",
     "result_report",
     "trace_to_csv",
@@ -172,6 +174,23 @@ def _greedy(
     )
 
 
+def check_window_geometry(n: int, L: int, B: int) -> None:
+    """Raise ValueError unless `tsgbomp`'s windows of length L tile the n
+    columns and hold a cluster of B: L >= B >= 1 and L divides n."""
+    check_at_least(1, L=L, B=B)
+    if n % L != 0:
+        raise ValueError(f"n={n} must be divisible by the window length L={L}")
+    if L < B:
+        raise ValueError(f"window length L={L} must be at least B=p*b={B}")
+
+
+def check_block_geometry(n: int, block: int) -> None:
+    """Raise ValueError unless `bomp`'s blocks tile the n columns."""
+    check_at_least(1, block=block)
+    if n % block != 0:
+        raise ValueError(f"n={n} must be divisible by the block length {block}")
+
+
 def tsgbomp(
     Phi: SensingMatrix,
     y: np.ndarray,
@@ -186,18 +205,14 @@ def tsgbomp(
     Stage 2 scans cluster starts i in {L*(w-1)+1-(B-1), ..., L*w}, clamped to
     [1, n-B+1] so every candidate cluster of B columns is fully in range,
     and selects the start whose B correlation entries have the largest norm.
-    The iteration's pick is the run of columns i..i+B-1.
+    The iteration's pick is the run of columns i..i+B-1. The geometry is
+    checked first, by `check_window_geometry`.
     """
-    check_at_least(1, L=L, B=B)
     n = Phi.n
-    if n % L != 0:
-        raise ValueError(f"n={n} must be divisible by the window length L={L}")
-    if L < B:
-        raise ValueError(f"window length L={L} must be at least B=p*b={B}")
-    n_windows = n // L
+    check_window_geometry(n, L, B)
 
     def select(power: np.ndarray):
-        win_norms = power.reshape(n_windows, L).sum(axis=1)
+        win_norms = power.reshape(-1, L).sum(axis=1)
         w = int(np.argmax(win_norms)) + 1
 
         lo = max(1, L * (w - 1) + 1 - (B - 1))
@@ -219,15 +234,12 @@ def bomp(
     epsilon: float,
 ) -> RecoveryResult:
     """Block OMP over the fixed partition into n/block consecutive blocks:
-    each iteration picks the block with the largest correlation norm."""
-    check_at_least(1, block=block)
-    n = Phi.n
-    if n % block != 0:
-        raise ValueError(f"n={n} must be divisible by the block length {block}")
-    n_blocks = n // block
+    each iteration picks the block with the largest correlation norm, after
+    `check_block_geometry`."""
+    check_block_geometry(Phi.n, block)
 
     def select(power: np.ndarray):
-        j = int(np.argmax(power.reshape(n_blocks, block).sum(axis=1)))
+        j = int(np.argmax(power.reshape(-1, block).sum(axis=1)))
         return j + 1, j * block + 1
 
     return _greedy(Phi, y, K, epsilon, block, select)

@@ -461,17 +461,23 @@ class TestCurveCommand:
             ("b=2\np=2\nL=4\nK_grid=1,1\n", "K listed more than once: [1]"),
             ("b=2\np=2\nL=4\nK_grid=1\nalgorithms=tsgbomp,tsgbomp\n",
              "algorithm listed more than once: ['tsgbomp']"),
+            ("b=5\np=2\nL=4\nK_grid=1\nalgorithms=bomp\n",
+             "n=48 must be divisible by the block length 10"),
+            ("m=0\nmatrix_kind=gaussian\nb=2\np=2\nL=4\nK_grid=1\n", "m must be >= 1, got 0"),
+            ("n=0\nm=0\nb=2\np=2\nL=4\nK_grid=0\n", "n must be >= 1, got 0"),
         ],
         ids=["negative-K", "window-below-capacity", "negative-amplitude", "unknown-scheme",
-             "repeated-K", "repeated-algorithm"],
+             "repeated-K", "repeated-algorithm", "bomp-block-divisibility", "m-zero", "n-zero"],
     )
     def test_bad_grid_or_window_exits_one_before_writing(
         self, tmp_path, capsys, geometry, message
     ):
-        # both used to fail in the middle of the run, after --out was written
+        # each used to fail in the middle of the run, after --out was written;
+        # a row's lines replace the base config's lines of the same keys
+        fields = dict(n="48", m="48", trials="2", master_seed="5", matrix_kind="identity")
+        fields.update(line.split("=") for line in geometry.splitlines())
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("n=48\nm=48\n" + geometry + "trials=2\nmaster_seed=5\n"
-                       "matrix_kind=identity\n")
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
         out = tmp_path / "curve.csv"
         code = main(["curve", "--config", str(cfg), "--out", str(out)])
         assert code == 1

@@ -38,7 +38,7 @@ ENTRY_POINTS = {
     recovery.bomp: (dict(Phi=PHI, y=Y, K=1, block=4, epsilon=0.0),
                     dict(K=0, block=1, epsilon=0)),
     experiments.ExperimentConfig: (dict(n=48, m=48, b=2, p=2, L=4, K_grid=(1,), trials=1),
-                                   dict(trials=1, epsilon=0)),
+                                   dict(trials=1, epsilon=0, n=1, m=1, b=1, p=1, L=1)),
     experiments.solve: (dict(algorithm="tsgbomp", Phi=PHI, y=Y, K=1, L=4,
                              B=4, epsilon=0.0), dict(B=1)),
     experiments.theorem_regime_suite: (dict(count=1, rng=_rng()), dict(count=1)),

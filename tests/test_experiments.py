@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from tsgbomp.experiments import (
     trial_seed,
 )
 from tsgbomp.sensing import identity_matrix
+from tsgbomp.signal_model import GeometryError, sample_support
 
 
 # every key set, none to its default
@@ -119,6 +121,15 @@ class TestConfig:
             small_config(L=2)
         assert small_config(L=2, algorithms=("bomp",)).L == 2
 
+    def test_window_divisibility_binds_tsgbomp_only(self):
+        # n=52 is a multiple of p*b = 4 but not of L = 8: bomp's blocks tile
+        # it, tsgbomp's windows do not
+        bomp_only = small_config(n=52, L=8, K_grid=(1,), trials=2, algorithms=("bomp",))
+        points = run_curve(bomp_only)
+        assert [(pt.K, pt.algorithm, pt.trials) for pt in points] == [(1, "bomp", 2)]
+        with pytest.raises(ValueError, match="^n=52 must be divisible by the window length L=8$"):
+            small_config(n=52, L=8, K_grid=(1,), algorithms=("bomp", "tsgbomp"))
+
     def test_identity_kind_needs_square(self):
         with pytest.raises(ValueError):
             small_config(matrix_kind="identity")
@@ -159,6 +170,31 @@ class TestFeasibility:
             assert ExperimentConfig(**geometry, K_grid=(last,)).K_grid == (last,)
             with pytest.raises(ValueError, match=f"K={last + 1} infeasible"):
                 ExperimentConfig(**geometry, K_grid=(last + 1,))
+
+    def test_accepts_exactly_the_K_the_sampler_draws(self):
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for b, p, L, windows, K in itertools.product(
+            (1, 2, 3), (1, 2), (2, 4, 6, 8), (1, 2, 3, 5), range(8)
+        ):
+            if L < p * b:
+                continue
+            n = L * windows
+            probe = ExperimentConfig(n=n, m=n, b=b, p=p, L=L, K_grid=(0,), algorithms=("tsgbomp",))
+            try:
+                sample_support(probe.params_for(K), K, rng)
+                draws = True
+            except GeometryError:
+                draws = False
+            try:
+                ExperimentConfig(n=n, m=n, b=b, p=p, L=L, K_grid=(K,), algorithms=("tsgbomp",))
+                accepted = True
+            except ValueError as exc:
+                assert str(exc).startswith(f"K={K} infeasible: needs "), exc
+                accepted = False
+            assert accepted == draws, (n, b, p, L, K)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_zero_blocks_always_fit(self):
         # K = 0 needs -Lsep indices: the smallest window geometry holds it
