@@ -15,10 +15,11 @@ times. Any other name is a file that the command writes.
 
 `--quick` checks the outputs marked quick, in a few seconds: the four curve
 CSVs at 20 trials, `ric` on the three ric_cold matrices, and the README's
-`recover` and `thm2` examples. The full set adds the curves at --jobs 1,
-the lemma audit at 10 matrices (--jobs 1 and 2) and at 100, and both scan
-fingerprints. It prints one line per output and exits 1 if any output
-differs from its manifest line, or if a command differs or fails.
+`gen-signal`, `recover` and `thm2` examples. The full set adds the curves
+at --jobs 1, the lemma audit at 10 matrices (--jobs 1 and 2) and at 100,
+and both scan fingerprints. It prints one line per output and exits 1 if
+any output differs from its manifest line, or if a command differs or
+fails.
 
 `--write` rewrites the manifest lines of the outputs it computes instead,
 keeping the other lines. A change that rewrites a line should say which one
@@ -48,10 +49,11 @@ from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
 MANIFEST = ROOT / "OUTPUTS.sha256"
 
 # the README's example instance, and the benchmark's ric_cold matrices
+GEN_SIGNAL = ("tsgbomp gen-signal --n 200 --b 4 --p 2 --L 8 --K 4 --seed 2 --out x.csv "
+              "--support-out support.txt")
 INPUTS = (
     "tsgbomp gen-matrix --m 160 --n 200 --seed 1 --out phi.bin",
-    "tsgbomp gen-signal --n 200 --b 4 --p 2 --L 8 --K 4 --seed 2 --out x.csv "
-    "--support-out support.txt",
+    GEN_SIGNAL,
     *(f"tsgbomp gen-matrix --m 120 --n 160 --seed {s} --out ric{s}.bin" for s in (1, 2, 3)),
 )
 MEASURE = "y.csv: y = phi x from phi.bin and x.csv, as the README computes it"
@@ -67,6 +69,7 @@ OUTPUTS = (
     (True, "python scripts/run_phase_transition.py --trials 20 --jobs 2 --out-dir curves",
      [f"curves/{c}" for c in CURVES]),
     *((True, RIC.format(s=s), [f"ric_seed{s}.stdout"]) for s in (1, 2, 3)),
+    (True, GEN_SIGNAL, ["x.csv", "support.txt"]),
     (True, "tsgbomp recover --alg tsgbomp --matrix phi.bin --y y.csv --K 4 --L 8 --b 4 "
      "--p 2 --eps 1e-8 --trace-csv trace.csv", ["recover.stdout", "trace.csv"]),
     (True, "tsgbomp thm2 --b 1 --p 1 --L 2 --K 4 --m 2000 --n 200 --eps0 0.05 --eps 0.05 "

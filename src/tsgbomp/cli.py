@@ -52,8 +52,8 @@ def _cmd_gen_signal(args) -> int:
     rng = np.random.default_rng(args.seed)
     support = signal_model.sample_support(params, args.K, rng)
     amplitude = {} if args.amplitude is None else {"amplitude": args.amplitude}
-    sig = signal_model.fill_values(support, args.scheme, rng=rng, **amplitude)
-    Path(args.out).write_text(signal_model.signal_to_csv(sig.x), newline="\n")
+    x = signal_model.fill_values(support, args.scheme, rng=rng, **amplitude)
+    Path(args.out).write_text(signal_model.signal_to_csv(x), newline="\n")
     if args.support_out:
         Path(args.support_out).write_text(
             signal_model.support_to_text(support), newline="\n"

@@ -18,10 +18,9 @@ import numpy as np
 from .analysis import LemmaReport, f_K, pibric, thm1_certificate, verify_lemmas
 from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
 from .recovery import check_block_geometry, check_window_geometry
-from .sensing import SensingMatrix, gaussian_matrix, identity_matrix, measure
+from .sensing import SensingMatrix, gaussian_matrix, measure
 from .signal_model import (
     PibsParams,
-    SignalInstance,
     check_amplitude,
     check_at_least,
     count_supports_formula,
@@ -53,13 +52,16 @@ ALGORITHMS = ("tsgbomp", "bomp")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One phase-transition experiment. `epsilon` is the residual-threshold
-    multiplier on ||y||, finite and >= 0 (trials are noiseless). Before any
-    trial, so that a refused config writes nothing, it refuses, in this
-    order: a K or algorithm listed twice, a value_scheme `_value_scheme`
-    refuses, b, p or L below 1, a geometry that tsgbomp's check refuses
-    (with B = p*b), a K the sampler cannot draw, a geometry that bomp's
-    check refuses, and n or m below 1."""
+    """One phase-transition experiment: every trial draws an m x n
+    unit-column Gaussian matrix and a pseudo-free support of K blocks of b
+    columns, up to p to a cluster, separated as a window of length L
+    requires. `epsilon` is the residual-threshold multiplier on ||y||,
+    finite and >= 0 (trials are noiseless). Before any trial, so that a
+    refused config writes nothing, it refuses, in this order: a K or
+    algorithm listed twice, a value_scheme `_value_scheme` refuses, b, p or
+    L below 1, a geometry that tsgbomp's check refuses (with B = p*b), a K
+    the sampler cannot draw, a geometry that bomp's check refuses, and n or
+    m below 1."""
 
     n: int
     m: int
@@ -72,7 +74,6 @@ class ExperimentConfig:
     epsilon: float = 1e-6
     algorithms: tuple[str, ...] = ALGORITHMS
     master_seed: int = 0
-    matrix_kind: str = "gaussian"
 
     def __post_init__(self):
         check_at_least(1, trials=self.trials)
@@ -85,10 +86,6 @@ class ExperimentConfig:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} listed more than once: {repeated}")
-        if self.matrix_kind not in ("gaussian", "identity"):
-            raise ValueError("matrix_kind must be 'gaussian' or 'identity'")
-        if self.matrix_kind == "identity" and self.m != self.n:
-            raise ValueError("identity matrices need m == n")
         Lsep = min_separation(self.b, self.p, self.L)  # raises unless b, p and L are >= 1
         B = self.p * self.b
         if "tsgbomp" in self.algorithms:
@@ -137,13 +134,14 @@ class ExperimentConfig:
 
 
 def _csv_tuple(item):
-    """Parser of a comma-separated list: one or more items, none empty."""
+    """Parser of a comma-separated list: one or more items, none empty,
+    each stripped of surrounding blanks."""
 
     def parse(value: str) -> tuple:
         if not value.strip():
             raise ValueError("empty list")
-        items = value.split(",")
-        if not all(v.strip() for v in items):
+        items = [v.strip() for v in value.split(",")]
+        if not all(items):
             raise ValueError(f"empty item in {value!r}")
         return tuple(item(v) for v in items)
 
@@ -162,7 +160,6 @@ _CONFIG_PARSERS = {
     "epsilon": float,
     "algorithms": _csv_tuple(str),
     "master_seed": int,
-    "matrix_kind": str,
 }
 
 
@@ -232,25 +229,24 @@ def solve(
 
 
 def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> TrialRecord:
-    """One seeded trial: fresh matrix and signal, noiseless measurement,
-    solve, exact-recovery check."""
+    """One seeded trial: one Generator draws, in this order, the unit-column
+    Gaussian matrix, the support and the vector x on it; then the noiseless
+    measurement, the solve and the exact-recovery check against that support
+    and x."""
     rng = np.random.default_rng(seed)
-    if config.matrix_kind == "identity":
-        Phi = identity_matrix(config.n)
-    else:
-        Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
+    Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
     support = sample_support(config.params_for(K), K, rng)
-    signal = fill_values(support, rng=rng, **_value_scheme(config.value_scheme))
-    y = measure(Phi, signal.x)
+    x = fill_values(support, rng=rng, **_value_scheme(config.value_scheme))
+    y = measure(Phi, x)
     eps = config.epsilon * float(np.linalg.norm(y))
     result = solve(algorithm, Phi, y, K=K, L=config.L, B=config.b * config.p, epsilon=eps)
     return TrialRecord(
         seed=seed,
         K=K,
         algorithm=algorithm,
-        success=success_check(result, signal),
+        success=success_check(result, support, x),
         iterations=result.iterations,
-        rel_error=relative_error(result, signal),
+        rel_error=relative_error(result, x),
     )
 
 
@@ -438,22 +434,21 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
         signs = rng.integers(0, 2, size=cols.size) * 2 - 1
         x = np.zeros(cfg.n)
         x[cols] = mags * signs
-        signal = SignalInstance(x=x, support=support, x_min=float(np.min(mags)), x_max=1.0)
 
         cert = thm1_certificate(
             delta, cfg.K, cfg.b, cfg.p, epsilon=0.0,
-            x_min=signal.x_min, x_max=signal.x_max, field="real",
+            x_min=float(np.min(mags)), x_max=1.0, field="real",
         )
         if not cert.passed:
             instances.append(RegimeInstance(cfg, delta, certified=False, success=None))
             continue
 
-        y = measure(Phi, signal.x)
+        y = measure(Phi, x)
         eps = 1e-9 * float(np.linalg.norm(y))
         result = tsgbomp(Phi, y, K=cfg.K, L=cfg.L, B=cfg.b * cfg.p, epsilon=eps)
         instances.append(
             RegimeInstance(
-                cfg, delta, certified=True, success=success_check(result, signal)
+                cfg, delta, certified=True, success=success_check(result, support, x)
             )
         )
     return RegimeReport(instances=tuple(instances))

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .sensing import SensingMatrix
-from .signal_model import SignalInstance, check_at_least
+from .signal_model import Support, check_at_least
 
 __all__ = [
     "IterationRecord",
@@ -245,17 +245,19 @@ def bomp(
     return _greedy(Phi, y, K, epsilon, block, select)
 
 
-def success_check(result: RecoveryResult, truth: SignalInstance) -> bool:
-    """Exact-recovery criterion: estimated columns cover the true support and
-    the relative coefficient error is at most 1e-6."""
-    if not set(truth.support.columns).issubset(result.estimated_columns):
+def success_check(result: RecoveryResult, support: Support, x: np.ndarray) -> bool:
+    """Exact-recovery criterion: the estimated columns cover the columns of
+    `support`, and the relative coefficient error against the true vector
+    x is at most 1e-6."""
+    if not set(support.columns).issubset(result.estimated_columns):
         return False
-    return relative_error(result, truth) <= 1e-6
+    return relative_error(result, x) <= 1e-6
 
 
-def relative_error(result: RecoveryResult, truth: SignalInstance) -> float:
-    denom = np.linalg.norm(truth.x)
-    err = np.linalg.norm(result.x_hat - truth.x)
+def relative_error(result: RecoveryResult, x: np.ndarray) -> float:
+    """||x_hat - x|| / ||x||: 0 when both are zero, inf when only x is."""
+    denom = np.linalg.norm(x)
+    err = np.linalg.norm(result.x_hat - x)
     if denom == 0:
         return 0.0 if err == 0 else float("inf")
     return float(err / denom)

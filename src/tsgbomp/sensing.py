@@ -13,7 +13,6 @@ from .signal_model import check_at_least
 __all__ = [
     "SensingMatrix",
     "gaussian_matrix",
-    "identity_matrix",
     "measure",
     "matrix_to_csv",
     "matrix_from_csv",
@@ -93,10 +92,6 @@ def gaussian_matrix(
             entries *= np.sqrt(sigma2)
     mat = SensingMatrix(entries=entries, normalized=False)
     return mat.normalize() if normalize else mat
-
-
-def identity_matrix(n: int) -> SensingMatrix:
-    return SensingMatrix(entries=np.eye(n), normalized=True)
 
 
 def measure(

@@ -29,7 +29,6 @@ __all__ = [
     "PibsParams",
     "Support",
     "CellRows",
-    "SignalInstance",
     "CountComparison",
     "check_at_least",
     "check_amplitude",
@@ -131,14 +130,6 @@ class Support:
     def __post_init__(self):
         object.__setattr__(self, "clusters", tuple(sorted(tuple(c) for c in self.clusters)))
         object.__setattr__(self, "pseudo", tuple(sorted(self.pseudo)))
-
-    @cached_property
-    def block_starts(self) -> tuple[int, ...]:
-        b = self.params.b
-        out = []
-        for start, j in self.clusters:
-            out.extend(start + i * b for i in range(j))
-        return tuple(out)
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
@@ -639,10 +630,11 @@ def count_supports_formula(params: PibsParams, K: int, R: int) -> int:
     return total
 
 
-def formula_assumptions(params: PibsParams, K: int, R: int) -> tuple[bool, list[str]]:
-    """Flags for the derivation assumptions behind the R >= 1 count."""
+def formula_assumptions(params: PibsParams, K: int, R: int) -> list[str]:
+    """The derivation assumptions behind the R >= 1 count that `params`
+    violates, one reason each; none at R = 0."""
     if R == 0:
-        return True, []
+        return []
     reasons = []
     L = params.window_length
     if L < params.p * params.b:
@@ -651,7 +643,7 @@ def formula_assumptions(params: PibsParams, K: int, R: int) -> tuple[bool, list[
         reasons.append(f"(R+1)*p = {(R + 1) * params.p} exceeds K = {K}")
     if params.l != params.Lsep:
         reasons.append(f"pseudo length {params.l} differs from separation {params.Lsep}")
-    return (not reasons, reasons)
+    return reasons
 
 
 @dataclass(frozen=True)
@@ -661,7 +653,6 @@ class CountComparison:
     R: int
     formula: int
     exact: int
-    assumptions_ok: bool
     notes: tuple[str, ...]
 
     @property
@@ -670,7 +661,7 @@ class CountComparison:
 
     def describe(self) -> str:
         status = "match" if self.match else "MISMATCH"
-        extra = "" if self.assumptions_ok else " [assumptions violated]"
+        extra = " [assumptions violated]" if self.notes else ""
         return (
             f"(n={self.params.n}, b={self.params.b}, p={self.params.p}, "
             f"l={self.params.l}, Lsep={self.params.Lsep}, K={self.K}, R={self.R}): "
@@ -683,26 +674,14 @@ def compare_counts(params: PibsParams, K: int, R: int) -> CountComparison:
     reported, never patched."""
     formula = count_supports_formula(params, K, R)
     exact = cell_count(params, K, R)
-    ok, reasons = formula_assumptions(params, K, R)
     return CountComparison(
         params=params, K=K, R=R, formula=formula, exact=exact,
-        assumptions_ok=ok, notes=tuple(reasons),
+        notes=tuple(formula_assumptions(params, K, R)),
     )
 
 
 # ---------------------------------------------------------------------------
 # values
-
-@dataclass(frozen=True)
-class SignalInstance:
-    """A concrete signal: dense vector x, its support, and cached magnitude
-    extremes (None for the zero signal)."""
-
-    x: np.ndarray
-    support: Support
-    x_min: float | None
-    x_max: float | None
-
 
 def check_amplitude(amplitude: float) -> None:
     """Raise ValueError unless `amplitude`, the magnitude of the const
@@ -716,10 +695,12 @@ def fill_values(
     scheme: str = "const",
     amplitude: float = 10.0,
     rng: np.random.Generator | None = None,
-) -> SignalInstance:
-    """Fill the support with values: `const` draws equiprobable +-amplitude,
-    `gaussian` draws standard normals (resampling exact zeros). The
-    amplitude must be finite and > 0 (`check_amplitude`)."""
+) -> np.ndarray:
+    """The dense length-n vector x that is nonzero exactly on the columns
+    of `support`: `const` draws equiprobable +-amplitude, `gaussian` draws
+    standard normals (resampling exact zeros). The amplitude must be finite
+    and > 0 (`check_amplitude`), the support pseudo-free, and a support
+    with columns needs an rng; an unknown scheme is a ValueError."""
     check_amplitude(amplitude)
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
@@ -741,11 +722,7 @@ def fill_values(
             x[cols] = vals
         else:
             raise ValueError(f"unknown value scheme {scheme!r}")
-        mags = np.abs(x[cols])
-        x_min, x_max = float(mags.min()), float(mags.max())
-    else:
-        x_min = x_max = None
-    return SignalInstance(x=x, support=support, x_min=x_min, x_max=x_max)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def reference_lemmas(
         ]
     for sup, delta in order_samples:
         subsets = [()]
-        for t in sup.block_starts:
+        for t in (s + i * sup.params.b for s, j in sup.clusters for i in range(j)):
             subsets += [s + (t,) for s in subsets]
         if len(subsets) > 8:
             keep = rng.choice(len(subsets), size=8, replace=False)

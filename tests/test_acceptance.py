@@ -262,7 +262,7 @@ class TestCriterion7Counting:
         edge = compare_counts(edge_params, 3, 1)
         assert edge.exact == walk(edge_params, 3, 1)
         if not edge.match:
-            assert not edge.assumptions_ok  # flags explain the gap
+            assert edge.notes  # flags explain the gap
             reported.append(edge.describe())
         ok = matches > 0 and len(reported) > 0
         emit(
@@ -332,11 +332,11 @@ class TestCriterion9SolverInvariants:
                 continue
             Phi = gaussian_matrix(m, n, "unit", True, rng)
             support = sample_support(params, K, rng)
-            signal = fill_values(support, "gaussian", rng=rng)
+            x = fill_values(support, "gaussian", rng=rng)
             noise = None
             if trial % 3 == 0:
                 noise = ("gaussian", 0.05)
-            y = measure(Phi, signal.x, noise=noise, rng=rng)
+            y = measure(Phi, x, noise=noise, rng=rng)
             y_norm = np.linalg.norm(y)
             solver = tsgbomp if trial % 4 else bomp
             if solver is tsgbomp:

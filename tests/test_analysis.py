@@ -26,7 +26,7 @@ from tsgbomp.analysis import (
     verify_lemmas,
 )
 from tsgbomp.experiments import lemma_audit
-from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix
 from tsgbomp.signal_model import EnumerationCapError, PibsParams, iter_cell
 
 
@@ -39,7 +39,7 @@ def orthonormal_matrix(n, rng):
 
 class TestOperatorNormDev:
     def test_orthonormal_columns(self):
-        Phi = identity_matrix(8)
+        Phi = SensingMatrix(np.eye(8), normalized=True)
         assert operator_norm_dev(Phi, [1, 4, 6]) == pytest.approx(0.0, abs=1e-10)
 
     def test_duplicated_column(self):
@@ -54,7 +54,7 @@ class TestOperatorNormDev:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            operator_norm_dev(identity_matrix(4), [])
+            operator_norm_dev(SensingMatrix(np.eye(4), normalized=True), [])
 
     def test_orthonormal_matrix_gram_is_identity(self):
         mat = orthonormal_matrix(8, np.random.default_rng(0))
@@ -90,7 +90,7 @@ class TestPibric:
 
     def test_cap_error(self):
         params = PibsParams(n=60, b=1, p=1, l=0, Lsep=1, K=4, R=0)
-        Phi = identity_matrix(60)
+        Phi = SensingMatrix(np.eye(60), normalized=True)
         with pytest.raises(EnumerationCapError):
             pibric(Phi, params, 4, 0, cap=100)
 
@@ -98,12 +98,12 @@ class TestPibric:
     def test_cap_below_one_rejected(self, cap):
         params = PibsParams(n=12, b=1, p=1, l=0, Lsep=1, K=1, R=0)
         with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
-            pibric(identity_matrix(12), params, 1, 0, cap=cap)
+            pibric(SensingMatrix(np.eye(12), normalized=True), params, 1, 0, cap=cap)
 
     def test_cap_check_counts_every_cell_in_one_pass(self):
         # 65 cells, all read from one counting pass of the geometry
         params = PibsParams(n=1000, b=4, p=3, l=50, Lsep=100, K=12, R=4)
-        Phi = identity_matrix(1000)
+        Phi = SensingMatrix(np.eye(1000), normalized=True)
         signal_model._cell_lattice.cache_clear()
         t0 = time.perf_counter()
         with pytest.raises(EnumerationCapError) as err:
@@ -185,7 +185,7 @@ class TestPibric:
 
     def test_identity_matrix_returns_empty_support(self):
         params = PibsParams(n=7, b=2, p=1, l=2, Lsep=2, K=2, R=2)
-        est = pibric(identity_matrix(7), params, 2, 2)
+        est = pibric(SensingMatrix(np.eye(7), normalized=True), params, 2, 2)
         assert est.delta == 0.0 and est.argmax.is_empty()
 
     def test_complex_matrix_pairwise_reduction(self):
@@ -764,7 +764,7 @@ class TestVerifyLemmas:
 
     def test_requires_matching_pseudo_length(self):
         params = PibsParams(n=24, b=1, p=1, l=1, Lsep=4, K=1, R=1)
-        Phi = identity_matrix(24)
+        Phi = SensingMatrix(np.eye(24), normalized=True)
         with pytest.raises(ValueError):
             verify_lemmas(Phi, params, 1, 1, np.random.default_rng(0))
 
@@ -772,7 +772,8 @@ class TestVerifyLemmas:
     def test_cell_cap_below_one_rejected(self, cap):
         params = PibsParams(n=24, b=1, p=1, l=4, Lsep=4, K=1, R=1)
         with pytest.raises(ValueError, match="cell_cap must be >= 1"):
-            verify_lemmas(identity_matrix(24), params, 1, 1, np.random.default_rng(0), cell_cap=cap)
+            verify_lemmas(SensingMatrix(np.eye(24), normalized=True), params, 1, 1,
+                          np.random.default_rng(0), cell_cap=cap)
 
     def test_families_stopped_by_the_cap_are_skipped(self):
         # every cell but the empty one is over the cap: no family may pass

@@ -433,7 +433,7 @@ class TestCurveCommand:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1,2\ntrials=2\n"
-            "algorithms=tsgbomp\nmaster_seed=5\nmatrix_kind=identity\n"
+            "algorithms=tsgbomp\nmaster_seed=5\n"
         )
         out = tmp_path / "curve.csv"
         code = main(["curve", "--config", str(cfg), "--out", str(out), "--check"])
@@ -463,18 +463,21 @@ class TestCurveCommand:
              "algorithm listed more than once: ['tsgbomp']"),
             ("b=5\np=2\nL=4\nK_grid=1\nalgorithms=bomp\n",
              "n=48 must be divisible by the block length 10"),
-            ("m=0\nmatrix_kind=gaussian\nb=2\np=2\nL=4\nK_grid=1\n", "m must be >= 1, got 0"),
+            ("m=0\nb=2\np=2\nL=4\nK_grid=1\n", "m must be >= 1, got 0"),
             ("n=0\nm=0\nb=2\np=2\nL=4\nK_grid=0\n", "n must be >= 1, got 0"),
+            ("b=2\np=2\nL=4\nK_grid=1\nmatrix_kind=identity\n",
+             "unknown config key 'matrix_kind'"),
         ],
         ids=["negative-K", "window-below-capacity", "negative-amplitude", "unknown-scheme",
-             "repeated-K", "repeated-algorithm", "bomp-block-divisibility", "m-zero", "n-zero"],
+             "repeated-K", "repeated-algorithm", "bomp-block-divisibility", "m-zero", "n-zero",
+             "matrix-kind"],
     )
     def test_bad_grid_or_window_exits_one_before_writing(
         self, tmp_path, capsys, geometry, message
     ):
         # each used to fail in the middle of the run, after --out was written;
         # a row's lines replace the base config's lines of the same keys
-        fields = dict(n="48", m="48", trials="2", master_seed="5", matrix_kind="identity")
+        fields = dict(n="48", m="48", trials="2", master_seed="5")
         fields.update(line.split("=") for line in geometry.splitlines())
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
@@ -721,8 +724,7 @@ class TestNumericDomains:
         x = np.zeros(32)
         x[8:12] = 5.0
         (tmp_path / "y.csv").write_text(signal_to_csv(mat.entries @ x))
-        config = ("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
-                  "matrix_kind=identity\n")
+        config = "n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
         argv = [str(tmp_path / arg) if arg in self.FILES else arg for arg in self.BASE[name]]
         if option.startswith("--"):
             for replaced in (option, "--L" if option == "--lsep" else None):

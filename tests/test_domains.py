@@ -12,7 +12,7 @@ import pytest
 from tsgbomp import analysis, experiments, recovery, sensing, signal_model, workers
 from tsgbomp.signal_model import PibsParams, check_at_least
 
-PHI = sensing.identity_matrix(24)
+PHI = sensing.SensingMatrix(np.eye(24), normalized=True)
 Y = np.ones(24)
 PARAMS = PibsParams(n=24, b=1, p=1, l=2, Lsep=2, K=1, R=1)
 

@@ -20,7 +20,7 @@ from tsgbomp.experiments import (
     theorem_regime_suite,
     trial_seed,
 )
-from tsgbomp.sensing import identity_matrix
+from tsgbomp.sensing import SensingMatrix
 from tsgbomp.signal_model import GeometryError, sample_support
 
 
@@ -37,7 +37,6 @@ trials=5
 epsilon=1e-09
 algorithms=bomp
 master_seed=7
-matrix_kind=identity
 """
 
 
@@ -53,7 +52,6 @@ class TestConfig:
     def test_round_trip_through_text(self):
         cfg = small_config(
             m=48, value_scheme="gaussian", epsilon=1e-9, algorithms=("bomp",),
-            matrix_kind="identity",
         )
         assert ExperimentConfig.from_text(CONFIG_TEXT) == cfg
 
@@ -62,11 +60,17 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(text)
         assert cfg.K_grid == (1, 2)
         assert cfg.trials == 200  # default
+        # list items are stripped: " bomp" used to be an unknown algorithm
+        cfg = ExperimentConfig.from_text(text + "algorithms=tsgbomp, bomp\n")
+        assert cfg.algorithms == ("tsgbomp", "bomp")
 
     def test_unknown_key_rejected(self):
         text = CONFIG_TEXT + "trails=1000\n"
         with pytest.raises(ValueError, match="unknown config key 'trails'"):
             ExperimentConfig.from_text(text)
+        # every trial draws a Gaussian matrix; there is no matrix setting
+        with pytest.raises(ValueError, match="unknown config key 'matrix_kind'"):
+            ExperimentConfig.from_text(CONFIG_TEXT + "matrix_kind=identity\n")
 
     def test_repeated_key_rejected(self):
         text = CONFIG_TEXT + "master_seed=8\n"
@@ -129,12 +133,6 @@ class TestConfig:
         assert [(pt.K, pt.algorithm, pt.trials) for pt in points] == [(1, "bomp", 2)]
         with pytest.raises(ValueError, match="^n=52 must be divisible by the window length L=8$"):
             small_config(n=52, L=8, K_grid=(1,), algorithms=("bomp", "tsgbomp"))
-
-    def test_identity_kind_needs_square(self):
-        with pytest.raises(ValueError):
-            small_config(matrix_kind="identity")
-        cfg = small_config(m=48, matrix_kind="identity")
-        assert cfg.matrix_kind == "identity"
 
     @pytest.mark.parametrize(
         "scheme,match",
@@ -232,16 +230,10 @@ class TestTrials:
         # solve reads only the width B = b * p, which is below 1 here; b and
         # p themselves are refused where they are read: the config and the
         # command line
-        Phi = identity_matrix(8)
+        Phi = SensingMatrix(np.eye(8), normalized=True)
         name = "B" if algorithm == "tsgbomp" else "block"
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {b * p}"):
             experiments.solve(algorithm, Phi, np.ones(8), 1, 4, b * p, 0.0)
-
-    def test_identity_override_always_succeeds(self):
-        cfg = small_config(m=48, matrix_kind="identity", K_grid=(1, 2, 3))
-        for K in cfg.K_grid:
-            rec = run_trial(cfg, K, "tsgbomp", trial_seed(cfg.master_seed, K, "tsgbomp", 0))
-            assert rec.success
 
     def test_pinned_fixture(self):
         cfg = ExperimentConfig(
@@ -258,13 +250,6 @@ class TestCurves:
         cfg = small_config()
         pts = run_curve(cfg)
         assert len(pts) == len(cfg.K_grid) * len(cfg.algorithms)
-
-    def test_identity_curve_all_ones(self):
-        cfg = small_config(
-            m=48, matrix_kind="identity", trials=1, algorithms=("tsgbomp",)
-        )
-        pts = run_curve(cfg)
-        assert all(pt.success_rate == 1.0 for pt in pts)
 
     def test_jobs_do_not_change_results(self, tmp_path):
         cfg = small_config(trials=6)

@@ -17,7 +17,7 @@ from tsgbomp.recovery import (
     trace_to_csv,
     tsgbomp,
 )
-from tsgbomp.sensing import SensingMatrix, gaussian_matrix, identity_matrix, measure
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix, measure
 from tsgbomp.signal_model import PibsParams, Support, fill_values, sample_support
 
 
@@ -25,10 +25,10 @@ def make_instance(n=200, m=160, b=4, p=2, L=8, K=4, seed=1, amplitude=10.0):
     rng = np.random.default_rng(seed)
     params = PibsParams.from_window(n=n, b=b, p=p, l=L, L=L, K=K, R=0)
     support = sample_support(params, K, rng)
-    signal = fill_values(support, "const", amplitude, rng)
+    x = fill_values(support, "const", amplitude, rng)
     Phi = gaussian_matrix(m, n, "unit", True, rng)
-    y = measure(Phi, signal.x)
-    return Phi, y, signal
+    y = measure(Phi, x)
+    return Phi, y, support, x
 
 
 class TestTsgbomp:
@@ -37,15 +37,15 @@ class TestTsgbomp:
         params = PibsParams.from_window(n=n, b=2, p=2, l=4, L=4, K=2, R=0)
         rng = np.random.default_rng(3)
         support = sample_support(params, 2, rng)
-        signal = fill_values(support, "gaussian", rng=rng)
-        Phi = identity_matrix(n)
-        y = measure(Phi, signal.x)
+        x = fill_values(support, "gaussian", rng=rng)
+        Phi = SensingMatrix(np.eye(n), normalized=True)
+        y = measure(Phi, x)
         res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=1e-10)
-        assert set(signal.support.columns).issubset(res.estimated_columns)
-        assert np.linalg.norm(res.x_hat - signal.x) <= 1e-10
+        assert set(support.columns).issubset(res.estimated_columns)
+        assert np.linalg.norm(res.x_hat - x) <= 1e-10
 
     def test_below_threshold_returns_zero(self):
-        Phi = identity_matrix(8)
+        Phi = SensingMatrix(np.eye(8), normalized=True)
         y = measure(Phi, np.zeros(8), noise=np.full(8, 1e-9))
         res = tsgbomp(Phi, y, K=3, L=4, B=4, epsilon=1e-3)
         assert res.iterations == 0
@@ -54,14 +54,14 @@ class TestTsgbomp:
         assert res.stop_reason == "residual-threshold"
 
     def test_gaussian_fixture_succeeds(self):
-        Phi, y, signal = make_instance(seed=1)
+        Phi, y, support, x = make_instance(seed=1)
         res = tsgbomp(Phi, y, K=4, L=8, B=8,
                       epsilon=1e-6 * np.linalg.norm(y))
-        assert success_check(res, signal)
+        assert success_check(res, support, x)
         assert res.iterations == 4
 
     def test_residual_monotone_and_orthogonal(self):
-        Phi, y, signal = make_instance(K=6, seed=9)
+        Phi, y, _, _ = make_instance(K=6, seed=9)
         res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         norms = [np.linalg.norm(y)] + [r.residual_norm for r in res.trace]
         for a, b_ in zip(norms, norms[1:]):
@@ -73,17 +73,17 @@ class TestTsgbomp:
     def test_zero_epsilon_stops_at_rounding_level(self):
         # the fifth pick recovers the signal exactly; a sixth would be
         # chosen from a residual of rounding noise
-        Phi, y, signal = make_instance(K=6, seed=9)
+        Phi, y, support, x = make_instance(K=6, seed=9)
         res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         floor = 1e-12 * np.linalg.norm(y)
         assert res.stop_reason == "residual-threshold"
         assert res.iterations == 5
         assert res.trace[-1].residual_norm < floor
         assert all(t.residual_norm >= floor for t in res.trace[:-1])
-        assert success_check(res, signal)
+        assert success_check(res, support, x)
 
     def test_stage2_start_in_clamped_window_range(self):
-        Phi, y, _ = make_instance(K=5, seed=21)
+        Phi, y, _, _ = make_instance(K=5, seed=21)
         res = tsgbomp(Phi, y, K=5, L=8, B=8, epsilon=0.0)
         B = 8
         for rec in res.trace:
@@ -95,13 +95,13 @@ class TestTsgbomp:
             assert rec.cluster_start <= w_hi and rec.cluster_start + B - 1 >= w_lo
 
     def test_estimated_columns_deduplicated(self):
-        Phi, y, _ = make_instance(K=6, seed=4)
+        Phi, y, _, _ = make_instance(K=6, seed=4)
         res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
         assert len(res.estimated_columns) == len(set(res.estimated_columns))
         assert list(res.estimated_columns) == sorted(res.estimated_columns)
 
     def test_deterministic_trace(self):
-        Phi, y, _ = make_instance(seed=13)
+        Phi, y, _, _ = make_instance(seed=13)
         r1 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
         r2 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
         assert r1.trace == r2.trace
@@ -112,8 +112,8 @@ class TestTsgbomp:
         Phi = gaussian_matrix(24, 48, "unit", True, rng)
         params = PibsParams.from_window(n=48, b=2, p=2, l=4, L=4, K=4, R=0)
         support = sample_support(params, 4, rng)
-        signal = fill_values(support, "gaussian", rng=rng)
-        y = measure(Phi, signal.x)
+        x = fill_values(support, "gaussian", rng=rng)
+        y = measure(Phi, x)
         res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=0.0)
         assert support.clusters == ((3, 1), (22, 2), (36, 1))
         assert [r.window for r in res.trace] == [1, 9]
@@ -124,7 +124,7 @@ class TestTsgbomp:
         )
 
     def test_dimension_and_divisibility_errors(self):
-        Phi = identity_matrix(10)
+        Phi = SensingMatrix(np.eye(10), normalized=True)
         y = measure(Phi, np.zeros(10))
         with pytest.raises(ValueError):
             tsgbomp(Phi, y, K=1, L=3, B=1, epsilon=0.0)
@@ -151,14 +151,14 @@ class TestTsgbomp:
 @pytest.mark.parametrize("algorithm", ["tsgbomp", "bomp"])
 def test_threshold_outside_its_domain_raises(algorithm, epsilon):
     # nan and inf used to run no iteration, and a negative value acted as 0
-    Phi, y, _ = make_instance(n=40, m=32, K=1)
+    Phi, y, _, _ = make_instance(n=40, m=32, K=1)
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
         solve(algorithm, Phi, y, K=1, L=8, B=8, epsilon=epsilon)
 
 
 class TestBomp:
     def test_single_partition_block_one_iteration(self):
-        Phi = identity_matrix(8)
+        Phi = SensingMatrix(np.eye(8), normalized=True)
         x = np.zeros(8)
         x[4:6] = 2.0  # inside partition block [5..6] is block 3 of length 2
         y = measure(Phi, x)
@@ -167,7 +167,7 @@ class TestBomp:
         assert res.estimated_columns == (5, 6)
 
     def test_straddling_cluster_needs_two_iterations(self):
-        Phi = identity_matrix(6)
+        Phi = SensingMatrix(np.eye(6), normalized=True)
         x = np.zeros(6)
         x[1] = 1.0
         x[2] = 2.0
@@ -181,8 +181,8 @@ class TestBomp:
         Phi = gaussian_matrix(24, 32, "unit", True, rng)
         params = PibsParams.from_window(n=32, b=2, p=2, l=4, L=4, K=2, R=0)
         support = sample_support(params, 2, rng)
-        signal = fill_values(support, "const", 10.0, rng)
-        y = measure(Phi, signal.x)
+        x = fill_values(support, "const", 10.0, rng)
+        y = measure(Phi, x)
         res = bomp(Phi, y, K=2, block=4, epsilon=1e-6 * np.linalg.norm(y))
         assert support.clusters == ((2, 1), (20, 1))
         assert [r.window for r in res.trace] == [1, 6]
@@ -194,30 +194,30 @@ class TestBomp:
 
 class TestSuccessCheck:
     def test_exact_match(self):
-        _, _, signal = make_instance(K=2, seed=2)
-        res_cols = signal.support.columns
+        _, _, support, x = make_instance(K=2, seed=2)
+        res_cols = support.columns
         from tsgbomp.recovery import RecoveryResult
 
         res = RecoveryResult(
-            estimated_columns=res_cols, x_hat=signal.x.copy(), trace=(),
+            estimated_columns=res_cols, x_hat=x.copy(), trace=(),
             iterations=0, stop_reason="budget",
         )
-        assert success_check(res, signal)
+        assert success_check(res, support, x)
 
     def test_missing_index_fails(self):
-        _, _, signal = make_instance(K=2, seed=2)
+        _, _, support, x = make_instance(K=2, seed=2)
         from tsgbomp.recovery import RecoveryResult
 
         res = RecoveryResult(
-            estimated_columns=signal.support.columns[1:], x_hat=signal.x.copy(),
+            estimated_columns=support.columns[1:], x_hat=x.copy(),
             trace=(), iterations=0, stop_reason="budget",
         )
-        assert not success_check(res, signal)
+        assert not success_check(res, support, x)
 
     def test_superset_with_noiseless_refit(self):
-        Phi, y, signal = make_instance(K=2, seed=8)
-        extra = [c for c in range(1, 201) if c not in signal.support.columns][:4]
-        cols = sorted(set(signal.support.columns) | set(extra))
+        Phi, y, support, x = make_instance(K=2, seed=8)
+        extra = [c for c in range(1, 201) if c not in support.columns][:4]
+        cols = sorted(set(support.columns) | set(extra))
         u, *_ = np.linalg.lstsq(Phi.entries[:, np.asarray(cols) - 1], y, rcond=None)
         x_hat = np.zeros(200)
         x_hat[np.asarray(cols) - 1] = u
@@ -227,12 +227,12 @@ class TestSuccessCheck:
             estimated_columns=tuple(cols), x_hat=x_hat, trace=(),
             iterations=1, stop_reason="budget",
         )
-        assert success_check(res, signal)
+        assert success_check(res, support, x)
 
 
 class TestReports:
     def test_report_and_csv_render(self):
-        Phi, y, _ = make_instance(seed=1)
+        Phi, y, _, _ = make_instance(seed=1)
         res = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
         text = result_report(res)
         assert "estimated columns:" in text
@@ -344,10 +344,10 @@ class TestIncrementalResidual:
         _check_against_reference(algorithm, Phi, y, K, L, B, epsilon)
 
     def test_one_lstsq_per_solve_without_fallback(self):
-        Phi, y, signal = make_instance(K=6, seed=9)
+        Phi, y, support, x = make_instance(K=6, seed=9)
         epsilon = 1e-6 * np.linalg.norm(y)
         res, calls = _check_against_reference("tsgbomp", Phi, y, 6, 8, 8, epsilon)
-        assert success_check(res, signal)
+        assert success_check(res, support, x)
         assert calls == 1
 
     def test_overlapping_picks(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tsgbomp.sensing import (
     SensingMatrix,
     gaussian_matrix,
-    identity_matrix,
     matrix_from_binary,
     matrix_from_csv,
     matrix_to_binary,
@@ -68,14 +67,14 @@ class TestGaussianMatrix:
 
 class TestMeasure:
     def test_noiseless(self):
-        Phi = identity_matrix(5)
+        Phi = SensingMatrix(np.eye(5), normalized=True)
         x = np.arange(5.0)
         y = measure(Phi, x)
         assert isinstance(y, np.ndarray)
         assert np.array_equal(y, x)
 
     def test_fixed_noise_on_zero_signal(self):
-        Phi = identity_matrix(4)
+        Phi = SensingMatrix(np.eye(4), normalized=True)
         e = np.array([1.0, 0.0, -2.0, 0.0])
         assert np.array_equal(measure(Phi, np.zeros(4), noise=e), e)
 
@@ -88,7 +87,7 @@ class TestMeasure:
         assert y.tobytes() == (Phi.entries @ x + e).tobytes()
 
     def test_dimension_mismatch(self):
-        Phi = identity_matrix(4)
+        Phi = SensingMatrix(np.eye(4), normalized=True)
         with pytest.raises(ValueError):
             measure(Phi, np.zeros(5))
         with pytest.raises(ValueError):
