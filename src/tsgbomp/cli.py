@@ -51,8 +51,7 @@ def _cmd_gen_signal(args) -> int:
     params = _params_from_args(args, args.n, args.K, 0)
     rng = np.random.default_rng(args.seed)
     support = signal_model.sample_support(params, args.K, rng)
-    amplitude = {} if args.amplitude is None else {"amplitude": args.amplitude}
-    x = signal_model.fill_values(support, args.scheme, rng=rng, **amplitude)
+    x = signal_model.fill_values(support, args.scheme, rng)
     Path(args.out).write_text(signal_model.signal_to_csv(x), newline="\n")
     if args.support_out:
         Path(args.support_out).write_text(
@@ -76,11 +75,7 @@ def _cmd_recover(args) -> int:
 
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
-    # b and p describe the signal; the solver reads only their product
-    signal_model.check_at_least(1, b=args.b, p=args.p)
-    result = experiments.solve(
-        args.alg, Phi, y, K=args.K, L=args.L, B=args.b * args.p, epsilon=args.eps
-    )
+    result = experiments.solve(args.alg, Phi, y, K=args.K, L=args.L, B=args.B, epsilon=args.eps)
     report = recovery.result_report(result)
     if args.out:
         Path(args.out).write_text(report, newline="\n")
@@ -229,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-signal", help="sample a support and fill values")
     geometry(sp, with_l=False)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--scheme", choices=["const", "gaussian"], default="const")
-    sp.add_argument("--amplitude", type=float, default=None,
-                    help="value magnitude of the const scheme (default 10)")
+    sp.add_argument("--scheme", default="const:10",
+                    help="const:<amplitude> or gaussian (default const:10)")
     sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--support-out", default=None)
@@ -253,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y", required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--L", type=int, default=None, help="window length (tsgbomp only)")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--B", type=int, required=True, help="cluster width p*b")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--trace-csv", default=None)
@@ -341,8 +334,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gbounds" and args.trials and args.seed is None:
         parser.error("--seed is required when --trials is set")
-    if args.command == "gen-signal" and args.scheme == "gaussian" and args.amplitude is not None:
-        parser.error("--amplitude applies to --scheme const only")
     if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
         parser.error("--L is required for --alg tsgbomp")
     try:

@@ -21,11 +21,11 @@ from .recovery import check_block_geometry, check_window_geometry
 from .sensing import SensingMatrix, gaussian_matrix, measure
 from .signal_model import (
     PibsParams,
-    check_amplitude,
     check_at_least,
     count_supports_formula,
     fill_values,
     min_separation,
+    parse_value_scheme,
     sample_support,
 )
 from .workers import worker_map
@@ -56,12 +56,14 @@ class ExperimentConfig:
     unit-column Gaussian matrix and a pseudo-free support of K blocks of b
     columns, up to p to a cluster, separated as a window of length L
     requires. `epsilon` is the residual-threshold multiplier on ||y||,
-    finite and >= 0 (trials are noiseless). Before any trial, so that a
-    refused config writes nothing, it refuses, in this order: a K or
-    algorithm listed twice, a value_scheme `_value_scheme` refuses, b, p or
-    L below 1, a geometry that tsgbomp's check refuses (with B = p*b), a K
-    the sampler cannot draw, a geometry that bomp's check refuses, and n or
-    m below 1."""
+    finite and >= 0 (trials are noiseless), and `value_scheme` is the
+    scheme string `fill_values` takes: `const:<amplitude>` or `gaussian`.
+    Before any trial, so that a refused config writes nothing, it refuses,
+    in this order: trials below 1, epsilon below 0, a value_scheme that
+    `parse_value_scheme` refuses, an unknown algorithm, a K or algorithm
+    listed twice, b, p or L below 1, a geometry that tsgbomp's check
+    refuses (with B = p*b), a K the sampler cannot draw, a geometry that
+    bomp's check refuses, and n or m below 1."""
 
     n: int
     m: int
@@ -78,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_at_least(1, trials=self.trials)
         check_at_least(0, epsilon=self.epsilon)
-        _value_scheme(self.value_scheme)
+        parse_value_scheme(self.value_scheme)
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -190,23 +192,6 @@ def trial_seed(master_seed: int, K: int, algorithm: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _value_scheme(scheme: str) -> dict:
-    """The `fill_values` arguments of a value scheme: `gaussian`, or
-    `const:<amplitude>` with an amplitude `check_amplitude` accepts. Any
-    other scheme is a ValueError."""
-    if scheme == "gaussian":
-        return {"scheme": "gaussian"}
-    kind, _, text = scheme.partition(":")
-    try:
-        amplitude = float(text)
-    except ValueError:
-        kind = "unknown"
-    if kind != "const":
-        raise ValueError(f"unknown value scheme {scheme!r}")
-    check_amplitude(amplitude)
-    return {"scheme": "const", "amplitude": amplitude}
-
-
 def solve(
     algorithm: str,
     Phi: SensingMatrix,
@@ -216,11 +201,11 @@ def solve(
     B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Run `algorithm` with budget K on cluster width B = p*b, the only
-    part of the (b, p) geometry a solver reads; block OMP never reads the
-    window length L. Each solver first runs its geometry check, the one
-    `ExperimentConfig` also calls; b and p are checked where they are read,
-    by the config and the command line."""
+    """Run `algorithm` with budget K on cluster width B, which is p*b for
+    a signal of blocks of b columns, up to p to a cluster, and the only
+    part of that geometry a solver reads; block OMP never reads the window
+    length L. Each solver first runs its geometry check, the one
+    `ExperimentConfig` also calls, so a B below 1 is a ValueError."""
     if algorithm == "tsgbomp":
         return tsgbomp(Phi, y, K=K, L=L, B=B, epsilon=epsilon)
     if algorithm == "bomp":
@@ -236,7 +221,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     rng = np.random.default_rng(seed)
     Phi = gaussian_matrix(config.m, config.n, "unit", True, rng)
     support = sample_support(config.params_for(K), K, rng)
-    x = fill_values(support, rng=rng, **_value_scheme(config.value_scheme))
+    x = fill_values(support, config.value_scheme, rng)
     y = measure(Phi, x)
     eps = config.epsilon * float(np.linalg.norm(y))
     result = solve(algorithm, Phi, y, K=K, L=config.L, B=config.b * config.p, epsilon=eps)

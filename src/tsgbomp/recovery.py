@@ -36,6 +36,7 @@ __all__ = [
     "check_window_geometry",
     "check_block_geometry",
     "success_check",
+    "relative_error",
     "result_report",
     "trace_to_csv",
 ]
@@ -58,8 +59,11 @@ class RecoveryResult:
     estimated_columns: tuple[int, ...]
     x_hat: np.ndarray
     trace: tuple[IterationRecord, ...]
-    iterations: int
     stop_reason: str  # "budget" | "residual-threshold"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 # A new column whose component outside the basis is at most this share of its
@@ -120,8 +124,8 @@ def _greedy(
     Q is one preallocated (m, min(m, K*width)) buffer. When the covered
     columns would outnumber m, or a new column's component outside the
     basis is at most `_DEPENDENT` of its norm, Q is dropped and this and
-    every later iteration refit by least squares, whose minimum-norm
-    solution and residual then stand.
+    every later iteration take the residual of a least-squares refit; the
+    final refit then gives that fit's minimum-norm solution.
     """
     m, n = Phi.m, Phi.n
     if y.shape != (m,):
@@ -133,7 +137,6 @@ def _greedy(
     covered = np.zeros(n, dtype=bool)
     trace: list[IterationRecord] = []
     Q = np.empty((m, min(m, K * width)), dtype=dtype, order="F")
-    u = None
     cols0 = np.empty(0, dtype=np.intp)
 
     k = 0
@@ -155,21 +158,18 @@ def _greedy(
             else:
                 r -= Q2 @ (Q2.conj().T @ r)
         if Q is None:
-            u, r = _refit(Phi, cols0, y)
+            _, r = _refit(Phi, cols0, y)
         rnorm = np.linalg.norm(r)
         trace.append(IterationRecord(k, window, start, float(rnorm)))
 
     stop = "residual-threshold" if rnorm < tol else "budget"
     x_hat = np.zeros(n, dtype=dtype)
-    if k and Q is not None:
-        u, _ = _refit(Phi, cols0, y)
-    if u is not None:
-        x_hat[cols0] = u
+    if k:
+        x_hat[cols0], _ = _refit(Phi, cols0, y)
     return RecoveryResult(
         estimated_columns=tuple(int(c) + 1 for c in cols0),
         x_hat=x_hat,
         trace=tuple(trace),
-        iterations=k,
         stop_reason=stop,
     )
 

@@ -31,7 +31,6 @@ __all__ = [
     "CellRows",
     "CountComparison",
     "check_at_least",
-    "check_amplitude",
     "min_separation",
     "validate_support",
     "sample_support",
@@ -41,6 +40,7 @@ __all__ = [
     "count_supports_formula",
     "formula_assumptions",
     "compare_counts",
+    "parse_value_scheme",
     "fill_values",
     "support_to_text",
     "support_from_text",
@@ -683,45 +683,52 @@ def compare_counts(params: PibsParams, K: int, R: int) -> CountComparison:
 # ---------------------------------------------------------------------------
 # values
 
-def check_amplitude(amplitude: float) -> None:
-    """Raise ValueError unless `amplitude`, the magnitude of the const
-    scheme's values, is finite and > 0."""
+def parse_value_scheme(scheme: str) -> float | None:
+    """The amplitude of a value scheme: `const:<amplitude>`, with an
+    amplitude finite and > 0, or None for `gaussian`. Any other scheme is
+    a ValueError."""
+    if scheme == "gaussian":
+        return None
+    kind, _, text = scheme.partition(":")
+    try:
+        amplitude = float(text)
+    except ValueError:
+        kind = "unknown"
+    if kind != "const":
+        raise ValueError(f"unknown value scheme {scheme!r}")
     if not 0.0 < amplitude < math.inf:
         raise ValueError(f"amplitude must be finite and > 0, got {amplitude!r}")
+    return amplitude
 
 
 def fill_values(
     support: Support,
-    scheme: str = "const",
-    amplitude: float = 10.0,
+    scheme: str,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """The dense length-n vector x that is nonzero exactly on the columns
-    of `support`: `const` draws equiprobable +-amplitude, `gaussian` draws
-    standard normals (resampling exact zeros). The amplitude must be finite
-    and > 0 (`check_amplitude`), the support pseudo-free, and a support
-    with columns needs an rng; an unknown scheme is a ValueError."""
-    check_amplitude(amplitude)
+    of `support`: `const:<amplitude>` draws equiprobable +-amplitude,
+    `gaussian` draws standard normals (resampling exact zeros). The scheme
+    is parsed first, by `parse_value_scheme`, so a bad one is a ValueError
+    even on an empty support; the support must be pseudo-free, and a
+    support with columns needs an rng."""
+    amplitude = parse_value_scheme(scheme)
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
     x = np.zeros(support.params.n)
     cols = support.column_array
     if cols.size:
-        if scheme == "const":
-            if rng is None:
-                raise ValueError("const scheme needs an rng for the signs")
+        if rng is None:
+            raise ValueError(f"value scheme {scheme!r} needs an rng")
+        if amplitude is not None:
             signs = rng.integers(0, 2, size=cols.size) * 2 - 1
             x[cols] = amplitude * signs
-        elif scheme == "gaussian":
-            if rng is None:
-                raise ValueError("gaussian scheme needs an rng")
+        else:
             vals = rng.standard_normal(cols.size)
             while np.any(vals == 0.0):
                 zero = vals == 0.0
                 vals[zero] = rng.standard_normal(int(zero.sum()))
             x[cols] = vals
-        else:
-            raise ValueError(f"unknown value scheme {scheme!r}")
     return x
 
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import tsgbomp
+from tsgbomp.analysis import verify_lemmas
 from tsgbomp.cli import at_least_one, at_least_zero, main
+from tsgbomp.experiments import ExperimentConfig, curve_to_csv, run_curve
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
-from tsgbomp.signal_model import signal_to_csv, signal_values_from_csv
+from tsgbomp.signal_model import PibsParams, signal_to_csv, signal_values_from_csv
 
 
 @pytest.fixture
@@ -231,8 +233,7 @@ class TestRecover:
         rows = ["index,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(y)]
         y_path.write_text("\n".join(rows) + "\n")
         code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
-                     "--y", str(y_path), "--K", "2", "--L", "4", "--b", "2",
-                     "--p", "2", "--eps", "1e-8"])
+                     "--y", str(y_path), "--K", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
         assert code == 0
         out = capsys.readouterr().out
         assert "estimated columns:" in out
@@ -241,22 +242,33 @@ class TestRecover:
 
     def test_solver_reads_only_the_cluster_width(self, matrix_file, tmp_path, capsys):
         # (b=2, p=2) and (b=4, p=1) describe different signals, but both
-        # give the solver the cluster width B = 4
+        # give the solver the cluster width B = 4, recover's one width option
         mat, mat_path = matrix_file
         x = np.zeros(32)
         x[5:9] = 5.0
         x[20:22] = -3.0
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries @ x))
-        outs = []
-        for b, p in (("2", "2"), ("4", "1")):
-            code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
-                         "--y", str(y_path), "--K", "3", "--L", "8", "--b", b, "--p", p,
-                         "--eps", "1e-8"])
-            assert code == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert outs[0].endswith("estimated columns: 6 7 8 9 19 20 21 22\n")
+        code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
+                     "--y", str(y_path), "--K", "3", "--L", "8", "--B", "4", "--eps", "1e-8"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("estimated columns: 6 7 8 9 19 20 21 22\n")
+
+    def test_out_writes_the_report_and_prints_nothing(self, matrix_file, tmp_path, capsys):
+        mat, mat_path = matrix_file
+        x = np.zeros(32)
+        x[8:12] = 5.0
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries @ x))
+        argv = ["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
+                "--K", "1", "--B", "4", "--eps", "1e-8"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == report
+        assert "estimated columns: 9 10 11 12" in report
 
     def test_bomp_needs_no_window_length(self, matrix_file, tmp_path, capsys):
         mat, mat_path = matrix_file
@@ -265,7 +277,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries @ x))
         code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--b", "2", "--p", "2", "--eps", "1e-8"])
+                     "--K", "1", "--B", "4", "--eps", "1e-8"])
         assert code == 0
         assert "estimated columns:" in capsys.readouterr().out
 
@@ -275,7 +287,7 @@ class TestRecover:
         y_path.write_text("index,value\n1,1.0\n")
         with pytest.raises(SystemExit) as err:
             main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path), "--y", str(y_path),
-                  "--K", "1", "--b", "2", "--p", "2", "--eps", "1e-8"])
+                  "--K", "1", "--B", "4", "--eps", "1e-8"])
         assert err.value.code == 2
         assert "--L is required" in capsys.readouterr().err
 
@@ -285,7 +297,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(f"index,value\n{row}\n")
         code = main(["recover", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "2", "--L", "4", "--b", "2", "--p", "2", "--eps", "1e-8"])
+                     "--K", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -296,7 +308,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text("index,value\n1,1.0\n")
         code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--b", "1", "--p", "1", "--eps", "1e-8"])
+                     "--K", "1", "--B", "1", "--eps", "1e-8"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -306,12 +318,11 @@ class TestRecover:
     @pytest.mark.parametrize(
         "geometry",
         [
-            ["--alg", "tsgbomp", "--L", "0", "--b", "2", "--p", "2"],
-            ["--alg", "tsgbomp", "--L", "4", "--b", "0", "--p", "2"],
-            ["--alg", "tsgbomp", "--L", "4", "--b", "2", "--p", "0"],
-            ["--alg", "bomp", "--b", "0", "--p", "2"],
+            ["--alg", "tsgbomp", "--L", "0", "--B", "4"],
+            ["--alg", "tsgbomp", "--L", "4", "--B", "0"],
+            ["--alg", "bomp", "--B", "0"],
         ],
-        ids=["tsgbomp-L0", "tsgbomp-b0", "tsgbomp-p0", "bomp-b0"],
+        ids=["tsgbomp-L0", "tsgbomp-B0", "bomp-B0"],
     )
     def test_zero_window_or_block_exits_one(self, matrix_file, tmp_path, capsys, geometry):
         mat, mat_path = matrix_file
@@ -325,15 +336,17 @@ class TestRecover:
 
 
     def test_negative_block_and_cluster_exit_one(self, matrix_file, tmp_path, capsys):
-        # b * p = 2 passes the block check, but b and p are not sizes
+        # each solver's geometry check refuses the width: bomp's block and
+        # tsgbomp's cluster
         mat, mat_path = matrix_file
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries[:, 0]))
-        code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--b", "-2", "--p", "-1", "--eps", "1e-8"])
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: b must be >= 1, got -2")
+        for alg, name in (["bomp"], "block"), (["tsgbomp", "--L", "4"], "B"):
+            code = main(["recover", "--alg", *alg, "--matrix", str(mat_path), "--y", str(y_path),
+                         "--K", "1", "--B", "-2", "--eps", "1e-8"])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {name} must be >= 1, got -2\n"
 
 
 class TestRic:
@@ -385,6 +398,18 @@ class TestLemmasCommand:
         out = capsys.readouterr().out
         assert "lemma checks" in out
         assert code == 0
+
+    def test_margins_csv_writes_the_report_margins(self, matrix_file, tmp_path, capsys):
+        mat, path = matrix_file
+        csv_path = tmp_path / "margins.csv"
+        code = main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1", "--lsep", "3",
+                     "--K", "1", "--R", "1", "--seed", "4", "--margins-csv", str(csv_path)])
+        params = PibsParams(n=32, b=1, p=1, l=3, Lsep=3, K=1, R=1)
+        report = verify_lemmas(mat, params, 1, 1, np.random.default_rng(4), cell_cap=150_000)
+        assert code == 0
+        assert capsys.readouterr().out == report.render()
+        assert csv_path.read_text() == report.margins_csv()
+        assert len(csv_path.read_text().splitlines()) > 1
 
     def test_rejects_a_false_normalized_flag(self, tmp_path, capsys):
         # the header's normalized flag gates projected-column-bound, so a
@@ -441,6 +466,19 @@ class TestCurveCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "K,algorithm,success_rate,trials"
         assert len(lines) == 3
+
+    def test_rising_curve_prints_csv_and_fails_the_check(self, tmp_path, capsys):
+        # bomp at p=2 recovers more often at larger K, once its K blocks
+        # cover the support more easily
+        text = ("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=2,6\ntrials=20\n"
+                "algorithms=bomp\nmaster_seed=0\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = main(["curve", "--config", str(cfg), "--check"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == curve_to_csv(run_curve(ExperimentConfig.from_text(text)))
+        assert err == "check failure: bomp: success rate rises from 0.450 (K=2) to 0.850 (K=6)\n"
 
 
     def test_window_length_zero_exits_one(self, tmp_path, capsys):
@@ -558,14 +596,26 @@ class TestUsageErrors:
         assert "error" in capsys.readouterr().err
 
     def test_gen_signal_gaussian_takes_no_amplitude(self, tmp_path, capsys):
-        # the gaussian scheme draws standard-normal values and used to ignore it
+        # the gaussian scheme draws standard-normal values; only const:<amplitude>
+        # carries an amplitude
         out = tmp_path / "g.csv"
-        with pytest.raises(SystemExit) as err:
-            main(["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
-                  "--seed", "1", "--scheme", "gaussian", "--amplitude", "3", "--out", str(out)])
-        assert err.value.code == 2
-        assert "--amplitude applies to --scheme const only" in capsys.readouterr().err
+        code = main(["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
+                     "--seed", "1", "--scheme", "gaussian:3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown value scheme 'gaussian:3'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["const", "bogus"])
+    def test_gen_signal_refuses_a_scheme_as_a_config_does(self, scheme, tmp_path, capsys):
+        # --scheme is the string a curve config's value_scheme holds
+        out = tmp_path / "x.csv"
+        code = main(["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
+                     "--seed", "1", "--scheme", scheme, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        with pytest.raises(ValueError) as refused:
+            ExperimentConfig(n=24, m=24, b=2, p=2, L=4, K_grid=(1,), value_scheme=scheme)
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert str(refused.value) == f"unknown value scheme {scheme!r}"
 
     def test_recover_lists_every_algorithm(self):
         # the CLI names the algorithms without importing experiments
@@ -604,11 +654,13 @@ class TestUsageErrors:
 
 FUZZ_VALUES = ["-3", "0", "nan", "inf", "-inf"]
 
-# Every numeric option of the parser, and the one numeric key of a curve
-# config, with the values of FUZZ_VALUES inside its domain and the type its
-# parser reads it with: float, int, or at_least_one or at_least_zero, which
-# refuse every value of FUZZ_VALUES outside the domain. The legitimate
-# zeros are named here.
+# Every numeric option of the parser, the amplitude of gen-signal's const
+# scheme, and the one numeric key of a curve config, with the values of
+# FUZZ_VALUES inside its domain and the type its parser reads it with:
+# float, int, or at_least_one or at_least_zero, which refuse every value of
+# FUZZ_VALUES outside the domain. The legitimate zeros are named here. An
+# option a command no longer takes has type None: every value is a usage
+# error, so a command line written for it cannot run.
 DOMAINS = {
     ("gen-signal", "--n"): (set(), int),
     ("gen-signal", "--b"): (set(), int),
@@ -616,15 +668,17 @@ DOMAINS = {
     ("gen-signal", "--L"): (set(), int),
     ("gen-signal", "--lsep"): (set(), int),
     ("gen-signal", "--K"): ({"0"}, int),  # the zero signal
-    ("gen-signal", "--amplitude"): (set(), float),
+    ("gen-signal", "--amplitude"): (set(), None),  # now --scheme const:<amplitude>
+    ("gen-signal", "--scheme=const:"): (set(), float),
     ("gen-signal", "--seed"): ({"0"}, at_least_zero),
     ("gen-matrix", "--m"): (set(), int),
     ("gen-matrix", "--n"): (set(), int),
     ("gen-matrix", "--seed"): ({"0"}, at_least_zero),
     ("recover", "--K"): ({"0"}, int),  # no iteration: the zero estimate
     ("recover", "--L"): (set(), int),
-    ("recover", "--b"): (set(), int),
-    ("recover", "--p"): (set(), int),
+    ("recover", "--b"): (set(), None),  # b and p give way to the width B = p*b
+    ("recover", "--p"): (set(), None),
+    ("recover", "--B"): (set(), int),
     ("recover", "--eps"): ({"0"}, float),  # a zero threshold: stop at the floor
     ("ric", "--b"): (set(), int),
     ("ric", "--p"): (set(), int),
@@ -684,6 +738,8 @@ MESSAGES = {
     ("thm1", "--eps", "inf"): "error: epsilon must be finite and >= 0, got inf",
     ("thm2", "--m", "0"): "error: m must be >= 1, got 0",
     ("gbounds", "--b", "-3"): "error: b must be >= 1, got -3",
+    ("gen-signal", "--scheme=const:", "-inf"): "error: amplitude must be finite and > 0, got -inf",
+    ("recover", "--B", "0"): "error: B must be >= 1, got 0",
 }
 
 
@@ -692,7 +748,8 @@ class TestNumericDomains:
     valid command line: exit 0 inside its domain, 2 for a value its type
     does not parse or refuses, and 1 for any other value, never with a
     traceback and with the message MESSAGES pins. The value is passed as
-    --option=value, since argparse reads a lone -inf as an option."""
+    --option=value, since argparse reads a lone -inf as an option, or
+    appended to an option that ends in a colon (--scheme=const:)."""
 
     # passes both conditions: at delta = 0 the threshold is 0
     THM1 = ["thm1", "--delta", "0", "--K", "2", "--b", "2", "--p", "2", "--xmin", "1", "--xmax", "2"]
@@ -704,7 +761,7 @@ class TestNumericDomains:
                        "--seed", "1", "--out", "out.csv"],
         "gen-matrix": ["gen-matrix", "--m", "6", "--n", "8", "--seed", "1", "--out", "out.csv"],
         "recover": ["recover", "--matrix", "phi.bin", "--y", "y.csv", "--K", "2", "--L", "4",
-                    "--b", "2", "--p", "2", "--eps", "1e-8"],
+                    "--B", "4", "--eps", "1e-8"],
         "thm1": THM1,
         "thm2": TestThm2.README,
         "ric": ["ric", "--matrix", "phi.bin", *GEOMETRY],
@@ -718,7 +775,7 @@ class TestNumericDomains:
     FILES = ("phi.bin", "y.csv", "exp.cfg", "out.csv")
 
     def command(self, name, option, value, tmp_path):
-        setting = f"{option}={value}"
+        setting = f"{option}{value}" if option.endswith(":") else f"{option}={value}"
         mat = gaussian_matrix(24, 32, "unit", True, np.random.default_rng(0))
         (tmp_path / "phi.bin").write_bytes(matrix_to_binary(mat))
         x = np.zeros(32)
@@ -742,7 +799,9 @@ class TestNumericDomains:
         inside, kind = DOMAINS[name, option]
         if value in inside:
             expected = 0
-        elif kind in (at_least_one, at_least_zero) or kind is int and value in ("nan", "inf", "-inf"):
+        elif kind in (None, at_least_one, at_least_zero) or kind is int and value in (
+            "nan", "inf", "-inf"
+        ):
             expected = 2
         else:
             expected = 1

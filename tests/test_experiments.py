@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key 'matrix_kind'"):
             ExperimentConfig.from_text(CONFIG_TEXT + "matrix_kind=identity\n")
 
+    def test_missing_key_rejected(self):
+        text = CONFIG_TEXT.replace("m=48\n", "").replace("master_seed=7\n", "")
+        with pytest.raises(ValueError, match=r"^config missing keys: \['m', 'master_seed'\]$"):
+            ExperimentConfig.from_text(text)
+
     def test_repeated_key_rejected(self):
         text = CONFIG_TEXT + "master_seed=8\n"
         with pytest.raises(ValueError, match="'master_seed' given twice"):

@@ -464,9 +464,20 @@ class TestFillValues:
     def test_const_scheme(self):
         params = make_params(n=10, K=2)
         sup = Support(clusters=((1, 1), (5, 1)), pseudo=(), params=params)
-        x = fill_values(sup, "const", 10.0, np.random.default_rng(0))
+        x = fill_values(sup, "const:10", np.random.default_rng(0))
         assert np.flatnonzero(x).tolist() == [0, 4]
         assert set(np.abs(x[[0, 4]])) == {10.0}
+
+    @pytest.mark.parametrize(
+        "scheme, match",
+        [("bogus", "unknown value scheme 'bogus'"), ("const", "unknown value scheme 'const'"),
+         ("const:0", "amplitude must be finite and > 0, got 0.0")],
+    )
+    def test_scheme_checked_on_empty_support(self, scheme, match):
+        # the scheme used to be read only when the support had columns
+        sup = Support(clusters=(), pseudo=(), params=make_params(K=0))
+        with pytest.raises(ValueError, match=match):
+            fill_values(sup, scheme, np.random.default_rng(0))
 
     def test_gaussian_empty_support_flagged(self):
         params = make_params(K=0)
@@ -487,7 +498,7 @@ class TestFillValues:
         params = make_params(n=10, l=2, Lsep=2, R=1)
         sup = Support(clusters=(), pseudo=(4,), params=params)
         with pytest.raises(ValueError):
-            fill_values(sup, "const", 1.0, np.random.default_rng(0))
+            fill_values(sup, "const:1", np.random.default_rng(0))
 
 
 class TestSerialization:
