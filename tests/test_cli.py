@@ -316,20 +316,22 @@ class TestRecover:
 
 
     @pytest.mark.parametrize(
-        "geometry",
+        "alg, b, p",
         [
-            ["--alg", "tsgbomp", "--L", "0", "--B", "4"],
-            ["--alg", "tsgbomp", "--L", "4", "--B", "0"],
-            ["--alg", "bomp", "--B", "0"],
+            (["tsgbomp", "--L", "0"], 2, 2),
+            (["tsgbomp", "--L", "4"], 0, 2),
+            (["tsgbomp", "--L", "4"], 2, 0),
+            (["bomp"], 0, 2),
         ],
-        ids=["tsgbomp-L0", "tsgbomp-B0", "bomp-B0"],
+        ids=["tsgbomp-L0", "tsgbomp-b0", "tsgbomp-p0", "bomp-b0"],
     )
-    def test_zero_window_or_block_exits_one(self, matrix_file, tmp_path, capsys, geometry):
+    def test_zero_window_or_block_exits_one(self, matrix_file, tmp_path, capsys, alg, b, p):
+        # recover reads only the width B = b * p, which is 0 when b or p is
         mat, mat_path = matrix_file
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries[:, 0]))
-        code = main(["recover", "--matrix", str(mat_path), "--y", str(y_path), "--K", "1",
-                     *geometry, "--eps", "1e-8"])
+        code = main(["recover", "--alg", *alg, "--matrix", str(mat_path), "--y", str(y_path),
+                     "--K", "1", "--B", str(b * p), "--eps", "1e-8"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
