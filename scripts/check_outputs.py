@@ -15,11 +15,11 @@ times. Any other name is a file that the command writes.
 
 `--quick` checks the outputs marked quick, in a few seconds: the four curve
 CSVs at 20 trials, `ric` on the three ric_cold matrices, the README's
-`gen-signal`, `recover` and `thm2` examples, and `gen-signal` with gaussian
-values. The full set adds the curves at --jobs 1, the lemma audit at 10
-matrices (--jobs 1 and 2) and at 100, and both scan fingerprints. It
-prints one line per output and exits 1 if any output differs from its
-manifest line, or if a command differs or fails.
+`gen-signal`, `recover` and `thm2` examples, `gen-signal` with gaussian
+values and `recover` with block OMP. The full set adds the curves at
+--jobs 1, the lemma audit at 10 matrices (--jobs 1 and 2) and at 100, and
+both scan fingerprints. It prints one line per output and exits 1 if any
+output differs from its manifest line, or if a command differs or fails.
 
 `--write` rewrites the manifest lines of the outputs it computes instead,
 keeping the other lines. A change that rewrites a line should say which one
@@ -72,8 +72,10 @@ OUTPUTS = (
     (True, GEN_SIGNAL, ["x.csv", "support.txt"]),
     (True, "tsgbomp gen-signal --n 200 --b 4 --p 2 --L 8 --K 4 --seed 2 --scheme gaussian "
      "--out x_gaussian.csv", ["x_gaussian.csv"]),
-    (True, "tsgbomp recover --alg tsgbomp --matrix phi.bin --y y.csv --K 4 --L 8 --B 8 "
-     "--eps 1e-8 --trace-csv trace.csv", ["recover.stdout", "trace.csv"]),
+    (True, "tsgbomp recover --alg tsgbomp --matrix phi.bin --y y.csv --iterations 4 --L 8 "
+     "--B 8 --eps 1e-8 --trace-csv trace.csv", ["recover.stdout", "trace.csv"]),
+    (True, "tsgbomp recover --alg bomp --matrix phi.bin --y y.csv --iterations 4 --B 8 "
+     "--eps 1e-8 --trace-csv trace_bomp.csv", ["recover_bomp.stdout", "trace_bomp.csv"]),
     (True, "tsgbomp thm2 --b 1 --p 1 --L 2 --K 4 --m 2000 --n 200 --eps0 0.05 --eps 0.05 "
      "--csv thm2.csv", ["thm2.stdout", "thm2.csv"]),
     (False, "python scripts/run_phase_transition.py --trials 20 --jobs 1 --out-dir curves-jobs1",

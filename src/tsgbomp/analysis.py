@@ -919,12 +919,19 @@ def f_K_inverse(target: float, K: int, b: int, p: int) -> float:
 @dataclass(frozen=True)
 class RecoveryCertificate:
     """Evaluation of the two exact-recovery conditions at a known isometry
-    constant. `passed` requires both."""
+    constant: each holds when its margin is above 0. `passed` requires
+    both."""
 
-    condition_17_ok: bool
-    condition_18_ok: bool
     margin_17: float
     margin_18: float
+
+    @property
+    def condition_17_ok(self) -> bool:
+        return self.margin_17 > 0
+
+    @property
+    def condition_18_ok(self) -> bool:
+        return self.margin_18 > 0
 
     @property
     def passed(self) -> bool:
@@ -957,8 +964,6 @@ def thm1_certificate(
     f = f_K(delta, K, b, p)
     Bp = p * b - b + 1
     thresh = 1.0 / math.sqrt(2.0 * K + 1.0)
-    margin_17 = thresh - delta
-    cond_17 = delta < thresh
 
     if epsilon == 0.0:
         noise = 0.0
@@ -977,13 +982,7 @@ def thm1_certificate(
             delta * math.sqrt(K * b) + (1.0 - delta**2) * f
         ) * x_max
         rhs = numer / math.sqrt((1.0 - delta**2) ** 2 + delta**2) + noise
-    margin_18 = x_min - rhs
-    cond_18 = x_min > rhs
-
-    return RecoveryCertificate(
-        condition_17_ok=cond_17, condition_18_ok=cond_18,
-        margin_17=margin_17, margin_18=margin_18,
-    )
+    return RecoveryCertificate(margin_17=thresh - delta, margin_18=x_min - rhs)
 
 
 # ---------------------------------------------------------------------------

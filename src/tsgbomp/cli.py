@@ -22,16 +22,6 @@ from . import analysis, sensing, signal_model
 # experiments.ALGORITHMS.
 _ALGORITHMS = ("tsgbomp", "bomp")
 
-def _params_from_args(args, n: int, K: int, R: int, l: int = 0) -> signal_model.PibsParams:
-    """Geometry from --b/--p, exactly one of --L or --lsep, and pseudo length l."""
-    if args.L is not None:
-        return signal_model.PibsParams.from_window(
-            n=n, b=args.b, p=args.p, l=l, L=args.L, K=K, R=R
-        )
-    return signal_model.PibsParams(
-        n=n, b=args.b, p=args.p, l=l, Lsep=args.lsep, K=K, R=R
-    )
-
 
 def _load_matrix(path: str) -> sensing.SensingMatrix:
     data = Path(path).read_bytes()
@@ -48,7 +38,9 @@ def _save_matrix(mat: sensing.SensingMatrix, path: str) -> None:
 
 
 def _cmd_gen_signal(args) -> int:
-    params = _params_from_args(args, args.n, args.K, 0)
+    params = signal_model.PibsParams.from_window(
+        n=args.n, b=args.b, p=args.p, l=0, L=args.L, K=args.K, R=0
+    )
     rng = np.random.default_rng(args.seed)
     support = signal_model.sample_support(params, args.K, rng)
     x = signal_model.fill_values(support, args.scheme, rng)
@@ -75,7 +67,7 @@ def _cmd_recover(args) -> int:
 
     Phi = _load_matrix(args.matrix)
     y = signal_model.signal_values_from_csv(Path(args.y).read_text(), Phi.m)
-    result = experiments.solve(args.alg, Phi, y, K=args.K, L=args.L, B=args.B, epsilon=args.eps)
+    result = experiments.solve(args.alg, Phi, y, args.iterations, args.L, args.B, args.eps)
     report = recovery.result_report(result)
     if args.out:
         Path(args.out).write_text(report, newline="\n")
@@ -88,7 +80,9 @@ def _cmd_recover(args) -> int:
 
 def _cmd_ric(args) -> int:
     Phi = _load_matrix(args.matrix)
-    params = _params_from_args(args, Phi.n, args.K, args.R, args.l)
+    params = signal_model.PibsParams(
+        n=Phi.n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=args.K, R=args.R
+    )
     est = analysis.pibric(Phi, params, args.K, args.R, cap=args.cap)
     print(f"delta = {est.delta!r}")
     print(f"supports scanned = {est.count}")
@@ -112,7 +106,9 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = _params_from_args(args, args.n, args.K, args.R, args.l)
+    params = signal_model.PibsParams(
+        n=args.n, b=args.b, p=args.p, l=args.l, Lsep=args.lsep, K=args.K, R=args.R
+    )
     cmp = signal_model.compare_counts(params, args.K, args.R)
     if not cmp.match:
         print(f"warning: the closed form gives {cmp.formula}", file=sys.stderr)
@@ -210,19 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
         parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
     )
 
-    def geometry(sp, with_n=True, with_l=True):
+    # one window option per command: the length --L or --lsep = L + 2pb - b
+    def geometry(sp, window, with_n=True, with_l=True):
         if with_n:
             sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--b", type=int, required=True)
         sp.add_argument("--p", type=int, required=True)
         if with_l:
             sp.add_argument("--l", type=int, default=0)
-        window = sp.add_mutually_exclusive_group(required=True)
-        window.add_argument("--L", type=int, default=None)
-        window.add_argument("--lsep", type=int, default=None)
+        sp.add_argument(window, type=int, required=True)
 
     sp = sub.add_parser("gen-signal", help="sample a support and fill values")
-    geometry(sp, with_l=False)
+    geometry(sp, "--L", with_l=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--scheme", default="const:10",
                     help="const:<amplitude> or gaussian (default const:10)")
@@ -245,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alg", choices=_ALGORITHMS, default="tsgbomp")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y", required=True)
-    sp.add_argument("--K", type=int, required=True)
+    sp.add_argument("--iterations", type=int, required=True,
+                    help="budget: at most this many picks of B columns")
     sp.add_argument("--L", type=int, default=None, help="window length (tsgbomp only)")
     sp.add_argument("--B", type=int, required=True, help="cluster width p*b")
     sp.add_argument("--eps", type=float, required=True)
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ric", help="exact structured isometry constant")
     sp.add_argument("--matrix", required=True)
-    geometry(sp, with_n=False)
+    geometry(sp, "--lsep", with_n=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cap", type=at_least_one, default=1_000_000)
@@ -263,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lemmas", help="brute-force lemma checks on a matrix")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lsep", type=int, required=True)
+    geometry(sp, "--lsep", with_n=False, with_l=False)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--cell-cap", type=at_least_one, default=150_000)
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_lemmas)
 
     sp = sub.add_parser("count", help="count admissible supports")
-    geometry(sp)
+    geometry(sp, "--lsep")
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.set_defaults(func=_cmd_count)
@@ -336,6 +330,8 @@ def main(argv=None) -> int:
         parser.error("--seed is required when --trials is set")
     if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
         parser.error("--L is required for --alg tsgbomp")
+    if args.command == "recover" and args.alg != "tsgbomp" and args.L is not None:
+        parser.error("--L applies to --alg tsgbomp only")
     try:
         return args.func(args)
     except (ValueError, signal_model.EnumerationCapError) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import LemmaReport, f_K, pibric, thm1_certificate, verify_lemmas
 from .recovery import RecoveryResult, bomp, relative_error, success_check, tsgbomp
-from .recovery import check_block_geometry, check_window_geometry
+from .recovery import check_window_geometry
 from .sensing import SensingMatrix, gaussian_matrix, measure
 from .signal_model import (
     PibsParams,
@@ -61,9 +61,10 @@ class ExperimentConfig:
     Before any trial, so that a refused config writes nothing, it refuses,
     in this order: trials below 1, epsilon below 0, a value_scheme that
     `parse_value_scheme` refuses, an unknown algorithm, a K or algorithm
-    listed twice, b, p or L below 1, a geometry that tsgbomp's check
+    listed twice, b, p or L below 1, a geometry that tsgbomp's window rule
     refuses (with B = p*b), a K the sampler cannot draw, a geometry that
-    bomp's check refuses, and n or m below 1."""
+    bomp's window rule refuses (the same rule with L = B), and n or m below
+    1."""
 
     n: int
     m: int
@@ -98,7 +99,7 @@ class ExperimentConfig:
                 need = K * self.b + (-(-K // self.p) - 1) * Lsep
                 raise ValueError(f"K={K} infeasible: needs {need} indices but n={self.n}")
         if "bomp" in self.algorithms:
-            check_block_geometry(self.n, B)
+            check_window_geometry(self.n, B, B)
         check_at_least(1, n=self.n, m=self.m)
 
     def params_for(self, K: int) -> PibsParams:
@@ -196,20 +197,20 @@ def solve(
     algorithm: str,
     Phi: SensingMatrix,
     y: np.ndarray,
-    K: int,
+    iterations: int,
     L: int | None,
     B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Run `algorithm` with budget K on cluster width B, which is p*b for
-    a signal of blocks of b columns, up to p to a cluster, and the only
-    part of that geometry a solver reads; block OMP never reads the window
-    length L. Each solver first runs its geometry check, the one
-    `ExperimentConfig` also calls, so a B below 1 is a ValueError."""
+    """Run `algorithm` for at most `iterations` picks of B columns. B is
+    p*b for a signal of blocks of b columns, up to p to a cluster, and the
+    only part of that geometry a solver reads; block OMP never reads the
+    window length L. Each solver first runs `check_window_geometry`, the
+    check `ExperimentConfig` also calls, so a B below 1 is a ValueError."""
     if algorithm == "tsgbomp":
-        return tsgbomp(Phi, y, K=K, L=L, B=B, epsilon=epsilon)
+        return tsgbomp(Phi, y, iterations=iterations, L=L, B=B, epsilon=epsilon)
     if algorithm == "bomp":
-        return bomp(Phi, y, K=K, block=B, epsilon=epsilon)
+        return bomp(Phi, y, iterations=iterations, B=B, epsilon=epsilon)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -224,7 +225,7 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     x = fill_values(support, config.value_scheme, rng)
     y = measure(Phi, x)
     eps = config.epsilon * float(np.linalg.norm(y))
-    result = solve(algorithm, Phi, y, K=K, L=config.L, B=config.b * config.p, epsilon=eps)
+    result = solve(algorithm, Phi, y, iterations=K, L=config.L, B=config.b * config.p, epsilon=eps)
     return TrialRecord(
         seed=seed,
         K=K,
@@ -430,7 +431,7 @@ def theorem_regime_suite(count: int, rng: np.random.Generator) -> RegimeReport:
 
         y = measure(Phi, x)
         eps = 1e-9 * float(np.linalg.norm(y))
-        result = tsgbomp(Phi, y, K=cfg.K, L=cfg.L, B=cfg.b * cfg.p, epsilon=eps)
+        result = tsgbomp(Phi, y, iterations=cfg.K, L=cfg.L, B=cfg.b * cfg.p, epsilon=eps)
         instances.append(
             RegimeInstance(
                 cfg, delta, certified=True, success=success_check(result, support, x)

@@ -8,14 +8,15 @@ least-squares refit after the loop gives the coefficients (see `_greedy`
 for the fallback to a refit on every iteration). The two-stage rule first
 picks the window (a fixed length-L group of columns) whose correlation norm
 is largest, then scans every cluster of B consecutive columns overlapping
-that window and keeps the best one; the block OMP rule picks the best block
-of a fixed partition. Ties always break toward the smallest index, so runs
-are reproducible.
+that window and keeps the best one; the block OMP rule picks the best of
+the fixed windows of length L = B. Ties always break toward the smallest
+index, so runs are reproducible.
 
-The solvers read the signal geometry only through the cluster width B and,
-for the two-stage rule, the window length L: a signal of blocks of b
-columns, up to p to a cluster, is solved with B = p*b, and any (b, p) of
-the same product gives the same estimate.
+Each solver makes at most `iterations` picks of B columns. It reads the
+signal geometry only through B and, for the two-stage rule, the window
+length L: a signal of blocks of b columns, up to p to a cluster, is solved
+with B = p*b, and any (b, p) of the same product gives the same estimate.
+Both solvers check it with one rule, `check_window_geometry`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "tsgbomp",
     "bomp",
     "check_window_geometry",
-    "check_block_geometry",
     "success_check",
     "relative_error",
     "result_report",
@@ -104,12 +104,12 @@ def _extend_basis(Q: np.ndarray, ncov: int, A: np.ndarray) -> np.ndarray | None:
 def _greedy(
     Phi: SensingMatrix,
     y: np.ndarray,
-    K: int,
+    iterations: int,
     epsilon: float,
     width: int,
     select: Callable[[np.ndarray], tuple[int, int]],
 ) -> RecoveryResult:
-    """The shared correlate/select/project loop with budget K.
+    """The shared correlate/select/project loop, for at most `iterations` picks.
 
     `select` maps the correlation powers |Phi^H r|^2 to (window, start);
     the pick covers the `width` columns start..start+width-1. The columns of
@@ -117,32 +117,32 @@ def _greedy(
     covered columns, and the residual loses its component along them:
     r -= Q2 (Q2^H r). A pick that covers nothing new leaves r as it is.
     Stops when the residual drops below max(epsilon, _RESIDUAL_FLOOR * |y|)
-    or after K iterations; an epsilon that is negative or not finite raises
-    ValueError. The coefficients are then refit once by least squares on
-    all covered columns in index order.
+    or after `iterations` picks; an epsilon that is negative or not finite
+    raises ValueError. The coefficients are then refit once by least
+    squares on all covered columns in index order.
 
-    Q is one preallocated (m, min(m, K*width)) buffer. When the covered
-    columns would outnumber m, or a new column's component outside the
-    basis is at most `_DEPENDENT` of its norm, Q is dropped and this and
+    Q is one preallocated (m, min(m, iterations*width)) buffer. When the
+    covered columns would outnumber m, or a new column's component outside
+    the basis is at most `_DEPENDENT` of its norm, Q is dropped and this and
     every later iteration take the residual of a least-squares refit; the
     final refit then gives that fit's minimum-norm solution.
     """
     m, n = Phi.m, Phi.n
     if y.shape != (m,):
         raise ValueError(f"measurement length {y.shape} does not match m={m}")
-    check_at_least(0, K=K, epsilon=epsilon)
+    check_at_least(0, iterations=iterations, epsilon=epsilon)
 
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
     covered = np.zeros(n, dtype=bool)
     trace: list[IterationRecord] = []
-    Q = np.empty((m, min(m, K * width)), dtype=dtype, order="F")
+    Q = np.empty((m, min(m, iterations * width)), dtype=dtype, order="F")
     cols0 = np.empty(0, dtype=np.intp)
 
     k = 0
     rnorm = np.linalg.norm(r)
     tol = max(epsilon, _RESIDUAL_FLOOR * rnorm)
-    while rnorm >= tol and k < K:
+    while rnorm >= tol and k < iterations:
         k += 1
         c = Phi.entries.conj().T @ r
         window, start = select(np.abs(c) ** 2)
@@ -175,31 +175,25 @@ def _greedy(
 
 
 def check_window_geometry(n: int, L: int, B: int) -> None:
-    """Raise ValueError unless `tsgbomp`'s windows of length L tile the n
-    columns and hold a cluster of B: L >= B >= 1 and L divides n."""
-    check_at_least(1, L=L, B=B)
+    """Raise ValueError unless windows of length L tile the n columns and
+    hold a pick of B: B >= 1, L >= 1, L divides n and L >= B. `bomp`'s
+    blocks are its windows with L = B; no message it can reach names L."""
+    check_at_least(1, B=B, L=L)
     if n % L != 0:
-        raise ValueError(f"n={n} must be divisible by the window length L={L}")
+        raise ValueError(f"n={n} must be divisible by the window length {L}")
     if L < B:
         raise ValueError(f"window length L={L} must be at least B=p*b={B}")
-
-
-def check_block_geometry(n: int, block: int) -> None:
-    """Raise ValueError unless `bomp`'s blocks tile the n columns."""
-    check_at_least(1, block=block)
-    if n % block != 0:
-        raise ValueError(f"n={n} must be divisible by the block length {block}")
 
 
 def tsgbomp(
     Phi: SensingMatrix,
     y: np.ndarray,
-    K: int,
+    iterations: int,
     L: int,
     B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Two-stage greedy recovery with block budget K and cluster width B.
+    """Two-stage greedy recovery: at most `iterations` picks of B columns.
 
     Stage 1 scans the n/L fixed windows for the largest correlation norm.
     Stage 2 scans cluster starts i in {L*(w-1)+1-(B-1), ..., L*w}, clamped to
@@ -223,26 +217,27 @@ def tsgbomp(
         run_norms = csum[starts - 1 + B] - csum[starts - 1]
         return w, int(starts[np.argmax(run_norms)])
 
-    return _greedy(Phi, y, K, epsilon, B, select)
+    return _greedy(Phi, y, iterations, epsilon, B, select)
 
 
 def bomp(
     Phi: SensingMatrix,
     y: np.ndarray,
-    K: int,
-    block: int,
+    iterations: int,
+    B: int,
     epsilon: float,
 ) -> RecoveryResult:
-    """Block OMP over the fixed partition into n/block consecutive blocks:
-    each iteration picks the block with the largest correlation norm, after
-    `check_block_geometry`."""
-    check_block_geometry(Phi.n, block)
+    """Block OMP over the fixed partition into n/B consecutive blocks of B
+    columns: each of at most `iterations` picks takes the block with the
+    largest correlation norm. The blocks are windows of length L = B, so
+    the geometry is checked first by `check_window_geometry(n, B, B)`."""
+    check_window_geometry(Phi.n, B, B)
 
     def select(power: np.ndarray):
-        j = int(np.argmax(power.reshape(-1, block).sum(axis=1)))
-        return j + 1, j * block + 1
+        j = int(np.argmax(power.reshape(-1, B).sum(axis=1)))
+        return j + 1, j * B + 1
 
-    return _greedy(Phi, y, K, epsilon, block, select)
+    return _greedy(Phi, y, iterations, epsilon, B, select)
 
 
 def success_check(result: RecoveryResult, support: Support, x: np.ndarray) -> bool:

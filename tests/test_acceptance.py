@@ -340,9 +340,9 @@ class TestCriterion9SolverInvariants:
             y_norm = np.linalg.norm(y)
             solver = tsgbomp if trial % 4 else bomp
             if solver is tsgbomp:
-                res = tsgbomp(Phi, y, K=K, L=L, B=b * p, epsilon=0.0)
+                res = tsgbomp(Phi, y, iterations=K, L=L, B=b * p, epsilon=0.0)
             else:
-                res = bomp(Phi, y, K=K, block=b * p, epsilon=0.0)
+                res = bomp(Phi, y, iterations=K, B=b * p, epsilon=0.0)
 
             norms = [y_norm] + [r.residual_norm for r in res.trace]
             for before, after in zip(norms, norms[1:]):

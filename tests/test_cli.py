@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 import tsgbomp
-from tsgbomp.analysis import verify_lemmas
+from tsgbomp.analysis import pibric, verify_lemmas
 from tsgbomp.cli import at_least_one, at_least_zero, main
 from tsgbomp.experiments import ExperimentConfig, curve_to_csv, run_curve
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
-from tsgbomp.signal_model import PibsParams, signal_to_csv, signal_values_from_csv
+from tsgbomp.signal_model import (
+    PibsParams,
+    signal_to_csv,
+    signal_values_from_csv,
+    support_to_text,
+)
 
 
 @pytest.fixture
@@ -232,8 +237,8 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         rows = ["index,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(y)]
         y_path.write_text("\n".join(rows) + "\n")
-        code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
-                     "--y", str(y_path), "--K", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
+        code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--iterations", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
         assert code == 0
         out = capsys.readouterr().out
         assert "estimated columns:" in out
@@ -249,8 +254,8 @@ class TestRecover:
         x[20:22] = -3.0
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries @ x))
-        code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path),
-                     "--y", str(y_path), "--K", "3", "--L", "8", "--B", "4", "--eps", "1e-8"])
+        code = main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path), "--y", str(y_path),
+                     "--iterations", "3", "--L", "8", "--B", "4", "--eps", "1e-8"])
         assert code == 0
         assert capsys.readouterr().out.endswith("estimated columns: 6 7 8 9 19 20 21 22\n")
 
@@ -261,7 +266,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries @ x))
         argv = ["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                "--K", "1", "--B", "4", "--eps", "1e-8"]
+                "--iterations", "1", "--B", "4", "--eps", "1e-8"]
         assert main(argv) == 0
         report = capsys.readouterr().out
         out = tmp_path / "report.txt"
@@ -277,9 +282,22 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries @ x))
         code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--B", "4", "--eps", "1e-8"])
+                     "--iterations", "1", "--B", "4", "--eps", "1e-8"])
         assert code == 0
         assert "estimated columns:" in capsys.readouterr().out
+
+    def test_bomp_refuses_a_window_length(self, matrix_file, tmp_path, capsys):
+        # bomp's blocks are its windows of length B; an --L it would not
+        # read, here one that does not divide n=32, is a usage error
+        mat, mat_path = matrix_file
+        y_path = tmp_path / "y.csv"
+        y_path.write_text(signal_to_csv(mat.entries[:, 0]))
+        with pytest.raises(SystemExit) as err:
+            main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
+                  "--iterations", "1", "--L", "7", "--B", "4", "--eps", "1e-8"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and err_text.endswith("error: --L applies to --alg tsgbomp only\n")
 
     def test_tsgbomp_without_window_length_exits_two(self, matrix_file, tmp_path, capsys):
         _, mat_path = matrix_file
@@ -287,7 +305,7 @@ class TestRecover:
         y_path.write_text("index,value\n1,1.0\n")
         with pytest.raises(SystemExit) as err:
             main(["recover", "--alg", "tsgbomp", "--matrix", str(mat_path), "--y", str(y_path),
-                  "--K", "1", "--B", "4", "--eps", "1e-8"])
+                  "--iterations", "1", "--B", "4", "--eps", "1e-8"])
         assert err.value.code == 2
         assert "--L is required" in capsys.readouterr().err
 
@@ -297,7 +315,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(f"index,value\n{row}\n")
         code = main(["recover", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
+                     "--iterations", "2", "--L", "4", "--B", "4", "--eps", "1e-8"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -308,7 +326,7 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text("index,value\n1,1.0\n")
         code = main(["recover", "--alg", "bomp", "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--B", "1", "--eps", "1e-8"])
+                     "--iterations", "1", "--B", "1", "--eps", "1e-8"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -331,37 +349,42 @@ class TestRecover:
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries[:, 0]))
         code = main(["recover", "--alg", *alg, "--matrix", str(mat_path), "--y", str(y_path),
-                     "--K", "1", "--B", str(b * p), "--eps", "1e-8"])
+                     "--iterations", "1", "--B", str(b * p), "--eps", "1e-8"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
 
 
     def test_negative_block_and_cluster_exit_one(self, matrix_file, tmp_path, capsys):
-        # each solver's geometry check refuses the width: bomp's block and
-        # tsgbomp's cluster
+        # both solvers' geometry check, the one window rule, names the width B
         mat, mat_path = matrix_file
         y_path = tmp_path / "y.csv"
         y_path.write_text(signal_to_csv(mat.entries[:, 0]))
-        for alg, name in (["bomp"], "block"), (["tsgbomp", "--L", "4"], "B"):
+        for alg in ["bomp"], ["tsgbomp", "--L", "4"]:
             code = main(["recover", "--alg", *alg, "--matrix", str(mat_path), "--y", str(y_path),
-                         "--K", "1", "--B", "-2", "--eps", "1e-8"])
+                         "--iterations", "1", "--B", "-2", "--eps", "1e-8"])
             assert code == 1
             out, err = capsys.readouterr()
-            assert out == "" and err == f"error: {name} must be >= 1, got -2\n"
+            assert out == "" and err == "error: B must be >= 1, got -2\n"
 
 
 class TestRic:
     def test_window_length_matches_separation(self, matrix_file, capsys):
-        # L=4 with b=p=2 gives Lsep = L + 2pb - b = 10
-        _, path = matrix_file
-        outs = []
-        for window in (["--L", "4"], ["--lsep", "10"]):
-            code = main(["ric", "--matrix", str(path), "--b", "2", "--p", "2",
-                         "--l", "2", *window, "--K", "1", "--R", "1"])
-            assert code == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        # ric spells the window only as the separation: L=4 with b=p=2 is
+        # Lsep = L + 2pb - b = 10
+        mat, path = matrix_file
+        argv = ["ric", "--matrix", str(path), "--b", "2", "--p", "2", "--l", "2",
+                "--K", "1", "--R", "1"]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--L", "4"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main([*argv, "--lsep", "10"]) == 0
+        est = pibric(mat, PibsParams.from_window(n=32, b=2, p=2, l=2, L=4, K=1, R=1), 1, 1)
+        assert capsys.readouterr().out == (
+            f"delta = {est.delta!r}\nsupports scanned = {est.count}\nargmax support:\n"
+            + support_to_text(est.argmax)
+        )
 
     def test_malformed_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "phi.csv"
@@ -502,7 +525,7 @@ class TestCurveCommand:
             ("b=2\np=2\nL=4\nK_grid=1\nalgorithms=tsgbomp,tsgbomp\n",
              "algorithm listed more than once: ['tsgbomp']"),
             ("b=5\np=2\nL=4\nK_grid=1\nalgorithms=bomp\n",
-             "n=48 must be divisible by the block length 10"),
+             "n=48 must be divisible by the window length 10"),
             ("m=0\nb=2\np=2\nL=4\nK_grid=1\n", "m must be >= 1, got 0"),
             ("n=0\nm=0\nb=2\np=2\nL=4\nK_grid=0\n", "n must be >= 1, got 0"),
             ("b=2\np=2\nL=4\nK_grid=1\nmatrix_kind=identity\n",
@@ -549,20 +572,23 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, window",
         [
-            ["gen-signal", "--n", "16", "--K", "1", "--seed", "0", "--out", "x.csv"],
-            ["count", "--n", "16", "--K", "1", "--R", "0"],
-            ["ric", "--matrix", "phi.bin", "--K", "1", "--R", "0"],
+            (["gen-signal", "--n", "16", "--K", "1", "--seed", "0", "--out", "x.csv"], "--L"),
+            (["count", "--n", "16", "--K", "1", "--R", "0"], "--lsep"),
+            (["ric", "--matrix", "phi.bin", "--K", "1", "--R", "0"], "--lsep"),
         ],
         ids=["gen-signal", "count", "ric"],
     )
-    def test_missing_window_geometry_exits_two(self, argv, capsys):
+    def test_missing_window_geometry_exits_two(self, argv, window, capsys):
+        # each command spells the window one way: gen-signal the length,
+        # count and ric the separation
         with pytest.raises(SystemExit) as err:
             main([*argv, "--b", "1", "--p", "1"])
         assert err.value.code == 2
-        err_text = capsys.readouterr().err
-        assert "--L" in err_text and "--lsep" in err_text
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {window}\n"
+        )
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -592,7 +618,7 @@ class TestUsageErrors:
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_geometry_error_reported(self, capsys):
-        code = main(["gen-signal", "--n", "3", "--b", "2", "--p", "1", "--lsep", "2",
+        code = main(["gen-signal", "--n", "3", "--b", "2", "--p", "1", "--L", "2",
                      "--K", "2", "--seed", "0", "--out", "/tmp/never.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
@@ -629,9 +655,9 @@ class TestUsageErrors:
         assert tuple(alg.choices) == experiments.ALGORITHMS
 
     def test_gen_signal_takes_no_pseudo_length(self, capsys):
-        # signals are pseudo-free; --l must not pass as an abbreviation of --lsep
+        # signals are pseudo-free, so gen-signal has no --l
         with pytest.raises(SystemExit) as err:
-            main(["gen-signal", "--n", "16", "--b", "2", "--p", "2", "--lsep", "4",
+            main(["gen-signal", "--n", "16", "--b", "2", "--p", "2", "--L", "4",
                   "--K", "2", "--seed", "0", "--out", "x.csv", "--l", "2"])
         assert err.value.code == 2
         assert "unrecognized arguments: --l 2" in capsys.readouterr().err
@@ -668,7 +694,7 @@ DOMAINS = {
     ("gen-signal", "--b"): (set(), int),
     ("gen-signal", "--p"): (set(), int),
     ("gen-signal", "--L"): (set(), int),
-    ("gen-signal", "--lsep"): (set(), int),
+    ("gen-signal", "--lsep"): (set(), None),  # the window is --L only
     ("gen-signal", "--K"): ({"0"}, int),  # the zero signal
     ("gen-signal", "--amplitude"): (set(), None),  # now --scheme const:<amplitude>
     ("gen-signal", "--scheme=const:"): (set(), float),
@@ -676,7 +702,8 @@ DOMAINS = {
     ("gen-matrix", "--m"): (set(), int),
     ("gen-matrix", "--n"): (set(), int),
     ("gen-matrix", "--seed"): ({"0"}, at_least_zero),
-    ("recover", "--K"): ({"0"}, int),  # no iteration: the zero estimate
+    ("recover", "--K"): (set(), None),  # the budget is --iterations, not a signal's K
+    ("recover", "--iterations"): ({"0"}, int),  # no iteration: the zero estimate
     ("recover", "--L"): (set(), int),
     ("recover", "--b"): (set(), None),  # b and p give way to the width B = p*b
     ("recover", "--p"): (set(), None),
@@ -684,7 +711,7 @@ DOMAINS = {
     ("recover", "--eps"): ({"0"}, float),  # a zero threshold: stop at the floor
     ("ric", "--b"): (set(), int),
     ("ric", "--p"): (set(), int),
-    ("ric", "--L"): (set(), int),
+    ("ric", "--L"): (set(), None),  # the window is --lsep only
     ("ric", "--lsep"): (set(), int),
     ("ric", "--l"): ({"0"}, int),  # pseudo blocks of no column
     ("ric", "--K"): ({"0"}, int),  # pseudo blocks only
@@ -700,7 +727,7 @@ DOMAINS = {
     ("count", "--n"): (set(), int),
     ("count", "--b"): (set(), int),
     ("count", "--p"): (set(), int),
-    ("count", "--L"): (set(), int),
+    ("count", "--L"): (set(), None),  # the window is --lsep only
     ("count", "--lsep"): (set(), int),
     ("count", "--l"): ({"0"}, int),
     ("count", "--K"): ({"0"}, int),
@@ -742,6 +769,7 @@ MESSAGES = {
     ("gbounds", "--b", "-3"): "error: b must be >= 1, got -3",
     ("gen-signal", "--scheme=const:", "-inf"): "error: amplitude must be finite and > 0, got -inf",
     ("recover", "--B", "0"): "error: B must be >= 1, got 0",
+    ("recover", "--iterations", "-3"): "error: iterations must be >= 0, got -3",
 }
 
 
@@ -755,15 +783,14 @@ class TestNumericDomains:
 
     # passes both conditions: at delta = 0 the threshold is 0
     THM1 = ["thm1", "--delta", "0", "--K", "2", "--b", "2", "--p", "2", "--xmin", "1", "--xmax", "2"]
-    # valid command lines whose options are replaced one at a time; a
-    # --lsep setting replaces --L, its alternative
-    GEOMETRY = ["--b", "2", "--p", "2", "--L", "4", "--l", "2", "--K", "1", "--R", "1"]
+    # valid command lines whose options are replaced one at a time
+    GEOMETRY = ["--b", "2", "--p", "2", "--lsep", "10", "--l", "2", "--K", "1", "--R", "1"]
     BASE = {
         "gen-signal": ["gen-signal", "--n", "24", "--b", "2", "--p", "2", "--L", "4", "--K", "1",
                        "--seed", "1", "--out", "out.csv"],
         "gen-matrix": ["gen-matrix", "--m", "6", "--n", "8", "--seed", "1", "--out", "out.csv"],
-        "recover": ["recover", "--matrix", "phi.bin", "--y", "y.csv", "--K", "2", "--L", "4",
-                    "--B", "4", "--eps", "1e-8"],
+        "recover": ["recover", "--matrix", "phi.bin", "--y", "y.csv", "--iterations", "2",
+                    "--L", "4", "--B", "4", "--eps", "1e-8"],
         "thm1": THM1,
         "thm2": TestThm2.README,
         "ric": ["ric", "--matrix", "phi.bin", *GEOMETRY],
@@ -786,9 +813,8 @@ class TestNumericDomains:
         config = "n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1\ntrials=1\nmaster_seed=5\n"
         argv = [str(tmp_path / arg) if arg in self.FILES else arg for arg in self.BASE[name]]
         if option.startswith("--"):
-            for replaced in (option, "--L" if option == "--lsep" else None):
-                if replaced in argv:
-                    del argv[argv.index(replaced) : argv.index(replaced) + 2]
+            if option in argv:
+                del argv[argv.index(option) : argv.index(option) + 2]
             argv.append(setting)
         else:  # a config key
             config += f"{setting}\n"

@@ -33,13 +33,13 @@ ENTRY_POINTS = {
     PibsParams: (dict(n=24, b=2, p=2, l=0, Lsep=10, K=1, R=1),
                  dict(b=1, p=1, n=1, Lsep=1, K=0, R=0)),
     signal_model.count_supports_formula: (dict(params=PARAMS, K=1, R=1), dict(K=0, R=0)),
-    recovery.tsgbomp: (dict(Phi=PHI, y=Y, K=1, L=4, B=4, epsilon=0.0),
-                       dict(K=0, L=1, B=1, epsilon=0)),
-    recovery.bomp: (dict(Phi=PHI, y=Y, K=1, block=4, epsilon=0.0),
-                    dict(K=0, block=1, epsilon=0)),
+    recovery.tsgbomp: (dict(Phi=PHI, y=Y, iterations=1, L=4, B=4, epsilon=0.0),
+                       dict(iterations=0, L=1, B=1, epsilon=0)),
+    recovery.bomp: (dict(Phi=PHI, y=Y, iterations=1, B=4, epsilon=0.0),
+                    dict(iterations=0, B=1, epsilon=0)),
     experiments.ExperimentConfig: (dict(n=48, m=48, b=2, p=2, L=4, K_grid=(1,), trials=1),
                                    dict(trials=1, epsilon=0, n=1, m=1, b=1, p=1, L=1)),
-    experiments.solve: (dict(algorithm="tsgbomp", Phi=PHI, y=Y, K=1, L=4,
+    experiments.solve: (dict(algorithm="tsgbomp", Phi=PHI, y=Y, iterations=1, L=4,
                              B=4, epsilon=0.0), dict(B=1)),
     experiments.theorem_regime_suite: (dict(count=1, rng=_rng()), dict(count=1)),
     experiments.lemma_audit: (dict(matrices=0, jobs=1), dict(jobs=1)),

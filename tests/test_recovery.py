@@ -40,14 +40,14 @@ class TestTsgbomp:
         x = fill_values(support, "gaussian", rng=rng)
         Phi = SensingMatrix(np.eye(n), normalized=True)
         y = measure(Phi, x)
-        res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=1e-10)
+        res = tsgbomp(Phi, y, iterations=2, L=4, B=4, epsilon=1e-10)
         assert set(support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - x) <= 1e-10
 
     def test_below_threshold_returns_zero(self):
         Phi = SensingMatrix(np.eye(8), normalized=True)
         y = measure(Phi, np.zeros(8), noise=np.full(8, 1e-9))
-        res = tsgbomp(Phi, y, K=3, L=4, B=4, epsilon=1e-3)
+        res = tsgbomp(Phi, y, iterations=3, L=4, B=4, epsilon=1e-3)
         assert res.iterations == 0
         assert res.estimated_columns == ()
         assert not res.x_hat.any()
@@ -55,14 +55,14 @@ class TestTsgbomp:
 
     def test_gaussian_fixture_succeeds(self):
         Phi, y, support, x = make_instance(seed=1)
-        res = tsgbomp(Phi, y, K=4, L=8, B=8,
+        res = tsgbomp(Phi, y, iterations=4, L=8, B=8,
                       epsilon=1e-6 * np.linalg.norm(y))
         assert success_check(res, support, x)
         assert res.iterations == 4
 
     def test_residual_monotone_and_orthogonal(self):
         Phi, y, _, _ = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=6, L=8, B=8, epsilon=0.0)
         norms = [np.linalg.norm(y)] + [r.residual_norm for r in res.trace]
         for a, b_ in zip(norms, norms[1:]):
             assert b_ <= a + 1e-10
@@ -74,7 +74,7 @@ class TestTsgbomp:
         # the fifth pick recovers the signal exactly; a sixth would be
         # chosen from a residual of rounding noise
         Phi, y, support, x = make_instance(K=6, seed=9)
-        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=6, L=8, B=8, epsilon=0.0)
         floor = 1e-12 * np.linalg.norm(y)
         assert res.stop_reason == "residual-threshold"
         assert res.iterations == 5
@@ -84,7 +84,7 @@ class TestTsgbomp:
 
     def test_stage2_start_in_clamped_window_range(self):
         Phi, y, _, _ = make_instance(K=5, seed=21)
-        res = tsgbomp(Phi, y, K=5, L=8, B=8, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=5, L=8, B=8, epsilon=0.0)
         B = 8
         for rec in res.trace:
             lo = max(1, 8 * (rec.window - 1) + 1 - (B - 1))
@@ -96,14 +96,14 @@ class TestTsgbomp:
 
     def test_estimated_columns_deduplicated(self):
         Phi, y, _, _ = make_instance(K=6, seed=4)
-        res = tsgbomp(Phi, y, K=6, L=8, B=8, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=6, L=8, B=8, epsilon=0.0)
         assert len(res.estimated_columns) == len(set(res.estimated_columns))
         assert list(res.estimated_columns) == sorted(res.estimated_columns)
 
     def test_deterministic_trace(self):
         Phi, y, _, _ = make_instance(seed=13)
-        r1 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
-        r2 = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
+        r1 = tsgbomp(Phi, y, iterations=4, L=8, B=8, epsilon=0.0)
+        r2 = tsgbomp(Phi, y, iterations=4, L=8, B=8, epsilon=0.0)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.x_hat, r2.x_hat)
 
@@ -114,7 +114,7 @@ class TestTsgbomp:
         support = sample_support(params, 4, rng)
         x = fill_values(support, "gaussian", rng=rng)
         y = measure(Phi, x)
-        res = tsgbomp(Phi, y, K=2, L=4, B=4, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=2, L=4, B=4, epsilon=0.0)
         assert support.clusters == ((3, 1), (22, 2), (36, 1))
         assert [r.window for r in res.trace] == [1, 9]
         assert [r.cluster_start for r in res.trace] == [2, 34]
@@ -127,9 +127,9 @@ class TestTsgbomp:
         Phi = SensingMatrix(np.eye(10), normalized=True)
         y = measure(Phi, np.zeros(10))
         with pytest.raises(ValueError):
-            tsgbomp(Phi, y, K=1, L=3, B=1, epsilon=0.0)
+            tsgbomp(Phi, y, iterations=1, L=3, B=1, epsilon=0.0)
         with pytest.raises(ValueError):
-            tsgbomp(Phi, y, K=1, L=2, B=3, epsilon=0.0)
+            tsgbomp(Phi, y, iterations=1, L=2, B=3, epsilon=0.0)
 
     def test_complex_instance(self):
         rng = np.random.default_rng(6)
@@ -141,7 +141,7 @@ class TestTsgbomp:
         cols = support.column_array
         x[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
         y = measure(Phi, x)
-        res = tsgbomp(Phi, y, K=2, L=4, B=4,
+        res = tsgbomp(Phi, y, iterations=2, L=4, B=4,
                       epsilon=1e-8 * np.linalg.norm(y))
         assert set(support.columns).issubset(res.estimated_columns)
         assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
@@ -153,7 +153,7 @@ def test_threshold_outside_its_domain_raises(algorithm, epsilon):
     # nan and inf used to run no iteration, and a negative value acted as 0
     Phi, y, _, _ = make_instance(n=40, m=32, K=1)
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-        solve(algorithm, Phi, y, K=1, L=8, B=8, epsilon=epsilon)
+        solve(algorithm, Phi, y, iterations=1, L=8, B=8, epsilon=epsilon)
 
 
 class TestBomp:
@@ -162,7 +162,7 @@ class TestBomp:
         x = np.zeros(8)
         x[4:6] = 2.0  # inside partition block [5..6] is block 3 of length 2
         y = measure(Phi, x)
-        res = bomp(Phi, y, K=4, block=2, epsilon=1e-10)
+        res = bomp(Phi, y, iterations=4, B=2, epsilon=1e-10)
         assert res.iterations == 1
         assert res.estimated_columns == (5, 6)
 
@@ -172,7 +172,7 @@ class TestBomp:
         x[1] = 1.0
         x[2] = 2.0
         y = measure(Phi, x)
-        res = bomp(Phi, y, K=3, block=2, epsilon=1e-10)
+        res = bomp(Phi, y, iterations=3, B=2, epsilon=1e-10)
         assert res.iterations == 2
         assert set((2, 3)).issubset(res.estimated_columns)
 
@@ -183,7 +183,7 @@ class TestBomp:
         support = sample_support(params, 2, rng)
         x = fill_values(support, "const:10", rng)
         y = measure(Phi, x)
-        res = bomp(Phi, y, K=2, block=4, epsilon=1e-6 * np.linalg.norm(y))
+        res = bomp(Phi, y, iterations=2, B=4, epsilon=1e-6 * np.linalg.norm(y))
         assert support.clusters == ((2, 1), (20, 1))
         assert [r.window for r in res.trace] == [1, 6]
         assert res.estimated_columns == (1, 2, 3, 4, 21, 22, 23, 24)
@@ -231,7 +231,7 @@ class TestSuccessCheck:
 class TestReports:
     def test_report_and_csv_render(self):
         Phi, y, _, _ = make_instance(seed=1)
-        res = tsgbomp(Phi, y, K=4, L=8, B=8, epsilon=0.0)
+        res = tsgbomp(Phi, y, iterations=4, L=8, B=8, epsilon=0.0)
         text = result_report(res)
         assert "estimated columns:" in text
         csv = trace_to_csv(res)
@@ -239,7 +239,7 @@ class TestReports:
         assert len(csv.splitlines()) == res.iterations + 1
 
 
-def _reference_greedy(Phi, y, K, epsilon, width, select):
+def _reference_greedy(Phi, y, iterations, epsilon, width, select):
     """The greedy loop with a full least-squares refit on every iteration."""
     dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
     r = y.astype(dtype)
@@ -248,7 +248,7 @@ def _reference_greedy(Phi, y, K, epsilon, width, select):
     u = None
     cols0 = np.empty(0, dtype=np.intp)
     k = 0
-    while np.linalg.norm(r) >= epsilon and k < K:
+    while np.linalg.norm(r) >= epsilon and k < iterations:
         k += 1
         window, start = select(np.abs(Phi.entries.conj().T @ r) ** 2)
         covered[start - 1 : start - 1 + width] = True
@@ -264,15 +264,15 @@ def _reference_greedy(Phi, y, K, epsilon, width, select):
     return RecoveryResult(tuple(int(c) + 1 for c in cols0), x_hat, tuple(trace), stop)
 
 
-def _check_against_reference(algorithm, Phi, y, K, L, B, epsilon):
+def _check_against_reference(algorithm, Phi, y, iterations, L, B, epsilon):
     """Solve once as shipped and once with the reference loop; the picks,
     stop and x_hat bytes must agree and the residual norms to rel=1e-9 (to
     1e-12 of |y| when at rounding level). Returns the result and the number
     of np.linalg.lstsq calls it made."""
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        got = solve(algorithm, Phi, y, K, L, B, epsilon)
+        got = solve(algorithm, Phi, y, iterations, L, B, epsilon)
     with mock.patch.object(recovery, "_greedy", _reference_greedy):
-        want = solve(algorithm, Phi, y, K, L, B, epsilon)
+        want = solve(algorithm, Phi, y, iterations, L, B, epsilon)
 
     def picks(res):
         return [(t.k, t.window, t.cluster_start) for t in res.trace]

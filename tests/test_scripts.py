@@ -88,4 +88,4 @@ class TestCheckOutputs:
         # the curve CSVs, ric stdout and the README examples, to the byte
         proc = run_script("check_outputs.py", "--quick")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "14 of 14 outputs match OUTPUTS.sha256"
+        assert proc.stdout.splitlines()[-1] == "16 of 16 outputs match OUTPUTS.sha256"
