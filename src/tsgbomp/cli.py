@@ -320,18 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=at_least_zero, required=True)
     sp.set_defaults(func=_cmd_theorem_suite)
 
+    # main() reports what it checks after parsing through the command's own
+    # parser, so the usage line it prints is that command's
+    for sp in sub.choices.values():
+        sp.set_defaults(parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "gbounds" and args.trials and args.seed is None:
-        parser.error("--seed is required when --trials is set")
+        args.parser.error("--seed is required when --trials is set")
     if args.command == "recover" and args.alg == "tsgbomp" and args.L is None:
-        parser.error("--L is required for --alg tsgbomp")
+        args.parser.error("--L is required for --alg tsgbomp")
     if args.command == "recover" and args.alg != "tsgbomp" and args.L is not None:
-        parser.error("--L applies to --alg tsgbomp only")
+        args.parser.error("--L applies to --alg tsgbomp only")
     try:
         return args.func(args)
     except (ValueError, signal_model.EnumerationCapError) as exc:

@@ -76,11 +76,10 @@ _DEPENDENT = np.sqrt(np.finfo(float).eps)
 _RESIDUAL_FLOOR = 1e-12
 
 
-def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray):
-    A = Phi.entries[:, cols0]
-    u, *_ = np.linalg.lstsq(A, y, rcond=None)
-    r = y - A @ u
-    return u, r
+def _refit(Phi: SensingMatrix, cols0: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of y on the columns cols0 of Phi."""
+    u, *_ = np.linalg.lstsq(Phi.entries[:, cols0], y, rcond=None)
+    return u
 
 
 def _extend_basis(Q: np.ndarray, ncov: int, A: np.ndarray) -> np.ndarray | None:
@@ -90,12 +89,18 @@ def _extend_basis(Q: np.ndarray, ncov: int, A: np.ndarray) -> np.ndarray | None:
     s = A.shape[1]
     if ncov + s > Q.shape[1]:
         return None
-    norms = np.linalg.norm(A, axis=0)
+    # for a real A, the formula np.linalg.norm(A, axis=0) evaluates, without
+    # its per-call checks
+    if A.dtype.kind == "c":
+        norms = np.linalg.norm(A, axis=0)
+    else:
+        norms = np.sqrt(np.add.reduce(A * A, axis=0))
     Qk = Q[:, :ncov]
+    QkH = Qk.conj().T
     for _ in range(2):
-        A -= Qk @ (Qk.conj().T @ A)
+        A -= Qk @ (QkH @ A)
     Q2, R2 = np.linalg.qr(A)
-    if np.any(np.abs(np.diagonal(R2)) <= _DEPENDENT * norms):
+    if (np.abs(R2.diagonal()) <= _DEPENDENT * norms).any():
         return None
     Q[:, ncov : ncov + s] = Q2
     return Q[:, ncov : ncov + s]
@@ -132,42 +137,48 @@ def _greedy(
         raise ValueError(f"measurement length {y.shape} does not match m={m}")
     check_at_least(0, iterations=iterations, epsilon=epsilon)
 
-    dtype = complex if Phi.is_complex or np.iscomplexobj(y) else float
+    real = not (Phi.is_complex or np.iscomplexobj(y))
+    dtype = float if real else complex
+    # np.linalg.norm of a real vector is sqrt(v . v); call that directly
+    norm = (lambda v: np.sqrt(v.dot(v))) if real else np.linalg.norm
     r = y.astype(dtype)
+    PhiH = Phi.entries.conj().T
     covered = np.zeros(n, dtype=bool)
+    ncov = 0
     trace: list[IterationRecord] = []
     Q = np.empty((m, min(m, iterations * width)), dtype=dtype, order="F")
-    cols0 = np.empty(0, dtype=np.intp)
 
     k = 0
-    rnorm = np.linalg.norm(r)
+    rnorm = norm(r)
     tol = max(epsilon, _RESIDUAL_FLOOR * rnorm)
     while rnorm >= tol and k < iterations:
         k += 1
-        c = Phi.entries.conj().T @ r
-        window, start = select(np.abs(c) ** 2)
+        c = PhiH @ r
+        window, start = select(c * c if real else np.abs(c) ** 2)
         run = covered[start - 1 : start - 1 + width]
         new = start - 1 + np.flatnonzero(~run)
         run[:] = True
-        cols0 = np.flatnonzero(covered)
         if Q is not None and new.size:
             A = Phi.entries[:, new].astype(dtype, copy=False)
-            Q2 = _extend_basis(Q, cols0.size - new.size, A)
+            Q2 = _extend_basis(Q, ncov, A)
             if Q2 is None:
                 Q = None
             else:
                 r -= Q2 @ (Q2.conj().T @ r)
+        ncov += new.size
         if Q is None:
-            _, r = _refit(Phi, cols0, y)
-        rnorm = np.linalg.norm(r)
+            cols0 = np.flatnonzero(covered)
+            r = y - Phi.entries[:, cols0] @ _refit(Phi, cols0, y)
+        rnorm = norm(r)
         trace.append(IterationRecord(k, window, start, float(rnorm)))
 
     stop = "residual-threshold" if rnorm < tol else "budget"
     x_hat = np.zeros(n, dtype=dtype)
+    cols0 = np.flatnonzero(covered)
     if k:
-        x_hat[cols0], _ = _refit(Phi, cols0, y)
+        x_hat[cols0] = _refit(Phi, cols0, y)
     return RecoveryResult(
-        estimated_columns=tuple(int(c) + 1 for c in cols0),
+        estimated_columns=tuple((cols0 + 1).tolist()),
         x_hat=x_hat,
         trace=tuple(trace),
         stop_reason=stop,
@@ -205,17 +216,18 @@ def tsgbomp(
     n = Phi.n
     check_window_geometry(n, L, B)
 
+    # csum[j] is the sum of the first j powers, so a run of B columns from
+    # start i has norm csum[i - 1 + B] - csum[i - 1]
+    csum = np.zeros(n + 1)
+
     def select(power: np.ndarray):
-        win_norms = power.reshape(-1, L).sum(axis=1)
-        w = int(np.argmax(win_norms)) + 1
+        w = int(np.add.reduce(power.reshape(-1, L), axis=1).argmax()) + 1
 
         lo = max(1, L * (w - 1) + 1 - (B - 1))
         hi = min(L * w, n - B + 1)
-        # norms over sliding length-B column runs, via prefix sums
-        csum = np.concatenate(([0.0], np.cumsum(power)))
-        starts = np.arange(lo, hi + 1)
-        run_norms = csum[starts - 1 + B] - csum[starts - 1]
-        return w, int(starts[np.argmax(run_norms)])
+        np.add.accumulate(power, out=csum[1:])
+        run_norms = csum[lo - 1 + B : hi + B] - csum[lo - 1 : hi]
+        return w, lo + int(run_norms.argmax())
 
     return _greedy(Phi, y, iterations, epsilon, B, select)
 

@@ -54,10 +54,17 @@ class SensingMatrix:
         normalized is returned unchanged, bit for bit."""
         if self.normalized:
             return self
-        norms = np.linalg.norm(self.entries, axis=0)
-        if np.any(norms == 0):
-            raise ValueError("cannot normalize a matrix with a zero column")
-        return SensingMatrix(entries=self.entries / norms, normalized=True)
+        return SensingMatrix(entries=_unit_columns(self.entries), normalized=True)
+
+
+def _unit_columns(entries: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """entries with every column divided by its Euclidean norm, written to
+    `out` when given (`out=entries` divides in place, with the same IEEE
+    quotients); ValueError if a column is zero."""
+    norms = np.linalg.norm(entries, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("cannot normalize a matrix with a zero column")
+    return np.divide(entries, norms, out=out)
 
 
 def gaussian_matrix(
@@ -90,8 +97,9 @@ def gaussian_matrix(
         entries = rng.standard_normal((m, n))
         if variance_mode == "one_over_m":
             entries *= np.sqrt(sigma2)
-    mat = SensingMatrix(entries=entries, normalized=False)
-    return mat.normalize() if normalize else mat
+    if normalize:  # the draw is ours, so divide it in place
+        return SensingMatrix(entries=_unit_columns(entries, out=entries), normalized=True)
+    return SensingMatrix(entries=entries, normalized=False)
 
 
 def measure(

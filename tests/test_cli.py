@@ -590,6 +590,31 @@ class TestUsageErrors:
             f"error: the following arguments are required: {window}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["recover", "--alg", "bomp", "--matrix", "phi.bin", "--y", "y.csv",
+              "--iterations", "1", "--L", "7", "--B", "4", "--eps", "0"],
+             "--L applies to --alg tsgbomp only"),
+            (["recover", "--alg", "tsgbomp", "--matrix", "phi.bin", "--y", "y.csv",
+              "--iterations", "1", "--B", "4", "--eps", "0"],
+             "--L is required for --alg tsgbomp"),
+            (["gbounds", "--a", "0.5", "--K", "4", "--b", "1", "--trials", "10"],
+             "--seed is required when --trials is set"),
+        ],
+        ids=["recover-bomp-L", "recover-tsgbomp-no-L", "gbounds-trials-no-seed"],
+    )
+    def test_check_after_parsing_prints_the_command_usage(self, argv, message, capsys):
+        # main() makes these checks after parsing, and reports them with
+        # the command's usage line, as argparse reports its own errors
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert err_text.startswith(f"usage: tsgbomp {argv[0]} [-h]")
+        assert err_text.endswith(f"tsgbomp {argv[0]}: error: {message}\n")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
         "argv, message",
@@ -864,3 +889,30 @@ class TestBlasThreads:
 
     def test_user_setting_is_kept(self):
         assert self.threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
+
+    # a two-worker curve that also checks its CSV against one worker
+    CURVE = (
+        "from tsgbomp import experiments\n"
+        "config = experiments.ExperimentConfig(\n"
+        "    n=16, m=12, b=2, p=1, L=4, K_grid=(1, 2), trials=4, master_seed=0)\n"
+        "for jobs in (2, 2, 1):\n"
+        "    print(experiments.curve_to_csv(experiments.run_curve(config, jobs=jobs)))\n"
+    )
+
+    def curve_output(self, imports):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(Path(tsgbomp.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", imports + self.CURVE], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        csvs = out.stdout.split("\n\n")
+        assert csvs[0] == csvs[1] == csvs[2]
+        return out.stderr
+
+    def test_numpy_loaded_first_warns_once_per_process(self):
+        # the package's pin cannot reach a BLAS that numpy already started,
+        # so a pool of workers may run a BLAS thread per core in each
+        err = self.curve_output("import numpy, tsgbomp\n")
+        assert err.count("OPENBLAS_NUM_THREADS") == 1
+
+    def test_package_loaded_first_does_not_warn(self):
+        assert self.curve_output("import tsgbomp, numpy\n") == ""

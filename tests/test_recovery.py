@@ -1,3 +1,5 @@
+import hashlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgbomp import recovery
+from tsgbomp import experiments, recovery
 from tsgbomp.experiments import solve
 from tsgbomp.recovery import (
     IterationRecord,
@@ -417,3 +419,62 @@ class TestIncrementalResidual:
             assert Q2 is not None
         assert np.abs(Q.T @ Q - np.eye(12)).max() < 1e-13
         assert np.allclose(Q @ (Q.T @ entries), entries, rtol=0, atol=1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _digest_results(results) -> str:
+    """SHA-256 over each solve's stop reason, estimated columns, the repr of
+    every trace residual norm and the x_hat bytes: any last-bit change in
+    the loop or its refit changes it."""
+    h = hashlib.sha256()
+    for res in results:
+        residuals = ",".join(repr(t.residual_norm) for t in res.trace)
+        h.update(f"{res.stop_reason}|{res.estimated_columns}|{residuals}|".encode())
+        h.update(res.x_hat.dtype.str.encode() + res.x_hat.tobytes())
+    return h.hexdigest()
+
+
+class TestSolverBitPin:
+    """Solver outputs pinned bit for bit. `TestIncrementalResidual` allows
+    the residual norms rel=1e-9 of its reference; these hashes allow
+    nothing, so a change that reorders the loop's arithmetic must show that
+    it keeps every bit, or say why it rewrites a hash."""
+
+    def test_curve_trials(self):
+        # three trials of every (K, algorithm) point of the four published
+        # curves, drawn by run_trial itself: 336 solves
+        results = []
+
+        def solve_and_keep(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        with mock.patch.object(experiments, "solve", solve_and_keep):
+            for path in sorted(CONFIGS.glob("*.cfg")):
+                config = experiments.ExperimentConfig.from_text(path.read_text())
+                for K in config.K_grid:
+                    for algorithm in config.algorithms:
+                        for t in range(3):
+                            seed = experiments.trial_seed(config.master_seed, K, algorithm, t)
+                            experiments.run_trial(config, K, algorithm, seed)
+        assert len(results) == 336
+        assert _digest_results(results) == (
+            "f520e5af7196ede098670a443c9b11c8395ac0ddd784d06b765364ad2a0a8b7b"
+        )
+
+    def test_complex_and_fallback_solves(self):
+        # the complex loop, and both fallbacks: a duplicated column, and
+        # more covered columns than rows
+        results = []
+        for seed in range(4):
+            for kind, m, complex_entries in [
+                ("gaussian", 30, True), ("duplicate", 20, False), ("gaussian", 10, False),
+            ]:
+                Phi, y = _random_instance(kind, seed, m, 40, complex_entries, 0.05)
+                for algorithm, L in [("tsgbomp", 8), ("bomp", None)]:
+                    results.append(solve(algorithm, Phi, y, 4, L, 4, 1e-9))
+        assert _digest_results(results) == (
+            "1d42c10d960a86e5494d6106dcd2a6aec3c148457e4af5060843096adc553245"
+        )

@@ -58,6 +58,22 @@ class TestGaussianMatrix:
         got = gaussian_matrix(m, n, mode, normalize, np.random.default_rng(5))
         assert got.entries.tobytes() == expected.entries.tobytes()
 
+    def test_complex_bytes_match_normalized_draw(self):
+        # the fresh draw is divided in place, with the quotients normalize()
+        # computes into a new array
+        rng = np.random.default_rng(5)
+        z = np.sqrt(0.5) * (rng.standard_normal((17, 9)) + 1j * rng.standard_normal((17, 9)))
+        expected = SensingMatrix(z).normalize()
+        got = gaussian_matrix(17, 9, "unit", True, np.random.default_rng(5), complex_entries=True)
+        assert got.entries.tobytes() == expected.entries.tobytes()
+
+    def test_normalize_leaves_the_callers_entries(self):
+        entries = np.random.default_rng(4).standard_normal((6, 5))
+        before = entries.copy()
+        unit = SensingMatrix(entries).normalize()
+        assert unit.entries is not entries
+        assert entries.tobytes() == before.tobytes()
+
     def test_normalize_idempotent_bitwise(self):
         raw = gaussian_matrix(12, 8, "unit", False, np.random.default_rng(3))
         once = raw.normalize()
