@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         args.parser.error("--L applies to --alg tsgbomp only")
     try:
         return args.func(args)
-    except (ValueError, signal_model.EnumerationCapError) as exc:
+    except (ValueError, OSError, signal_model.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -550,6 +551,21 @@ class TestCurveCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_module_run_gives_the_same_csv_at_two_jobs(self, tmp_path):
+        # the spawned workers re-import tsgbomp.cli as their main module
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=48\nm=48\nb=2\np=2\nL=4\nK_grid=1,2\ntrials=6\nmaster_seed=5\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(tsgbomp.__file__).parents[1])}
+        one, two = (
+            subprocess.run([sys.executable, "-m", "tsgbomp.cli", "curve", "--config", str(cfg),
+                            "--jobs", jobs], env=env, capture_output=True, text=True,
+                           check=True, timeout=120)
+            for jobs in ("1", "2")
+        )
+        assert one.stdout.startswith("K,algorithm,success_rate,trials\n")
+        assert two.stdout == one.stdout
+        assert two.stderr == ""
+
 
 class TestTheoremSuiteCommand:
     def test_runs_and_reports(self, capsys):
@@ -703,6 +719,26 @@ class TestUsageErrors:
             main([*argv, typo, "4"])
         assert err.value.code == 2
         assert f"unrecognized arguments: {typo} 4" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["ric", "--matrix", "{tmp}/nope.bin", "--b", "1", "--p", "1", "--lsep", "2",
+              "--K", "1", "--R", "0"], "{tmp}/nope.bin"),
+            (["gen-matrix", "--m", "4", "--n", "6", "--seed", "0",
+              "--out", "{tmp}/nodir/phi.bin"], "{tmp}/nodir/phi.bin"),
+        ],
+        ids=["missing-input", "unwritable-output"],
+    )
+    def test_file_error_exits_one(self, argv, path, tmp_path, capsys):
+        # an OSError is reported as any refused input is, not as a traceback
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path.format(tmp=tmp_path)}'\n"
 
 
 FUZZ_VALUES = ["-3", "0", "nan", "inf", "-inf"]
@@ -875,14 +911,17 @@ class TestNumericDomains:
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def threads_after_import(self, **preset):
+    def run_unpinned(self, *args, **preset):
+        """Run Python on `args` with no BLAS variable set but `preset`."""
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env["PYTHONPATH"] = str(Path(tsgbomp.__file__).parents[1])
         env.update(preset)
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+
+    def threads_after_import(self, **preset):
         code = f"import os, tsgbomp; print(*(os.environ[v] for v in {self.VARS!r}))"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
-        return out.stdout.split()
+        return self.run_unpinned("-c", code, **preset).stdout.split()
 
     def test_import_pins_one_thread(self):
         assert self.threads_after_import() == ["1", "1", "1"]
@@ -890,29 +929,52 @@ class TestBlasThreads:
     def test_user_setting_is_kept(self):
         assert self.threads_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
-    # a two-worker curve that also checks its CSV against one worker
-    CURVE = (
-        "from tsgbomp import experiments\n"
-        "config = experiments.ExperimentConfig(\n"
-        "    n=16, m=12, b=2, p=1, L=4, K_grid=(1, 2), trials=4, master_seed=0)\n"
-        "for jobs in (2, 2, 1):\n"
-        "    print(experiments.curve_to_csv(experiments.run_curve(config, jobs=jobs)))\n"
-    )
+    # a two-worker curve checked against one worker, then the BLAS thread
+    # count that each worker of a two-worker pool reads from the library
+    CURVE = """
+import os, time
+from ctypes import CDLL, c_int
+from tsgbomp import experiments, workers
 
-    def curve_output(self, imports):
-        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
-        env["PYTHONPATH"] = str(Path(tsgbomp.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", imports + self.CURVE], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
-        csvs = out.stdout.split("\n\n")
-        assert csvs[0] == csvs[1] == csvs[2]
-        return out.stderr
+def blas_threads(_):
+    time.sleep(0.25)  # so that the second worker takes tasks too
+    get = getattr(CDLL({lib!r}), {getter!r})
+    get.argtypes, get.restype = [], c_int
+    return os.getpid(), get()
 
-    def test_numpy_loaded_first_warns_once_per_process(self):
-        # the package's pin cannot reach a BLAS that numpy already started,
-        # so a pool of workers may run a BLAS thread per core in each
-        err = self.curve_output("import numpy, tsgbomp\n")
-        assert err.count("OPENBLAS_NUM_THREADS") == 1
+if __name__ == "__main__":
+    config = experiments.ExperimentConfig(
+        n=16, m=12, b=2, p=1, L=4, K_grid=(1, 2), trials=4, master_seed=0)
+    for jobs in (2, 1):
+        print(experiments.curve_to_csv(experiments.run_curve(config, jobs=jobs)))
+    with workers.worker_map(2) as mapper:
+        print(*sorted(dict(mapper(blas_threads, range(8))).values()))
+"""
 
-    def test_package_loaded_first_does_not_warn(self):
-        assert self.curve_output("import tsgbomp, numpy\n") == ""
+    @pytest.mark.parametrize("imports", ["import numpy, tsgbomp", "import tsgbomp, numpy"],
+                             ids=["numpy-first", "package-first"])
+    def test_every_worker_runs_one_blas_thread(self, imports, tmp_path):
+        # workers start fresh with the package's pin in their environment,
+        # so it holds in each of them even where numpy loaded first here
+        openblas = bundled_openblas()
+        if openblas is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        lib, getter = openblas
+        script = tmp_path / "curve.py"
+        script.write_text(imports + "\n" + self.CURVE.format(lib=lib, getter=getter))
+        out = self.run_unpinned(str(script))
+        two_jobs, one_job, threads = out.stdout.split("\n\n")
+        assert two_jobs == one_job
+        assert threads.split() and set(threads.split()) == {"1"}
+        assert out.stderr == ""
+
+
+def bundled_openblas():
+    """The path of the OpenBLAS that numpy's wheel bundles and the name of its
+    thread-count getter, or None."""
+    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("lib*openblas*.so*")):
+        for getter in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(ctypes.CDLL(str(lib)), getter):
+                return str(lib), getter
+    return None
