@@ -10,8 +10,10 @@ order. Parallel execution over trials therefore cannot change any result.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -60,11 +62,11 @@ class ExperimentConfig:
     scheme string `fill_values` takes: `const:<amplitude>` or `gaussian`.
     Before any trial, so that a refused config writes nothing, it refuses,
     in this order: trials below 1, epsilon below 0, a value_scheme that
-    `parse_value_scheme` refuses, an unknown algorithm, a K or algorithm
-    listed twice, b, p or L below 1, a geometry that tsgbomp's window rule
-    refuses (with B = p*b), a K the sampler cannot draw, a geometry that
-    bomp's window rule refuses (the same rule with L = B), and n or m below
-    1."""
+    `parse_value_scheme` refuses, an unknown algorithm, a K grid or
+    algorithm list that is empty or lists an entry twice, b, p or L below
+    1, a geometry that tsgbomp's window rule refuses (with B = p*b), a K
+    the sampler cannot draw, a geometry that bomp's window rule refuses
+    (the same rule with L = B), and n or m below 1."""
 
     n: int
     m: int
@@ -86,6 +88,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         for name, values in (("K", self.K_grid), ("algorithm", self.algorithms)):
+            if not values:
+                raise ValueError(f"no {name} listed")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} listed more than once: {repeated}")
@@ -236,69 +240,46 @@ def run_trial(config: ExperimentConfig, K: int, algorithm: str, seed: int) -> Tr
     )
 
 
-def _trial_task(args) -> TrialRecord:
-    config, K, algorithm, seed = args
-    return run_trial(config, K, algorithm, seed)
+_CSV_HEADER = "K,algorithm,success_rate,trials\n"
+
+
+def _csv_row(pt: CurvePoint) -> str:
+    return f"{pt.K},{pt.algorithm},{pt.success_rate!r},{pt.trials}\n"
+
+
+def curve_to_csv(points: list[CurvePoint]) -> str:
+    return _CSV_HEADER + "".join(map(_csv_row, points))
 
 
 def run_curve(
     config: ExperimentConfig, jobs: int = 1, out_path: str | None = None
 ) -> list[CurvePoint]:
-    """Aggregate success rates over the (K, algorithm) grid. Results are
-    independent of `jobs`; on any exception, a KeyboardInterrupt included,
-    the points finished so far are flushed to `out_path` before it
-    propagates. A jobs below 1 raises ValueError and writes nothing."""
+    """Success rates over the (K, algorithm) grid, in grid order; results
+    are independent of `jobs`. A jobs below 1 raises ValueError, and an
+    `out_path` that cannot be opened raises OSError, both before any trial.
+    The CSV's header is written first and each point's row as soon as its
+    trials finish, so after any exception, a KeyboardInterrupt included,
+    the file holds exactly the finished points."""
+    grid = [(K, alg) for K in config.K_grid for alg in config.algorithms]
     tasks = [
         (config, K, alg, trial_seed(config.master_seed, K, alg, t))
-        for K in config.K_grid
-        for alg in config.algorithms
+        for K, alg in grid
         for t in range(config.trials)
     ]
-    records: list[TrialRecord] = []
-    with worker_map(jobs, chunksize=32) as mapper:
-        try:
-            for rec in mapper(_trial_task, tasks):
-                records.append(rec)
-        except BaseException:
-            if out_path is not None:
-                partial = _aggregate(config, records, complete_only=True)
-                _write(out_path, curve_to_csv(partial))
-            raise
-    points = _aggregate(config, records)
-    if out_path is not None:
-        _write(out_path, curve_to_csv(points))
-    return points
-
-
-def _aggregate(
-    config: ExperimentConfig, records: list[TrialRecord], complete_only: bool = False
-) -> list[CurvePoint]:
-    by_key: dict[tuple[int, str], list[TrialRecord]] = {}
-    for rec in records:
-        by_key.setdefault((rec.K, rec.algorithm), []).append(rec)
     points = []
-    for K in config.K_grid:
-        for alg in config.algorithms:
-            recs = by_key.get((K, alg), [])
-            if complete_only and len(recs) < config.trials:
-                continue
-            if not recs:
-                continue
-            rate = sum(r.success for r in recs) / len(recs)
-            points.append(CurvePoint(K=K, algorithm=alg, success_rate=rate, trials=len(recs)))
+    with (
+        worker_map(jobs, chunksize=32) as mapper,
+        open(os.devnull if out_path is None else out_path, "w", newline="\n") as out,
+    ):
+        out.write(_CSV_HEADER)
+        records = mapper(run_trial, *zip(*tasks))
+        for K, alg in grid:
+            successes = sum(rec.success for rec in islice(records, config.trials))
+            point = CurvePoint(K, alg, successes / config.trials, config.trials)
+            out.write(_csv_row(point))
+            out.flush()
+            points.append(point)
     return points
-
-
-def curve_to_csv(points: list[CurvePoint]) -> str:
-    lines = ["K,algorithm,success_rate,trials"]
-    for pt in points:
-        lines.append(f"{pt.K},{pt.algorithm},{pt.success_rate!r},{pt.trials}")
-    return "\n".join(lines) + "\n"
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def check_curve(points: list[CurvePoint]) -> list[str]:

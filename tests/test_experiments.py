@@ -119,6 +119,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"algorithm listed more than once: \['bomp'\]"):
             small_config(algorithms=("bomp", "tsgbomp", "bomp"))
 
+    @pytest.mark.parametrize("key, name", [("K_grid", "K"), ("algorithms", "algorithm")])
+    def test_empty_grid_rejected(self, key, name):
+        # from_text refuses an empty list; a config built in code ran no
+        # trial and wrote a header-only CSV
+        with pytest.raises(ValueError, match=f"^no {name} listed$"):
+            small_config(**{key: ()})
+
     def test_window_length_zero_rejected(self):
         with pytest.raises(ValueError, match="L must be >= 1, got 0"):
             small_config(L=0)
@@ -265,23 +272,33 @@ class TestCurves:
 
     def test_interrupt_flushes_finished_points(self, tmp_path, monkeypatch):
         cfg = small_config(trials=2, algorithms=("tsgbomp",))
-        real_task = experiments._trial_task
-        calls = []
-
-        def interrupted(task):
-            if len(calls) == cfg.trials:
-                raise KeyboardInterrupt
-            calls.append(task)
-            return real_task(task)
-
-        monkeypatch.setattr(experiments, "_trial_task", interrupted)
         out = tmp_path / "curve.csv"
+        started, seen = [], []
+
+        def interrupted(*task):
+            if len(started) == cfg.trials:
+                # the second point's first trial: the first point's row is on disk
+                seen.append(out.read_text())
+                raise KeyboardInterrupt
+            started.append(task)
+            return run_trial(*task)
+
+        monkeypatch.setattr(experiments, "run_trial", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_curve(cfg, jobs=1, out_path=str(out))
+        assert seen == [out.read_text()]
         lines = out.read_text().splitlines()
         assert lines[0] == "K,algorithm,success_rate,trials"
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["1", "tsgbomp"]]
         assert lines[1].endswith(",2")
+
+    def test_unwritable_out_raises_before_any_trial(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *task: calls.append(task))
+        out = tmp_path / "missing" / "curve.csv"
+        with pytest.raises(OSError):
+            run_curve(small_config(trials=1), jobs=1, out_path=str(out))
+        assert calls == [] and not out.parent.exists()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_raises_before_writing(self, tmp_path, jobs):

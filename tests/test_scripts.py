@@ -18,11 +18,6 @@ def run_script(name, *args):
 
 
 class TestRunLemmaAudit:
-    def test_ten_matrices_give_the_documented_hash(self):
-        proc = run_script("run_lemma_audit.py", "--matrices", "10")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "report sha256 0e7776fe1d186c04"
-
     def test_two_jobs_print_what_one_job_prints(self):
         serial = run_script("run_lemma_audit.py", "--matrices", "6")
         pooled = run_script("run_lemma_audit.py", "--matrices", "6", "--jobs", "2")
@@ -40,15 +35,6 @@ class TestRunLemmaAudit:
         proc = run_script("run_lemma_audit.py", "--matrices", "-5")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "--matrices: value must be >= 1, got -5" in proc.stderr
-
-
-class TestScanFingerprint:
-    def test_quick_set_gives_the_documented_hash(self):
-        # every cell's constant to the last bit, argmax, count and skip flag
-        # on the first matrix of each group, criterion 5's (2, 2) cell included
-        proc = run_script("scan_fingerprint.py", "--quick")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "scan sha256 3392deeec118f472\n"
 
 
 class TestRunPhaseTransition:
@@ -85,7 +71,8 @@ class TestRunPhaseTransition:
 
 class TestCheckOutputs:
     def test_quick_outputs_match_the_manifest(self):
-        # the curve CSVs, ric stdout and the README examples, to the byte
+        # the curve CSVs, ric stdout, the README examples, the ten-matrix
+        # lemma audit and the quick scan fingerprint, to the byte
         proc = run_script("check_outputs.py", "--quick")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "16 of 16 outputs match OUTPUTS.sha256"
+        assert proc.stdout.splitlines()[-1] == "18 of 18 outputs match OUTPUTS.sha256"
