@@ -58,6 +58,7 @@ _BOUND_FLOOR = 1e-70  # absolute slack: below about 1e-77 the pair bound's 4th p
 _FINE_BOUND_FLOOR = 1e-30  # the same for the 8th powers of the fine bound, below about 1e-38
 _STACK_CHUNK = 32  # sampled supports or subsets per stacked product: their draws stay near 0.1 MB
 _OVER_CAP = "cells over cell_cap"  # why a family ran no check when cap-skipped cells stopped it
+_NO_COLUMNS = "no support covers a column"  # why a family ran no check at K = R = 0
 _LEMMA_TOL = 1e-10  # a lemma family fails iff some margin falls below -_LEMMA_TOL
 _F_K_BRACKET = 1e3  # f_K_inverse bisects on [0, _F_K_BRACKET]
 
@@ -741,7 +742,7 @@ def verify_lemmas(
 
     # norm sandwich on every support of the structured family
     top = [o for o in table_A if o[0] == K or o[1] == R]
-    fam = family("norm-sandwich", skip=_OVER_CAP if _missing(d_A, top) else "")
+    fam = family("norm-sandwich", skip=_OVER_CAP if _missing(d_A, top) else _NO_COLUMNS)
     for order in [o for o in top if o in d_A]:
         delta = d_A[order]
         pool = _table_cells(table_A, params, *order)
@@ -784,12 +785,13 @@ def verify_lemmas(
         o for o in usable
         if not any(q != o and q[0] >= o[0] and q[1] >= o[1] for q in usable)
     ]
+    covering = [o for o in table_A if o[0] or o[1]]
     if frontier:
         reason = ""
-    elif _missing(d_A, [o for o in table_A if o[0] or o[1]], at_least_one=True):
+    elif _missing(d_A, covering, at_least_one=True):
         reason = _OVER_CAP
     else:
-        reason = "delta >= 1"
+        reason = "delta >= 1" if covering else _NO_COLUMNS
     sandwich = family("projected-sandwich", skip=reason)
     inner = family("projected-innerproduct", skip=reason)
     order_rows = []
@@ -841,8 +843,11 @@ def verify_lemmas(
             break
     if K7 is None:
         needed = [(Kp, 1) for Kp in range(1, K + 1) if (Kp, 1) in table_B]
-        capped = _missing(d_B, needed, at_least_one=True)
-        family("projected-column-bound", skip=_OVER_CAP if capped else "no order with delta < 1")
+        if _missing(d_B, needed, at_least_one=True):
+            reason = _OVER_CAP
+        else:
+            reason = "no order with delta < 1" if needed else "needed orders unavailable"
+        family("projected-column-bound", skip=reason)
     elif not Phi.normalized:
         family("projected-column-bound", skip="columns not unit norm")
     else:

@@ -49,41 +49,23 @@ class SensingMatrix:
         """Hermitian Gram matrix of the columns, computed once."""
         return self.entries.conj().T @ self.entries
 
-    def normalize(self) -> "SensingMatrix":
-        """Rescale columns to unit norm. Idempotent: a matrix already flagged
-        normalized is returned unchanged, bit for bit."""
-        if self.normalized:
-            return self
-        return SensingMatrix(entries=_unit_columns(self.entries), normalized=True)
-
-
-def _unit_columns(entries: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """entries with every column divided by its Euclidean norm, written to
-    `out` when given (`out=entries` divides in place, with the same IEEE
-    quotients); ValueError if a column is zero."""
-    norms = np.linalg.norm(entries, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("cannot normalize a matrix with a zero column")
-    return np.divide(entries, norms, out=out)
-
 
 def gaussian_matrix(
     m: int,
     n: int,
-    variance_mode: str = "unit",
-    normalize: bool = True,
-    rng: np.random.Generator | None = None,
+    variance_mode: str,
+    normalize: bool,
+    rng: np.random.Generator,
     complex_entries: bool = False,
 ) -> SensingMatrix:
     """i.i.d. Gaussian sensing matrix.
 
     variance_mode "unit" draws N(0, 1) entries, "one_over_m" draws N(0, 1/m).
     Complex matrices draw independent real and imaginary parts with half the
-    variance each, so columns keep the same expected norm.
+    variance each, so columns keep the same expected norm. `normalize`
+    divides each column by its norm, refusing a zero column (ValueError).
     """
     check_at_least(1, m=m, n=n)
-    if rng is None:
-        raise ValueError("gaussian_matrix needs an explicit rng")
     if variance_mode == "unit":
         sigma2 = 1.0
     elif variance_mode == "one_over_m":
@@ -98,8 +80,11 @@ def gaussian_matrix(
         if variance_mode == "one_over_m":
             entries *= np.sqrt(sigma2)
     if normalize:  # the draw is ours, so divide it in place
-        return SensingMatrix(entries=_unit_columns(entries, out=entries), normalized=True)
-    return SensingMatrix(entries=entries, normalized=False)
+        norms = np.linalg.norm(entries, axis=0)
+        if np.any(norms == 0):
+            raise ValueError("cannot normalize a matrix with a zero column")
+        entries /= norms
+    return SensingMatrix(entries=entries, normalized=normalize)
 
 
 def measure(

@@ -704,22 +704,19 @@ def parse_value_scheme(scheme: str) -> float | None:
 def fill_values(
     support: Support,
     scheme: str,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """The dense length-n vector x that is nonzero exactly on the columns
     of `support`: `const:<amplitude>` draws equiprobable +-amplitude,
     `gaussian` draws standard normals (resampling exact zeros). The scheme
     is parsed first, by `parse_value_scheme`, so a bad one is a ValueError
-    even on an empty support; the support must be pseudo-free, and a
-    support with columns needs an rng."""
+    even on an empty support; the support must be pseudo-free."""
     amplitude = parse_value_scheme(scheme)
     if support.pseudo:
         raise ValueError("signals are filled on pseudo-free supports only")
     x = np.zeros(support.params.n)
     cols = support.column_array
     if cols.size:
-        if rng is None:
-            raise ValueError(f"value scheme {scheme!r} needs an rng")
         if amplitude is not None:
             signs = rng.integers(0, 2, size=cols.size) * 2 - 1
             x[cols] = amplitude * signs

@@ -15,6 +15,7 @@ from tsgbomp import analysis
 from tsgbomp.analysis import LemmaCheck, LemmaReport, pibric_table
 
 OVER_CAP = "cells over cell_cap"
+NO_COLUMNS = "no support covers a column"
 
 
 class Tally:
@@ -101,7 +102,7 @@ def reference_lemmas(
     complex_case = Phi.is_complex
 
     top = [o for o in table_A if o[0] == K or o[1] == R]
-    fam = family("norm-sandwich", OVER_CAP if any(unknown(d_A, o) for o in top) else "")
+    fam = family("norm-sandwich", OVER_CAP if any(unknown(d_A, o) for o in top) else NO_COLUMNS)
     for order in [o for o in top if o in d_A]:
         for sup in sample_supports(table_A, params, *order, support_samples, rng):
             cols = sup.column_array
@@ -141,8 +142,10 @@ def reference_lemmas(
         reason = ""
     elif any(unknown(d_A, o, at_least_one=True) for o in table_A if o[0] or o[1]):
         reason = OVER_CAP
-    else:
+    elif K or R:
         reason = "delta >= 1"
+    else:
+        reason = NO_COLUMNS
     sandwich = family("projected-sandwich", reason)
     inner = family("projected-innerproduct", reason)
     order_samples = []
@@ -183,8 +186,13 @@ def reference_lemmas(
     K7 = next((Kp for Kp in range(K, 0, -1) if d_B.get((Kp, 1), math.inf) < 1.0), None)
     if K7 is None:
         needed = [(Kp, 1) for Kp in range(1, K + 1) if (Kp, 1) in table_B]
-        capped = any(unknown(d_B, o, at_least_one=True) for o in needed)
-        family("projected-column-bound", OVER_CAP if capped else "no order with delta < 1")
+        if any(unknown(d_B, o, at_least_one=True) for o in needed):
+            reason = OVER_CAP
+        elif K and R:
+            reason = "no order with delta < 1"
+        else:
+            reason = "needed orders unavailable"
+        family("projected-column-bound", reason)
     elif not Phi.normalized:
         family("projected-column-bound", "columns not unit norm")
     else:

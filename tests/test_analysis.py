@@ -803,6 +803,8 @@ class TestVerifyLemmas:
                    False, True, dict(cell_cap=30)),
         "four-blocks": (PibsParams(n=24, b=1, p=1, l=2, Lsep=2, K=4, R=1), 60, 9,
                         False, True, {}),
+        "no-pseudo-blocks": (PibsParams(n=30, b=2, p=2, l=3, Lsep=3, K=2, R=0), 20, 3,
+                             False, True, {}),
     }
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
@@ -824,6 +826,22 @@ class TestVerifyLemmas:
             assert d[(4, 1)] < 1.0
         if case == "capped":
             assert "skipped (cells over cell_cap)" in reports[0]
+        if case == "no-pseudo-blocks":
+            assert "projected-column-bound: skipped (needed orders unavailable)" in reports[0]
+
+    def test_unnormalized_flag_skips_only_the_column_bound(self):
+        # projected-column-bound assumes unit columns; the flag alone gates
+        # it, and it is the last family, so the others keep their draws
+        params = PibsParams(n=24, b=1, p=2, l=3, Lsep=3, K=2, R=1)
+        Phi = gaussian_matrix(30, 24, "unit", True, np.random.default_rng(0))
+        unit, flagged_off = (
+            verify_lemmas(mat, params, 2, 1, np.random.default_rng(1))
+            for mat in (Phi, replace(Phi, normalized=False))
+        )
+        assert unit.entries[-1].checks > 0
+        assert flagged_off.entries[:-1] == unit.entries[:-1]
+        assert flagged_off.entries[-1].reason == "columns not unit norm"
+        assert flagged_off.entries[-1].skipped
 
 
 class TestRealPartBound:

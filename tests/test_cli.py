@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import tsgbomp
-from tsgbomp.analysis import pibric, verify_lemmas
+from tsgbomp import analysis, experiments
+from tsgbomp.analysis import RicEstimate, pibric, verify_lemmas
 from tsgbomp.cli import at_least_one, at_least_zero, main
 from tsgbomp.experiments import ExperimentConfig, curve_to_csv, run_curve
 from tsgbomp.sensing import gaussian_matrix, matrix_to_binary, matrix_to_csv
@@ -472,6 +473,59 @@ class TestLemmasCommand:
             "  projected-column-bound: skipped (cells over cell_cap)\n"
         )
 
+    # the first used to print projected-column-bound: skipped (no order with
+    # delta < 1), which needs an order with one pseudo block; the second
+    # norm-sandwich: pass checks=0, and blamed delta >= 1 on order (0, 0)
+    NO_ORDER_REPORTS = {
+        ("2", "0"): (
+            "lemma checks (K=2, R=0)\n"
+            "  norm-sandwich: pass checks=8950 worst_margin=4.420e-06\n"
+            "  budget-monotonicity: pass checks=3 worst_margin=3.485e-01\n"
+            "  pseudo-length-monotonicity: pass checks=6 worst_margin=0.000e+00\n"
+            "  block-for-pseudo-trade: skipped (needed orders unavailable)\n"
+            "  projected-sandwich: pass checks=7000 worst_margin=2.310e-01\n"
+            "  projected-innerproduct: pass checks=35000 worst_margin=2.945e-01\n"
+            "  projected-column-bound: skipped (needed orders unavailable)\n"
+        ),
+        ("0", "0"): (
+            "lemma checks (K=0, R=0)\n"
+            "  norm-sandwich: skipped (no support covers a column)\n"
+            "  budget-monotonicity: skipped (no cells)\n"
+            "  pseudo-length-monotonicity: pass checks=2 worst_margin=0.000e+00\n"
+            "  block-for-pseudo-trade: skipped (needed orders unavailable)\n"
+            "  projected-sandwich: skipped (no support covers a column)\n"
+            "  projected-innerproduct: skipped (no support covers a column)\n"
+            "  projected-column-bound: skipped (needed orders unavailable)\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("K, R", list(NO_ORDER_REPORTS))
+    def test_families_without_their_orders_print_why(self, K, R, tmp_path, capsys):
+        mat = gaussian_matrix(40, 60, "unit", True, np.random.default_rng(1000))
+        path = tmp_path / "phi.csv"
+        path.write_text(matrix_to_csv(mat))
+        code = main(["lemmas", "--matrix", str(path), "--b", "2", "--p", "2", "--lsep", "10",
+                     "--K", K, "--R", R, "--seed", "1"])
+        assert capsys.readouterr().out == self.NO_ORDER_REPORTS[K, R]
+        assert code == 0
+
+    def test_failing_family_prints_fail_and_exits_one(self, matrix_file, monkeypatch, capsys):
+        # at a tolerance of -0.2 a family fails iff its worst margin is
+        # below 0.2: the zero of pseudo-length-monotonicity does, the 0.287
+        # of projected-innerproduct does not
+        mat, path = matrix_file
+        monkeypatch.setattr(analysis, "_LEMMA_TOL", -0.2)
+        code = main(["lemmas", "--matrix", str(path), "--b", "1", "--p", "1", "--lsep", "3",
+                     "--K", "1", "--R", "1", "--seed", "4"])
+        params = PibsParams(n=32, b=1, p=1, l=3, Lsep=3, K=1, R=1)
+        report = verify_lemmas(mat, params, 1, 1, np.random.default_rng(4))
+        out = capsys.readouterr().out
+        assert out == report.render()
+        assert "  pseudo-length-monotonicity: FAIL checks=8 worst_margin=0.000e+00\n" in out
+        assert "  projected-innerproduct: pass checks=23000 worst_margin=2.866e-01\n" in out
+        assert not report.all_passed
+        assert code == 1
+
 
 class TestCurveCommand:
     def test_writes_csv_and_checks(self, tmp_path, capsys):
@@ -567,6 +621,17 @@ class TestTheoremSuiteCommand:
         out = capsys.readouterr().out
         assert "certified:" in out
         assert code == 0
+
+    def test_no_certified_instance_exits_one(self, monkeypatch, capsys):
+        # recovery of every certified instance holds vacuously when there is
+        # none, so that run checked nothing
+        monkeypatch.setattr(experiments, "pibric",
+                            lambda *args: RicEstimate(delta=0.9, argmax=None, count=1))
+        code = main(["theorem-suite", "--count", "3", "--seed", "1"])
+        assert capsys.readouterr().out == (
+            "instances: 3\ncertified: 0\nrecovered: 0\nno certified instances found\n"
+        )
+        assert code == 1
 
 
 class TestUsageErrors:

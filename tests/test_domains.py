@@ -53,7 +53,8 @@ ENTRY_POINTS = {
                           dict(n=1, m=1, K=1, R=0)),
     analysis.g_bounds: (dict(a=0.5, K=2, b=2), dict(K=1, b=1)),
     analysis.g_empirical: (dict(a=0.5, K=2, b=2, trials=10, rng=_rng()), dict(trials=1)),
-    sensing.gaussian_matrix: (dict(m=4, n=6, rng=_rng()), dict(m=1, n=1)),
+    sensing.gaussian_matrix: (dict(m=4, n=6, variance_mode="unit", normalize=True, rng=_rng()),
+                              dict(m=1, n=1)),
     _worker_map: (dict(jobs=1), dict(jobs=1)),
 }
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tsgbomp import experiments
+from tsgbomp.analysis import RicEstimate
 from tsgbomp.experiments import (
     ALGORITHMS,
+    REGIME_CONFIGS,
     CurvePoint,
     ExperimentConfig,
     check_curve,
@@ -20,7 +22,7 @@ from tsgbomp.experiments import (
     theorem_regime_suite,
     trial_seed,
 )
-from tsgbomp.sensing import SensingMatrix
+from tsgbomp.sensing import SensingMatrix, gaussian_matrix
 from tsgbomp.signal_model import GeometryError, sample_support
 
 
@@ -353,6 +355,22 @@ class TestTheoremRegime:
         assert rep.attempted == 6
         assert rep.certified >= 1
         assert rep.all_recovered, rep.render()
+
+    def test_uncertified_instances_draw_no_signal(self, monkeypatch):
+        # a constant of 0.9 clears no threshold: each instance draws its
+        # matrix and nothing else, and the report says none was certified
+        monkeypatch.setattr(experiments, "pibric",
+                            lambda *args: RicEstimate(delta=0.9, argmax=None, count=1))
+        rng = np.random.default_rng(0)
+        rep = theorem_regime_suite(4, rng)
+        assert rep.attempted == 4
+        assert rep.certified == 0
+        assert rep.render().endswith("no certified instances found\n")
+        matrices_only = np.random.default_rng(0)
+        for i in range(4):
+            cfg = REGIME_CONFIGS[i % len(REGIME_CONFIGS)]
+            gaussian_matrix(cfg.m, cfg.n, "one_over_m", True, matrices_only)
+        assert rng.bit_generator.state == matrices_only.bit_generator.state
 
     def test_certified_instances_have_valid_constant(self):
         rep = theorem_regime_suite(4, np.random.default_rng(1))

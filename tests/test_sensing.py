@@ -49,36 +49,23 @@ class TestGaussianMatrix:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_bytes_match_scaled_draw(self, mode, normalize):
         # the entries are sqrt(sigma^2) times one standard-normal draw, bit
-        # for bit, with sigma^2 = 1 or 1/m
+        # for bit, with sigma^2 = 1 or 1/m; normalizing divides that draw in
+        # place, with the quotients a division into a new array gives
         m, n = 17, 9
         sigma2 = 1.0 if mode == "unit" else 1.0 / m
-        expected = SensingMatrix(np.sqrt(sigma2) * np.random.default_rng(5).standard_normal((m, n)))
+        expected = np.sqrt(sigma2) * np.random.default_rng(5).standard_normal((m, n))
         if normalize:
-            expected = expected.normalize()
+            expected = expected / np.linalg.norm(expected, axis=0)
         got = gaussian_matrix(m, n, mode, normalize, np.random.default_rng(5))
-        assert got.entries.tobytes() == expected.entries.tobytes()
+        assert got.entries.tobytes() == expected.tobytes()
+        assert got.normalized == normalize
 
     def test_complex_bytes_match_normalized_draw(self):
-        # the fresh draw is divided in place, with the quotients normalize()
-        # computes into a new array
         rng = np.random.default_rng(5)
         z = np.sqrt(0.5) * (rng.standard_normal((17, 9)) + 1j * rng.standard_normal((17, 9)))
-        expected = SensingMatrix(z).normalize()
+        expected = z / np.linalg.norm(z, axis=0)
         got = gaussian_matrix(17, 9, "unit", True, np.random.default_rng(5), complex_entries=True)
-        assert got.entries.tobytes() == expected.entries.tobytes()
-
-    def test_normalize_leaves_the_callers_entries(self):
-        entries = np.random.default_rng(4).standard_normal((6, 5))
-        before = entries.copy()
-        unit = SensingMatrix(entries).normalize()
-        assert unit.entries is not entries
-        assert entries.tobytes() == before.tobytes()
-
-    def test_normalize_idempotent_bitwise(self):
-        raw = gaussian_matrix(12, 8, "unit", False, np.random.default_rng(3))
-        once = raw.normalize()
-        twice = once.normalize()
-        assert twice is once
+        assert got.entries.tobytes() == expected.tobytes()
 
 
 class TestMeasure:
@@ -217,7 +204,8 @@ class TestSerialization:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_rejects_normalized_flag_on_other_norms(self, fmt, complex_entries):
         # flags=1 says every column has unit norm; a file whose columns have
-        # norm 3 must not load as normalized (normalize() would keep it)
+        # norm 3 must not load as normalized, since the flag gates
+        # projected-column-bound
         mat = gaussian_matrix(
             5, 4, "unit", True, np.random.default_rng(4), complex_entries=complex_entries
         )
